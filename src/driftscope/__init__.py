@@ -19,7 +19,7 @@ from .catalog import (
     ingest_outcomes,
     read_rows,
 )
-from .mining import MiningConfig, Subgroup, SubgroupCatalog, build_groups_matrix, mine_frequent
+from .mining import MiningConfig, Subgroup, SubgroupCatalog, mine_frequent
 from .sgmetrics import (
     EncodedBatch,
     SubgroupStats,
@@ -84,7 +84,6 @@ __all__ = [
     "MiningConfig",
     "Subgroup",
     "SubgroupCatalog",
-    "build_groups_matrix",
     "mine_frequent",
     "EncodedBatch",
     "SubgroupStats",

@@ -477,6 +477,8 @@ def _cmd_report(args) -> int:
             "report needs the full final-window statistics"
         )
     state = MonitorState.load(state_path)
+    if state.n_subgroups != len(sgcat):
+        raise DataError(f"monitor state has {state.n_subgroups} subgroups, catalog has {len(sgcat)}")
     if not state.reference_frozen or not state.current_ring:
         raise DataError("monitoring never left the warming-up phase")
     full = score_windows(

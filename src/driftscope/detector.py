@@ -22,6 +22,7 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
+from .catalog import DataError
 from .mining import SubgroupCatalog
 from .sgmetrics import SubgroupStats, merge, performance_vector
 
@@ -207,6 +208,8 @@ class MonitorState:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "MonitorState":
+        if d.get("version") != 1:
+            raise DataError(f"unsupported monitor state version {d.get('version')!r}, expected 1")
         state = cls(
             n_subgroups=int(d["n_subgroups"]),
             config=WindowConfig(window_batches=int(d["window_batches"])),
@@ -218,6 +221,12 @@ class MonitorState:
         state.current_ring = deque(
             SubgroupStats.from_dict(s) for s in d["current_ring"]
         )
+        parts = [*state.reference_parts, *state.current_ring, state.reference_stats]
+        wrong = {s.n_subgroups for s in parts if s is not None} - {state.n_subgroups}
+        if wrong:
+            raise DataError(
+                f"monitor state count vector length {min(wrong)} != n_subgroups {state.n_subgroups}"
+            )
         return state
 
     def save(self, path) -> None:

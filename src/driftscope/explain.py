@@ -3,8 +3,10 @@
 Subgroups are ranked by the significance statistic t. Redundancy pruning
 collapses chains of near-duplicate refinements onto their most general
 surviving ancestors. Shapley values attribute a subgroup's performance
-divergence to its constituent items, exactly, by enumerating all item
-coalitions (itemsets are short, so exact enumeration is cheap).
+divergence to its constituent items exactly: the values of all 2^k item
+coalitions times one (2^k x k) weight matrix (itemsets are short, so this is
+cheap). Across a catalog, the coalitions of every length-k subgroup are
+looked up at once in the catalog's length-k table.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from .detector import DriftReport
 from .mining import Subgroup, SubgroupCatalog
-from .sgmetrics import EncodedBatch, SubgroupStats
+from .sgmetrics import EncodedBatch, SubgroupStats, aggregate, membership, merge
 
 __all__ = [
     "RankedEntry",
@@ -114,6 +116,24 @@ class ItemAttribution:
         return pairs if k is None else pairs[:k]
 
 
+def _coalitions(k: int) -> np.ndarray:
+    """``(2^k, k)`` booleans: row ``mask`` holds item i iff bit i of ``mask`` is set."""
+    return (np.arange(1 << k)[:, None] >> np.arange(k)) & 1 == 1
+
+
+def _shapley_weights(k: int) -> np.ndarray:
+    """``(2^k, k)`` W with exact Shapley values ``phi = v @ W``, ``v[mask]`` the
+    value of coalition ``mask`` of :func:`_coalitions`: column i weighs each
+    marginal ``v(T + {i}) - v(T)`` by |T|!(k-|T|-1)!/k!."""
+    member = _coalitions(k)
+    size = member.sum(axis=1)
+    fact = [math.factorial(s) for s in range(k + 1)]
+    # w[|T|]; the padding 0 keeps w[size] and w[size - 1] in range for the full
+    # and the empty coalition, entries np.where evaluates but never picks
+    w = np.array([fact[s] * fact[k - s - 1] / fact[k] for s in range(k)] + [0.0])
+    return np.where(member, w[size - 1][:, None], -w[size][:, None])
+
+
 def shapley_local(
     subgroup: Subgroup | Sequence[int],
     value_fn: Callable[[frozenset[int]], float],
@@ -122,7 +142,7 @@ def shapley_local(
 
     For each item a of S, phi(a) is the coalition-weighted average of the
     marginal change v(T + {a}) - v(T) over all T inside S without a. Computed
-    by full enumeration of the 2^|S| coalitions, so |S| must not exceed
+    from the values of all 2^|S| coalitions, so |S| must not exceed
     MAX_EXACT_ITEMS. Satisfies efficiency: sum(phi) = v(S) - v(empty).
     """
     items = tuple(subgroup.item_ids) if isinstance(subgroup, Subgroup) else tuple(subgroup)
@@ -132,71 +152,42 @@ def shapley_local(
             f"exact Shapley enumeration supports at most {MAX_EXACT_ITEMS} items, "
             f"got {n}; use a sampling estimator for longer subgroups"
         )
-    v = [0.0] * (1 << n)
-    for mask in range(1 << n):
-        v[mask] = float(value_fn(frozenset(items[i] for i in range(n) if mask >> i & 1)))
-
-    fact = [math.factorial(k) for k in range(n + 1)]
-    weights = [fact[k] * fact[n - k - 1] / fact[n] for k in range(n)]
-    phi = {}
-    for i in range(n):
-        bit = 1 << i
-        total = 0.0
-        for mask in range(1 << n):
-            if mask & bit:
-                continue
-            total += weights[bin(mask).count("1")] * (v[mask | bit] - v[mask])
-        phi[items[i]] = total
-    return ItemAttribution(values=phi)
+    coalitions = (frozenset(it for it, m in zip(items, row) if m) for row in _coalitions(n))
+    phi = np.array([float(value_fn(c)) for c in coalitions]) @ _shapley_weights(n)
+    return ItemAttribution(values={item: float(p) for item, p in zip(items, phi)})
 
 
 def shapley_global(report: DriftReport, catalog: SubgroupCatalog) -> ItemAttribution:
     """Average per-item drift contribution across all subgroups containing it.
 
-    Each frequent subgroup's divergence is attributed to its items with
-    :func:`shapley_local`; an item's global value is the mean of its local
-    values over the subgroups it appears in. Coalition values come from the
-    report directly: every subset of a frequent itemset is frequent, so no
-    membership passes are needed. Items appearing in no subgroup are absent
-    from the result.
+    Each subgroup's divergence is attributed to its items as in
+    :func:`shapley_local`, with coalition values from the report: delta_h, or
+    the posterior-mean gap where h is undefined. Every subset of a frequent
+    itemset is frequent, so the coalitions of all length-k subgroups are one
+    lookup in the catalog's length-k table. Items in no subgroup are absent.
     """
-    value_fn = _report_value_fn(report, catalog)
-    sums: dict[int, float] = {}
-    counts: dict[int, int] = {}
-    for sg in catalog.subgroups:
-        if not sg.item_ids or len(sg.item_ids) > MAX_EXACT_ITEMS:
+    if len(report.delta_h) != len(catalog):
+        raise ValueError(f"report has {len(report.delta_h)} subgroups, catalog has {len(catalog)}")
+    v = np.where(np.isnan(report.delta_h), report.mu_ref - report.mu_cur, report.delta_h)
+    sums = np.zeros(catalog.n_items)
+    counts = np.zeros(catalog.n_items, dtype=np.int64)
+    for _, items in catalog.length_tables:
+        k = items.shape[1]
+        if k > MAX_EXACT_ITEMS:
             continue
-        local = shapley_local(sg, value_fn)
-        for item, phi in local.values.items():
-            sums[item] = sums.get(item, 0.0) + phi
-            counts[item] = counts.get(item, 0) + 1
-    return ItemAttribution(
-        values={item: sums[item] / counts[item] for item in sorted(sums)}
-    )
-
-
-def _report_value_fn(
-    report: DriftReport, catalog: SubgroupCatalog
-) -> Callable[[frozenset[int]], float]:
-    """Coalition value from a report: delta_h, or the posterior-mean gap when
-    h is undefined on either side."""
-    delta = report.delta_h
-    mu_gap = report.mu_ref - report.mu_cur
-    cache: dict[frozenset[int], float] = {}
-
-    def v(itemset: frozenset[int]) -> float:
-        got = cache.get(itemset)
-        if got is not None:
-            return got
-        j = catalog.index_of(itemset)
-        if j is None:
-            raise KeyError(f"itemset {sorted(itemset)} is not a mined subgroup")
-        d = float(delta[j])
-        out = d if not math.isnan(d) else float(mu_gap[j])
-        cache[itemset] = out
-        return out
-
-    return v
+        member = _coalitions(k)
+        coalitions = np.column_stack(
+            [catalog.indices_of(items[:, member[mask]]) for mask in range(1 << k)]
+        )
+        if (coalitions < 0).any():
+            r, mask = np.argwhere(coalitions < 0)[0]
+            raise ValueError(
+                f"itemset {items[r, member[mask]].tolist()} is not a mined subgroup; "
+                "Shapley attribution needs a catalog closed under subsets"
+            )
+        np.add.at(sums, items, v[coalitions] @ _shapley_weights(k))
+        np.add.at(counts, items, 1)
+    return ItemAttribution({int(i): float(sums[i] / counts[i]) for i in np.flatnonzero(counts)})
 
 
 def make_drift_value_fn(
@@ -215,51 +206,34 @@ def make_drift_value_fn(
     """
     cache: dict[frozenset[int], float] = {}
 
-    def counts_from_batches(itemset: frozenset[int]) -> tuple[int, int, int, int]:
+    def window_counts(itemset: frozenset[int]) -> list[int]:
+        """alpha and beta of the reference window, then of the current one."""
+        j = catalog.index_of(itemset)
+        if j is not None:
+            return [int(c[j]) for s in (ref_stats, cur_stats) for c in (s.alpha_counts, s.beta_counts)]
         if ref_batches is None or cur_batches is None:
             raise KeyError(
                 f"itemset {sorted(itemset)} is not mined and no window batches "
                 "were provided for on-demand counting"
             )
+        probe = SubgroupCatalog(
+            [catalog.subgroups[0], Subgroup(tuple(sorted(itemset)), 0.0, 0, 1)],
+            catalog.n_items,
+            catalog.config,
+        )
         out = []
-        cols = sorted(itemset)
         for batches in (ref_batches, cur_batches):
-            a_tot = b_tot = 0
-            for b in batches:
-                P = b.point_matrix
-                member = np.ones(P.shape[0], dtype=bool)
-                for c in cols:
-                    col = np.zeros(P.shape[0], dtype=bool)
-                    csc = P.tocsc()
-                    col[csc.indices[csc.indptr[c] : csc.indptr[c + 1]]] = True
-                    member &= col
-                a_tot += int(b.alpha_vec[member].sum())
-                b_tot += int(b.beta_vec[member].sum())
-            out.extend([a_tot, b_tot])
-        return out[0], out[1], out[2], out[3]
-
-    def value(a_r: int, b_r: int, a_c: int, b_c: int) -> float:
-        if a_r + b_r > 0 and a_c + b_c > 0:
-            return a_r / (a_r + b_r) - a_c / (a_c + b_c)
-        mu_r = (a_r + 1) / (a_r + b_r + 2)
-        mu_c = (a_c + 1) / (a_c + b_c + 2)
-        return mu_r - mu_c
+            stats = merge([aggregate(b, membership(b, probe)) for b in batches], n_subgroups=2)
+            out += [int(stats.alpha_counts[1]), int(stats.beta_counts[1])]
+        return out
 
     def v(itemset: frozenset[int]) -> float:
-        got = cache.get(itemset)
-        if got is not None:
-            return got
-        j = catalog.index_of(itemset)
-        if j is not None:
-            out = value(
-                int(ref_stats.alpha_counts[j]),
-                int(ref_stats.beta_counts[j]),
-                int(cur_stats.alpha_counts[j]),
-                int(cur_stats.beta_counts[j]),
-            )
-        else:
-            out = value(*counts_from_batches(itemset))
-        cache[itemset] = out
-        return out
+        if itemset not in cache:
+            a_r, b_r, a_c, b_c = window_counts(itemset)
+            if a_r + b_r > 0 and a_c + b_c > 0:
+                cache[itemset] = a_r / (a_r + b_r) - a_c / (a_c + b_c)
+            else:
+                cache[itemset] = (a_r + 1) / (a_r + b_r + 2) - (a_c + 1) / (a_c + b_c + 2)
+        return cache[itemset]
 
     return v

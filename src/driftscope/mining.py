@@ -5,8 +5,9 @@ level-wise Apriori over packed bitmaps. The empty itemset (the global
 subgroup, covering every instance) is always present at index 0. The
 catalog keeps, per itemset length, the subgroup indices and their items, so
 that batch membership is the AND of packed item bitmaps (the same bitmaps
-the miner counts with). The normalized groups matrix, one row per
-non-global subgroup, is kept as the paper's representation of the catalog.
+the miner counts with). The same tables, keyed by each row's item ids, are
+the catalog's only itemset index: lookups of many itemsets of one length are
+one sorted search.
 """
 
 from __future__ import annotations
@@ -18,13 +19,7 @@ from typing import Mapping, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-__all__ = [
-    "MiningConfig",
-    "Subgroup",
-    "SubgroupCatalog",
-    "mine_frequent",
-    "build_groups_matrix",
-]
+__all__ = ["MiningConfig", "Subgroup", "SubgroupCatalog", "mine_frequent"]
 
 _POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(1).astype(np.int64)
 
@@ -64,14 +59,14 @@ class Subgroup:
 
 
 class SubgroupCatalog:
-    """The mined subgroups, their per-length item tables and groups matrix.
+    """The mined subgroups and their per-length item tables.
 
     ``subgroups[0]`` is always the global (empty) subgroup. ``length_tables``
     holds one ``(indices, items)`` pair per itemset length k, ascending: the
     positions of the length-k subgroups and an ``(n_k, k)`` array of their
-    item ids. ``groups_matrix`` is a |G|-1 x n_items CSR matrix whose row j-1
-    holds 1/|S_j| at each item of subgroup j; rows therefore sum to 1.
-    Immutable once built.
+    item ids, rows in ascending lexicographic order. Every itemset must list
+    distinct item ids in ascending order, each in ``[0, n_items)``, and no
+    itemset may occur twice. Immutable once built.
     """
 
     def __init__(
@@ -85,28 +80,54 @@ class SubgroupCatalog:
         self.subgroups: tuple[Subgroup, ...] = tuple(subgroups)
         self.n_items = n_items
         self.config = config
-        self.groups_matrix = build_groups_matrix(self.subgroups, n_items)
         by_len: dict[int, list[int]] = {}
-        for j, sg in enumerate(self.subgroups):
-            if sg.item_ids:
-                by_len.setdefault(len(sg.item_ids), []).append(j)
+        for j, sg in enumerate(self.subgroups[1:], start=1):
+            by_len.setdefault(len(sg.item_ids), []).append(j)
+        if 0 in by_len:
+            raise ValueError(f"subgroup {by_len[0][0]} repeats the global (empty) itemset")
+        # per length k: subgroup positions, (n_k, k) items and row keys, in key order
+        self._tables: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        for k, idx in sorted(by_len.items()):
+            idx = np.asarray(idx, dtype=np.intp)
+            items = np.array([self.subgroups[j].item_ids for j in idx], dtype=np.intp)
+            bad = (np.diff(items, axis=1) <= 0).any(axis=1)
+            bad |= (items[:, 0] < 0) | (items[:, -1] >= n_items)
+            if bad.any():
+                r = int(np.argmax(bad))
+                raise ValueError(
+                    f"subgroup {idx[r]}: item ids {items[r].tolist()} are not strictly "
+                    f"ascending in [0, {n_items})"
+                )
+            keys = _row_keys(items)
+            order = np.argsort(keys, kind="stable")
+            idx, items, keys = idx[order], items[order], keys[order]
+            dup = np.flatnonzero(keys[1:] == keys[:-1])
+            if len(dup):
+                r = dup[0]
+                raise ValueError(f"subgroup {idx[r + 1]} repeats the itemset {items[r].tolist()}")
+            self._tables[k] = (idx, items, keys)
         self.length_tables: tuple[tuple[np.ndarray, np.ndarray], ...] = tuple(
-            (
-                np.asarray(idx, dtype=np.intp),
-                np.array([self.subgroups[j].item_ids for j in idx], dtype=np.intp),
-            )
-            for _, idx in sorted(by_len.items())
+            (idx, items) for idx, items, _ in self._tables.values()
         )
-        self._index: dict[frozenset[int], int] = {
-            frozenset(sg.item_ids): sg.index for sg in self.subgroups
-        }
 
     def __len__(self) -> int:
         return len(self.subgroups)
 
+    def indices_of(self, rows) -> np.ndarray:
+        """Dense index of each itemset (ascending item ids) of an ``(n, k)`` array, or -1."""
+        rows = np.asarray(rows, dtype=np.int64)
+        n, k = rows.shape
+        if k not in self._tables:  # the global subgroup is the only 0-itemset
+            return np.full(n, -1 if k else 0, dtype=np.intp)
+        idx, _, keys = self._tables[k]
+        wanted = _row_keys(rows)
+        pos = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+        return np.where(keys[pos] == wanted, idx[pos], -1)
+
     def index_of(self, item_ids) -> int | None:
         """Dense index of an itemset, or None if it was not mined."""
-        return self._index.get(frozenset(item_ids))
+        j = int(self.indices_of([sorted(set(item_ids))])[0])
+        return None if j < 0 else j
 
     def supports(self) -> np.ndarray:
         return np.array([sg.support for sg in self.subgroups])
@@ -138,26 +159,11 @@ class SubgroupCatalog:
         return cls(subgroups, int(d["n_items"]), config)
 
 
-def build_groups_matrix(subgroups: Sequence[Subgroup], n_items: int) -> sp.csr_matrix:
-    """Row-normalized sparse matrix over the non-global subgroups.
-
-    Row i (for subgroup ``subgroups[i + 1]``) holds 1/|S| at each member item
-    and is structurally zero elsewhere, so a point-matrix row dotted with it
-    reaches 1 exactly when the instance contains every item of S.
-    """
-    rows = [sg for sg in subgroups if sg.item_ids]
-    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-    indices = []
-    data = []
-    for i, sg in enumerate(rows):
-        k = len(sg.item_ids)
-        indices.extend(sg.item_ids)
-        data.extend([1.0 / k] * k)
-        indptr[i + 1] = indptr[i] + k
-    return sp.csr_matrix(
-        (np.asarray(data, dtype=np.float64), np.asarray(indices, dtype=np.int64), indptr),
-        shape=(len(rows), n_items),
-    )
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One exact key per row, its item ids as big-endian int64 bytes: byte
+    order is lexicographic order for non-negative ids, at any item count."""
+    rows = np.ascontiguousarray(rows, dtype=">i8")
+    return rows.view(np.dtype((np.void, 8 * rows.shape[1]))).ravel()
 
 
 def _packed_columns(points: sp.spmatrix) -> np.ndarray:

@@ -172,6 +172,78 @@ def test_bad_subgroup_item_exits_two(tmp_path):
     assert code == 2
 
 
+def _mined_and_monitored(tmp_path):
+    src = tmp_path / "data.csv"
+    write_sample_csv(src, n=400)
+    catalog_path = tmp_path / "catalog.json"
+    assert run_cli(
+        "mine", "--input", src, "--min-support", "0.05", "--max-len", "2",
+        "--out", catalog_path,
+    ) == 0
+    reports_dir = tmp_path / "reports"
+    assert run_cli(
+        "monitor", "--catalog", catalog_path, "--input", src,
+        "--window", "2", "--batch-size", "100", "--out", reports_dir,
+    ) == 0
+    return src, catalog_path, reports_dir
+
+
+def _edit_artifact(path, edit):
+    artifact = json.loads(path.read_text())
+    edit(artifact["subgroup_catalog"]["subgroups"])
+    path.write_text(json.dumps(artifact))
+
+
+def test_out_of_range_catalog_item_exits_two(tmp_path, caplog):
+    src = tmp_path / "data.csv"
+    write_sample_csv(src, n=200)
+    catalog_path = tmp_path / "catalog.json"
+    assert run_cli("mine", "--input", src, "--min-support", "0.1", "--out", catalog_path) == 0
+    n_items = json.loads(catalog_path.read_text())["subgroup_catalog"]["n_items"]
+    _edit_artifact(catalog_path, lambda sgs: sgs[-1].update(items=[n_items]))
+    code = run_cli(
+        "monitor", "--catalog", catalog_path, "--input", src,
+        "--batch-size", "100", "--out", tmp_path / "reports",
+    )
+    assert code == 2
+    assert "not strictly ascending" in caplog.text
+
+
+def test_report_shapley_on_catalog_missing_a_subset_exits_two(tmp_path, caplog):
+    _, catalog_path, reports_dir = _mined_and_monitored(tmp_path)
+    # swap a singleton that mined pairs contain for an unmined pair: those
+    # pairs lose a subset while the subgroup count stays the same
+    subgroups = json.loads(catalog_path.read_text())["subgroup_catalog"]["subgroups"]
+    mined = {tuple(e["items"]) for e in subgroups}
+    item = next(e["items"][0] for e in subgroups if len(e["items"]) == 2)
+    singles = [e["items"][0] for e in subgroups if len(e["items"]) == 1 and e["items"] != [item]]
+    pair = next(
+        [a, b] for a in singles for b in singles if a < b and (a, b) not in mined
+    )
+
+    def edit(sgs):
+        kept = [e for e in sgs[1:] if e["items"] != [item]]
+        kept.append({"items": pair, "support": 0.0, "count": 0})
+        sgs[1:] = sorted(kept, key=lambda e: e["items"])
+
+    _edit_artifact(catalog_path, edit)
+    code = run_cli(
+        "report", "--reports", reports_dir, "--catalog", catalog_path,
+        "--shapley", "--out", tmp_path / "r.md",
+    )
+    assert code == 2
+    assert f"itemset [{item}]" in caplog.text
+
+
+def test_report_state_for_another_catalog_exits_two(tmp_path, caplog):
+    _, catalog_path, reports_dir = _mined_and_monitored(tmp_path)
+    _edit_artifact(catalog_path, lambda sgs: sgs.pop())
+    n = len(json.loads(catalog_path.read_text())["subgroup_catalog"]["subgroups"])
+    code = run_cli("report", "--reports", reports_dir, "--catalog", catalog_path)
+    assert code == 2
+    assert f"monitor state has {n + 1} subgroups" in caplog.text
+
+
 def test_config_file_supplies_defaults_but_flags_win(tmp_path):
     src = tmp_path / "d.csv"
     write_sample_csv(src, n=300)

@@ -234,3 +234,23 @@ class TestReportAndState:
         assert np.allclose(r1.t_values, r2.t_values)
         assert r1.global_drift == r2.global_drift
         assert r1.batch_id == r2.batch_id
+
+    def test_state_load_rejects_bad_version_and_vector_lengths(self):
+        from driftscope.catalog import DataError
+
+        mon = MonitorState(n_subgroups=2, config=WindowConfig(1))
+        for s in (stats_of([(40, 10), (20, 5)]), stats_of([(35, 15), (15, 10)])):
+            step(mon, s)
+        good = mon.to_dict()
+        MonitorState.from_dict(good)
+        for field, change in (
+            ("version", lambda d: d.update(version=2)),
+            ("version", lambda d: d.pop("version")),
+            ("length", lambda d: d.update(n_subgroups=3)),
+            ("length", lambda d: d["current_ring"][0].update(alpha=[1], beta=[1])),
+            ("length", lambda d: d["reference_stats"].update(alpha=[1, 2, 3], beta=[1, 2, 3])),
+        ):
+            bad = json.loads(json.dumps(good))
+            change(bad)
+            with pytest.raises(DataError, match=field):
+                MonitorState.from_dict(bad)

@@ -202,6 +202,21 @@ class TestShapleyLocal:
         phi = shapley_local([3, 5], v)
         assert abs(phi.values[3] - phi.values[5]) <= 1e-15
 
+    def test_matches_permutation_shapley(self):
+        rng = np.random.default_rng(8)
+        for n in range(0, 6):
+            items = tuple(sorted(rng.choice(50, size=n, replace=False).tolist()))
+            value = {
+                sub: float(rng.normal())
+                for r in range(n + 1)
+                for sub in itertools.combinations(items, r)
+            }
+            phi = shapley_local(items, lambda s: value[tuple(sorted(s))])
+            want = _permutation_shapley(items, value)
+            assert phi.values.keys() == want.keys()
+            for item in items:
+                assert abs(phi.values[item] - want[item]) <= 1e-12
+
     def test_too_many_items_rejected(self):
         with pytest.raises(ValueError, match="sampling"):
             shapley_local(list(range(13)), lambda s: 0.0)
@@ -237,6 +252,62 @@ class TestShapleyGlobal:
         rep = report_with(cat, {(0,): 1.0}, {(0,): 0.1})
         out = shapley_global(rep, cat)
         assert 1 not in out.values
+
+    def test_missing_subset_raises_value_error(self):
+        cat = catalog_from_itemsets([(0,), (0, 1)], 2)  # (1,) is absent
+        rep = report_with(cat, {(0,): 1.0}, {(0,): 0.1, (0, 1): 0.2})
+        with pytest.raises(ValueError, match=r"itemset \[1\] .* not a mined subgroup"):
+            shapley_global(rep, cat)
+
+    def test_report_for_another_catalog_raises_value_error(self):
+        cat = catalog_from_itemsets([(0,), (1,)], 2)
+        rep = report_with(catalog_from_itemsets([(0,)], 2), {(0,): 1.0})
+        with pytest.raises(ValueError, match="report has 2 subgroups, catalog has 3"):
+            shapley_global(rep, cat)
+
+    def test_matches_mean_of_permutation_shapley_on_random_catalogs(self):
+        rng = np.random.default_rng(31)
+        for trial in range(15):
+            n_items = int(rng.integers(2, 7))
+            closed = set()
+            for _ in range(int(rng.integers(1, 8))):
+                size = int(rng.integers(1, min(n_items, 5) + 1))
+                top = tuple(sorted(rng.choice(n_items, size=size, replace=False).tolist()))
+                for r in range(1, size + 1):
+                    closed.update(itertools.combinations(top, r))
+            cat = catalog_from_itemsets(closed, n_items)
+            rep = report_with(cat, {}, {items: float(rng.normal()) for items in closed})
+            # undefined h: the value falls back to the posterior-mean gap
+            for j in rng.choice(len(cat), size=len(cat) // 3, replace=False):
+                rep.delta_h[j] = np.nan
+                rep.mu_cur[j] = rep.mu_ref[j] - rng.normal()
+            value = {
+                sg.item_ids: (
+                    rep.mu_ref[sg.index] - rep.mu_cur[sg.index]
+                    if np.isnan(rep.delta_h[sg.index])
+                    else rep.delta_h[sg.index]
+                )
+                for sg in cat.subgroups
+            }
+            local = {}
+            for sg in cat.subgroups[1:]:
+                for item, phi in _permutation_shapley(sg.item_ids, value).items():
+                    local.setdefault(item, []).append(phi)
+            got = shapley_global(rep, cat).values
+            assert sorted(got) == sorted(local)
+            for item, phis in local.items():
+                assert abs(got[item] - np.mean(phis)) <= 1e-12, f"trial {trial} item {item}"
+
+
+def _permutation_shapley(items, value):
+    """Shapley values as the mean marginal contribution over all orderings."""
+    phi = dict.fromkeys(items, 0.0)
+    orders = list(itertools.permutations(items))
+    for order in orders:
+        for pos, item in enumerate(order):
+            before = tuple(sorted(order[:pos]))
+            phi[item] += value[tuple(sorted(before + (item,)))] - value[before]
+    return {item: total / len(orders) for item, total in phi.items()}
 
 
 class TestDriftValueFn:

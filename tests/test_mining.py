@@ -8,7 +8,6 @@ from driftscope.mining import (
     Subgroup,
     SubgroupCatalog,
     brute_force_frequent,
-    build_groups_matrix,
     mine_frequent,
 )
 from driftscope.sgmetrics import build_point_matrix
@@ -98,38 +97,6 @@ def test_structural_attribute_exclusion_equals_support_filter():
     ]
 
 
-class TestGroupsMatrix:
-    def test_two_item_row(self):
-        sgs = [
-            Subgroup((), 1.0, 4, 0),
-            Subgroup((0, 1), 0.5, 2, 1),
-        ]
-        G = build_groups_matrix(sgs, n_items=3)
-        assert G.shape == (1, 3)
-        assert np.allclose(G.toarray(), [[0.5, 0.5, 0.0]])
-
-    def test_singleton_row(self):
-        sgs = [Subgroup((), 1.0, 4, 0), Subgroup((2,), 0.5, 2, 1)]
-        G = build_groups_matrix(sgs, n_items=3)
-        assert np.allclose(G.toarray(), [[0.0, 0.0, 1.0]])
-
-    def test_four_item_row(self):
-        sgs = [Subgroup((), 1.0, 4, 0), Subgroup((0, 1, 2, 3), 0.5, 2, 1)]
-        G = build_groups_matrix(sgs, n_items=4)
-        assert np.allclose(G.toarray(), [[0.25] * 4])
-
-    def test_rows_stochastic_and_sparsity_matches_items(self):
-        rng = np.random.default_rng(5)
-        tx = [tuple(np.flatnonzero(rng.random(9) < 0.5).tolist()) for _ in range(100)]
-        cat = _mine(tx, 0.1, 4, n_items=9)
-        G = cat.groups_matrix
-        sums = np.asarray(G.sum(axis=1)).ravel()
-        assert np.all(np.abs(sums - 1.0) <= 1e-12)
-        for sg in cat.subgroups[1:]:
-            row = G.getrow(sg.index - 1)
-            assert tuple(sorted(row.indices.tolist())) == sg.item_ids
-
-
 def test_catalog_round_trip_and_index_of():
     tx = [(0, 1), (0, 1), (0, 2), (1,)]
     cat = _mine(tx, 0.5, 2)
@@ -137,4 +104,74 @@ def test_catalog_round_trip_and_index_of():
     assert [sg.item_ids for sg in clone.subgroups] == [sg.item_ids for sg in cat.subgroups]
     assert clone.index_of((1, 0)) == cat.index_of((0, 1))
     assert clone.index_of((5,)) is None
-    assert np.allclose(clone.groups_matrix.toarray(), cat.groups_matrix.toarray())
+
+
+def _catalog(itemsets, n_items):
+    sgs = [Subgroup((), 1.0, 10, 0)]
+    sgs += [Subgroup(tuple(items), 0.5, 5, j) for j, items in enumerate(itemsets, start=1)]
+    return SubgroupCatalog(sgs, n_items, MiningConfig(0.01, 7))
+
+
+class TestCatalogValidation:
+    @pytest.mark.parametrize("items", [(1, 0), (2, 2), (0, 3, 1)])
+    def test_unsorted_or_repeated_items_rejected(self, items):
+        with pytest.raises(ValueError, match="strictly ascending"):
+            _catalog([(0,), items], 4)
+
+    @pytest.mark.parametrize("items", [(4,), (-1,), (0, 9)])
+    def test_out_of_range_items_rejected(self, items):
+        with pytest.raises(ValueError, match=r"ascending in \[0, 4\)"):
+            _catalog([(0,), items], 4)
+
+    def test_repeated_itemset_rejected(self):
+        with pytest.raises(ValueError, match=r"subgroup 3 repeats the itemset \[0, 2\]"):
+            _catalog([(0, 2), (1,), (0, 2)], 4)
+
+    def test_repeated_global_rejected(self):
+        with pytest.raises(ValueError, match="global"):
+            _catalog([(0,), ()], 4)
+
+    def test_round_trip_rejects_bad_artifact(self):
+        d = _catalog([(0,), (1,)], 2).to_dict()
+        d["subgroups"][2]["items"] = [2]
+        with pytest.raises(ValueError, match="ascending in"):
+            SubgroupCatalog.from_dict(d)
+
+
+def test_indices_of_matches_brute_force_dict():
+    rng = np.random.default_rng(9)
+    for trial in range(30):
+        n_items = int(rng.integers(1, 400))
+        lengths = rng.integers(1, 6, size=int(rng.integers(0, 60)))
+        itemsets = {
+            tuple(sorted(rng.choice(n_items, size=min(k, n_items), replace=False).tolist()))
+            for k in lengths
+        }
+        order = list(itemsets)
+        rng.shuffle(order)
+        cat = _catalog(order, n_items)
+        truth = {sg.item_ids: sg.index for sg in cat.subgroups}
+        queries = list(truth)
+        for k in range(0, 7):  # absent itemsets, and lengths with no table
+            for _ in range(5):
+                q = rng.choice(n_items + 3, size=min(k, n_items + 3), replace=False)
+                queries.append(tuple(sorted(q.tolist())))
+        for k in {len(q) for q in queries}:
+            rows = [q for q in queries if len(q) == k]
+            got = cat.indices_of(np.array(rows, dtype=np.int64).reshape(len(rows), k))
+            assert got.tolist() == [truth.get(q, -1) for q in rows], f"trial {trial} k={k}"
+        for q in queries:
+            shuffled = list(q)
+            rng.shuffle(shuffled)
+            assert cat.index_of(shuffled) == truth.get(q), f"trial {trial} {q}"
+
+
+def test_length_tables_cover_each_subgroup_once():
+    # ids past 255 make byte order matter: rows must still sort by item id
+    cat = _catalog([(2, 3), (256,), (0, 1, 2), (1, 3), (3,), (1, 256), (2, 300)], 301)
+    seen = {}
+    for idx, items in cat.length_tables:
+        assert items.tolist() == sorted(items.tolist())
+        for j, row in zip(idx.tolist(), items.tolist()):
+            seen[j] = tuple(row)
+    assert seen == {sg.index: sg.item_ids for sg in cat.subgroups[1:]}
