@@ -1,9 +1,9 @@
 """driftscope: subgroup-level model performance drift monitoring.
 
 Mine interpretable subgroups from reference data once, then monitor a model's
-performance within every subgroup batch by batch using sparse matrix products
-and Beta-posterior Welch statistics, with ranked, pruned, and item-attributed
-drift reports.
+performance within every subgroup batch by batch using popcounts over packed
+member bitmaps and Beta-posterior Welch statistics, with ranked, pruned, and
+item-attributed drift reports.
 """
 
 __version__ = "0.1.0"
@@ -22,6 +22,7 @@ from .catalog import (
 from .mining import MiningConfig, Subgroup, SubgroupCatalog, mine_frequent
 from .sgmetrics import (
     EncodedBatch,
+    Membership,
     SubgroupStats,
     aggregate,
     build_point_matrix,
@@ -86,6 +87,7 @@ __all__ = [
     "SubgroupCatalog",
     "mine_frequent",
     "EncodedBatch",
+    "Membership",
     "SubgroupStats",
     "aggregate",
     "build_point_matrix",

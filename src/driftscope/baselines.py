@@ -19,6 +19,10 @@ Implemented from the original publications:
   - Chi-squared / Fisher's Exact Test: 2x2 contingency (correct/incorrect x
     reference/current window); chi2 falls back to FET when any expected cell
     is below 5.
+
+``scipy.stats`` is imported inside the two tests that use it, because every
+``driftscope`` command imports this module and that import alone takes
+about a second.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ from collections import deque
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as sstats
 
 __all__ = [
     "NO_DRIFT",
@@ -320,11 +323,13 @@ class KSWIN(BaselineDetector):
         older = arr[: -self.stat_size]
         recent = arr[-self.stat_size :]
         sample = self.rng.choice(older, self.stat_size, replace=True)
+        from scipy.stats import ks_2samp  # here, not at module level: see the module docstring
+
         with warnings.catch_warnings():
             # binary error streams are all ties; scipy falls back to the
             # asymptotic KS p-value and warns about it on every update
             warnings.simplefilter("ignore", RuntimeWarning)
-            ks, p = sstats.ks_2samp(sample, recent, method="auto")
+            ks, p = ks_2samp(sample, recent, method="auto")
         if p <= self.alpha and ks > 0.1:
             kept = list(recent)
             self.window.clear()
@@ -445,7 +450,9 @@ class Chi2Window(_ContingencyWindow):
         if (expected_table(table) < 5.0).any():
             return fisher_exact_two_sided(ref[0], ref[1], cur[0], cur[1])
         stat, _ = chi2_statistic(table)
-        return float(sstats.chi2.sf(stat, df=1))
+        from scipy.stats import chi2  # here, not at module level: see the module docstring
+
+        return float(chi2.sf(stat, df=1))
 
 
 def make_detector(kind: str, **hyperparams) -> BaselineDetector:

@@ -12,6 +12,10 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+import tempfile
+from bisect import bisect_left
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -25,6 +29,7 @@ __all__ = [
     "IngestStats",
     "build_catalog",
     "read_rows",
+    "atomic_open",
     "ingest_outcomes",
 ]
 
@@ -87,9 +92,10 @@ class _Discretizer:
     """Binning rule for one attribute.
 
     kind "categorical": values pass through verbatim.
-    kind "quantile": ``edges`` are the interior cut points; values fall into
-    ``[lo, e1], (e1, e2], ..., (ek, hi]``. Values outside ``[lo, hi]`` produce
-    no item (same policy as unseen categorical values).
+    kind "quantile": ``edges`` are the interior cut points, with
+    ``lo <= e1 < ... < ek < hi``; values fall into ``[lo, e1], (e1, e2], ...,
+    (ek, hi]``. Values outside ``[lo, hi]`` produce no item (same policy as
+    unseen categorical values).
     """
 
     kind: str
@@ -97,18 +103,6 @@ class _Discretizer:
     edges: tuple[float, ...] = ()
     lo: float = 0.0
     hi: float = 0.0
-
-    def bin_label(self, x: float) -> str | None:
-        if x < self.lo or x > self.hi:
-            return None
-        bounds = (self.lo, *self.edges, self.hi)
-        # first bin is closed on both ends, the rest are (left, right]
-        for i in range(len(bounds) - 1):
-            left, right = bounds[i], bounds[i + 1]
-            if (x >= left if i == 0 else x > left) and x <= right:
-                open_l = "[" if i == 0 else "("
-                return f"{open_l}{_fmt_number(left)},{_fmt_number(right)}]"
-        return None  # pragma: no cover - bounds always span [lo, hi]
 
     def labels(self) -> list[str]:
         bounds = (self.lo, *self.edges, self.hi)
@@ -134,13 +128,21 @@ class _Discretizer:
     def from_dict(cls, d: Mapping) -> "_Discretizer":
         if d["kind"] == "categorical":
             return cls(kind="categorical")
-        return cls(
+        disc = cls(
             kind="quantile",
             bins=int(d["bins"]),
             edges=tuple(float(e) for e in d["edges"]),
             lo=float(d["lo"]),
             hi=float(d["hi"]),
         )
+        # the encoder bisects the edges; the first bin [lo, e1] may hold lo alone
+        bounds = (disc.lo, *disc.edges, disc.hi)
+        if not (bounds[0] <= bounds[1] and all(a < b for a, b in zip(bounds[1:], bounds[2:]))):
+            raise DataError(
+                f"quantile bounds must satisfy lo <= e1 < ... < ek < hi, got lo={disc.lo!r}, "
+                f"edges={list(disc.edges)!r}, hi={disc.hi!r}"
+            )
+        return disc
 
 
 def _quantile_edges(values: Sequence[float], bins: int) -> tuple[float, ...]:
@@ -179,6 +181,17 @@ class ItemCatalog:
             raise ValueError("duplicate (attribute, value) pair in catalog")
         if sorted(it.id for it in self.items) != list(range(len(self.items))):
             raise ValueError("item ids must be a bijection onto 0..n_items-1")
+        # per attribute, the value -> item id dict of a categorical one, or a
+        # quantile one's (lo, hi, edges, item id of each bin or None)
+        self._encoders: dict[str, dict | tuple] = {}
+        for attr, disc in self.discretizers.items():
+            if disc.kind == "quantile":
+                bin_ids = [self._by_key.get((attr, label)) for label in disc.labels()]
+                self._encoders[attr] = (disc.lo, disc.hi, list(disc.edges), bin_ids)
+            else:
+                self._encoders[attr] = {
+                    it.value: it.id for it in self.items if it.attribute == attr
+                }
 
     @property
     def n_items(self) -> int:
@@ -223,22 +236,23 @@ class ItemCatalog:
         for attr, raw in record.items():
             if attr in RESERVED_COLUMNS:
                 continue
-            if raw in MISSING_VALUES or (isinstance(raw, str) and raw.strip() in MISSING_VALUES):
+            if isinstance(raw, str):
+                raw = raw.strip()
+            if raw in MISSING_VALUES:
                 continue
-            disc = self.discretizers.get(attr)
-            if disc is None:
-                skipped += 1
-                continue
-            if disc.kind == "quantile":
+            encoder = self._encoders.get(attr)
+            if encoder is None:
+                item_id = None
+            elif isinstance(encoder, dict):
+                item_id = encoder.get(raw if isinstance(raw, str) else str(raw).strip())
+            else:
+                lo, hi, edges, bin_ids = encoder
                 try:
                     x = float(raw)  # type: ignore[arg-type]
                 except (TypeError, ValueError):
-                    skipped += 1
-                    continue
-                value = disc.bin_label(x)
-            else:
-                value = str(raw).strip()
-            item_id = self._by_key.get((attr, value)) if value is not None else None
+                    x = math.nan  # unparsable: skipped, as NaN is
+                # bin i is (e_i, e_i+1], the first one [lo, e1]; NaN fails both tests
+                item_id = bin_ids[bisect_left(edges, x)] if lo <= x <= hi else None
             if item_id is None:
                 skipped += 1
             else:
@@ -428,6 +442,23 @@ def read_rows(path: str | Path) -> Iterator[dict[str, object]]:
                 if None in row:
                     raise DataError(f"row {i}: more fields than header columns")
                 yield row
+
+
+@contextmanager
+def atomic_open(path: str | Path) -> Iterator:
+    """A text file handle whose contents replace ``path`` only when the block
+    completes: writes go to a temp file beside it, renamed over ``path`` on
+    success and removed on any failure, so ``path`` is never left partial."""
+    path = Path(path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def ingest_outcomes(

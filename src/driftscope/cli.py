@@ -14,7 +14,6 @@ import json
 import logging
 import os
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +27,7 @@ from .catalog import (
     ItemCatalog,
     MetricSpec,
     OutcomeRecord,
+    atomic_open,
     build_catalog,
     read_rows,
 )
@@ -81,15 +81,8 @@ def _positive_int(value: str) -> int:
 
 def _atomic_write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with atomic_open(path) as fh:
+        fh.write(text)
 
 
 def _write_json(path: Path, obj) -> None:

@@ -26,7 +26,6 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.stats import rankdata
 
 from .baselines import DRIFT, make_detector
 from .catalog import MISSING_VALUES, RESERVED_COLUMNS, ItemCatalog, build_catalog
@@ -143,6 +142,8 @@ def correlations(relevance: Sequence[float], scores: Sequence[float]) -> dict[st
         raise ValueError("need two equal-length vectors with >= 2 entries")
     if np.ptp(x) == 0 or np.ptp(y) == 0:
         return {"pearson": None, "spearman": None}
+    from scipy.stats import rankdata  # here, not at module level: see driftscope.baselines
+
     pearson = float(np.corrcoef(x, y)[0, 1])
     rx, ry = rankdata(x), rankdata(y)  # average ranks on ties
     spearman = float(np.corrcoef(rx, ry)[0, 1])
@@ -421,12 +422,7 @@ def run_injection_experiment(
             batch_max_t.append(report.max_t())
             detected = detected or report.global_drift
             final_report = report
-        ring.append(
-            (
-                np.asarray(M.sum(axis=0)).ravel(),
-                np.asarray(M.T @ mask[blo:bhi].astype(np.int64)).ravel(),
-            )
-        )
+        ring.append((M.count(np.ones(bhi - blo, dtype=bool)), M.count(mask[blo:bhi])))
         if len(ring) > window:
             ring.pop(0)
 

@@ -21,9 +21,6 @@ import scipy.sparse as sp
 
 __all__ = ["MiningConfig", "Subgroup", "SubgroupCatalog", "mine_frequent"]
 
-_POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(1).astype(np.int64)
-
-
 @dataclass(frozen=True)
 class MiningConfig:
     """Minimum support fraction and itemset length cap."""
@@ -166,19 +163,26 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
     return rows.view(np.dtype((np.void, 8 * rows.shape[1]))).ravel()
 
 
-def _packed_columns(points: sp.spmatrix) -> np.ndarray:
-    """Per-item transaction bitmaps, packed 8 rows per byte: row j is item j.
+def _packed_rows(mask: np.ndarray) -> np.ndarray:
+    """Each row of a 2-D 0/1 array packed 8 entries per byte (``np.packbits``
+    order) and padded with zero bits to whole 64-bit words, so that the result
+    views as ``uint64`` and popcounts never see the padding."""
+    n = mask.shape[1]
+    out = np.zeros((mask.shape[0], -(-n // 64) * 8), dtype=np.uint8)
+    out[:, : -(-n // 8)] = np.packbits(mask, axis=1)
+    return out
 
-    Padding bits past the last row are zero.
-    """
+
+def _packed_columns(points: sp.spmatrix) -> np.ndarray:
+    """Per-item transaction bitmaps as :func:`_packed_rows`: row j is item j."""
     coo = points.tocoo()
     mask = np.zeros((coo.shape[1], coo.shape[0]), dtype=bool)
     mask[coo.col, coo.row] = True
-    return np.packbits(mask, axis=1)
+    return _packed_rows(mask)
 
 
 def _popcount(packed: np.ndarray) -> int:
-    return int(_POPCOUNT[packed].sum())
+    return int(np.bitwise_count(packed).sum())
 
 
 def mine_frequent(
@@ -206,7 +210,7 @@ def mine_frequent(
     def frequent(count: int) -> bool:
         return count / n_rows >= config.min_support
 
-    item_bits = _packed_columns(points)
+    item_bits = _packed_columns(points).view(np.uint64)
     frequent_sets: dict[tuple[int, ...], int] = {}
 
     level: dict[tuple[int, ...], np.ndarray] = {}

@@ -1,11 +1,12 @@
 """Batch encoding, membership extraction, and per-subgroup outcome counts.
 
 The hot path of the monitor: a batch of instances becomes a sparse 0/1 point
-matrix, membership of every instance in every subgroup is exact set logic on
-packed per-item bitmaps (a subgroup's members are the AND of its items'
-bitmaps), and the per-subgroup positive/negative outcome counts are two
-sparse vector-matrix products. The membership matrix is materialized per
-batch and discarded; only the integer count vectors persist.
+matrix, the members of every subgroup are exact set logic on packed per-item
+bitmaps (a subgroup's member bitmap is the AND of its items' bitmaps), and
+the per-subgroup positive/negative outcome counts are popcounts of each
+member bitmap ANDed with the packed outcome vector. No instance-by-subgroup
+matrix is built: the member bitmaps (one bit per instance and subgroup) live
+for one batch, and only the integer count vectors persist.
 """
 
 from __future__ import annotations
@@ -17,10 +18,11 @@ import numpy as np
 import scipy.sparse as sp
 
 from .catalog import OutcomeRecord
-from .mining import SubgroupCatalog, _packed_columns
+from .mining import SubgroupCatalog, _packed_columns, _packed_rows
 
 __all__ = [
     "EncodedBatch",
+    "Membership",
     "SubgroupStats",
     "build_point_matrix",
     "encode_batch",
@@ -46,6 +48,8 @@ class EncodedBatch:
             raise ValueError("outcome vector length must match the batch size")
         if np.any(self.alpha_vec + self.beta_vec > 1):
             raise ValueError("alpha + beta must be <= 1 for every instance")
+        if np.any(self.alpha_vec < 0) or np.any(self.beta_vec < 0):
+            raise ValueError("alpha and beta must be 0/1 indicators")
 
     @property
     def n_instances(self) -> int:
@@ -125,14 +129,48 @@ def encode_batch(
     )
 
 
-def membership(batch: EncodedBatch, catalog: SubgroupCatalog) -> sp.csc_matrix:
-    """N x |G| 0/1 membership matrix: entry (i, j) = 1 iff S_j is in instance i.
+@dataclass(frozen=True)
+class Membership:
+    """The members of every subgroup in one batch, as packed bitmaps.
 
-    Exact set logic on packed bitmaps: a subgroup's member bitmap is the AND
-    of the batch bitmaps of its items, formed for all subgroups of one itemset
-    length at once from the catalog's length tables. The global subgroup has
-    no items and keeps the all-ones bitmap. Column j of the CSC result lists
-    the rows whose bit is set in subgroup j's bitmap.
+    Row j of ``bits`` is subgroup j's member bitmap: bit i (``np.packbits``
+    order) is set iff instance i holds every item of the subgroup. Rows are
+    padded with zero bits to whole 64-bit words.
+    """
+
+    bits: np.ndarray
+    n_instances: int
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """(instances, subgroups), the shape of :meth:`toarray`."""
+        return self.n_instances, len(self.bits)
+
+    @property
+    def nnz(self) -> int:
+        """Number of (instance, subgroup) member pairs."""
+        return int(np.bitwise_count(self.bits).sum())
+
+    def toarray(self) -> np.ndarray:
+        """Dense N x |G| 0/1 matrix: entry (i, j) = 1 iff instance i is in S_j."""
+        return np.unpackbits(self.bits, axis=1, count=self.n_instances).T
+
+    def count(self, vec: np.ndarray) -> np.ndarray:
+        """Per subgroup, the number of members whose entry of the 0/1 ``vec`` is 1."""
+        if len(vec) != self.n_instances:
+            raise ValueError("count vector length must equal the batch size")
+        words = self.bits.view(np.uint64)
+        packed = _packed_rows(np.asarray(vec)[None, :]).view(np.uint64)
+        return np.bitwise_count(words & packed).sum(axis=1, dtype=np.int64)
+
+
+def membership(batch: EncodedBatch, catalog: SubgroupCatalog) -> Membership:
+    """Packed member bitmaps of every subgroup of ``catalog`` in ``batch``.
+
+    Exact set logic: a subgroup's member bitmap is the AND of the batch
+    bitmaps of its items, formed for all subgroups of one itemset length at
+    once from the catalog's length tables. The global subgroup has no items
+    and holds every instance.
     """
     P = batch.point_matrix
     if P.shape[1] != catalog.n_items:
@@ -140,30 +178,24 @@ def membership(batch: EncodedBatch, catalog: SubgroupCatalog) -> sp.csc_matrix:
             f"point matrix has {P.shape[1]} item columns, catalog has {catalog.n_items}"
         )
     n = P.shape[0]
-    n_groups = len(catalog)
-    item_bits = _packed_columns(P)
-    bits = np.full((n_groups, item_bits.shape[1]), 0xFF, dtype=np.uint8)
+    item_words = _packed_columns(P).view(np.uint64)
+    words = np.empty((len(catalog), item_words.shape[1]), dtype=np.uint64)
+    words[0] = _packed_rows(np.ones((1, n), dtype=bool)).view(np.uint64)
     for idx, items in catalog.length_tables:
-        group_bits = item_bits[items[:, 0]]
+        group_words = item_words[items[:, 0]]
         for c in range(1, items.shape[1]):
-            group_bits &= item_bits[items[:, c]]
-        bits[idx] = group_bits
-    # set bits in subgroup-major order are the CSC entries, rows ascending
-    flat = np.flatnonzero(np.unpackbits(bits, axis=1, count=n).view(bool))
-    indptr = np.searchsorted(flat, np.arange(n_groups + 1, dtype=np.int64) * n)
-    indices = flat - np.repeat(np.arange(n_groups, dtype=np.int64) * n, np.diff(indptr))
-    data = np.ones(len(flat), dtype=np.int8)
-    return sp.csc_matrix((data, indices, indptr), shape=(n, n_groups))
+            group_words &= item_words[items[:, c]]
+        words[idx] = group_words
+    return Membership(bits=words.view(np.uint8), n_instances=n)
 
 
-def aggregate(batch: EncodedBatch, M: sp.spmatrix) -> SubgroupStats:
-    """Per-subgroup outcome counts: the products alpha'M and beta'M, exactly."""
-    if M.shape[0] != batch.n_instances:
+def aggregate(batch: EncodedBatch, M: Membership) -> SubgroupStats:
+    """Per-subgroup outcome counts alpha'M and beta'M, by exact popcounts."""
+    if M.n_instances != batch.n_instances:
         raise ValueError("membership row count must equal the batch size")
-    Mt = M.T  # CSR view of a CSC membership matrix; matvec needs no copy
     return SubgroupStats(
-        alpha_counts=np.asarray(Mt @ batch.alpha_vec, dtype=np.int64),
-        beta_counts=np.asarray(Mt @ batch.beta_vec, dtype=np.int64),
+        alpha_counts=M.count(batch.alpha_vec),
+        beta_counts=M.count(batch.beta_vec),
         n_instances=batch.n_instances,
     )
 

@@ -1,14 +1,20 @@
 import json
+import math
+import random
 
 import pytest
 
 from driftscope.catalog import (
+    MISSING_VALUES,
+    RESERVED_COLUMNS,
     DataError,
     IngestStats,
+    Item,
     ItemCatalog,
     MetricSpec,
     OutcomeRecord,
     build_catalog,
+    _fmt_number,
     ingest_outcomes,
 )
 
@@ -170,3 +176,128 @@ class TestIngestOutcomes:
         assert stats.rows == 2
         assert stats.skipped_values == 1
         assert recs[1].item_ids == ()
+
+
+# --- table-driven encoder against the label-based encoder it replaced -------
+
+
+def _label_encode_with_stats(cat, record):
+    """Oracle: format the value's bin label, then look (attribute, label) up."""
+
+    def bin_label(disc, x):
+        if x < disc.lo or x > disc.hi:
+            return None
+        bounds = (disc.lo, *disc.edges, disc.hi)
+        for i in range(len(bounds) - 1):
+            left, right = bounds[i], bounds[i + 1]
+            if (x >= left if i == 0 else x > left) and x <= right:
+                return f"{'[' if i == 0 else '('}{_fmt_number(left)},{_fmt_number(right)}]"
+        return None
+
+    by_key = {(it.attribute, it.value): it.id for it in cat.items}
+    ids, skipped = [], 0
+    for attr, raw in record.items():
+        if attr in RESERVED_COLUMNS:
+            continue
+        if raw in MISSING_VALUES or (isinstance(raw, str) and raw.strip() in MISSING_VALUES):
+            continue
+        disc = cat.discretizers.get(attr)
+        if disc is None:
+            skipped += 1
+            continue
+        if disc.kind == "quantile":
+            try:
+                value = bin_label(disc, float(raw))
+            except (TypeError, ValueError):
+                skipped += 1
+                continue
+        else:
+            value = str(raw).strip()
+        item_id = by_key.get((attr, value)) if value is not None else None
+        if item_id is None:
+            skipped += 1
+        else:
+            ids.append(item_id)
+    return tuple(sorted(ids)), skipped
+
+
+def _random_catalogs():
+    rng = random.Random(11)
+    records = [
+        {
+            "x": rng.gauss(0, 10),
+            "ties": rng.choice([0, 0, 0, 1, 2, 2.5, 7]),  # duplicate edges collapse, e1 == lo
+            "const": 4,  # one bin [4,4]
+            "small": rng.choice([1e-13, 2e-13, 3.5e-13, 1e-12]),
+            "cat": rng.choice([" a", "b ", "c", "d d"]),
+            "y": rng.randint(0, 1),
+        }
+        for _ in range(300)
+    ]
+    full = build_catalog(records, binning_config={"x": ("quantile", 5), "ties": ("quantile", 6)})
+    # the same rules with one bin's item and one categorical item dropped
+    dropped = {full.id_of("x", full.discretizers["x"].labels()[2]), full.id_of("cat", "c")}
+    kept = [it for it in full.items if it.id not in dropped]
+    partial = ItemCatalog(
+        [Item(it.attribute, it.value, k) for k, it in enumerate(kept)], full.discretizers
+    )
+    return full, partial
+
+
+def test_encode_matches_label_oracle_on_random_values():
+    rng = random.Random(5)
+    for cat in _random_catalogs():
+        probes = {}
+        for attr, disc in cat.discretizers.items():
+            if disc.kind == "quantile":
+                bounds = [disc.lo, *disc.edges, disc.hi]
+                near = [math.nextafter(b, d) for b in bounds for d in (-math.inf, math.inf)]
+                probes[attr] = [
+                    *bounds, *near, *(repr(b) for b in bounds), f"  {disc.lo!r} ",
+                    "nan", "inf", "-inf", "NaN", float("nan"), float("inf"), -float("inf"),
+                    "abc", "1,5", "?", " ", "", None, True,
+                    *(rng.uniform(disc.lo - 1, disc.hi + 1) for _ in range(20)),
+                ]
+                probes[attr] += [int(b) for b in bounds if float(b).is_integer()]
+            else:
+                probes[attr] = [" a", "a", "b", " b ", "c", "d d", " d d ", "e", 5, "?", "NA", "", None]
+        probes["unknown"] = ["u", 1.5, "?", None]
+        probes["y_hat"] = ["1", "zz"]
+        for _ in range(3000):
+            record = {
+                attr: rng.choice(values)
+                for attr, values in probes.items()
+                if rng.random() < 0.85
+            }
+            assert cat.encode_with_stats(record) == _label_encode_with_stats(cat, record), record
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        {"edges": ["50.0", "25.0"]},  # descending
+        {"edges": ["25.0", "25.0"]},  # repeated
+        {"edges": ["25.0", "99.0"]},  # last edge at hi
+        {"edges": ["25.0", "120.0"]},  # edge past hi
+        {"lo": "40.0"},  # first edge (33) below lo
+        {"edges": ["25.0", "nan"]},
+        {"edges": [], "lo": "100.0", "hi": "1.0"},  # no edges, lo > hi
+    ],
+)
+def test_from_dict_rejects_unordered_quantile_bounds(edit):
+    cat = build_catalog([{"age": v} for v in range(1, 100)], binning_config={"age": ("quantile", 3)})
+    d = json.loads(json.dumps(cat.to_dict()))
+    assert d["discretizers"]["age"]["lo"] == "1.0" and d["discretizers"]["age"]["hi"] == "99.0"
+    d["discretizers"]["age"].update(edit)
+    with pytest.raises(DataError, match="lo <= e1 < ... < ek < hi"):
+        ItemCatalog.from_dict(d)
+
+
+def test_from_dict_accepts_edge_at_lo_and_single_value_bin():
+    records = [{"flag": v, "const": 3} for v in [0, 0, 0, 1]]
+    cat = build_catalog(records, binning_config={"flag": ("quantile", 4)})
+    assert cat.discretizers["flag"].edges == (0.0,)  # e1 == lo: the singleton bin [0,0]
+    assert cat.discretizers["const"].lo == cat.discretizers["const"].hi
+    clone = ItemCatalog.from_dict(json.loads(json.dumps(cat.to_dict())))
+    for rec in records:
+        assert clone.encode(rec) == cat.encode(rec)

@@ -1,10 +1,15 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import driftscope
 from driftscope.cli import main
 from driftscope.datasets import census_sample
 
@@ -242,6 +247,58 @@ def test_report_state_for_another_catalog_exits_two(tmp_path, caplog):
     code = run_cli("report", "--reports", reports_dir, "--catalog", catalog_path)
     assert code == 2
     assert f"monitor state has {n + 1} subgroups" in caplog.text
+
+
+def test_report_state_missing_a_field_exits_two(tmp_path, caplog):
+    _, catalog_path, reports_dir = _mined_and_monitored(tmp_path)
+    state_path = reports_dir / "monitor_state.json"
+    state = json.loads(state_path.read_text())
+    del state["current_ring"]
+    state_path.write_text(json.dumps(state))
+    code = run_cli("report", "--reports", reports_dir, "--catalog", catalog_path)
+    assert code == 2
+    assert "no field 'current_ring'" in caplog.text
+
+
+def test_monitor_on_unordered_quantile_edges_exits_two(tmp_path, caplog):
+    src, catalog_path, _ = _mined_and_monitored(tmp_path)
+    artifact = json.loads(catalog_path.read_text())
+    size = artifact["item_catalog"]["discretizers"]["size"]
+    size["edges"] = size["edges"][::-1]
+    catalog_path.write_text(json.dumps(artifact))
+    code = run_cli(
+        "monitor", "--catalog", catalog_path, "--input", src,
+        "--batch-size", "100", "--out", tmp_path / "again",
+    )
+    assert code == 2
+    assert "lo <= e1 < ... < ek < hi" in caplog.text
+
+
+def test_mine_monitor_report_never_import_scipy_stats(tmp_path):
+    # scipy.stats costs about a second per process; only eval and bench need it
+    src, _, _ = _mined_and_monitored(tmp_path)
+    script = f"""
+import sys
+from driftscope.cli import main
+args = [
+    ["mine", "--input", {str(src)!r}, "--min-support", "0.05", "--out", "c.json"],
+    ["monitor", "--catalog", "c.json", "--input", {str(src)!r}, "--window", "2",
+     "--batch-size", "100", "--out", "mon"],
+    ["report", "--reports", "mon", "--catalog", "c.json", "--prune-t", "1", "--shapley",
+     "--out", "r.md"],
+]
+codes = [main(a) for a in args]
+print(codes, "scipy.stats" in sys.modules)
+"""
+    package_root = str(Path(driftscope.__file__).resolve().parents[1])
+    paths = [package_root, *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    out = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split("\n")[0] == "[0, 0, 0] False"
+    assert (tmp_path / "r.attribution.csv").exists()
 
 
 def test_config_file_supplies_defaults_but_flags_win(tmp_path):

@@ -249,8 +249,30 @@ class TestReportAndState:
             ("length", lambda d: d.update(n_subgroups=3)),
             ("length", lambda d: d["current_ring"][0].update(alpha=[1], beta=[1])),
             ("length", lambda d: d["reference_stats"].update(alpha=[1, 2, 3], beta=[1, 2, 3])),
+            ("no field 'current_ring'", lambda d: d.pop("current_ring")),
+            ("no field 'window_batches'", lambda d: d.pop("window_batches")),
+            ("no field 'beta'", lambda d: d["reference_stats"].pop("beta")),
+            ("malformed", lambda d: d.update(current_ring=None)),
+            ("malformed", lambda d: d.update(n_subgroups=None)),
         ):
             bad = json.loads(json.dumps(good))
             change(bad)
             with pytest.raises(DataError, match=field):
                 MonitorState.from_dict(bad)
+
+    def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "monitor_state.json"
+        mon = MonitorState(n_subgroups=2, config=WindowConfig(1))
+        step(mon, stats_of([(40, 10), (20, 5)]))
+        mon.save(path)
+        before = path.read_bytes()
+        step(mon, stats_of([(35, 15), (15, 10)]))
+        # the serializer fails part-way through writing the new state
+        monkeypatch.setattr(
+            MonitorState, "to_dict", lambda self: {"version": 1, "bad": object()}
+        )
+        with pytest.raises(TypeError):
+            mon.save(path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["monitor_state.json"]
+        assert MonitorState.load(path).batches_seen == 1

@@ -65,6 +65,9 @@ class TestEncodeBatch:
         P = build_point_matrix([(0,)], 2)
         with pytest.raises(ValueError):
             EncodedBatch(P, np.array([1]), np.array([1]))
+        # counting packs the outcome vectors as bits, so they must be 0/1
+        with pytest.raises(ValueError, match="0/1"):
+            EncodedBatch(P, np.array([-1]), np.array([1]))
 
 
 class TestMembership:
@@ -129,6 +132,40 @@ class TestMembership:
         batch = make_batch(instances, [1] * 200, [0] * 200, n_items)
         M = membership(batch, catalog).toarray()
         assert np.array_equal(M, naive_membership(instances, itemsets))
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 63, 64, 65, 1000])
+    def test_packed_bitmaps_at_every_padding(self, n):
+        # batch sizes around byte and 64-bit word boundaries, where the
+        # padding bits of the packed rows must stay zero
+        rng = np.random.default_rng(n)
+        n_items = 10
+        itemsets = {
+            tuple(sorted(rng.choice(n_items, int(rng.integers(1, 4)), replace=False).tolist()))
+            for _ in range(25)
+        }
+        instances = [tuple(np.flatnonzero(rng.random(n_items) < 0.5).tolist()) for _ in range(n)]
+        alpha = rng.integers(0, 2, n)
+        beta = np.where(alpha == 1, 0, rng.integers(0, 2, n))
+        vec = rng.integers(0, 2, n)
+        batch = make_batch(instances, alpha, beta, n_items)
+        for sets in (itemsets, set()):  # the second catalog holds only the global subgroup
+            catalog = make_catalog(sets, n_items)
+            expected = naive_membership(instances, sets)
+            M = membership(batch, catalog)
+            assert M.shape == expected.shape == (n, len(catalog))
+            assert np.array_equal(M.toarray(), expected)
+            assert M.nnz == int(expected.sum())
+            assert np.array_equal(M.count(vec), vec @ expected)
+            stats = aggregate(batch, M)
+            assert np.array_equal(stats.alpha_counts, alpha @ expected)
+            assert np.array_equal(stats.beta_counts, beta @ expected)
+            assert stats.n_instances == n
+
+    def test_count_rejects_wrong_length(self):
+        batch = make_batch([(0,), (1,)], [1, 0], [0, 1], n_items=2)
+        M = membership(batch, make_catalog([(0,)], n_items=2))
+        with pytest.raises(ValueError, match="batch size"):
+            M.count(np.ones(3, dtype=np.int64))
 
     def test_monotone_containment(self):
         rng = np.random.default_rng(1)
