@@ -118,12 +118,22 @@ class DriftReport:
         return float(self.t_values.max()) if self.n_subgroups else 0.0
 
     def retained_indices(self, top_k: int = 100) -> np.ndarray:
-        """Flagged subgroups plus the top-k by t, for bounded persistence."""
+        """Flagged subgroups plus the top-k by t, for bounded persistence.
+
+        The top k are the first k in order of descending t, ties by
+        ascending index; returned as ascending indices.
+        """
         if self.warming_up or self.n_subgroups == 0:
             return np.empty(0, dtype=np.int64)
-        order = np.lexsort((np.arange(self.n_subgroups), -self.t_values))
-        keep = set(order[:top_k].tolist()) | set(self.drifted_indices().tolist())
-        return np.array(sorted(keep), dtype=np.int64)
+        keep = self.drifted.astype(bool)
+        k = min(max(top_k, 0), self.n_subgroups)
+        if k:
+            kth = np.partition(self.t_values, -k)[-k]  # the k-th largest t
+            ahead = self.t_values > kth
+            keep |= ahead
+            tied = np.flatnonzero(self.t_values == kth)
+            keep[tied[: k - int(ahead.sum())]] = True
+        return np.flatnonzero(keep).astype(np.int64)
 
     def rows(
         self,

@@ -25,13 +25,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .baselines import DRIFT, make_detector
 from .catalog import MISSING_VALUES, RESERVED_COLUMNS, ItemCatalog, build_catalog
 from .detector import DriftReport, MonitorState, WindowConfig, step
-from .mining import MiningConfig, SubgroupCatalog, mine_frequent
-from .sgmetrics import EncodedBatch, SubgroupStats, aggregate, membership
+from .mining import MiningConfig, SubgroupCatalog, _packed_rows, mine_frequent
+from .sgmetrics import EncodedBatch, Membership, SubgroupStats, aggregate, membership
 from .streams import (
     ConceptStreamConfig,
     DriftSchedule,
@@ -142,12 +141,23 @@ def correlations(relevance: Sequence[float], scores: Sequence[float]) -> dict[st
         raise ValueError("need two equal-length vectors with >= 2 entries")
     if np.ptp(x) == 0 or np.ptp(y) == 0:
         return {"pearson": None, "spearman": None}
-    from scipy.stats import rankdata  # here, not at module level: see driftscope.baselines
-
     pearson = float(np.corrcoef(x, y)[0, 1])
-    rx, ry = rankdata(x), rankdata(y)  # average ranks on ties
+    rx, ry = _average_ranks(x), _average_ranks(y)
     spearman = float(np.corrcoef(rx, ry)[0, 1])
     return {"pearson": pearson, "spearman": spearman}
+
+
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``x``, ties sharing the mean of their ranks (as
+    ``scipy.stats.rankdata``). Tie group g spans ranks ``count[g-1] + 1`` to
+    ``count[g]``, so its mean is exact in binary floating point."""
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    new_group = np.r_[True, xs[1:] != xs[:-1]]
+    dense = np.empty(len(x), dtype=np.intp)
+    dense[order] = np.cumsum(new_group)
+    count = np.r_[np.flatnonzero(new_group), len(x)]
+    return 0.5 * (count[dense] + count[dense - 1] + 1)
 
 
 def youden_sweep(results: Sequence[ExperimentResult], tau_grid: Sequence[float]) -> float:
@@ -247,10 +257,13 @@ class ColumnData:
         the equivalent records (covered by an equivalence test)."""
         return build_catalog(self.records(train_idx), default_bins=bins)
 
-    def point_matrix(self, idx: np.ndarray, catalog: ItemCatalog) -> sp.csr_matrix:
-        """Sparse point matrix of the selected rows, vectorized."""
+    def point_matrix(self, idx: np.ndarray, catalog: ItemCatalog) -> Membership:
+        """Point matrix (packed item bitmaps) of the selected rows, vectorized."""
         n = len(idx)
-        id_cols = []
+        # one bool row per item, plus a last row that collects the id -1 of
+        # values outside the catalog and is dropped before packing
+        mask = np.zeros((catalog.n_items + 1, n), dtype=bool)
+        instances = np.arange(n)
         for attr in catalog.attributes:
             disc = catalog.discretizers[attr]
             first_ids = [it.id for it in catalog.items if it.attribute == attr]
@@ -260,7 +273,7 @@ class ColumnData:
                 edges = np.asarray(disc.edges)
                 binned = base + np.searchsorted(edges, x, side="left")
                 valid = ~np.isnan(x) & (x >= disc.lo) & (x <= disc.hi)
-                id_cols.append(np.where(valid, binned, -1).astype(np.int64))
+                ids = np.where(valid, binned, -1)
             else:
                 lookup = {
                     it.value: it.id for it in catalog.items if it.attribute == attr
@@ -268,16 +281,9 @@ class ColumnData:
                 trans = np.array(
                     [lookup.get(str(u), -1) for u in self.uniques[attr]], dtype=np.int64
                 )
-                id_cols.append(trans[self.codes[attr][idx]])
-        ids = np.column_stack(id_cols) if id_cols else np.empty((n, 0), dtype=np.int64)
-        valid = ids >= 0
-        counts = valid.sum(axis=1)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        indices = ids[valid]  # row-major: ascending ids within each row
-        return sp.csr_matrix(
-            (np.ones(len(indices)), indices, indptr), shape=(n, catalog.n_items)
-        )
+                ids = trans[self.codes[attr][idx]]
+            mask[ids, instances] = True
+        return Membership(bits=_packed_rows(mask[:-1]), n_instances=n)
 
 
 # ---------------------------------------------------------------------------
@@ -392,9 +398,8 @@ def run_injection_experiment(
         target_support = target.support
         target_items = target.item_ids
         schedule = DriftSchedule(target_subgroup=target.item_ids, p_max=p_max)
-        cover = np.asarray(
-            P_test[:, list(target.item_ids)].sum(axis=1)
-        ).ravel() == len(target.item_ids)
+        cover_bits = np.bitwise_and.reduce(P_test.bits[list(target.item_ids)], axis=0)
+        cover = np.unpackbits(cover_bits, count=P_test.n_instances).astype(bool)
         if not cover.any():
             raise ValueError("target subgroup covers no test instance")
         y_test, mask = _inject_flips_columns(y_test, cover, bounds, schedule, seed)
@@ -668,9 +673,9 @@ def timing_bench(
     window: int = 5,
     tau_t: float = 5.0,
 ) -> dict[str, dict[str, float]]:
-    """Median per-batch wall time: sparse pipeline vs one detector/subgroup.
+    """Median per-batch wall time: the bitmap pipeline vs one detector/subgroup.
 
-    Both sides start from the same encoded batches. The sparse pipeline is
+    Both sides start from the same encoded batches. The bitmap pipeline is
     timed over bitmap membership + count aggregation + detection. Each
     per-subgroup baseline is timed over its own full pipeline: selecting the
     subgroup's member instances (direct subset checks, the way per-subgroup
@@ -681,7 +686,7 @@ def timing_bench(
     detector_params = dict(detector_params or {})
     n_samples = sum(b.n_instances for b in batches)
 
-    sparse_times = []
+    pipeline_times = []
     for _ in range(max(reps, 1)):
         monitor = MonitorState(n_subgroups=len(sgcat), config=WindowConfig(window))
         t0 = time.perf_counter()
@@ -689,23 +694,21 @@ def timing_bench(
             M = membership(batch, sgcat)
             stats = aggregate(batch, M)
             step(monitor, stats, tau_t=tau_t)
-        sparse_times.append((time.perf_counter() - t0) / len(batches))
+        pipeline_times.append((time.perf_counter() - t0) / len(batches))
 
     out = {
         "driftscope": {
-            "seconds_per_batch": float(np.median(sparse_times)),
-            "seconds_per_sample": float(np.median(sparse_times)) * len(batches) / n_samples,
+            "seconds_per_batch": float(np.median(pipeline_times)),
+            "seconds_per_sample": float(np.median(pipeline_times)) * len(batches) / n_samples,
         }
     }
 
     # shared, untimed representation prep for the baselines (mirrors the
-    # untimed EncodedBatch construction on the sparse side)
+    # untimed EncodedBatch construction on the bitmap side)
     prepared = []
     for batch in batches:
-        P = batch.point_matrix.tocsr()
         instance_items = [
-            frozenset(P.indices[P.indptr[i] : P.indptr[i + 1]].tolist())
-            for i in range(P.shape[0])
+            frozenset(np.flatnonzero(row).tolist()) for row in batch.point_matrix.toarray()
         ]
         prepared.append((instance_items, [int(e) for e in batch.beta_vec]))
     subgroup_sets = [frozenset(sg.item_ids) for sg in sgcat.subgroups]

@@ -1,23 +1,26 @@
 """Frequent subgroup mining, the subgroup catalog and packed item bitmaps.
 
-Subgroups are itemsets mined from a reference point matrix with an exact,
-level-wise Apriori over packed bitmaps. The empty itemset (the global
-subgroup, covering every instance) is always present at index 0. The
-catalog keeps, per itemset length, the subgroup indices and their items, so
-that batch membership is the AND of packed item bitmaps (the same bitmaps
-the miner counts with). The same tables, keyed by each row's item ids, are
-the catalog's only itemset index: lookups of many itemsets of one length are
-one sorted search.
+Subgroups are itemsets mined from a reference point matrix (packed per-item
+instance bitmaps, see ``sgmetrics.build_point_matrix``) with an exact,
+level-wise Apriori that ANDs and popcounts those bitmaps. The empty itemset
+(the global subgroup, covering every instance) is always present at index
+0. The catalog keeps, per itemset length, the subgroup indices and their
+items, so that batch membership is the AND of packed item bitmaps (the same
+bitmaps the miner counts with). The same tables, keyed by each row's item
+ids, are the catalog's only itemset index: lookups of many itemsets of one
+length are one sorted search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:
+    from .sgmetrics import Membership
 
 __all__ = ["MiningConfig", "Subgroup", "SubgroupCatalog", "mine_frequent"]
 
@@ -173,20 +176,12 @@ def _packed_rows(mask: np.ndarray) -> np.ndarray:
     return out
 
 
-def _packed_columns(points: sp.spmatrix) -> np.ndarray:
-    """Per-item transaction bitmaps as :func:`_packed_rows`: row j is item j."""
-    coo = points.tocoo()
-    mask = np.zeros((coo.shape[1], coo.shape[0]), dtype=bool)
-    mask[coo.col, coo.row] = True
-    return _packed_rows(mask)
-
-
 def _popcount(packed: np.ndarray) -> int:
     return int(np.bitwise_count(packed).sum())
 
 
 def mine_frequent(
-    points: sp.spmatrix,
+    points: Membership,
     config: MiningConfig,
     item_attrs: Sequence[object] | None = None,
 ) -> SubgroupCatalog:
@@ -194,13 +189,13 @@ def mine_frequent(
 
     Level-wise Apriori: candidates of length k are joins of length-(k-1)
     frequent itemsets sharing a prefix, pruned by the anti-monotonicity of
-    support, and counted by intersecting packed transaction bitmaps. When
+    support, and counted by intersecting the packed item bitmaps of the
+    point matrix ``points`` (one row per item, as ``build_point_matrix``). When
     ``item_attrs`` gives the attribute of each item, candidates combining two
     values of one attribute are excluded structurally (their support is zero
     by construction). Output ordering is lexicographic by item ids, with the
     global subgroup first, regardless of any internal parallelism.
     """
-    points = points.tocsr()
     n_rows, n_items = points.shape
     if n_rows == 0:
         raise ValueError("cannot mine an empty point matrix")
@@ -210,7 +205,7 @@ def mine_frequent(
     def frequent(count: int) -> bool:
         return count / n_rows >= config.min_support
 
-    item_bits = _packed_columns(points).view(np.uint64)
+    item_bits = points.bits.view(np.uint64)
     frequent_sets: dict[tuple[int, ...], int] = {}
 
     level: dict[tuple[int, ...], np.ndarray] = {}

@@ -1,24 +1,26 @@
 """Batch encoding, membership extraction, and per-subgroup outcome counts.
 
-The hot path of the monitor: a batch of instances becomes a sparse 0/1 point
-matrix, the members of every subgroup are exact set logic on packed per-item
-bitmaps (a subgroup's member bitmap is the AND of its items' bitmaps), and
-the per-subgroup positive/negative outcome counts are popcounts of each
-member bitmap ANDed with the packed outcome vector. No instance-by-subgroup
-matrix is built: the member bitmaps (one bit per instance and subgroup) live
-for one batch, and only the integer count vectors persist.
+The hot path of the monitor: a batch of instances becomes its point matrix,
+one packed instance bitmap per item (the members of the one-item subgroup
+{j}); the members of every subgroup are exact set logic on those bitmaps (a
+subgroup's member bitmap is the AND of its items' bitmaps), and the
+per-subgroup positive/negative outcome counts are popcounts of each member
+bitmap ANDed with the packed outcome vector. No instance-by-item or
+instance-by-subgroup matrix is built: the bitmaps (one bit per instance and
+item or subgroup) live for one batch, and only the integer count vectors
+persist.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .catalog import OutcomeRecord
-from .mining import SubgroupCatalog, _packed_columns, _packed_rows
+from .mining import SubgroupCatalog, _packed_rows
 
 __all__ = [
     "EncodedBatch",
@@ -35,9 +37,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EncodedBatch:
-    """A batch as a sparse N x n_items point matrix plus outcome vectors."""
+    """A batch as its N x n_items point matrix (packed item bitmaps) plus
+    outcome vectors."""
 
-    point_matrix: sp.csr_matrix
+    point_matrix: Membership
     alpha_vec: np.ndarray
     beta_vec: np.ndarray
     batch_id: int = 0
@@ -96,21 +99,20 @@ class SubgroupStats:
         )
 
 
-def build_point_matrix(item_id_sets: Sequence[Sequence[int]], n_items: int) -> sp.csr_matrix:
-    """CSR 0/1 matrix with one row per instance, one column per item."""
-    indptr = np.zeros(len(item_id_sets) + 1, dtype=np.int64)
-    indices: list[int] = []
-    for i, ids in enumerate(item_id_sets):
-        for j in ids:
-            if not 0 <= j < n_items:
-                raise ValueError(f"row {i}: item id {j} out of range [0, {n_items})")
-        indices.extend(ids)
-        indptr[i + 1] = len(indices)
-    data = np.ones(len(indices), dtype=np.float64)
-    return sp.csr_matrix(
-        (data, np.asarray(indices, dtype=np.int64), indptr),
-        shape=(len(item_id_sets), n_items),
-    )
+def build_point_matrix(item_id_sets: Sequence[Sequence[int]], n_items: int) -> Membership:
+    """The 0/1 point matrix of N instances over ``n_items`` items, as packed
+    item bitmaps: row j of ``bits`` holds the instances whose item ids
+    include j."""
+    lengths = np.fromiter(map(len, item_id_sets), dtype=np.intp, count=len(item_id_sets))
+    ids = np.fromiter(chain.from_iterable(item_id_sets), dtype=np.int64, count=int(lengths.sum()))
+    rows = np.repeat(np.arange(len(lengths)), lengths)
+    bad = (ids < 0) | (ids >= n_items)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(f"row {rows[k]}: item id {ids[k]} out of range [0, {n_items})")
+    mask = np.zeros((n_items, len(lengths)), dtype=bool)
+    mask[ids, rows] = True
+    return Membership(bits=_packed_rows(mask), n_instances=len(lengths))
 
 
 def encode_batch(
@@ -131,11 +133,12 @@ def encode_batch(
 
 @dataclass(frozen=True)
 class Membership:
-    """The members of every subgroup in one batch, as packed bitmaps.
+    """The members of a list of subgroups in one batch, as packed bitmaps.
 
     Row j of ``bits`` is subgroup j's member bitmap: bit i (``np.packbits``
     order) is set iff instance i holds every item of the subgroup. Rows are
-    padded with zero bits to whole 64-bit words.
+    padded with zero bits to whole 64-bit words. A batch's point matrix is
+    the membership of the one-item subgroups: row j is item j's bitmap.
     """
 
     bits: np.ndarray
@@ -154,6 +157,20 @@ class Membership:
     def toarray(self) -> np.ndarray:
         """Dense N x |G| 0/1 matrix: entry (i, j) = 1 iff instance i is in S_j."""
         return np.unpackbits(self.bits, axis=1, count=self.n_instances).T
+
+    def __getitem__(self, rows: slice) -> Membership:
+        """The instances ``lo:hi`` (a step-1 slice) at any bit offset, the
+        result's padding bits zero."""
+        lo, hi, step = rows.indices(self.n_instances)
+        if step != 1:
+            raise ValueError("only step-1 row slices are supported")
+        hi = max(lo, hi)
+        first = lo // 8
+        window = np.unpackbits(self.bits[:, first : -(-hi // 8)], axis=1)
+        return Membership(
+            bits=_packed_rows(window[:, lo - 8 * first : hi - 8 * first]),
+            n_instances=hi - lo,
+        )
 
     def count(self, vec: np.ndarray) -> np.ndarray:
         """Per subgroup, the number of members whose entry of the 0/1 ``vec`` is 1."""
@@ -177,8 +194,8 @@ def membership(batch: EncodedBatch, catalog: SubgroupCatalog) -> Membership:
         raise ValueError(
             f"point matrix has {P.shape[1]} item columns, catalog has {catalog.n_items}"
         )
-    n = P.shape[0]
-    item_words = _packed_columns(P).view(np.uint64)
+    n = P.n_instances
+    item_words = P.bits.view(np.uint64)
     words = np.empty((len(catalog), item_words.shape[1]), dtype=np.uint64)
     words[0] = _packed_rows(np.ones((1, n), dtype=bool)).view(np.uint64)
     for idx, items in catalog.length_tables:

@@ -322,6 +322,47 @@ def test_config_file_supplies_defaults_but_flags_win(tmp_path):
     assert run_cli("mine", "--input", src, "--out", tmp_path / "c3.json") == 1
 
 
+def _run_python(script, cwd):
+    package_root = str(Path(driftscope.__file__).resolve().parents[1])
+    paths = [package_root, *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    out = subprocess.run(
+        [sys.executable, "-c", script], cwd=cwd, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    return out.stdout.split("\n")[0]
+
+
+def test_mine_monitor_report_never_import_scipy_sparse_or_stats(tmp_path):
+    # the point matrix is packed bitmaps; scipy is for eval/bench baselines only
+    src, _, _ = _mined_and_monitored(tmp_path)
+    script = f"""
+import sys
+from driftscope.cli import main
+args = [
+    ["mine", "--input", {str(src)!r}, "--min-support", "0.05", "--out", "c.json"],
+    ["monitor", "--catalog", "c.json", "--input", {str(src)!r}, "--window", "2",
+     "--batch-size", "100", "--out", "mon"],
+    ["report", "--reports", "mon", "--catalog", "c.json", "--prune-t", "1", "--shapley",
+     "--out", "r.md"],
+]
+codes = [main(a) for a in args]
+print(codes, sorted(m for m in ("scipy.sparse", "scipy.stats") if m in sys.modules))
+"""
+    assert _run_python(script, tmp_path) == "[0, 0, 0] []"
+
+
+def test_eval_inject_with_ddm_never_imports_scipy_stats(tmp_path):
+    script = """
+import sys
+from driftscope.cli import main
+code = main(["eval", "--suite", "inject", "--data", "surrogate", "--rows", "2000",
+             "--supports", "0.1", "--n-exp", "1", "--out", "inject.csv"])
+print(code, "scipy.stats" in sys.modules)
+"""
+    assert _run_python(script, tmp_path) == "0 False"
+
+
 def test_eval_timing_suite_small(tmp_path):
     out = tmp_path / "timing.csv"
     code = run_cli(

@@ -218,6 +218,28 @@ class TestReportAndState:
         text = json.dumps(d)
         assert "NaN" not in text
 
+    @staticmethod
+    def lexsort_retained(t, drifted, top_k):
+        """The definition: the first top_k by descending t, ties by index,
+        plus every flagged subgroup, as ascending indices."""
+        order = np.lexsort((np.arange(len(t)), -t))
+        return np.array(sorted(set(order[:top_k].tolist()) | set(np.flatnonzero(drifted).tolist())))
+
+    def test_retained_indices_match_lexsort_selection(self):
+        rng = np.random.default_rng(11)
+        for trial in range(300):
+            n = int(rng.integers(1, 60))
+            # few distinct values, so ties straddle the k-th value
+            t = rng.integers(0, 1 + trial % 6, size=n).astype(np.float64) * 1.5
+            if trial % 5 == 0:
+                t[:] = 2.0  # all equal
+            drifted = rng.random(n) < 0.1
+            top_k = int(rng.integers(1, n + 5))  # includes k >= |G|
+            report = DriftReport(1, False, bool(drifted.any()), 5.0, t_values=t, drifted=drifted)
+            got = report.retained_indices(top_k)
+            assert got.dtype == np.int64
+            assert got.tolist() == self.lexsort_retained(t, drifted, top_k).tolist(), (t, top_k)
+
     def test_state_snapshot_round_trip(self):
         mon = MonitorState(n_subgroups=2, config=WindowConfig(2))
         seq = [

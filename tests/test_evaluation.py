@@ -116,6 +116,19 @@ class TestCorrelations:
         want = np.corrcoef(rx, ry)[0, 1]
         assert correlations(x, y)["spearman"] == pytest.approx(want)
 
+    def test_average_ranks_equal_scipy_rankdata(self):
+        from scipy.stats import rankdata
+
+        from driftscope.evaluation import _average_ranks
+
+        rng = np.random.default_rng(4)
+        for n in (2, 3, 10, 97, 1000):
+            for n_values in (1, 2, 5, n):  # from all ties to mostly distinct
+                x = rng.integers(0, n_values, size=n) / 7.0
+                assert np.array_equal(_average_ranks(x), rankdata(x))
+        x = rng.random(500)
+        assert np.array_equal(_average_ranks(x), rankdata(x))
+
 
 class TestYouden:
     def test_perfect_threshold_selected(self):
@@ -198,7 +211,7 @@ class TestColumnFastPath:
         from driftscope.evaluation import _inject_flips_columns
 
         P = cols.point_matrix(idx, catalog)
-        cover = np.asarray(P[:, list(target)].sum(axis=1)).ravel() == 1
+        cover = P.toarray()[:, list(target)].sum(axis=1) == 1
         _, arr_mask = _inject_flips_columns(cols.y.copy(), cover, bounds, schedule, seed=77)
         assert np.array_equal(arr_mask, np.concatenate(rec_masks))
 
@@ -238,6 +251,31 @@ class TestExperimentSmoke:
         )
         assert neg.target_support is None
         assert neg.ndcg_at_10 is None
+
+    def test_injected_flips_stay_inside_the_target(self, small_rows):
+        # the flip cover is the AND of the target items' bitmaps, so a subgroup
+        # holding another value of a target item's attribute sees no flip
+        cols = ColumnData(small_rows)
+        for seed in range(3, 40):
+            pos, extras = run_injection_experiment(
+                cols, "positive", seed=seed, support_band=(0.05, 0.25),
+                mining=MiningConfig(0.05, max_len=2), n_batches=15, tree_depth=4,
+                baseline_kinds=(), n_random_rankings=0, keep_state=True,
+            )
+            if len(pos.target_items) >= 2:
+                break
+        else:
+            pytest.fail("no two-item target in the seeds tried")
+        attrs = extras.catalog.item_attributes()
+        target = set(pos.target_items)
+        target_attrs = {attrs[i] for i in target}
+        excluded = [
+            sg.index for sg in extras.sgcat.subgroups
+            if any(attrs[i] in target_attrs and i not in target for i in sg.item_ids)
+        ]
+        assert excluded
+        assert not extras.relevance[excluded].any()
+        assert extras.relevance[extras.sgcat.index_of(target)] > 0
 
     def test_injection_deterministic(self, small_rows):
         cols = ColumnData(small_rows)

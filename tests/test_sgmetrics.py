@@ -61,6 +61,10 @@ class TestEncodeBatch:
         with pytest.raises(ValueError, match="row 1"):
             make_batch([(0,), (7,)], [1, 1], [0, 0], n_items=3)
 
+    def test_negative_id_reports_its_row(self):
+        with pytest.raises(ValueError, match=r"row 2: item id -1 out of range \[0, 3\)"):
+            build_point_matrix([(0,), (), (1, -1)], 3)
+
     def test_alpha_beta_guard(self):
         P = build_point_matrix([(0,)], 2)
         with pytest.raises(ValueError):
@@ -68,6 +72,50 @@ class TestEncodeBatch:
         # counting packs the outcome vectors as bits, so they must be 0/1
         with pytest.raises(ValueError, match="0/1"):
             EncodedBatch(P, np.array([-1]), np.array([1]))
+
+
+def padding_is_zero(P):
+    """Every bit past the last instance of each packed row is unset."""
+    bits = np.unpackbits(P.bits, axis=1)
+    return bits.shape[1] % 64 == 0 and not bits[:, P.n_instances :].any()
+
+
+class TestPointMatrix:
+    @staticmethod
+    def random_rows(rng, n, n_items):
+        return [
+            tuple(sorted(rng.choice(n_items, size=rng.integers(0, 4), replace=False).tolist()))
+            for _ in range(n)
+        ]
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 63, 64, 65, 1000])
+    def test_matches_dense_oracle(self, n):
+        rng = np.random.default_rng(n)
+        rows = self.random_rows(rng, n, 11)
+        dense = np.zeros((n, 11), dtype=np.uint8)
+        for i, ids in enumerate(rows):
+            dense[i, list(ids)] = 1
+        P = build_point_matrix(rows, 11)
+        assert P.shape == (n, 11)
+        assert np.array_equal(P.toarray(), dense)
+        assert P.nnz == int(dense.sum())
+        assert padding_is_zero(P)
+
+    @pytest.mark.parametrize(
+        "lo,hi", [(0, 200), (0, 0), (5, 5), (3, 11), (7, 9), (8, 72), (13, 130), (63, 65), (190, 200), (150, 999)]
+    )
+    def test_row_slice_matches_dense_rows(self, lo, hi):
+        rng = np.random.default_rng(lo * 1000 + hi)
+        P = build_point_matrix(self.random_rows(rng, 200, 9), 9)
+        part = P[lo:hi]
+        assert part.shape == P.toarray()[lo:hi].shape
+        assert np.array_equal(part.toarray(), P.toarray()[lo:hi])
+        assert padding_is_zero(part)
+
+    def test_row_slice_rejects_a_step(self):
+        P = build_point_matrix([(0,), (1,), (0, 1)], 2)
+        with pytest.raises(ValueError, match="step-1"):
+            P[::2]
 
 
 class TestMembership:
