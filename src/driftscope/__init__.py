@@ -10,13 +10,10 @@ __version__ = "0.1.0"
 
 from .catalog import (
     DataError,
-    IngestStats,
     Item,
     ItemCatalog,
     MetricSpec,
-    OutcomeRecord,
     build_catalog,
-    ingest_outcomes,
     read_rows,
 )
 from .mining import MiningConfig, Subgroup, SubgroupCatalog, mine_frequent
@@ -26,7 +23,6 @@ from .sgmetrics import (
     SubgroupStats,
     aggregate,
     build_point_matrix,
-    encode_batch,
     membership,
     merge,
     performance,
@@ -74,13 +70,10 @@ from .evaluation import (
 __all__ = [
     "__version__",
     "DataError",
-    "IngestStats",
     "Item",
     "ItemCatalog",
     "MetricSpec",
-    "OutcomeRecord",
     "build_catalog",
-    "ingest_outcomes",
     "read_rows",
     "MiningConfig",
     "Subgroup",
@@ -91,7 +84,6 @@ __all__ = [
     "SubgroupStats",
     "aggregate",
     "build_point_matrix",
-    "encode_batch",
     "membership",
     "merge",
     "performance",

@@ -16,7 +16,7 @@ import os
 import tempfile
 from bisect import bisect_left
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -24,13 +24,10 @@ __all__ = [
     "DataError",
     "Item",
     "ItemCatalog",
-    "OutcomeRecord",
     "MetricSpec",
-    "IngestStats",
     "build_catalog",
     "read_rows",
     "atomic_open",
-    "ingest_outcomes",
 ]
 
 # Values treated as missing in raw records. "?" is the common tabular-census
@@ -59,25 +56,6 @@ class Item:
     @property
     def label(self) -> str:
         return f"{self.attribute}={self.value}"
-
-
-@dataclass(frozen=True)
-class OutcomeRecord:
-    """An encoded instance: its item ids plus the 0/1 outcome indicators.
-
-    ``alpha + beta <= 1``: an instance counts as positive, negative, or
-    neither for the monitored metric.
-    """
-
-    item_ids: tuple[int, ...]
-    alpha: int
-    beta: int
-
-    def __post_init__(self) -> None:
-        if self.alpha + self.beta > 1:
-            raise ValueError(
-                f"alpha + beta must be <= 1, got alpha={self.alpha}, beta={self.beta}"
-            )
 
 
 def _fmt_number(x: float) -> str:
@@ -364,7 +342,7 @@ def build_catalog(
 
 
 # ---------------------------------------------------------------------------
-# Outcome ingestion
+# Outcomes and input files
 # ---------------------------------------------------------------------------
 
 
@@ -407,14 +385,6 @@ class MetricSpec:
                 return (1, 0) if y_hat == 1 else (0, 1)
             return (0, 0)
         raise ValueError(f"unknown metric spec kind {self.kind!r}")
-
-
-@dataclass
-class IngestStats:
-    """Counters accumulated while streaming a file through a catalog."""
-
-    rows: int = 0
-    skipped_values: int = 0
 
 
 def read_rows(path: str | Path) -> Iterator[dict[str, object]]:
@@ -460,29 +430,3 @@ def atomic_open(path: str | Path) -> Iterator:
             os.unlink(tmp)
         raise
 
-
-def ingest_outcomes(
-    path: str | Path,
-    catalog: ItemCatalog,
-    metric_spec: MetricSpec | None = None,
-    stats: IngestStats | None = None,
-) -> Iterator[OutcomeRecord]:
-    """Stream :class:`OutcomeRecord` objects from a CSV/JSONL file.
-
-    The file must carry the metadata columns plus either (y, y_hat) or
-    (alpha, beta) depending on ``metric_spec``. Pass an :class:`IngestStats`
-    to collect row and skipped-value counts.
-    """
-    metric_spec = metric_spec or MetricSpec()
-    stats = stats if stats is not None else IngestStats()
-    required = metric_spec.required_columns()
-    for i, row in enumerate(read_rows(path), start=1):
-        if i == 1:
-            missing = [c for c in required if c not in row]
-            if missing:
-                raise DataError(f"missing required column(s): {', '.join(missing)}")
-        a, b = metric_spec.outcome(row, i)
-        ids, skipped = catalog.encode_with_stats(row)
-        stats.rows += 1
-        stats.skipped_values += skipped
-        yield OutcomeRecord(item_ids=ids, alpha=a, beta=b)

@@ -23,10 +23,8 @@ from . import __version__
 from .baselines import DETECTOR_KINDS, make_detector
 from .catalog import (
     DataError,
-    IngestStats,
     ItemCatalog,
     MetricSpec,
-    OutcomeRecord,
     atomic_open,
     build_catalog,
     read_rows,
@@ -167,52 +165,57 @@ def _load_artifact(path: str) -> tuple[ItemCatalog, SubgroupCatalog]:
 # ---------------------------------------------------------------------------
 
 
-def _batched_records(path, catalog, spec, stats, batch_size):
-    """Outcome records grouped by an explicit 'batch' column when present,
-    otherwise by fixed-size slices."""
-    records: list = []
+def _batched_records(path, catalog, spec, batch_size):
+    """The rows of ``path`` as batches of (item-id tuples, (n, 2) int64
+    alpha/beta rows), grouped by an explicit 'batch' column when present,
+    otherwise by fixed-size slices; also the row and skipped-value counts."""
+    item_sets: list = []
+    outcomes: list = []
     batch_ids: list = []
+    skipped_values = 0
     for i, row in enumerate(read_rows(path), start=1):
         if i == 1:
             missing = [c for c in spec.required_columns() if c not in row]
             if missing:
                 raise DataError(f"missing required column(s): {', '.join(missing)}")
-        a, b = spec.outcome(row, i)
+        outcomes.append(spec.outcome(row, i))
         ids, skipped = catalog.encode_with_stats(row)
-        stats.rows += 1
-        stats.skipped_values += skipped
-        records.append(OutcomeRecord(item_ids=ids, alpha=a, beta=b))
+        skipped_values += skipped
+        item_sets.append(ids)
         batch_ids.append(row.get("batch"))
-    if not records:
+    if not item_sets:
         raise DataError(f"{path}: no rows")
+    outcomes = np.array(outcomes, dtype=np.int64)
     if all(b is not None for b in batch_ids):
         groups: dict = {}
-        for rec, b in zip(records, batch_ids):
-            groups.setdefault(str(b), []).append(rec)
-        return [groups[k] for k in sorted(groups, key=lambda s: (len(s), s))]
-    return [records[lo : lo + batch_size] for lo in range(0, len(records), batch_size)]
+        for i, b in enumerate(batch_ids):
+            groups.setdefault(str(b), []).append(i)
+        rows = [groups[k] for k in sorted(groups, key=lambda s: (len(s), s))]
+        batches = [([item_sets[i] for i in r], outcomes[r]) for r in rows]
+    else:
+        batches = [
+            (item_sets[lo : lo + batch_size], outcomes[lo : lo + batch_size])
+            for lo in range(0, len(item_sets), batch_size)
+        ]
+    return batches, len(item_sets), skipped_values
 
 
 def _cmd_monitor(args) -> int:
     catalog, sgcat = _load_artifact(args.catalog)
     spec = MetricSpec(kind=args.metric)
-    stats = IngestStats()
-    batches = _batched_records(args.input, catalog, spec, stats, args.batch_size)
-    log.info(
-        "ingested %d rows in %d batches (%d skipped values)",
-        stats.rows, len(batches), stats.skipped_values,
-    )
+    batches, n_rows, skipped_values = _batched_records(args.input, catalog, spec, args.batch_size)
+    log.info("ingested %d rows in %d batches (%d skipped values)", n_rows, len(batches), skipped_values)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     monitor = MonitorState(n_subgroups=len(sgcat), config=WindowConfig(args.window))
     lines = []
     csv_columns = ["subgroup_id", "items", "support", "h_ref", "h_cur", "delta_h", "t", "drifted"]
-    for b, chunk in enumerate(batches):
+    for b, (item_sets, outcomes) in enumerate(batches):
         batch = EncodedBatch(
-            point_matrix=build_point_matrix([r.item_ids for r in chunk], catalog.n_items),
-            alpha_vec=np.array([r.alpha for r in chunk], dtype=np.int64),
-            beta_vec=np.array([r.beta for r in chunk], dtype=np.int64),
+            point_matrix=build_point_matrix(item_sets, catalog.n_items),
+            alpha_vec=outcomes[:, 0],
+            beta_vec=outcomes[:, 1],
             batch_id=b + 1,
         )
         M = membership(batch, sgcat)

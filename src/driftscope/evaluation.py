@@ -34,9 +34,9 @@ from .sgmetrics import EncodedBatch, Membership, SubgroupStats, aggregate, membe
 from .streams import (
     ConceptStreamConfig,
     DriftSchedule,
+    _inject_flips_columns,
     concept_disagreement,
     fit_tree,
-    flip_probability,
     gen_concept_stream,
 )
 
@@ -47,7 +47,6 @@ __all__ = [
     "ndcg_at_k",
     "correlations",
     "youden_sweep",
-    "run_monitor",
     "run_injection_experiment",
     "run_injection_suite",
     "run_concept_experiment",
@@ -258,56 +257,32 @@ class ColumnData:
         return build_catalog(self.records(train_idx), default_bins=bins)
 
     def point_matrix(self, idx: np.ndarray, catalog: ItemCatalog) -> Membership:
-        """Point matrix (packed item bitmaps) of the selected rows, vectorized."""
+        """Point matrix (packed item bitmaps) of the selected rows, vectorized
+        over the catalog's own per-attribute lookup, as ``encode`` uses it."""
         n = len(idx)
         # one bool row per item, plus a last row that collects the id -1 of
         # values outside the catalog and is dropped before packing
         mask = np.zeros((catalog.n_items + 1, n), dtype=bool)
         instances = np.arange(n)
-        for attr in catalog.attributes:
-            disc = catalog.discretizers[attr]
-            first_ids = [it.id for it in catalog.items if it.attribute == attr]
-            base = min(first_ids)
-            if disc.kind == "quantile":
-                x = self.numeric[attr][idx]
-                edges = np.asarray(disc.edges)
-                binned = base + np.searchsorted(edges, x, side="left")
-                valid = ~np.isnan(x) & (x >= disc.lo) & (x <= disc.hi)
-                ids = np.where(valid, binned, -1)
-            else:
-                lookup = {
-                    it.value: it.id for it in catalog.items if it.attribute == attr
-                }
+        for attr, encoder in catalog._encoders.items():
+            if isinstance(encoder, dict):
                 trans = np.array(
-                    [lookup.get(str(u), -1) for u in self.uniques[attr]], dtype=np.int64
+                    [encoder.get(str(u), -1) for u in self.uniques[attr]], dtype=np.int64
                 )
                 ids = trans[self.codes[attr][idx]]
+            else:
+                lo, hi, edges, bin_ids = encoder
+                bin_ids = np.array([-1 if i is None else i for i in bin_ids], dtype=np.int64)
+                x = self.numeric[attr][idx]
+                binned = bin_ids[np.searchsorted(edges, x, side="left")]
+                ids = np.where(~np.isnan(x) & (x >= lo) & (x <= hi), binned, -1)
             mask[ids, instances] = True
         return Membership(bits=_packed_rows(mask[:-1]), n_instances=n)
 
 
 # ---------------------------------------------------------------------------
-# Monitor loop
+# Injection experiments
 # ---------------------------------------------------------------------------
-
-
-def run_monitor(
-    sgcat: SubgroupCatalog,
-    batches: Sequence[EncodedBatch],
-    window: int = 5,
-    tau_t: float = 5.0,
-    min_count: int = 0,
-) -> tuple[list[DriftReport], MonitorState, list[SubgroupStats]]:
-    """Feed encoded batches through membership, aggregation, and detection."""
-    monitor = MonitorState(n_subgroups=len(sgcat), config=WindowConfig(window))
-    reports = []
-    batch_stats = []
-    for batch in batches:
-        M = membership(batch, sgcat)
-        stats = aggregate(batch, M)
-        batch_stats.append(stats)
-        reports.append(step(monitor, stats, tau_t=tau_t, min_count=min_count))
-    return reports, monitor, batch_stats
 
 
 @dataclass
@@ -320,24 +295,6 @@ class InjectionExtras:
     ref_stats: SubgroupStats
     cur_stats: SubgroupStats
     relevance: np.ndarray
-
-
-def _inject_flips_columns(
-    y: np.ndarray,
-    cover: np.ndarray,
-    batch_bounds: Sequence[tuple[int, int]],
-    schedule: DriftSchedule,
-    seed: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Array-based label flipping; consumes randomness exactly like
-    streams.inject_label_flip so both paths give identical masks."""
-    rng = np.random.default_rng(np.random.SeedSequence([0x464C4950, seed]))
-    mask = np.zeros(len(y), dtype=bool)
-    for b, (lo, hi) in enumerate(batch_bounds):
-        p = flip_probability(schedule, b)
-        draws = rng.random(hi - lo)
-        mask[lo:hi] = cover[lo:hi] & (draws < p)
-    return np.where(mask, 1 - y, y), mask
 
 
 def _even_bounds(n: int, n_batches: int) -> list[tuple[int, int]]:
@@ -427,7 +384,8 @@ def run_injection_experiment(
             batch_max_t.append(report.max_t())
             detected = detected or report.global_drift
             final_report = report
-        ring.append((M.count(np.ones(bhi - blo, dtype=bool)), M.count(mask[blo:bhi])))
+        # every instance has alpha + beta = 1, so their sum is the member count
+        ring.append((stats.alpha_counts + stats.beta_counts, M.count(mask[blo:bhi])))
         if len(ring) > window:
             ring.pop(0)
 

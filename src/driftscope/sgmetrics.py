@@ -15,11 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .catalog import OutcomeRecord
 from .mining import SubgroupCatalog, _packed_rows
 
 __all__ = [
@@ -27,7 +26,6 @@ __all__ = [
     "Membership",
     "SubgroupStats",
     "build_point_matrix",
-    "encode_batch",
     "membership",
     "aggregate",
     "performance_vector",
@@ -113,22 +111,6 @@ def build_point_matrix(item_id_sets: Sequence[Sequence[int]], n_items: int) -> M
     mask = np.zeros((n_items, len(lengths)), dtype=bool)
     mask[ids, rows] = True
     return Membership(bits=_packed_rows(mask), n_instances=len(lengths))
-
-
-def encode_batch(
-    records: Iterable[OutcomeRecord],
-    n_items: int,
-    batch_id: int = 0,
-) -> EncodedBatch:
-    """Assemble an :class:`EncodedBatch` from a stream of outcome records."""
-    recs = list(records)
-    P = build_point_matrix([r.item_ids for r in recs], n_items)
-    return EncodedBatch(
-        point_matrix=P,
-        alpha_vec=np.array([r.alpha for r in recs], dtype=np.int64),
-        beta_vec=np.array([r.beta for r in recs], dtype=np.int64),
-        batch_id=batch_id,
-    )
 
 
 @dataclass(frozen=True)

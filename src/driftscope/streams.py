@@ -45,7 +45,6 @@ __all__ = [
     "inject_label_flip",
     "flip_probability",
     "fit_tree",
-    "encode_features",
 ]
 
 GENERATORS = ("agrawal", "sea", "led", "hyperplane")
@@ -392,6 +391,25 @@ def flip_probability(schedule: DriftSchedule, batch_index: int) -> float:
     return schedule.p_max
 
 
+def _inject_flips_columns(
+    y: np.ndarray,
+    cover: np.ndarray,
+    batch_bounds: Sequence[tuple[int, int]],
+    schedule: DriftSchedule,
+    seed: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The label-flip rule: each covered instance of batch b flips with
+    :func:`flip_probability`, one uniform draw per instance of the batch.
+    Returns the flipped labels and the altered mask."""
+    rng = np.random.default_rng(np.random.SeedSequence([0x464C4950, seed]))
+    mask = np.zeros(len(y), dtype=bool)
+    for b, (lo, hi) in enumerate(batch_bounds):
+        p = flip_probability(schedule, b)
+        draws = rng.random(hi - lo)
+        mask[lo:hi] = cover[lo:hi] & (draws < p)
+    return np.where(mask, 1 - y, y), mask
+
+
 def inject_label_flip(
     batches: Sequence[Sequence[Mapping]],
     catalog: ItemCatalog,
@@ -404,32 +422,22 @@ def inject_label_flip(
     boolean altered-mask per batch marking exactly the flipped instances.
     Raises when the target subgroup covers no instance of the stream.
     """
+    records = [rec for batch in batches for rec in batch]
+    y = np.array([int(rec["y"]) for rec in records], dtype=np.int64)
+    bad = (y != 0) & (y != 1)
+    if bad.any():
+        raise ValueError(f"label flipping requires binary labels, got y={y[np.argmax(bad)]}")
     target = frozenset(schedule.target_subgroup)
-    rng = np.random.default_rng(np.random.SeedSequence([0x464C4950, seed]))
-    out_batches: list[list[dict]] = []
-    masks: list[np.ndarray] = []
-    covered_total = 0
-    for b, batch in enumerate(batches):
-        p = flip_probability(schedule, b)
-        mask = np.zeros(len(batch), dtype=bool)
-        new_batch = []
-        draws = rng.random(len(batch))
-        for i, rec in enumerate(batch):
-            rec = dict(rec)
-            y = int(rec["y"])
-            if y not in (0, 1):
-                raise ValueError(f"label flipping requires binary labels, got y={y}")
-            covered = target <= set(catalog.encode(rec))
-            covered_total += covered
-            if covered and draws[i] < p:
-                rec["y"] = 1 - y
-                mask[i] = True
-            new_batch.append(rec)
-        out_batches.append(new_batch)
-        masks.append(mask)
-    if covered_total == 0:
+    cover = np.array([target <= set(catalog.encode(rec)) for rec in records], dtype=bool)
+    if not cover.any():
         raise ValueError("target subgroup covers no instance of the stream")
-    return out_batches, masks
+    ends = np.cumsum([len(batch) for batch in batches], dtype=np.int64)
+    bounds = list(zip([0, *ends[:-1]], ends))
+    flipped, mask = _inject_flips_columns(y, cover, bounds, schedule, seed)
+    out = [dict(rec) for rec in records]
+    for k in np.flatnonzero(mask):
+        out[k]["y"] = int(flipped[k])
+    return [out[lo:hi] for lo, hi in bounds], [mask[lo:hi] for lo, hi in bounds]
 
 
 # ---------------------------------------------------------------------------
@@ -533,39 +541,3 @@ def fit_tree(X: np.ndarray, y: np.ndarray, max_depth: int = 5) -> TreeModel:
     root = _grow(X, onehot, classes, 0, max_depth)
     return TreeModel(root=root, classes=classes, max_depth=max_depth)
 
-
-def encode_features(
-    records: Sequence[Mapping[str, object]],
-    attributes: Sequence[str],
-    codebooks: dict[str, dict[str, int]] | None = None,
-) -> tuple[np.ndarray, dict[str, dict[str, int]]]:
-    """Turn raw records into a numeric matrix for the tree.
-
-    Numeric values pass through; non-numeric values get ordinal codes from
-    ``codebooks`` (built from these records when not given; unseen values map
-    to -1). Returns the matrix and the codebooks for reuse on later splits.
-    """
-    build = codebooks is None
-    codebooks = {} if build else codebooks
-    X = np.zeros((len(records), len(attributes)), dtype=np.float64)
-    for j, attr in enumerate(attributes):
-        raw = [rec.get(attr) for rec in records]
-        numeric = True
-        vals = np.zeros(len(raw), dtype=np.float64)
-        for i, v in enumerate(raw):
-            try:
-                vals[i] = float(v) if v is not None and str(v).strip() != "" else np.nan
-            except (TypeError, ValueError):
-                numeric = False
-                break
-        if numeric:
-            vals = np.where(np.isnan(vals), -1.0, vals)
-            X[:, j] = vals
-            continue
-        if build:
-            codebooks[attr] = {
-                s: k for k, s in enumerate(sorted({str(v).strip() for v in raw}))
-            }
-        book = codebooks.get(attr, {})
-        X[:, j] = [book.get(str(v).strip(), -1) for v in raw]
-    return X, codebooks

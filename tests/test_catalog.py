@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 import random
 
@@ -8,15 +9,13 @@ from driftscope.catalog import (
     MISSING_VALUES,
     RESERVED_COLUMNS,
     DataError,
-    IngestStats,
     Item,
     ItemCatalog,
     MetricSpec,
-    OutcomeRecord,
     build_catalog,
     _fmt_number,
-    ingest_outcomes,
 )
+from driftscope.cli import main
 
 
 def test_categorical_passthrough_two_items():
@@ -115,67 +114,66 @@ def test_catalog_json_round_trip():
         assert cat.encode(rec) == clone.encode(rec)
 
 
-def test_outcome_record_rejects_alpha_plus_beta_over_one():
-    with pytest.raises(ValueError):
-        OutcomeRecord(item_ids=(), alpha=1, beta=1)
-
-
 class TestIngestOutcomes:
-    @pytest.fixture()
-    def catalog(self):
-        return build_catalog([{"g": "m"}, {"g": "f"}])
+    """Outcome rules of :class:`MetricSpec`, and ``monitor``'s ingest of a file."""
 
-    def _write(self, tmp_path, text, name="data.csv"):
-        p = tmp_path / name
-        p.write_text(text)
-        return p
+    def test_accuracy_spec(self):
+        spec = MetricSpec("accuracy")
+        assert spec.outcome({"g": "m", "y": "1", "y_hat": "1"}, 1) == (1, 0)
+        assert spec.outcome({"g": "f", "y": "0", "y_hat": "1"}, 2) == (0, 1)
 
-    def test_accuracy_spec(self, tmp_path, catalog):
-        p = self._write(tmp_path, "g,y,y_hat\nm,1,1\nf,0,1\n")
-        recs = list(ingest_outcomes(p, catalog, MetricSpec("accuracy")))
-        assert (recs[0].alpha, recs[0].beta) == (1, 0)
-        assert (recs[1].alpha, recs[1].beta) == (0, 1)
+    def test_accuracy_alpha_plus_beta_is_one(self):
+        spec = MetricSpec("accuracy")
+        for y in (0, 1):
+            for y_hat in (0, 1):
+                assert sum(spec.outcome({"y": y, "y_hat": y_hat}, 1)) == 1
 
-    def test_accuracy_alpha_plus_beta_is_one(self, tmp_path, catalog):
-        rows = "\n".join(f"m,{y},{yh}" for y in (0, 1) for yh in (0, 1))
-        p = self._write(tmp_path, "g,y,y_hat\n" + rows + "\n")
-        for rec in ingest_outcomes(p, catalog, MetricSpec("accuracy")):
-            assert rec.alpha + rec.beta == 1
+    def test_false_positive_rate_spec(self):
+        spec = MetricSpec("false_positive_rate")
+        assert spec.outcome({"y": "0", "y_hat": "1"}, 1) == (1, 0)  # false positive
+        assert spec.outcome({"y": "0", "y_hat": "0"}, 2) == (0, 1)  # true negative
+        assert spec.outcome({"y": "1", "y_hat": "1"}, 3) == (0, 0)  # y=1 rows count as neither
 
-    def test_false_positive_rate_spec(self, tmp_path, catalog):
-        p = self._write(tmp_path, "g,y,y_hat\nm,0,1\nm,0,0\nm,1,1\n")
-        recs = list(ingest_outcomes(p, catalog, MetricSpec("false_positive_rate")))
-        assert (recs[0].alpha, recs[0].beta) == (1, 0)  # false positive
-        assert (recs[1].alpha, recs[1].beta) == (0, 1)  # true negative
-        assert (recs[2].alpha, recs[2].beta) == (0, 0)  # y=1 rows count as neither
+    def test_explicit_spec(self):
+        spec = MetricSpec("explicit")
+        assert spec.required_columns() == ("alpha", "beta")
+        assert spec.outcome({"alpha": "1", "beta": "0"}, 1) == (1, 0)
+        assert spec.outcome({"alpha": "0", "beta": "0"}, 2) == (0, 0)
+        with pytest.raises(DataError, match="row 3: alpha"):
+            spec.outcome({"alpha": "1", "beta": "1"}, 3)
 
-    def test_explicit_spec(self, tmp_path, catalog):
-        p = self._write(tmp_path, "g,alpha,beta\nm,1,0\nf,0,0\n")
-        recs = list(ingest_outcomes(p, catalog, MetricSpec("explicit")))
-        assert (recs[0].alpha, recs[0].beta) == (1, 0)
-        assert (recs[1].alpha, recs[1].beta) == (0, 0)
-
-    def test_missing_column_error(self, tmp_path, catalog):
-        p = self._write(tmp_path, "g,y\nm,1\n")
-        with pytest.raises(DataError, match="y_hat"):
-            list(ingest_outcomes(p, catalog))
-
-    def test_malformed_row_reports_row_number(self, tmp_path, catalog):
-        p = self._write(tmp_path, "g,y,y_hat\nm,1,1\nm,oops,1\n")
+    def test_malformed_row_reports_row_number(self):
         with pytest.raises(DataError, match="row 2"):
-            list(ingest_outcomes(p, catalog))
+            MetricSpec().outcome({"y": "oops", "y_hat": "1"}, 2)
+        with pytest.raises(DataError, match="row 5: column 'y_hat' must be 0 or 1"):
+            MetricSpec().outcome({"y": "1", "y_hat": "2"}, 5)
 
-    def test_jsonl_input_and_skip_stats(self, tmp_path, catalog):
+    @pytest.fixture()
+    def artifact(self, tmp_path):
+        ref = tmp_path / "ref.csv"
+        ref.write_text("g\nm\nf\nm\nf\n")
+        path = tmp_path / "catalog.json"
+        assert main(["mine", "--input", str(ref), "--min-support", "0.1", "--out", str(path)]) == 0
+        return path
+
+    def _monitor(self, tmp_path, artifact, name, text):
+        data = tmp_path / name
+        data.write_text(text)
+        out = tmp_path / "reports"
+        return main(["monitor", "--catalog", str(artifact), "--input", str(data), "--out", str(out)])
+
+    def test_missing_column_error(self, tmp_path, artifact, caplog):
+        assert self._monitor(tmp_path, artifact, "data.csv", "g,y\nm,1\n") == 2
+        assert "missing required column(s): y_hat" in caplog.text
+
+    def test_jsonl_input_and_skip_stats(self, tmp_path, artifact, caplog):
+        caplog.set_level(logging.INFO, logger="driftscope")
         lines = [
             json.dumps({"g": "m", "y": 1, "y_hat": 1}),
             json.dumps({"g": "novel", "y": 0, "y_hat": 1}),
         ]
-        p = self._write(tmp_path, "\n".join(lines) + "\n", name="data.jsonl")
-        stats = IngestStats()
-        recs = list(ingest_outcomes(p, catalog, stats=stats))
-        assert stats.rows == 2
-        assert stats.skipped_values == 1
-        assert recs[1].item_ids == ()
+        assert self._monitor(tmp_path, artifact, "data.jsonl", "\n".join(lines) + "\n") == 0
+        assert "ingested 2 rows in 1 batches (1 skipped values)" in caplog.text
 
 
 # --- table-driven encoder against the label-based encoder it replaced -------

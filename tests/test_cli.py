@@ -164,6 +164,59 @@ def _with_predictions(tmp_path, stream):
     return out
 
 
+def test_monitor_groups_rows_by_batch_column_in_length_then_text_order(tmp_path):
+    from driftscope.catalog import ItemCatalog
+
+    src = tmp_path / "data.csv"
+    write_sample_csv(src, n=300, seed=3)
+    catalog_path = tmp_path / "catalog.json"
+    assert run_cli("mine", "--input", src, "--min-support", "0.1", "--max-len", "2", "--out", catalog_path) == 0
+    rows = list(csv.DictReader(open(src)))
+    keys = ["10", "9", "2", "11", "1"]  # interleaved; (len, s) order is 1, 2, 9, 10, 11
+    order = ["1", "2", "9", "10", "11"]
+    groups = {k: [r for i, r in enumerate(rows) if keys[i % 5] == k] for k in keys}
+
+    def write(path, table, with_batch):
+        with open(path, "w", newline="") as fh:
+            cols = ["batch", *rows[0]] if with_batch else list(rows[0])
+            w = csv.DictWriter(fh, fieldnames=cols, lineterminator="\n")
+            w.writeheader()
+            w.writerows(table)
+
+    keyed = tmp_path / "keyed.csv"
+    write(keyed, [dict(r, batch=keys[i % 5]) for i, r in enumerate(rows)], True)
+    presorted = tmp_path / "presorted.csv"
+    write(presorted, [r for k in order for r in groups[k]], False)
+    for name, path in (("keyed", keyed), ("presorted", presorted)):
+        assert run_cli(
+            "monitor", "--catalog", catalog_path, "--input", path, "--window", "2",
+            "--batch-size", "60", "--out", tmp_path / name,
+        ) == 0
+    # the same reports as the groups in key order, cut as fixed slices
+    assert (tmp_path / "keyed" / "reports.jsonl").read_text() == (
+        tmp_path / "presorted" / "reports.jsonl"
+    ).read_text()
+
+    artifact = json.loads(catalog_path.read_text())
+    catalog = ItemCatalog.from_dict(artifact["item_catalog"])
+    subgroups = [set(e["items"]) for e in artifact["subgroup_catalog"]["subgroups"]]
+
+    def counts(group):
+        alpha, beta = [0] * len(subgroups), [0] * len(subgroups)
+        for r in group:
+            ids = set(catalog.encode(r))
+            hit = r["y"] == r["y_hat"]
+            for j, items in enumerate(subgroups):
+                if items <= ids:
+                    alpha[j] += hit
+                    beta[j] += not hit
+        return {"alpha": alpha, "beta": beta, "n": len(group)}
+
+    state = json.loads((tmp_path / "keyed" / "monitor_state.json").read_text())
+    assert state["current_ring"] == [counts(groups["10"]), counts(groups["11"])]
+    assert state["reference_stats"] == counts(groups["1"] + groups["2"])
+
+
 def test_bad_subgroup_item_exits_two(tmp_path):
     src = tmp_path / "data.csv"
     write_sample_csv(src, n=200)

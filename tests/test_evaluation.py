@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from driftscope.catalog import build_catalog
+from driftscope.catalog import ItemCatalog, build_catalog
 from driftscope.evaluation import (
     ColumnData,
     ExperimentResult,
@@ -175,19 +175,33 @@ def small_rows():
     return census_sample(n=3000, seed=5)
 
 
+def _without_items(catalog, labels):
+    """``catalog`` without the items of the given labels, ids renumbered."""
+    d = catalog.to_dict()
+    kept = [e for e in d["items"] if f"{e['attribute']}={e['value']}" not in labels]
+    d["items"] = [dict(e, id=k) for k, e in enumerate(kept)]
+    return ItemCatalog.from_dict(d)
+
+
 class TestColumnFastPath:
 
     def test_point_matrix_matches_record_encoding(self, rows):
         cols = ColumnData(rows)
         train_idx = np.arange(0, 200)
         test_idx = np.arange(200, 400)
-        catalog = cols.build_catalog(train_idx, bins=4)
-        P = cols.point_matrix(test_idx, catalog).toarray()
-        for r, i in enumerate(test_idx):
-            ids = catalog.encode(rows[i])
-            row = np.zeros(catalog.n_items)
-            row[list(ids)] = 1
-            assert np.array_equal(P[r], row), f"row {i}"
+        full = cols.build_catalog(train_idx, bins=4)
+        num = [it.label for it in full.items if it.attribute == "num"]
+        low = [it.label for it in full.items if it.attribute == "low"]
+        # a middle quantile bin and a categorical value missing, then an
+        # attribute with no items at all: ids stop following the bins
+        for drop in ((), (num[1], "cat=y"), (num[1], "cat=y", *low)):
+            catalog = _without_items(full, drop)
+            P = cols.point_matrix(test_idx, catalog).toarray()
+            for r, i in enumerate(test_idx):
+                ids = catalog.encode(rows[i])
+                row = np.zeros(catalog.n_items)
+                row[list(ids)] = 1
+                assert np.array_equal(P[r], row), f"drop {drop}: row {i}"
 
     def test_catalog_equivalent_to_record_builder(self, rows):
         cols = ColumnData(rows)

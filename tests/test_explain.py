@@ -314,20 +314,19 @@ class TestDriftValueFn:
     def _windows(self, cat, n_items):
         import numpy as np
 
-        from driftscope.catalog import OutcomeRecord
         from driftscope.explain import make_drift_value_fn
-        from driftscope.sgmetrics import aggregate, encode_batch, membership
+        from driftscope.sgmetrics import EncodedBatch, aggregate, build_point_matrix, membership
 
         rng = np.random.default_rng(0)
         batches = {}
         stats = {}
         for name, p_correct in (("ref", 0.9), ("cur", 0.6)):
-            recs = []
+            ids, alpha = [], []
             for _ in range(300):
-                ids = tuple(sorted(np.flatnonzero(rng.random(n_items) < 0.5).tolist()))
-                a = int(rng.random() < p_correct)
-                recs.append(OutcomeRecord(item_ids=ids, alpha=a, beta=1 - a))
-            batch = encode_batch(recs, n_items)
+                ids.append(tuple(np.flatnonzero(rng.random(n_items) < 0.5).tolist()))
+                alpha.append(int(rng.random() < p_correct))
+            alpha = np.array(alpha, dtype=np.int64)
+            batch = EncodedBatch(build_point_matrix(ids, n_items), alpha, 1 - alpha)
             batches[name] = batch
             stats[name] = aggregate(batch, membership(batch, cat))
         return make_drift_value_fn(

@@ -111,3 +111,22 @@ def test_injected_subgroup_is_detected_and_ranked_first():
     # the sliding current window equals the merge of the last W batch stats
     recomputed = merge(batch_stats[-5:])
     assert np.array_equal(monitor.current_stats().alpha_counts, recomputed.alpha_counts)
+
+
+def test_every_exported_name_resolves():
+    import importlib
+    import pkgutil
+
+    import driftscope
+
+    modules = [driftscope] + [
+        importlib.import_module(f"driftscope.{m.name}") for m in pkgutil.iter_modules(driftscope.__path__)
+    ]
+    missing = [
+        f"{mod.__name__}.{name}"
+        for mod in modules
+        for name in getattr(mod, "__all__", ())
+        if not hasattr(mod, name)
+    ]
+    assert not missing
+    assert len(driftscope.__all__) == len(set(driftscope.__all__))

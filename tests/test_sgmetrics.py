@@ -3,14 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftscope.catalog import OutcomeRecord
 from driftscope.mining import MiningConfig, Subgroup, SubgroupCatalog
 from driftscope.sgmetrics import (
     EncodedBatch,
     SubgroupStats,
     aggregate,
     build_point_matrix,
-    encode_batch,
     membership,
     merge,
     performance,
@@ -25,11 +23,11 @@ def make_catalog(itemsets, n_items):
 
 
 def make_batch(instance_itemsets, alpha, beta, n_items):
-    records = [
-        OutcomeRecord(item_ids=tuple(sorted(ids)), alpha=a, beta=b)
-        for ids, a, b in zip(instance_itemsets, alpha, beta)
-    ]
-    return encode_batch(records, n_items)
+    return EncodedBatch(
+        point_matrix=build_point_matrix([tuple(sorted(ids)) for ids in instance_itemsets], n_items),
+        alpha_vec=np.asarray(alpha, dtype=np.int64),
+        beta_vec=np.asarray(beta, dtype=np.int64),
+    )
 
 
 def naive_membership(instances, itemsets):
@@ -72,6 +70,15 @@ class TestEncodeBatch:
         # counting packs the outcome vectors as bits, so they must be 0/1
         with pytest.raises(ValueError, match="0/1"):
             EncodedBatch(P, np.array([-1]), np.array([1]))
+
+    def test_rejects_alpha_plus_beta_over_one_and_negative_entries(self):
+        P = build_point_matrix([(0,), (), (1,), ()], 2)
+        ok = np.array([1, 0, 0, 1]), np.array([0, 1, 0, 0])
+        assert EncodedBatch(P, *ok).n_instances == 4
+        with pytest.raises(ValueError, match=r"alpha \+ beta must be <= 1"):
+            EncodedBatch(P, np.array([1, 0, 1, 0]), np.array([0, 1, 1, 0]))
+        with pytest.raises(ValueError, match="0/1 indicators"):
+            EncodedBatch(P, ok[0], np.array([0, 1, -1, 0]))
 
 
 def padding_is_zero(P):

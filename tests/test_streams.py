@@ -10,7 +10,6 @@ from driftscope.streams import (
     StreamBatch,
     _agrawal_group_a,
     _hyperplane_weights,
-    encode_features,
     fit_tree,
     flip_probability,
     gen_concept_stream,
@@ -257,12 +256,3 @@ class TestTree:
         model = fit_tree(X, y, max_depth=2)
         assert (model.predict(X) == y).mean() > 0.95
 
-
-class TestEncodeFeatures:
-    def test_numeric_passthrough_and_codes(self):
-        recs = [{"a": 1.5, "b": "x"}, {"a": 2.5, "b": "y"}, {"a": 3.5, "b": "x"}]
-        X, books = encode_features(recs, ["a", "b"])
-        assert X[:, 0].tolist() == [1.5, 2.5, 3.5]
-        assert X[:, 1].tolist() == [0.0, 1.0, 0.0]
-        X2, _ = encode_features([{"a": 9, "b": "z"}], ["a", "b"], books)
-        assert X2[0, 1] == -1.0  # unseen categorical
