@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
+import numpy as np
+
 __all__ = [
     "DataError",
     "Item",
@@ -123,23 +125,28 @@ class _Discretizer:
         return disc
 
 
-def _quantile_edges(values: Sequence[float], bins: int) -> tuple[float, ...]:
-    """Interior equal-frequency cut points, by direct sort.
+def _quantile_discretizer(attr: str, bins: int, values: np.ndarray) -> _Discretizer:
+    """Equal-frequency bins of the non-NaN ``values``, by one stable sort.
 
     Edge k (k = 1..bins-1) is the sorted value at index floor((n-1) * k / bins).
     Duplicate edges collapse, so low-cardinality numeric attributes degrade
-    gracefully to one bin per distinct value.
+    gracefully to one bin per distinct value. ``lo`` and ``hi`` are the first
+    minimal and the first maximal value in input order (as ``min`` and ``max``
+    return them; this decides the sign of a zero bound).
     """
-    srt = sorted(values)
-    n = len(srt)
+    srt = np.sort(values[~np.isnan(values)], kind="stable")
+    if not len(srt):
+        raise DataError(f"attribute {attr!r} has no non-missing values")
+    n, top = len(srt), srt[-1]
     edges: list[float] = []
     for k in range(1, bins):
         e = float(srt[(n - 1) * k // bins])
         # an edge at the maximum would create an empty (hi, hi] bin; an edge
         # at the minimum is fine (singleton first bin [lo, lo])
-        if (not edges or e > edges[-1]) and e < srt[-1]:
+        if (not edges or e > edges[-1]) and e < top:
             edges.append(e)
-    return tuple(edges)
+    hi = float(srt[np.searchsorted(srt, top)])
+    return _Discretizer(kind="quantile", bins=bins, edges=tuple(edges), lo=float(srt[0]), hi=hi)
 
 
 class ItemCatalog:
@@ -254,17 +261,6 @@ class ItemCatalog:
         return cls(items, discs)
 
 
-def _is_numeric(values: Iterable[object]) -> bool:
-    for v in values:
-        if isinstance(v, (int, float)):
-            continue
-        try:
-            float(str(v))
-        except (TypeError, ValueError):
-            return False
-    return True
-
-
 def build_catalog(
     records: Sequence[Mapping[str, object]],
     binning_config: Mapping[str, object] | None = None,
@@ -276,8 +272,9 @@ def build_catalog(
     ``("quantile", n_bins)``. Unlisted attributes are auto-detected: numeric
     values get ``default_bins`` equal-frequency bins, everything else is
     categorical. Quantile edges are computed from ``records`` only and are
-    fixed for the lifetime of the catalog. Outcome and stream-structure
-    columns (y, y_hat, alpha, beta, batch) are never turned into items.
+    fixed for the lifetime of the catalog; a value that parses as NaN is
+    missing there. Outcome and stream-structure columns (y, y_hat, alpha,
+    beta, batch) are never turned into items.
     """
     if not records:
         raise ValueError("cannot build a catalog from zero records")
@@ -291,53 +288,56 @@ def build_catalog(
                 seen.add(a)
                 attrs.append(a)
 
-    def present(rec: Mapping[str, object], a: str) -> bool:
-        v = rec.get(a)
-        if v in MISSING_VALUES:
-            return False
-        return not (isinstance(v, str) and v.strip() in MISSING_VALUES)
+    def columns() -> Iterator[tuple[str, int | None, object]]:
+        for a in attrs:
+            vals = [
+                v
+                for v in (rec.get(a) for rec in records)
+                if not (v in MISSING_VALUES or (isinstance(v, str) and v.strip() in MISSING_VALUES))
+            ]
+            cfg = binning_config.get(a)
+            if cfg is None:
+                try:
+                    yield a, default_bins, np.array([float(str(v)) for v in vals], dtype=np.float64)
+                except (TypeError, ValueError):
+                    yield a, None, sorted({str(v).strip() for v in vals})
+                continue
+            if cfg == "categorical":
+                yield a, None, sorted({str(v).strip() for v in vals})
+                continue
+            if cfg == "quantile":
+                bins = default_bins
+            elif isinstance(cfg, (tuple, list)) and len(cfg) == 2 and cfg[0] == "quantile":
+                bins = int(cfg[1])
+            else:
+                raise ValueError(f"unknown binning rule {cfg!r} for attribute {a!r}")
+            if bins < 1:
+                raise ValueError(f"bin count must be >= 1 for attribute {a!r}")
+            yield a, bins, np.array([float(str(v)) for v in vals], dtype=np.float64)
 
+    return _catalog_of_columns(columns())
+
+
+def _catalog_of_columns(columns: Iterable[tuple[str, int | None, object]]) -> ItemCatalog:
+    """The catalog of per-attribute columns, items in column order.
+
+    Each column is ``(attribute, None, values)`` for a categorical attribute,
+    ``values`` its distinct non-missing strings in sorted order, or
+    ``(attribute, bins, values)`` for a quantile one, ``values`` a float
+    array in row order with NaN for missing.
+    """
     discretizers: dict[str, _Discretizer] = {}
-    observed: dict[str, list[object]] = {}
-    for a in attrs:
-        vals = [rec[a] for rec in records if present(rec, a)]
-        if not vals:
-            raise DataError(f"attribute {a!r} has no non-missing values")
-        observed[a] = vals
-        cfg = binning_config.get(a)
-        if cfg is None:
-            cfg = "quantile" if _is_numeric(vals) else "categorical"
-        if cfg == "categorical":
-            discretizers[a] = _Discretizer(kind="categorical")
-            continue
-        if cfg == "quantile":
-            bins = default_bins
-        elif isinstance(cfg, (tuple, list)) and len(cfg) == 2 and cfg[0] == "quantile":
-            bins = int(cfg[1])
-        else:
-            raise ValueError(f"unknown binning rule {cfg!r} for attribute {a!r}")
-        if bins < 1:
-            raise ValueError(f"bin count must be >= 1 for attribute {a!r}")
-        nums = [float(str(v)) for v in observed[a]]
-        if len(set(nums)) < 1:
-            raise DataError(f"attribute {a!r} has no distinct values")
-        discretizers[a] = _Discretizer(
-            kind="quantile",
-            bins=bins,
-            edges=_quantile_edges(nums, bins),
-            lo=float(min(nums)),
-            hi=float(max(nums)),
-        )
-
     items: list[Item] = []
-    for a in attrs:
-        disc = discretizers[a]
-        if disc.kind == "quantile":
-            values = disc.labels()
+    for a, bins, values in columns:
+        if bins is None:
+            if not values:
+                raise DataError(f"attribute {a!r} has no non-missing values")
+            discretizers[a] = _Discretizer(kind="categorical")
+            labels = values
         else:
-            values = sorted({str(v).strip() for v in observed[a]})
-        for v in values:
-            items.append(Item(a, v, len(items)))
+            discretizers[a] = _quantile_discretizer(a, bins, values)
+            labels = discretizers[a].labels()
+        items += [Item(a, v, i) for i, v in enumerate(labels, start=len(items))]
     return ItemCatalog(items, discretizers)
 
 

@@ -145,7 +145,9 @@ def _cmd_mine(args) -> int:
         item_attrs=catalog.item_attributes(),
     )
     out = Path(args.out)
-    _write_json(out, {"item_catalog": catalog.to_dict(), "subgroup_catalog": sgcat.to_dict()})
+    artifact = {"item_catalog": catalog.to_dict(), "subgroup_catalog": sgcat.to_dict()}
+    # compact, so that json's C encoder writes it (indent forces the Python one)
+    _atomic_write(out, json.dumps(artifact, sort_keys=True, separators=(",", ":")) + "\n")
     _write_manifest(out, args)
     log.info("mined %d subgroups over %d items from %d rows", len(sgcat), catalog.n_items, len(rows))
     return 0

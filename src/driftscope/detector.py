@@ -147,13 +147,13 @@ class DriftReport:
         def val(x: float) -> float | None:
             return None if np.isnan(x) else float(x)
 
-        for j in indices:
-            j = int(j)
-            sg = catalog.subgroups[j]
+        indices = np.asarray(indices)
+        support = catalog.supports()[indices].tolist()
+        for j, items, s in zip(indices.tolist(), catalog.items_of(indices), support):
             yield {
                 "subgroup_id": j,
-                "items": sg.label(),
-                "support": sg.support,
+                "items": ",".join(map(str, items)) or "(global)",  # as Subgroup.label()
+                "support": s,
                 "h_ref": val(self.h_ref[j]),
                 "h_cur": val(self.h_cur[j]),
                 "delta_h": val(self.delta_h[j]),

@@ -27,7 +27,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .baselines import DRIFT, make_detector
-from .catalog import MISSING_VALUES, RESERVED_COLUMNS, ItemCatalog, build_catalog
+from .catalog import MISSING_VALUES, RESERVED_COLUMNS, ItemCatalog, _catalog_of_columns, build_catalog
 from .detector import DriftReport, MonitorState, WindowConfig, step
 from .mining import MiningConfig, SubgroupCatalog, _packed_rows, mine_frequent
 from .sgmetrics import EncodedBatch, Membership, SubgroupStats, aggregate, membership
@@ -218,12 +218,16 @@ class ColumnData:
             if ok:
                 self.numeric[a] = as_float
             else:
-                strings = np.array(
-                    ["" if v in MISSING_VALUES else str(v).strip() for v in vals],
-                    dtype=object,
-                )
-                strings[np.array([s in MISSING_VALUES for s in strings])] = ""
-                self.uniques[a], self.codes[a] = np.unique(strings, return_inverse=True)
+                first_seen: dict[str, int] = {}
+                codes = [
+                    first_seen.setdefault("" if s in MISSING_VALUES else s, len(first_seen))
+                    for s in ("" if v in MISSING_VALUES else str(v).strip() for v in vals)
+                ]
+                uniques = sorted(first_seen)
+                position = np.empty(len(uniques), dtype=np.intp)
+                position[[first_seen[u] for u in uniques]] = np.arange(len(uniques))
+                self.uniques[a] = np.array(uniques, dtype=object)
+                self.codes[a] = position[np.array(codes, dtype=np.intp)]
 
     def feature_matrix(self) -> np.ndarray:
         """Numeric design matrix for the tree: raw numbers, ordinal codes."""
@@ -252,9 +256,20 @@ class ColumnData:
         return out
 
     def build_catalog(self, train_idx: np.ndarray, bins: int = 4) -> ItemCatalog:
-        """Catalog from the training slice; same output as build_catalog on
-        the equivalent records (covered by an equivalence test)."""
-        return build_catalog(self.records(train_idx), default_bins=bins)
+        """Catalog from the training slice, with the attribute types fixed
+        from the full data: equal to ``build_catalog(self.records(train_idx),
+        binning_config={a: "categorical" for a in self.codes},
+        default_bins=bins)`` (covered by an equivalence test)."""
+
+        def columns():
+            for a in self.attrs:
+                if a in self.numeric:
+                    yield a, bins, self.numeric[a][train_idx]
+                else:
+                    present = self.uniques[a][np.unique(self.codes[a][train_idx])]
+                    yield a, None, [s for s in present.tolist() if s]
+
+        return _catalog_of_columns(columns())
 
     def point_matrix(self, idx: np.ndarray, catalog: ItemCatalog) -> Membership:
         """Point matrix (packed item bitmaps) of the selected rows, vectorized
@@ -348,10 +363,12 @@ def run_injection_experiment(
     mask = np.zeros(len(test_idx), dtype=bool)
     if kind == "positive":
         lo, hi = support_band
-        band = [sg for sg in sgcat.subgroups if sg.item_ids and lo <= sg.support <= hi]
-        if not band:
+        support = sgcat.supports()
+        band = np.flatnonzero((lo <= support) & (support <= hi))
+        band = band[band > 0]  # not the global subgroup
+        if not len(band):
             raise ValueError(f"no mined subgroup has support in [{lo}, {hi}]")
-        target = band[int(rng.integers(len(band)))]
+        target = sgcat.subgroup(int(band[int(rng.integers(len(band)))]))
         target_support = target.support
         target_items = target.item_ids
         schedule = DriftSchedule(target_subgroup=target.item_ids, p_max=p_max)

@@ -217,7 +217,7 @@ def make_drift_value_fn(
                 "were provided for on-demand counting"
             )
         probe = SubgroupCatalog(
-            [catalog.subgroups[0], Subgroup(tuple(sorted(itemset)), 0.0, 0, 1)],
+            [catalog.subgroup(0), Subgroup(tuple(sorted(itemset)), 0.0, 0, 1)],
             catalog.n_items,
             catalog.config,
         )

@@ -14,7 +14,7 @@ length are one sorted search.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
@@ -61,12 +61,14 @@ class Subgroup:
 class SubgroupCatalog:
     """The mined subgroups and their per-length item tables.
 
-    ``subgroups[0]`` is always the global (empty) subgroup. ``length_tables``
+    Subgroup 0 is always the global (empty) subgroup. ``length_tables``
     holds one ``(indices, items)`` pair per itemset length k, ascending: the
     positions of the length-k subgroups and an ``(n_k, k)`` array of their
     item ids, rows in ascending lexicographic order. Every itemset must list
     distinct item ids in ascending order, each in ``[0, n_items)``, and no
-    itemset may occur twice. Immutable once built.
+    itemset may occur twice. Supports and counts are arrays over the dense
+    index; :class:`Subgroup` objects are built only when asked for. Immutable
+    once built.
     """
 
     def __init__(
@@ -75,21 +77,49 @@ class SubgroupCatalog:
         n_items: int,
         config: MiningConfig,
     ):
-        if not subgroups or subgroups[0].item_ids != ():
-            raise ValueError("subgroups[0] must be the global (empty) subgroup")
-        self.subgroups: tuple[Subgroup, ...] = tuple(subgroups)
+        subgroups = tuple(subgroups)
+        self._set_tables(
+            _length_tables([sg.item_ids for sg in subgroups]),
+            np.array([sg.support for sg in subgroups], dtype=np.float64),
+            np.array([sg.count for sg in subgroups], dtype=np.int64),
+            n_items,
+            config,
+        )
+        self._subgroups = subgroups
+
+    @classmethod
+    def from_tables(
+        cls,
+        tables: Sequence[tuple[np.ndarray, np.ndarray]],
+        support: np.ndarray,
+        count: np.ndarray,
+        n_items: int,
+        config: MiningConfig,
+    ) -> "SubgroupCatalog":
+        """The catalog of ``len(support)`` subgroups given as per-length
+        ``(indices, items)`` tables (lengths ascending, rows in any order),
+        where index 0 is the global subgroup and every other index occurs in
+        exactly one table; ``support`` and ``count`` are indexed densely."""
+        cat = cls.__new__(cls)
+        cat._set_tables(tables, support, count, n_items, config)
+        return cat
+
+    def _set_tables(self, tables, support, count, n_items: int, config: MiningConfig) -> None:
         self.n_items = n_items
         self.config = config
-        by_len: dict[int, list[int]] = {}
-        for j, sg in enumerate(self.subgroups[1:], start=1):
-            by_len.setdefault(len(sg.item_ids), []).append(j)
-        if 0 in by_len:
-            raise ValueError(f"subgroup {by_len[0][0]} repeats the global (empty) itemset")
+        self._support = np.array(support, dtype=np.float64)
+        self._support.flags.writeable = False
+        self._count = np.asarray(count, dtype=np.int64)
+        self._subgroups: tuple[Subgroup, ...] | None = None
+        # per dense index: itemset length and row in that length's table
+        self._length = np.zeros(len(self._support), dtype=np.intp)
+        self._row = np.zeros(len(self._support), dtype=np.intp)
         # per length k: subgroup positions, (n_k, k) items and row keys, in key order
         self._tables: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        for k, idx in sorted(by_len.items()):
+        for idx, items in tables:
             idx = np.asarray(idx, dtype=np.intp)
-            items = np.array([self.subgroups[j].item_ids for j in idx], dtype=np.intp)
+            items = np.asarray(items, dtype=np.intp)
+            k = items.shape[1]
             bad = (np.diff(items, axis=1) <= 0).any(axis=1)
             bad |= (items[:, 0] < 0) | (items[:, -1] >= n_items)
             if bad.any():
@@ -106,12 +136,46 @@ class SubgroupCatalog:
                 r = dup[0]
                 raise ValueError(f"subgroup {idx[r + 1]} repeats the itemset {items[r].tolist()}")
             self._tables[k] = (idx, items, keys)
+            self._length[idx] = k
+            self._row[idx] = np.arange(len(idx))
         self.length_tables: tuple[tuple[np.ndarray, np.ndarray], ...] = tuple(
             (idx, items) for idx, items, _ in self._tables.values()
         )
 
     def __len__(self) -> int:
-        return len(self.subgroups)
+        return len(self._support)
+
+    @property
+    def subgroups(self) -> tuple[Subgroup, ...]:
+        """Every subgroup in dense order, built on first use."""
+        if self._subgroups is None:
+            self._subgroups = tuple(
+                Subgroup(tuple(items), s, c, j)
+                for j, (items, s, c) in enumerate(
+                    zip(self.items_of(np.arange(len(self))), self._support.tolist(), self._count.tolist())
+                )
+            )
+        return self._subgroups
+
+    def subgroup(self, j: int) -> Subgroup:
+        """Subgroup ``j``, read from the tables without building the others."""
+        if self._subgroups is not None:
+            return self._subgroups[j]
+        (items,) = self.items_of([j])
+        return Subgroup(tuple(items), float(self._support[j]), int(self._count[j]), int(j))
+
+    def items_of(self, indices) -> list[list[int]]:
+        """The item ids of each subgroup in ``indices``, read from the tables
+        (one gather per itemset length)."""
+        indices = np.asarray(indices, dtype=np.intp)
+        out: list[list[int]] = [[]] * len(indices)
+        lengths = self._length[indices]
+        for k in np.unique(lengths[lengths > 0]).tolist():
+            pos = np.flatnonzero(lengths == k)
+            rows = self._tables[k][1][self._row[indices[pos]]]
+            for p, items in zip(pos.tolist(), rows.tolist()):
+                out[p] = items
+        return out
 
     def indices_of(self, rows) -> np.ndarray:
         """Dense index of each itemset (ascending item ids) of an ``(n, k)`` array, or -1."""
@@ -130,7 +194,8 @@ class SubgroupCatalog:
         return None if j < 0 else j
 
     def supports(self) -> np.ndarray:
-        return np.array([sg.support for sg in self.subgroups])
+        """The support of each subgroup, in dense order (read-only)."""
+        return self._support
 
     def to_dict(self) -> dict:
         return {
@@ -139,24 +204,44 @@ class SubgroupCatalog:
             "min_support": self.config.min_support,
             "max_len": self.config.max_len,
             "subgroups": [
-                {"items": list(sg.item_ids), "support": sg.support, "count": sg.count}
-                for sg in self.subgroups
+                {"items": items, "support": s, "count": c}
+                for items, s, c in zip(
+                    self.items_of(np.arange(len(self))), self._support.tolist(), self._count.tolist()
+                )
             ],
         }
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "SubgroupCatalog":
         config = MiningConfig(min_support=float(d["min_support"]), max_len=int(d["max_len"]))
-        subgroups = [
-            Subgroup(
-                item_ids=tuple(int(i) for i in e["items"]),
-                support=float(e["support"]),
-                count=int(e["count"]),
-                index=idx,
-            )
-            for idx, e in enumerate(d["subgroups"])
-        ]
-        return cls(subgroups, int(d["n_items"]), config)
+        entries = d["subgroups"]
+        n = len(entries)
+        return cls.from_tables(
+            _length_tables([e["items"] for e in entries]),
+            np.fromiter((e["support"] for e in entries), dtype=np.float64, count=n),
+            np.fromiter((e["count"] for e in entries), dtype=np.int64, count=n),
+            int(d["n_items"]),
+            config,
+        )
+
+
+def _length_tables(itemsets: Sequence[Sequence[int]]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Itemsets in dense order as per-length ``(indices, items)`` tables, one
+    ``np.fromiter`` per length. Itemset 0 must be the global (empty) one, and
+    it alone."""
+    lengths = np.fromiter(map(len, itemsets), dtype=np.intp, count=len(itemsets))
+    if not len(lengths) or lengths[0]:
+        raise ValueError("subgroups[0] must be the global (empty) subgroup")
+    empty = np.flatnonzero(lengths == 0)
+    if len(empty) > 1:
+        raise ValueError(f"subgroup {empty[1]} repeats the global (empty) itemset")
+    tables = []
+    for k in np.unique(lengths[1:]).tolist():
+        idx = np.flatnonzero(lengths == k)
+        flat = chain.from_iterable(map(itemsets.__getitem__, idx.tolist()))
+        items = np.fromiter(flat, dtype=np.intp, count=k * len(idx)).reshape(-1, k)
+        tables.append((idx, items))
+    return tables
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
@@ -176,8 +261,32 @@ def _packed_rows(mask: np.ndarray) -> np.ndarray:
     return out
 
 
-def _popcount(packed: np.ndarray) -> int:
-    return int(np.bitwise_count(packed).sum())
+# Candidates counted per step: bounds the gathered bitmaps to CHUNK rows
+# (3 MB at 24k instances); larger steps used more memory and were no faster.
+CHUNK = 1024
+
+
+def _prefix_pairs(sets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every row pair ``a < b`` of a lexicographically sorted ``(n, m)``
+    array that agrees on the first m-1 columns, ordered by ``(a, b)``."""
+    n = len(sets)
+    starts = np.flatnonzero(
+        np.concatenate([[True], (sets[1:, :-1] != sets[:-1, :-1]).any(axis=1)])
+    )
+    bounds = np.append(starts, n)
+    ends = np.repeat(bounds[1:], np.diff(bounds))  # end of each row's group
+    partners = ends - np.arange(n) - 1
+    a = np.repeat(np.arange(n), partners)
+    b = a + 1 + np.arange(len(a)) - np.repeat(np.cumsum(partners) - partners, partners)
+    return a, b
+
+
+def _joined(bits: np.ndarray, parents: np.ndarray, item_bits: np.ndarray, items: np.ndarray):
+    """``(start, bits[parents] & item_bits[items])`` over CHUNK rows at a time."""
+    for lo in range(0, len(parents), CHUNK):
+        out = bits[parents[lo : lo + CHUNK]]
+        out &= item_bits[items[lo : lo + CHUNK]]
+        yield lo, out
 
 
 def mine_frequent(
@@ -187,65 +296,88 @@ def mine_frequent(
 ) -> SubgroupCatalog:
     """Mine all itemsets with support >= ``config.min_support`` exactly.
 
-    Level-wise Apriori: candidates of length k are joins of length-(k-1)
-    frequent itemsets sharing a prefix, pruned by the anti-monotonicity of
-    support, and counted by intersecting the packed item bitmaps of the
-    point matrix ``points`` (one row per item, as ``build_point_matrix``). When
+    Level-wise Apriori over arrays: the frequent (k-1)-itemsets are a
+    lexicographically sorted ``(n, k-1)`` array with their packed member
+    bitmaps; candidates of length k join two of them that share a prefix,
+    are pruned by the anti-monotonicity of support (one sorted search per
+    dropped position), and are counted by ANDing a parent bitmap with the
+    packed bitmap of the new item from the point matrix ``points`` (one row
+    per item, as ``build_point_matrix``) and popcounting. When
     ``item_attrs`` gives the attribute of each item, candidates combining two
     values of one attribute are excluded structurally (their support is zero
     by construction). Output ordering is lexicographic by item ids, with the
-    global subgroup first, regardless of any internal parallelism.
+    global subgroup first.
     """
     n_rows, n_items = points.shape
     if n_rows == 0:
         raise ValueError("cannot mine an empty point matrix")
     if item_attrs is not None and len(item_attrs) != n_items:
         raise ValueError("item_attrs length must equal the item count")
-
-    def frequent(count: int) -> bool:
-        return count / n_rows >= config.min_support
+    if item_attrs is None:
+        attr_ids = np.arange(n_items)
+    else:
+        codes: dict = {}
+        attr_ids = np.array([codes.setdefault(a, len(codes)) for a in item_attrs], dtype=np.intp)
 
     item_bits = points.bits.view(np.uint64)
-    frequent_sets: dict[tuple[int, ...], int] = {}
+    counts = np.bitwise_count(item_bits).sum(axis=1, dtype=np.int64)
+    keep = counts / n_rows >= config.min_support
+    sets = np.flatnonzero(keep)[:, None]
+    bits = item_bits[sets[:, 0]]
+    levels = [(sets, counts[keep])]
 
-    level: dict[tuple[int, ...], np.ndarray] = {}
-    for j in range(n_items):
-        c = _popcount(item_bits[j])
-        if frequent(c):
-            frequent_sets[(j,)] = c
-            level[(j,)] = item_bits[j]
+    for k in range(2, config.max_len + 1):
+        if not len(sets):
+            break
+        a, b = _prefix_pairs(sets)
+        differ = attr_ids[sets[a, -1]] != attr_ids[sets[b, -1]]
+        a, b = a[differ], b[differ]
+        cand = np.concatenate([sets[a], sets[b, -1:]], axis=1)
+        # dropping either of the last two items leaves a joined parent; every
+        # other (k-1)-subset must be frequent too
+        if k > 2 and len(cand):
+            keys = _row_keys(sets)
+            ok = np.ones(len(cand), dtype=bool)
+            for m in range(k - 2):
+                wanted = _row_keys(np.delete(cand, m, axis=1))
+                pos = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+                ok &= keys[pos] == wanted
+            a, cand = a[ok], cand[ok]
+        counts = np.empty(len(cand), dtype=np.int64)
+        for lo, joined in _joined(bits, a, item_bits, cand[:, -1]):
+            counts[lo : lo + len(joined)] = np.bitwise_count(joined).sum(axis=1, dtype=np.int64)
+        keep = counts / n_rows >= config.min_support
+        sets, a = cand[keep], a[keep]
+        levels.append((sets, counts[keep]))
+        if k < config.max_len:  # the last level's bitmaps are never joined
+            # ANDed again for the survivors only: keeping each chunk's
+            # survivors and concatenating them held the level twice
+            next_bits = np.empty((len(sets), bits.shape[1]), dtype=np.uint64)
+            for lo, joined in _joined(bits, a, item_bits, sets[:, -1]):
+                next_bits[lo : lo + len(joined)] = joined
+            bits = next_bits
+    return _catalog_of_levels(levels, n_rows, n_items, config)
 
-    k = 2
-    while level and k <= config.max_len:
-        prev_keys = sorted(level)
-        prev_set = set(prev_keys)
-        next_level: dict[tuple[int, ...], np.ndarray] = {}
-        # join step: two (k-1)-itemsets sharing their first k-2 items
-        for i, a in enumerate(prev_keys):
-            for b in prev_keys[i + 1 :]:
-                if a[:-1] != b[:-1]:
-                    break
-                if item_attrs is not None and item_attrs[a[-1]] == item_attrs[b[-1]]:
-                    continue
-                cand = a + (b[-1],)
-                if k > 2 and any(
-                    cand[:m] + cand[m + 1 :] not in prev_set for m in range(k - 2)
-                ):
-                    continue
-                bits = level[a] & item_bits[cand[-1]]
-                c = _popcount(bits)
-                if frequent(c):
-                    frequent_sets[cand] = c
-                    next_level[cand] = bits
-        level = next_level
-        k += 1
 
-    ordered = sorted(frequent_sets)
-    subgroups = [Subgroup(item_ids=(), support=1.0, count=n_rows, index=0)]
-    for idx, key in enumerate(ordered, start=1):
-        c = frequent_sets[key]
-        subgroups.append(Subgroup(item_ids=key, support=c / n_rows, count=c, index=idx))
-    return SubgroupCatalog(subgroups, n_items, config)
+def _catalog_of_levels(levels, n_rows: int, n_items: int, config: MiningConfig) -> SubgroupCatalog:
+    """The catalog of per-length ``(sorted itemsets, counts)`` pairs, in
+    dense order: lexicographic over all itemsets, the global subgroup first."""
+    levels = [(sets, c) for sets, c in levels if len(sets)]
+    total = sum(len(sets) for sets, _ in levels)
+    count = np.empty(total + 1, dtype=np.int64)
+    count[0] = n_rows
+    tables = []
+    if levels:
+        # pad with -1 so that a prefix sorts before its extensions
+        padded = np.full((total, levels[-1][0].shape[1]), -1, dtype=np.intp)
+        offsets = np.cumsum([0] + [len(sets) for sets, _ in levels])
+        for (sets, _), lo in zip(levels, offsets):
+            padded[lo : lo + len(sets), : sets.shape[1]] = sets
+        dense = np.empty(total, dtype=np.intp)
+        dense[np.lexsort(padded.T[::-1])] = np.arange(1, total + 1)
+        count[dense] = np.concatenate([c for _, c in levels])
+        tables = [(dense[lo : lo + len(sets)], sets) for (sets, _), lo in zip(levels, offsets)]
+    return SubgroupCatalog.from_tables(tables, count / n_rows, count, n_items, config)
 
 
 def brute_force_frequent(

@@ -299,3 +299,110 @@ def test_from_dict_accepts_edge_at_lo_and_single_value_bin():
     clone = ItemCatalog.from_dict(json.loads(json.dumps(cat.to_dict())))
     for rec in records:
         assert clone.encode(rec) == cat.encode(rec)
+
+
+def _rowwise_build_catalog(records, binning_config=None, default_bins=4):
+    """Reference: the record-at-a-time builder that the column-wise one
+    replaced (it took NaN as a value; the inputs here have none)."""
+    from driftscope.catalog import _Discretizer
+
+    def is_numeric(values):
+        for v in values:
+            if isinstance(v, (int, float)):
+                continue
+            try:
+                float(str(v))
+            except (TypeError, ValueError):
+                return False
+        return True
+
+    def quantile_edges(values, bins):
+        srt = sorted(values)
+        edges = []
+        for k in range(1, bins):
+            e = float(srt[(len(srt) - 1) * k // bins])
+            if (not edges or e > edges[-1]) and e < srt[-1]:
+                edges.append(e)
+        return tuple(edges)
+
+    def present(rec, a):
+        v = rec.get(a)
+        return v not in MISSING_VALUES and not (isinstance(v, str) and v.strip() in MISSING_VALUES)
+
+    binning_config = dict(binning_config or {})
+    attrs = []
+    for rec in records:
+        attrs += [a for a in rec if a not in attrs and a not in RESERVED_COLUMNS]
+    discretizers, observed = {}, {}
+    for a in attrs:
+        vals = observed[a] = [rec[a] for rec in records if present(rec, a)]
+        if not vals:
+            raise DataError(f"attribute {a!r} has no non-missing values")
+        cfg = binning_config.get(a)
+        if cfg is None:
+            cfg = "quantile" if is_numeric(vals) else "categorical"
+        if cfg == "categorical":
+            discretizers[a] = _Discretizer(kind="categorical")
+            continue
+        bins = default_bins if cfg == "quantile" else int(cfg[1])
+        nums = [float(str(v)) for v in vals]
+        discretizers[a] = _Discretizer(
+            kind="quantile", bins=bins, edges=quantile_edges(nums, bins), lo=min(nums), hi=max(nums)
+        )
+    items = []
+    for a in attrs:
+        disc = discretizers[a]
+        values = disc.labels() if disc.kind == "quantile" else sorted({str(v).strip() for v in observed[a]})
+        items += [Item(a, v, len(items) + i) for i, v in enumerate(values)]
+    return ItemCatalog(items, discretizers)
+
+
+def test_column_builder_matches_rowwise_builder_on_random_columns():
+    rng = random.Random(31)
+    numbers = [0.0, -0.0, 1.0, 2.5, -3.0, 7.0, 1e-300, math.inf, -math.inf, 12, -4, 10**20]
+    texts = ["1e3", " 2.5 ", "1_000", "-0", "+3", "0.0", " -0.0 ", "inf", "-Infinity", "4"]
+    missing = ["", "?", "NA", "N/A", None, " ? ", "  "]
+    words = ["x", " x ", "y", "Zed", "12", " 3 ", "a b", "x,y"]
+    for trial in range(150):
+        n = rng.randint(1, 40)
+        pools = {
+            "num": numbers + texts,
+            "few": rng.sample(numbers, 2),
+            "tie": [rng.choice([0.0, -0.0]) for _ in range(3)] + [5.0],
+            "cat": words,
+            "mixed": numbers[:4] + ["x"],
+            "forced": numbers + texts,
+        }
+        records = []
+        for _ in range(n):
+            rec = {}
+            for attr, pool in pools.items():
+                r = rng.random()
+                if r < 0.1:
+                    continue  # attribute absent from this record
+                rec[attr] = rng.choice(missing) if r < 0.25 else rng.choice(pool)
+            rec["y"] = rng.randint(0, 1)
+            records.append(rec)
+        binning = {"forced": rng.choice(["categorical", ("quantile", rng.randint(1, 6))])}
+        bins = rng.randint(1, 6)
+        try:
+            expected = _rowwise_build_catalog(records, binning, bins).to_dict()
+        except DataError as exc:
+            with pytest.raises(DataError, match=str(exc).split()[1]):
+                build_catalog(records, binning, bins)
+            continue
+        assert build_catalog(records, binning, bins).to_dict() == expected, trial
+
+
+@pytest.mark.parametrize("nan", ["nan", "NaN", " nan ", float("nan")])
+def test_nan_is_missing_in_a_numeric_reference_column(nan):
+    values = [float(v) for v in range(1, 41)]
+    first = build_catalog([{"age": nan}] + [{"age": v} for v in values])
+    middle = build_catalog([{"age": v} for v in values[:20]] + [{"age": nan}] + [{"age": v} for v in values[20:]])
+    without = build_catalog([{"age": v} for v in values])
+    assert first.to_dict() == middle.to_dict() == without.to_dict()
+    disc = first.discretizers["age"]
+    assert (disc.lo, disc.hi) == (1.0, 40.0)
+    assert first.encode({"age": nan}) == ()
+    with pytest.raises(DataError, match="'age' has no non-missing values"):
+        build_catalog([{"age": nan, "g": "m"}, {"age": "?", "g": "f"}])

@@ -252,6 +252,23 @@ def _edit_artifact(path, edit):
     path.write_text(json.dumps(artifact))
 
 
+def test_nan_in_a_numeric_reference_column_is_missing(tmp_path):
+    src = tmp_path / "data.csv"
+    write_sample_csv(src, n=200)
+    lines = src.read_text().splitlines()
+    color, _, y, y_hat = lines[1].split(",")
+    lines[1] = ",".join([color, "nan", y, y_hat])
+    src.write_text("\n".join(lines) + "\n")
+    catalog_path = tmp_path / "catalog.json"
+    assert run_cli("mine", "--input", src, "--min-support", "0.1", "--out", catalog_path) == 0
+    size = json.loads(catalog_path.read_text())["item_catalog"]["discretizers"]["size"]
+    assert all(np.isfinite(float(b)) for b in [size["lo"], *size["edges"], size["hi"]])
+    assert run_cli(
+        "monitor", "--catalog", catalog_path, "--input", src,
+        "--batch-size", "100", "--out", tmp_path / "reports",
+    ) == 0
+
+
 def test_out_of_range_catalog_item_exits_two(tmp_path, caplog):
     src = tmp_path / "data.csv"
     write_sample_csv(src, n=200)

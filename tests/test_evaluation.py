@@ -210,6 +210,35 @@ class TestColumnFastPath:
         records = [{k: v for k, v in rows[i].items() if k != "y"} for i in idx]
         via_records = build_catalog(records, default_bins=4)
         assert [it.label for it in via_cols.items] == [it.label for it in via_records.items]
+        categorical = {a: "categorical" for a in cols.codes}
+        for sl in (idx, np.arange(0, 400, 7)[::-1], np.array([3])):
+            assert cols.build_catalog(sl, bins=3).to_dict() == build_catalog(
+                cols.records(sl), binning_config=categorical, default_bins=3
+            ).to_dict()
+
+    def test_factorized_strings_equal_np_unique(self, rows):
+        cols = ColumnData(rows, categorical=frozenset({"num", "low"}))
+        for a in ("num", "cat", "low"):
+            strings = np.array(
+                ["" if rows[i][a] in ("?", None) else str(rows[i][a]).strip() for i in range(len(rows))],
+                dtype=object,
+            )
+            uniques, codes = np.unique(strings, return_inverse=True)
+            assert cols.uniques[a].tolist() == uniques.tolist()
+            assert np.array_equal(cols.codes[a], codes)
+
+    def test_catalog_keeps_attribute_types_of_the_full_data(self):
+        # "code" is categorical over the full data because of one value
+        # outside the training slice; inside the slice every value is numeric
+        data = [{"code": str(10 + i % 5), "g": "ab"[i % 2], "y": i % 2} for i in range(40)]
+        data[39]["code"] = "n/a-code"
+        cols = ColumnData(data)
+        train = np.arange(30)
+        catalog = cols.build_catalog(train, bins=4)
+        assert catalog.discretizers["code"].kind == "categorical"
+        assert [it.value for it in catalog.items if it.attribute == "code"] == ["10", "11", "12", "13", "14"]
+        P = cols.point_matrix(np.arange(40), catalog).toarray()
+        assert P[:39].sum(axis=1).tolist() == [2] * 39 and P[39].sum() == 1
 
     def test_array_flips_match_record_injection(self, rows):
         cols = ColumnData(rows)

@@ -175,3 +175,105 @@ def test_length_tables_cover_each_subgroup_once():
         for j, row in zip(idx.tolist(), items.tolist()):
             seen[j] = tuple(row)
     assert seen == {sg.index: sg.item_ids for sg in cat.subgroups[1:]}
+
+
+def _loop_mine(points, config, item_attrs=None):
+    """Reference: the itemset-at-a-time Apriori over tuple-keyed dicts that
+    the array miner replaced, as ``{itemset: count}``."""
+    n_rows, n_items = points.shape
+    item_bits = points.bits.view(np.uint64)
+    found = {}
+    level = {}
+    for j in range(n_items):
+        c = int(np.bitwise_count(item_bits[j]).sum())
+        if c / n_rows >= config.min_support:
+            found[(j,)] = c
+            level[(j,)] = item_bits[j]
+    k = 2
+    while level and k <= config.max_len:
+        prev_keys = sorted(level)
+        prev_set = set(prev_keys)
+        next_level = {}
+        for i, a in enumerate(prev_keys):
+            for b in prev_keys[i + 1 :]:
+                if a[:-1] != b[:-1]:
+                    break
+                if item_attrs is not None and item_attrs[a[-1]] == item_attrs[b[-1]]:
+                    continue
+                cand = a + (b[-1],)
+                if any(cand[:m] + cand[m + 1 :] not in prev_set for m in range(k - 2)):
+                    continue
+                bits = level[a] & item_bits[cand[-1]]
+                c = int(np.bitwise_count(bits).sum())
+                if c / n_rows >= config.min_support:
+                    found[cand] = c
+                    next_level[cand] = bits
+        level = next_level
+        k += 1
+    return found
+
+
+def _random_points(rng, n_rows, n_items, density):
+    tx = [tuple(np.flatnonzero(rng.random(n_items) < density).tolist()) for _ in range(n_rows)]
+    return tx, build_point_matrix(tx, n_items)
+
+
+def _check_against_loop(points, config, item_attrs=None):
+    cat = mine_frequent(points, config, item_attrs=item_attrs)
+    expected = _loop_mine(points, config, item_attrs)
+    n_rows = points.shape[0]
+    assert [sg.item_ids for sg in cat.subgroups] == [()] + sorted(expected)
+    assert [sg.count for sg in cat.subgroups] == [n_rows] + [expected[s] for s in sorted(expected)]
+    assert [sg.support for sg in cat.subgroups] == [1.0] + [expected[s] / n_rows for s in sorted(expected)]
+    assert [sg.index for sg in cat.subgroups] == list(range(len(cat)))
+    return cat
+
+
+def test_array_miner_matches_loop_miner_on_random_matrices():
+    rng = np.random.default_rng(2024)
+    for trial in range(40):
+        n_items = int(rng.integers(1, 24))
+        n_rows = int(rng.integers(1, 300))
+        _, P = _random_points(rng, n_rows, n_items, rng.uniform(0.1, 0.7))
+        attrs = None if trial % 2 else [f"a{i}" for i in rng.integers(0, max(1, n_items // 2), n_items)]
+        config = MiningConfig(min_support=float(rng.choice([0.02, 0.05, 0.1, 0.3])),
+                              max_len=int(rng.integers(1, 5)))
+        _check_against_loop(P, config, attrs)
+
+
+def test_array_miner_edge_cases_match_loop_miner():
+    rng = np.random.default_rng(5)
+    # a count exactly at min_support * n is frequent: 3 of 20 rows at 0.15
+    tx = [(0, 1, 2)] * 3 + [(0,), (1,), (2,)] * 5 + [()] * 2
+    cat = _check_against_loop(build_point_matrix(tx, 3), MiningConfig(0.15, 3))
+    assert cat.index_of((0, 1, 2)) is not None
+    assert _check_against_loop(build_point_matrix(tx, 3), MiningConfig(0.16, 3)).index_of((0, 1)) is None
+    # no frequent item: only the global subgroup
+    _, P = _random_points(rng, 50, 6, 0.05)
+    cat = _check_against_loop(P, MiningConfig(0.9, 4))
+    assert len(cat) == 1 and cat.length_tables == ()
+    # one row: every subset of its items up to max_len
+    cat = _check_against_loop(build_point_matrix([(1, 3, 4, 6)], 8), MiningConfig(1.0, 4))
+    assert len(cat) == 16
+    # chunk boundaries: more than one chunk of candidates per level
+    _, P = _random_points(rng, 64, 60, 0.6)
+    _check_against_loop(P, MiningConfig(0.2, 3), [f"a{i // 3}" for i in range(60)])
+
+
+def test_catalog_round_trip_keeps_tables_supports_and_counts():
+    rng = np.random.default_rng(17)
+    _, P = _random_points(rng, 200, 12, 0.4)
+    cat = mine_frequent(P, MiningConfig(0.05, 4))
+    clone = SubgroupCatalog.from_dict(json.loads(json.dumps(cat.to_dict())))
+    assert clone.to_dict() == cat.to_dict()
+    assert len(clone.length_tables) == len(cat.length_tables)
+    for (i1, t1), (i2, t2) in zip(clone.length_tables, cat.length_tables):
+        assert np.array_equal(i1, i2) and np.array_equal(t1, t2)
+    assert np.array_equal(clone.supports(), cat.supports())
+    assert [sg.count for sg in clone.subgroups] == [sg.count for sg in cat.subgroups]
+    # the object constructor agrees with the array one, and one subgroup read
+    # from the tables equals the one of the full list
+    rebuilt = SubgroupCatalog(cat.subgroups, cat.n_items, cat.config)
+    assert rebuilt.to_dict() == cat.to_dict()
+    fresh = SubgroupCatalog.from_dict(cat.to_dict())
+    assert [fresh.subgroup(j) for j in range(len(fresh))] == list(cat.subgroups)
