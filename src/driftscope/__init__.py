@@ -9,11 +9,13 @@ item-attributed drift reports.
 __version__ = "0.1.0"
 
 from .catalog import (
+    ColumnData,
     DataError,
     Item,
     ItemCatalog,
     MetricSpec,
     build_catalog,
+    read_columns,
     read_rows,
 )
 from .mining import MiningConfig, Subgroup, SubgroupCatalog, mine_frequent
@@ -69,11 +71,13 @@ from .evaluation import (
 
 __all__ = [
     "__version__",
+    "ColumnData",
     "DataError",
     "Item",
     "ItemCatalog",
     "MetricSpec",
     "build_catalog",
+    "read_columns",
     "read_rows",
     "MiningConfig",
     "Subgroup",

@@ -5,6 +5,10 @@ categorical attributes pass their values through, continuous attributes are
 discretized into equal-frequency bins whose edges are computed from the
 reference data and frozen. Encoding is deterministic for the lifetime of the
 catalog, which makes item ids stable across the whole monitoring run.
+
+Reference data is read once into typed columns (:class:`ColumnData`): each
+raw column is factorized, values are parsed per distinct value, and catalogs
+and point matrices come from array lookups over the codes.
 """
 
 from __future__ import annotations
@@ -15,19 +19,26 @@ import math
 import os
 import tempfile
 from bisect import bisect_left
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from .mining import _packed_rows
+from .sgmetrics import Membership
+
 __all__ = [
+    "ColumnData",
     "DataError",
     "Item",
     "ItemCatalog",
     "MetricSpec",
     "build_catalog",
+    "read_columns",
     "read_rows",
     "atomic_open",
 ]
@@ -278,44 +289,10 @@ def build_catalog(
     """
     if not records:
         raise ValueError("cannot build a catalog from zero records")
-    binning_config = dict(binning_config or {})
-
-    attrs: list[str] = []
-    seen = set()
-    for rec in records:
-        for a in rec:
-            if a not in seen and a not in RESERVED_COLUMNS:
-                seen.add(a)
-                attrs.append(a)
-
-    def columns() -> Iterator[tuple[str, int | None, object]]:
-        for a in attrs:
-            vals = [
-                v
-                for v in (rec.get(a) for rec in records)
-                if not (v in MISSING_VALUES or (isinstance(v, str) and v.strip() in MISSING_VALUES))
-            ]
-            cfg = binning_config.get(a)
-            if cfg is None:
-                try:
-                    yield a, default_bins, np.array([float(str(v)) for v in vals], dtype=np.float64)
-                except (TypeError, ValueError):
-                    yield a, None, sorted({str(v).strip() for v in vals})
-                continue
-            if cfg == "categorical":
-                yield a, None, sorted({str(v).strip() for v in vals})
-                continue
-            if cfg == "quantile":
-                bins = default_bins
-            elif isinstance(cfg, (tuple, list)) and len(cfg) == 2 and cfg[0] == "quantile":
-                bins = int(cfg[1])
-            else:
-                raise ValueError(f"unknown binning rule {cfg!r} for attribute {a!r}")
-            if bins < 1:
-                raise ValueError(f"bin count must be >= 1 for attribute {a!r}")
-            yield a, bins, np.array([float(str(v)) for v in vals], dtype=np.float64)
-
-    return _catalog_of_columns(columns())
+    binning = dict(binning_config or {})
+    categorical = frozenset(a for a, rule in binning.items() if rule == "categorical")
+    table = ColumnData.from_columns(_rows_to_columns(records), categorical=categorical)
+    return table.build_catalog(np.arange(table.n), default_bins, binning)
 
 
 def _catalog_of_columns(columns: Iterable[tuple[str, int | None, object]]) -> ItemCatalog:
@@ -339,6 +316,188 @@ def _catalog_of_columns(columns: Iterable[tuple[str, int | None, object]]) -> It
             labels = discretizers[a].labels()
         items += [Item(a, v, i) for i, v in enumerate(labels, start=len(items))]
     return ItemCatalog(items, discretizers)
+
+
+def _rows_to_columns(rows: Sequence[Mapping[str, object]]) -> dict[str, list]:
+    """The columns of ``rows``: keys in first-seen order, None where a row
+    lacks one."""
+    return {k: [r.get(k) for r in rows] for k in dict.fromkeys(chain.from_iterable(rows))}
+
+
+# Types whose equal values have equal text, so a column of only these can be
+# keyed by its values; other numbers cannot (1, 1.0 and True, or 0.0 and
+# -0.0, are one dict key).
+_TEXT_EXACT = frozenset({str, int, type(None)})
+
+
+def _factorize(values: Sequence) -> tuple[np.ndarray, list]:
+    """Codes of ``values`` into their distinct values in first-seen order,
+    and the text (None for None) of each distinct value, as the catalog
+    reads it. Columns with values of other types are keyed by text."""
+    if not _TEXT_EXACT.issuperset(map(type, values)):
+        values = [v if v is None or isinstance(v, str) else str(v) for v in values]
+    distinct = dict.fromkeys(values)
+    for i, v in enumerate(distinct):
+        distinct[v] = i
+    codes = np.fromiter(map(distinct.__getitem__, values), dtype=np.intp, count=len(values))
+    return codes, [v if v is None or isinstance(v, str) else str(v) for v in distinct]
+
+
+def _floats(texts: Sequence[str]) -> np.ndarray | None:
+    """``texts`` as floats, NaN for "" (missing); None unless every one parses."""
+    try:
+        return np.array([math.nan if t == "" else float(t) for t in texts], dtype=np.float64)
+    except ValueError:
+        return None
+
+
+class ColumnData:
+    """A table as typed columns: the one ingest path from raw values to
+    catalogs and point matrices.
+
+    An attribute is numeric when every non-missing value parses as a float
+    and it is not listed in ``categorical``; its column in ``numeric`` is a
+    float array with NaN for missing. Every other attribute is factorized:
+    ``codes`` index its sorted distinct stripped strings ``uniques``, where
+    "" stands for missing. Types are fixed from the whole table, whatever
+    rows a catalog is built from. Values are stripped, tested for missing
+    and parsed once per distinct value. ``y`` is the int label column, or
+    None. Outcome and stream-structure columns are never attributes.
+
+    ``ColumnData(rows)`` takes dict rows (keys in first-seen order, ``y``
+    from a "y" key); :meth:`from_columns` takes the columns of a file.
+    """
+
+    def __init__(self, rows: Sequence[Mapping[str, object]], categorical: frozenset[str] = frozenset()):
+        if not rows:
+            raise ValueError("no rows")
+        columns = _rows_to_columns(rows)
+        label = columns.get("y")
+        y = None if label is None else np.fromiter(map(int, label), dtype=np.int64, count=len(label))
+        self._fill(columns, categorical, y)
+
+    @classmethod
+    def from_columns(
+        cls,
+        columns: Mapping[str, Sequence],
+        categorical: frozenset[str] = frozenset(),
+        y: np.ndarray | None = None,
+    ) -> "ColumnData":
+        """The table of raw ``columns`` (attribute -> values in row order, all
+        of one length), as :func:`read_columns` returns them."""
+        table = cls.__new__(cls)
+        table._fill(columns, categorical, y)
+        return table
+
+    def _fill(self, columns: Mapping[str, Sequence], categorical: frozenset[str], y: np.ndarray | None) -> None:
+        self.n = len(next(iter(columns.values()), ()))
+        self.y = y
+        self.attrs = [a for a in columns if a not in RESERVED_COLUMNS]
+        self.numeric: dict[str, np.ndarray] = {}
+        self.codes: dict[str, np.ndarray] = {}
+        self.uniques: dict[str, np.ndarray] = {}
+        for a in self.attrs:
+            codes, distinct = _factorize(columns[a])
+            text = ["" if t is None else t.strip() for t in distinct]
+            text = ["" if t in MISSING_VALUES else t for t in text]
+            numbers = None if a in categorical else _floats(text)
+            if numbers is not None:
+                self.numeric[a] = numbers[codes]
+                continue
+            uniques = sorted(set(text))
+            position = {u: i for i, u in enumerate(uniques)}
+            self.uniques[a] = np.array(uniques, dtype=object)
+            self.codes[a] = np.array([position[t] for t in text], dtype=np.intp)[codes]
+
+    def feature_matrix(self) -> np.ndarray:
+        """Numeric design matrix for the tree: raw numbers, ordinal codes."""
+        X = np.zeros((self.n, len(self.attrs)))
+        for j, a in enumerate(self.attrs):
+            if a in self.numeric:
+                col = self.numeric[a]
+                X[:, j] = np.where(np.isnan(col), -1.0, col)
+            else:
+                X[:, j] = self.codes[a]
+        return X
+
+    def records(self, idx: np.ndarray) -> list[dict]:
+        out = []
+        for i in idx:
+            rec: dict = {}
+            for a in self.attrs:
+                if a in self.numeric:
+                    v = self.numeric[a][i]
+                    rec[a] = None if np.isnan(v) else float(v)
+                else:
+                    s = str(self.uniques[a][self.codes[a][i]])
+                    rec[a] = None if s == "" else s
+            if self.y is not None:
+                rec["y"] = int(self.y[i])
+            out.append(rec)
+        return out
+
+    def build_catalog(
+        self, train_idx: np.ndarray, bins: int = 4, binning: Mapping[str, object] | None = None
+    ) -> ItemCatalog:
+        """Catalog from the rows ``train_idx``, with the attribute types fixed
+        from the whole table. ``binning`` maps attributes to ``"quantile"``
+        (``bins`` bins) or ``("quantile", k)``; a ``"categorical"`` one must
+        also have been given to the table. Unlisted numeric attributes get
+        ``bins`` bins. Without ``binning``, equal to
+        ``build_catalog(self.records(train_idx), binning_config={a:
+        "categorical" for a in self.codes}, default_bins=bins)`` (covered by
+        an equivalence test)."""
+        binning = binning or {}
+
+        def columns():
+            for a in self.attrs:
+                rule = binning.get(a)
+                if rule is None:
+                    k = bins if a in self.numeric else None
+                elif rule == "categorical":
+                    if a in self.numeric:
+                        raise ValueError(f"attribute {a!r} is numeric in this table, not categorical")
+                    k = None
+                elif rule == "quantile":
+                    k = bins
+                elif isinstance(rule, (tuple, list)) and len(rule) == 2 and rule[0] == "quantile":
+                    k = int(rule[1])
+                else:
+                    raise ValueError(f"unknown binning rule {rule!r} for attribute {a!r}")
+                if k is None:
+                    present = self.uniques[a][np.unique(self.codes[a][train_idx])]
+                    yield a, None, [s for s in present.tolist() if s]
+                    continue
+                if rule is not None and k < 1:
+                    raise ValueError(f"bin count must be >= 1 for attribute {a!r}")
+                if a not in self.numeric:
+                    raise ValueError(f"attribute {a!r} has non-numeric values, so no quantile bins")
+                yield a, k, self.numeric[a][train_idx]
+
+        return _catalog_of_columns(columns())
+
+    def point_matrix(self, idx: np.ndarray, catalog: ItemCatalog) -> Membership:
+        """Point matrix (packed item bitmaps) of the selected rows, vectorized
+        over the catalog's own per-attribute lookup, as ``encode`` uses it."""
+        n = len(idx)
+        # one bool row per item, plus a last row that collects the id -1 of
+        # values outside the catalog and is dropped before packing
+        mask = np.zeros((catalog.n_items + 1, n), dtype=bool)
+        instances = np.arange(n)
+        for attr, encoder in catalog._encoders.items():
+            if isinstance(encoder, dict):
+                trans = np.array(
+                    [encoder.get(str(u), -1) for u in self.uniques[attr]], dtype=np.int64
+                )
+                ids = trans[self.codes[attr][idx]]
+            else:
+                lo, hi, edges, bin_ids = encoder
+                bin_ids = np.array([-1 if i is None else i for i in bin_ids], dtype=np.int64)
+                x = self.numeric[attr][idx]
+                binned = bin_ids[np.searchsorted(edges, x, side="left")]
+                ids = np.where(~np.isnan(x) & (x >= lo) & (x <= hi), binned, -1)
+            mask[ids, instances] = True
+        return Membership(bits=_packed_rows(mask[:-1]), n_instances=n)
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +547,10 @@ class MetricSpec:
 
 
 def read_rows(path: str | Path) -> Iterator[dict[str, object]]:
-    """Stream rows from a CSV (RFC 4180, header row) or JSONL file."""
+    """Stream rows from a CSV (RFC 4180, header row) or JSONL file.
+
+    A CSV header that names a column twice is a :class:`DataError`.
+    """
     path = Path(path)
     if path.suffix.lower() in {".jsonl", ".ndjson"}:
         with open(path, encoding="utf-8") as fh:
@@ -408,10 +570,45 @@ def read_rows(path: str | Path) -> Iterator[dict[str, object]]:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None:
                 raise DataError(f"{path}: empty file, expected a header row")
+            _check_header(path, reader.fieldnames)
             for i, row in enumerate(reader, start=1):
                 if None in row:
                     raise DataError(f"row {i}: more fields than header columns")
                 yield row
+
+
+def read_columns(path: str | Path) -> dict[str, Sequence]:
+    """Read a CSV or JSONL file at once into columns: each attribute's raw
+    values in row order.
+
+    The rows, values and errors are those of :func:`read_rows`: blank lines
+    are skipped, and a cell that a short CSV row or a JSONL object lacks is
+    None. JSONL attributes are the union of the objects' keys, in
+    first-seen order.
+    """
+    path = Path(path)
+    if path.suffix.lower() in {".jsonl", ".ndjson"}:
+        return _rows_to_columns(list(read_rows(path)))
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise DataError(f"{path}: empty file, expected a header row")
+        _check_header(path, header)
+        rows = [row for row in reader if row]
+    width = len(header)
+    if rows and not min(map(len, rows)) == max(map(len, rows)) == width:
+        for i, row in enumerate(rows, start=1):
+            if len(row) > width:
+                raise DataError(f"row {i}: more fields than header columns")
+            row += [None] * (width - len(row))
+    return dict(zip(header, zip(*rows))) if rows else {name: () for name in header}
+
+
+def _check_header(path: Path, names: Sequence[str]) -> None:
+    repeated = [name for name, count in Counter(names).items() if count > 1]
+    if repeated:
+        raise DataError(f"{path}: column name(s) repeated in the header: {', '.join(map(repr, repeated))}")
 
 
 @contextmanager

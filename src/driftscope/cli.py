@@ -22,16 +22,17 @@ import scipy
 from . import __version__
 from .baselines import DETECTOR_KINDS, make_detector
 from .catalog import (
+    ColumnData,
     DataError,
     ItemCatalog,
     MetricSpec,
     atomic_open,
-    build_catalog,
+    build_catalog,  # not called here; perfbench/instrument.py traces cli.build_catalog
+    read_columns,
     read_rows,
 )
 from .detector import MonitorState, WindowConfig, score_windows, step
 from .evaluation import (
-    ColumnData,
     run_concept_suite,
     run_injection_suite,
     summarize_suite,
@@ -122,9 +123,6 @@ def _cmd_mine(args) -> int:
     if args.min_support is None:
         print("driftscope mine: error: --min-support is required", file=sys.stderr)
         return 1
-    rows = list(read_rows(args.input))
-    if not rows:
-        raise DataError(f"{args.input}: no data rows")
     binning = {}
     for spec in args.binning or []:
         attr, _, rule = spec.partition("=")
@@ -136,11 +134,14 @@ def _cmd_mine(args) -> int:
             binning[attr] = ("quantile", int(rule.split(":", 1)[1]))
         else:
             raise DataError(f"unknown binning rule {rule!r}")
-    catalog = build_catalog(rows, binning_config=binning, default_bins=args.bins)
-    ids = [catalog.encode(r) for r in rows]
-    P = build_point_matrix(ids, catalog.n_items)
+    categorical = frozenset(a for a, rule in binning.items() if rule == "categorical")
+    table = ColumnData.from_columns(read_columns(args.input), categorical=categorical)
+    if not table.n:
+        raise DataError(f"{args.input}: no data rows")
+    every_row = np.arange(table.n)
+    catalog = table.build_catalog(every_row, args.bins, binning)
     sgcat = mine_frequent(
-        P,
+        table.point_matrix(every_row, catalog),
         MiningConfig(min_support=args.min_support, max_len=args.max_len),
         item_attrs=catalog.item_attributes(),
     )
@@ -149,7 +150,7 @@ def _cmd_mine(args) -> int:
     # compact, so that json's C encoder writes it (indent forces the Python one)
     _atomic_write(out, json.dumps(artifact, sort_keys=True, separators=(",", ":")) + "\n")
     _write_manifest(out, args)
-    log.info("mined %d subgroups over %d items from %d rows", len(sgcat), catalog.n_items, len(rows))
+    log.info("mined %d subgroups over %d items from %d rows", len(sgcat), catalog.n_items, table.n)
     return 0
 
 
@@ -379,14 +380,14 @@ def _cmd_eval(args) -> int:
     threads = args.threads or int(os.environ.get("DRIFTSCOPE_THREADS", "1"))
     out_rows = []
     if args.suite in ("inject", "adult-inject"):
-        rows, source = resolve_tabular(args.data, n=args.rows)
-        log.info("injection suite on %s (%d rows)", source, len(rows))
+        cols, source = resolve_tabular(args.data, n=args.rows)
+        log.info("injection suite on %s (%d rows)", source, cols.n)
         supports = [float(s) for s in args.supports.split(",")] if args.supports else [0.01, 0.05]
         methods = ["driftscope"] + (args.baselines.split(",") if args.baselines else ["ddm"])
         for k, support in enumerate(supports):
             # targets drawn from a narrow band around each requested support
             results, _ = run_injection_suite(
-                rows,
+                cols,
                 n_positive=args.n_exp,
                 n_negative=args.n_exp,
                 seed=args.seed + k,
@@ -419,8 +420,7 @@ def _cmd_eval(args) -> int:
             row["dataset"] = args.suite
             out_rows.append(row)
     elif args.suite == "timing":
-        rows, source = resolve_tabular(args.data, n=args.rows)
-        cols = ColumnData(rows)
+        cols, source = resolve_tabular(args.data, n=args.rows)
         rng = np.random.default_rng(args.seed)
         perm = rng.permutation(cols.n)
         train_idx, test_idx = perm[: cols.n // 2], perm[cols.n // 2 :]

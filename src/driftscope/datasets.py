@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .catalog import read_rows
+from .catalog import MISSING_VALUES, ColumnData, read_columns
 
 __all__ = ["load_adult", "census_sample", "resolve_tabular", "ADULT_COLUMNS"]
 
@@ -42,59 +42,66 @@ NUMERIC_COLUMNS = frozenset(
 )
 
 
-def load_adult(path: str | Path) -> list[dict]:
+_LABEL_COLUMNS = frozenset({"income", "class", "label", "y", "target", "salary"})
+
+
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def load_adult(path: str | Path) -> ColumnData:
     """Load the Adult dataset from a CSV file (with or without a header).
 
     Handles the classic ``adult.data`` layout (15 comma-separated fields, no
-    header) as well as headered exports; hyphens in column names are
-    normalized to underscores and the income column becomes ``y`` (1 for
-    >50K). Rows keep ``?`` entries; the catalog treats them as missing.
+    header; lines of another width are skipped) as well as headered exports.
+    A file has a header when its first field is neither a number nor a
+    missing-value token, as the age column of ``adult.data`` always is.
+    Hyphens in column names are normalized to underscores and the income
+    column becomes the label ``y`` (1 for >50K). ``?`` entries are missing.
     """
     path = Path(path)
     with open(path, encoding="utf-8") as fh:
-        first = fh.readline()
-    has_header = "age" in first.lower()
+        first = fh.readline().strip()
+    first_field = first.split(",", 1)[0].strip()
+    has_header = not (first.startswith("|") or first_field in MISSING_VALUES or _is_number(first_field))
 
-    def norm_label(v: str) -> int:
-        v = v.strip().rstrip(".")
+    def norm_label(v) -> int:
+        v = str(v).strip().rstrip(".")
         if v in (">50K", "1"):
             return 1
         if v in ("<=50K", "0"):
             return 0
         raise ValueError(f"unrecognized income label {v!r}")
 
-    rows: list[dict] = []
-    if has_header:
-        for row in read_rows(path):
-            rec: dict = {}
-            label = None
-            for k, v in row.items():
-                key = str(k).strip().lower().replace("-", "_")
-                sval = str(v).strip()
-                if key in ("income", "class", "label", "y", "target", "salary"):
-                    label = norm_label(sval)
-                else:
-                    rec[key] = sval
-            if label is None:
-                raise ValueError("no income/label column found in header")
-            rec["y"] = label
-            rows.append(rec)
-        return rows
+    def labels(values) -> np.ndarray:
+        y = {v: norm_label(v) for v in dict.fromkeys(values)}
+        return np.fromiter(map(y.__getitem__, values), dtype=np.int64, count=len(values))
 
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("|"):
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            if len(parts) != len(ADULT_COLUMNS) + 1:
-                continue
-            rec = dict(zip(ADULT_COLUMNS, parts))
-            rec["y"] = norm_label(parts[-1])
-            rows.append(rec)
-    if not rows:
+    if has_header:
+        columns: dict = {}
+        label = None
+        for name, values in read_columns(path).items():
+            key = str(name).strip().lower().replace("-", "_")
+            if key in _LABEL_COLUMNS:
+                label = values
+            else:
+                columns[key] = values
+        if label is None:
+            raise ValueError("no income/label column found in header")
+    else:
+        width = len(ADULT_COLUMNS) + 1
+        with open(path, encoding="utf-8") as fh:
+            lines = [line.split(",") for line in map(str.strip, fh) if line and not line.startswith("|")]
+        rows = [parts for parts in lines if len(parts) == width]
+        *attributes, label = zip(*rows) if rows else [()] * width
+        columns = dict(zip(ADULT_COLUMNS, attributes))
+    if not len(label):
         raise ValueError(f"no data rows parsed from {path}")
-    return rows
+    return ColumnData.from_columns(columns, y=labels(label))
 
 
 # Value tables for the synthetic census sample: (value, sampling weight).
@@ -244,16 +251,16 @@ def census_sample(n: int = 48842, seed: int = 0) -> list[dict]:
     return rows
 
 
-def resolve_tabular(source: str | None = None, n: int = 48842, seed: int = 0) -> tuple[list[dict], str]:
+def resolve_tabular(source: str | None = None, n: int = 48842, seed: int = 0) -> tuple[ColumnData, str]:
     """Resolve an injection-suite dataset.
 
     ``source`` may be a file path, "surrogate", or None (try the
     DRIFTSCOPE_ADULT environment variable, then fall back to the surrogate).
-    Returns (rows, name) where name identifies what was actually loaded.
+    Returns (table, name) where name identifies what was actually loaded.
     """
     if source not in (None, "surrogate"):
         return load_adult(source), f"adult:{source}"
     env = os.environ.get("DRIFTSCOPE_ADULT")
     if source is None and env:
         return load_adult(env), f"adult:{env}"
-    return census_sample(n=n, seed=seed), "census-surrogate"
+    return ColumnData(census_sample(n=n, seed=seed)), "census-surrogate"

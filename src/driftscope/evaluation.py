@@ -27,10 +27,10 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .baselines import DRIFT, make_detector
-from .catalog import MISSING_VALUES, RESERVED_COLUMNS, ItemCatalog, _catalog_of_columns, build_catalog
+from .catalog import ColumnData, ItemCatalog
 from .detector import DriftReport, MonitorState, WindowConfig, step
-from .mining import MiningConfig, SubgroupCatalog, _packed_rows, mine_frequent
-from .sgmetrics import EncodedBatch, Membership, SubgroupStats, aggregate, membership
+from .mining import MiningConfig, SubgroupCatalog, mine_frequent
+from .sgmetrics import EncodedBatch, SubgroupStats, aggregate, membership
 from .streams import (
     ConceptStreamConfig,
     DriftSchedule,
@@ -177,122 +177,6 @@ def youden_sweep(results: Sequence[ExperimentResult], tau_grid: Sequence[float])
 def outcome_from_reports(report_dicts: Sequence[Mapping]) -> bool:
     """Re-derive an experiment outcome from saved per-batch reports."""
     return any(bool(d["global_drift"]) for d in report_dicts)
-
-
-# ---------------------------------------------------------------------------
-# Column-based fast path (equivalent to per-record encoding; tested as such)
-# ---------------------------------------------------------------------------
-
-
-class ColumnData:
-    """Columnar view of a tabular dataset for the experiment harness.
-
-    Attribute types are fixed from the full dataset: a column is numeric when
-    every non-missing value parses as a float. Numeric columns are float
-    arrays with NaN for missing; the rest are stripped-string object arrays
-    pre-factorized for fast per-split encoding.
-    """
-
-    def __init__(self, rows: Sequence[Mapping[str, object]], categorical: frozenset[str] = frozenset()):
-        if not rows:
-            raise ValueError("no rows")
-        self.n = len(rows)
-        self.attrs = [a for a in rows[0] if a not in RESERVED_COLUMNS]
-        self.y = np.array([int(r["y"]) for r in rows], dtype=np.int64)
-        self.numeric: dict[str, np.ndarray] = {}
-        self.codes: dict[str, np.ndarray] = {}
-        self.uniques: dict[str, np.ndarray] = {}
-        for a in self.attrs:
-            vals = [r.get(a) for r in rows]
-            as_float = np.full(self.n, np.nan)
-            ok = a not in categorical
-            if ok:
-                for i, v in enumerate(vals):
-                    if v in MISSING_VALUES or (isinstance(v, str) and v.strip() in MISSING_VALUES):
-                        continue
-                    try:
-                        as_float[i] = float(str(v))
-                    except (TypeError, ValueError):
-                        ok = False
-                        break
-            if ok:
-                self.numeric[a] = as_float
-            else:
-                first_seen: dict[str, int] = {}
-                codes = [
-                    first_seen.setdefault("" if s in MISSING_VALUES else s, len(first_seen))
-                    for s in ("" if v in MISSING_VALUES else str(v).strip() for v in vals)
-                ]
-                uniques = sorted(first_seen)
-                position = np.empty(len(uniques), dtype=np.intp)
-                position[[first_seen[u] for u in uniques]] = np.arange(len(uniques))
-                self.uniques[a] = np.array(uniques, dtype=object)
-                self.codes[a] = position[np.array(codes, dtype=np.intp)]
-
-    def feature_matrix(self) -> np.ndarray:
-        """Numeric design matrix for the tree: raw numbers, ordinal codes."""
-        X = np.zeros((self.n, len(self.attrs)))
-        for j, a in enumerate(self.attrs):
-            if a in self.numeric:
-                col = self.numeric[a]
-                X[:, j] = np.where(np.isnan(col), -1.0, col)
-            else:
-                X[:, j] = self.codes[a]
-        return X
-
-    def records(self, idx: np.ndarray) -> list[dict]:
-        out = []
-        for i in idx:
-            rec: dict = {}
-            for a in self.attrs:
-                if a in self.numeric:
-                    v = self.numeric[a][i]
-                    rec[a] = None if np.isnan(v) else float(v)
-                else:
-                    s = str(self.uniques[a][self.codes[a][i]])
-                    rec[a] = None if s == "" else s
-            rec["y"] = int(self.y[i])
-            out.append(rec)
-        return out
-
-    def build_catalog(self, train_idx: np.ndarray, bins: int = 4) -> ItemCatalog:
-        """Catalog from the training slice, with the attribute types fixed
-        from the full data: equal to ``build_catalog(self.records(train_idx),
-        binning_config={a: "categorical" for a in self.codes},
-        default_bins=bins)`` (covered by an equivalence test)."""
-
-        def columns():
-            for a in self.attrs:
-                if a in self.numeric:
-                    yield a, bins, self.numeric[a][train_idx]
-                else:
-                    present = self.uniques[a][np.unique(self.codes[a][train_idx])]
-                    yield a, None, [s for s in present.tolist() if s]
-
-        return _catalog_of_columns(columns())
-
-    def point_matrix(self, idx: np.ndarray, catalog: ItemCatalog) -> Membership:
-        """Point matrix (packed item bitmaps) of the selected rows, vectorized
-        over the catalog's own per-attribute lookup, as ``encode`` uses it."""
-        n = len(idx)
-        # one bool row per item, plus a last row that collects the id -1 of
-        # values outside the catalog and is dropped before packing
-        mask = np.zeros((catalog.n_items + 1, n), dtype=bool)
-        instances = np.arange(n)
-        for attr, encoder in catalog._encoders.items():
-            if isinstance(encoder, dict):
-                trans = np.array(
-                    [encoder.get(str(u), -1) for u in self.uniques[attr]], dtype=np.int64
-                )
-                ids = trans[self.codes[attr][idx]]
-            else:
-                lo, hi, edges, bin_ids = encoder
-                bin_ids = np.array([-1 if i is None else i for i in bin_ids], dtype=np.int64)
-                x = self.numeric[attr][idx]
-                binned = bin_ids[np.searchsorted(edges, x, side="left")]
-                ids = np.where(~np.isnan(x) & (x >= lo) & (x <= hi), binned, -1)
-            mask[ids, instances] = True
-        return Membership(bits=_packed_rows(mask[:-1]), n_instances=n)
 
 
 # ---------------------------------------------------------------------------
@@ -454,15 +338,15 @@ def run_injection_experiment(
 
 
 def run_injection_suite(
-    rows: Sequence[Mapping[str, object]],
+    cols: ColumnData,
     n_positive: int = 20,
     n_negative: int = 20,
     seed: int = 0,
     threads: int = 1,
     **kwargs,
 ) -> tuple[list[ExperimentResult], InjectionExtras | None]:
-    """Run a balanced injection suite; extras come from the first positive."""
-    cols = ColumnData(rows)
+    """Run a balanced injection suite over a labeled table; extras come from
+    the first positive."""
     X = cols.feature_matrix()
     jobs = [("positive", seed * 10007 + i) for i in range(n_positive)]
     jobs += [("negative", seed * 10007 + n_positive + i) for i in range(n_negative)]
@@ -563,16 +447,13 @@ def run_concept_experiment(
     )
     train, batches = gen_concept_stream(config)
 
-    binning = {
-        name: "categorical"
-        for name, kind_ in zip(train.feature_names, train.feature_kinds)
-        if kind_ == "categorical"
-    }
-    cat_attrs = frozenset(binning)
-    train_records = train.records()
-    catalog = build_catalog(train_records, binning_config=binning, default_bins=bins)
-    train_cols = ColumnData(train_records, categorical=cat_attrs)
-    P_train = train_cols.point_matrix(np.arange(train_cols.n), catalog)
+    cat_attrs = frozenset(
+        name for name, kind_ in zip(train.feature_names, train.feature_kinds) if kind_ == "categorical"
+    )
+    train_cols = ColumnData(train.records(), categorical=cat_attrs)
+    train_idx = np.arange(train_cols.n)
+    catalog = train_cols.build_catalog(train_idx, bins=bins)
+    P_train = train_cols.point_matrix(train_idx, catalog)
     sgcat = mine_frequent(P_train, mining, item_attrs=catalog.item_attributes())
 
     model = fit_tree(train.X, train.y, max_depth=tree_depth)

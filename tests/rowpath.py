@@ -1,0 +1,165 @@
+"""Row-at-a-time reference implementations of the ingest that the columnar
+path (``read_columns`` -> ``ColumnData``) replaced, kept as test oracles.
+
+Each is the earlier program code, unchanged but for returning plain values.
+"""
+
+from types import SimpleNamespace
+
+import numpy as np
+
+from driftscope.catalog import MISSING_VALUES, RESERVED_COLUMNS, _catalog_of_columns, read_rows
+from driftscope.datasets import ADULT_COLUMNS
+from driftscope.mining import MiningConfig, mine_frequent
+from driftscope.sgmetrics import build_point_matrix
+
+
+def column_data(rows, categorical=frozenset()):
+    """The per-value ``ColumnData.__init__``: attribute types from the
+    first row's keys, one float parse per value, string factorization."""
+    n = len(rows)
+    attrs = [a for a in rows[0] if a not in RESERVED_COLUMNS]
+    y = np.array([int(r["y"]) for r in rows], dtype=np.int64)
+    numeric, codes_of, uniques_of = {}, {}, {}
+    for a in attrs:
+        vals = [r.get(a) for r in rows]
+        as_float = np.full(n, np.nan)
+        ok = a not in categorical
+        if ok:
+            for i, v in enumerate(vals):
+                if v in MISSING_VALUES or (isinstance(v, str) and v.strip() in MISSING_VALUES):
+                    continue
+                try:
+                    as_float[i] = float(str(v))
+                except (TypeError, ValueError):
+                    ok = False
+                    break
+        if ok:
+            numeric[a] = as_float
+        else:
+            first_seen = {}
+            codes = [
+                first_seen.setdefault("" if s in MISSING_VALUES else s, len(first_seen))
+                for s in ("" if v in MISSING_VALUES else str(v).strip() for v in vals)
+            ]
+            uniques = sorted(first_seen)
+            position = np.empty(len(uniques), dtype=np.intp)
+            position[[first_seen[u] for u in uniques]] = np.arange(len(uniques))
+            uniques_of[a] = np.array(uniques, dtype=object)
+            codes_of[a] = position[np.array(codes, dtype=np.intp)]
+    return SimpleNamespace(n=n, attrs=attrs, y=y, numeric=numeric, codes=codes_of, uniques=uniques_of)
+
+
+def build_catalog(records, binning_config=None, default_bins=4):
+    """``build_catalog`` with its own type detection over records."""
+    if not records:
+        raise ValueError("cannot build a catalog from zero records")
+    binning_config = dict(binning_config or {})
+
+    attrs = []
+    seen = set()
+    for rec in records:
+        for a in rec:
+            if a not in seen and a not in RESERVED_COLUMNS:
+                seen.add(a)
+                attrs.append(a)
+
+    def columns():
+        for a in attrs:
+            vals = [
+                v
+                for v in (rec.get(a) for rec in records)
+                if not (v in MISSING_VALUES or (isinstance(v, str) and v.strip() in MISSING_VALUES))
+            ]
+            cfg = binning_config.get(a)
+            if cfg is None:
+                try:
+                    yield a, default_bins, np.array([float(str(v)) for v in vals], dtype=np.float64)
+                except (TypeError, ValueError):
+                    yield a, None, sorted({str(v).strip() for v in vals})
+                continue
+            if cfg == "categorical":
+                yield a, None, sorted({str(v).strip() for v in vals})
+                continue
+            if cfg == "quantile":
+                bins = default_bins
+            elif isinstance(cfg, (tuple, list)) and len(cfg) == 2 and cfg[0] == "quantile":
+                bins = int(cfg[1])
+            else:
+                raise ValueError(f"unknown binning rule {cfg!r} for attribute {a!r}")
+            if bins < 1:
+                raise ValueError(f"bin count must be >= 1 for attribute {a!r}")
+            yield a, bins, np.array([float(str(v)) for v in vals], dtype=np.float64)
+
+    return _catalog_of_columns(columns())
+
+
+def mine_artifact(path, min_support, max_len=7, bins=4, binning=None):
+    """``driftscope mine``'s artifact as it was built: every row read as a
+    dict, the catalog from the records, each row encoded on its own."""
+    rows = list(read_rows(path))
+    catalog = build_catalog(rows, binning_config=binning, default_bins=bins)
+    P = build_point_matrix([catalog.encode(r) for r in rows], catalog.n_items)
+    sgcat = mine_frequent(P, MiningConfig(min_support, max_len), item_attrs=catalog.item_attributes())
+    return {"item_catalog": catalog.to_dict(), "subgroup_catalog": sgcat.to_dict()}
+
+
+def load_adult(path):
+    """Adult rows as dicts, detecting a header by "age" in the first line."""
+    with open(path, encoding="utf-8") as fh:
+        first = fh.readline()
+    has_header = "age" in first.lower()
+
+    def norm_label(v):
+        v = v.strip().rstrip(".")
+        if v in (">50K", "1"):
+            return 1
+        if v in ("<=50K", "0"):
+            return 0
+        raise ValueError(f"unrecognized income label {v!r}")
+
+    rows = []
+    if has_header:
+        for row in read_rows(path):
+            rec = {}
+            label = None
+            for k, v in row.items():
+                key = str(k).strip().lower().replace("-", "_")
+                sval = str(v).strip()
+                if key in ("income", "class", "label", "y", "target", "salary"):
+                    label = norm_label(sval)
+                else:
+                    rec[key] = sval
+            if label is None:
+                raise ValueError("no income/label column found in header")
+            rec["y"] = label
+            rows.append(rec)
+        return rows
+
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            line = line.strip()
+            if not line or line.startswith("|"):
+                continue
+            parts = [p.strip() for p in line.split(",")]
+            if len(parts) != len(ADULT_COLUMNS) + 1:
+                continue
+            rec = dict(zip(ADULT_COLUMNS, parts))
+            rec["y"] = norm_label(parts[-1])
+            rows.append(rec)
+    if not rows:
+        raise ValueError(f"no data rows parsed from {path}")
+    return rows
+
+
+def assert_same_table(new, old):
+    """Two tables agree in every typed column, code and label."""
+    assert new.n == old.n and new.attrs == old.attrs
+    assert np.array_equal(new.y, old.y)
+    assert sorted(new.numeric) == sorted(old.numeric) and sorted(new.codes) == sorted(old.codes)
+    for a, col in old.numeric.items():
+        # bit-equal, so that -0.0 and 0.0 (and NaN) are told apart
+        assert np.array_equal(new.numeric[a].view(np.int64), col.view(np.int64)), a
+    for a in old.codes:
+        assert new.uniques[a].tolist() == old.uniques[a].tolist(), a
+        assert np.array_equal(new.codes[a], old.codes[a]), a

@@ -43,10 +43,10 @@ def report(num: int, name: str, passed: bool, detail: str) -> None:
 
 @pytest.fixture(scope="session")
 def injection_run():
-    rows, source = resolve_tabular(None)
+    cols, source = resolve_tabular(None)
     t0 = time.perf_counter()
     results, extras = run_injection_suite(
-        rows,
+        cols,
         n_positive=20,
         n_negative=20,
         seed=SEED,
@@ -57,7 +57,7 @@ def injection_run():
     )
     runtime = time.perf_counter() - t0
     assert extras is not None
-    return {"results": results, "extras": extras, "source": source, "runtime": runtime, "rows": rows}
+    return {"results": results, "extras": extras, "source": source, "runtime": runtime, "cols": cols}
 
 
 @pytest.fixture(scope="session")
@@ -265,8 +265,7 @@ def test_criterion_8_pruning_soundness(injection_run):
 
 
 def test_criterion_9_timing(injection_run):
-    rows = injection_run["rows"]
-    cols = ColumnData(rows)
+    cols = injection_run["cols"]
     rng = np.random.default_rng(SEED)
     perm = rng.permutation(cols.n)
     tr, te = perm[: cols.n // 2], perm[cols.n // 2 :]

@@ -5,14 +5,18 @@ import random
 
 import pytest
 
+import rowpath
 from driftscope.catalog import (
     MISSING_VALUES,
     RESERVED_COLUMNS,
+    ColumnData,
     DataError,
     Item,
     ItemCatalog,
     MetricSpec,
     build_catalog,
+    read_columns,
+    read_rows,
     _fmt_number,
 )
 from driftscope.cli import main
@@ -406,3 +410,132 @@ def test_nan_is_missing_in_a_numeric_reference_column(nan):
     assert first.encode({"age": nan}) == ()
     with pytest.raises(DataError, match="'age' has no non-missing values"):
         build_catalog([{"age": nan, "g": "m"}, {"age": "?", "g": "f"}])
+
+
+# --- the columnar table against the per-value paths it replaced -------------
+
+_NUMBERS = [0.0, -0.0, 1.0, 2.5, -3.0, 1e-300, math.inf, -math.inf, 12, -4, 10**20, 0, 1]
+_TEXTS = ["1e3", " 2.5 ", "1_000", "-0", "-0.0", "0.0", "+3", "inf", "-Infinity", "nan", " 4 ", "12"]
+_TYPED = [True, False, 1, 1.0, 0, -0.0, 0.0, 2.5]
+_WORDS = ["x", " x ", "y", "Zed", "a b", "x,y", "True", "1"]
+_MISSING = ["", "?", "NA", "N/A", None]
+
+
+def _random_rows(rng, n, pools, missing, absent=0.0):
+    rows = []
+    for i in range(n):
+        row = {}
+        for attr, pool in pools.items():
+            r = rng.random()
+            if i and r < absent:
+                continue  # attribute absent from this row (never the first)
+            row[attr] = rng.choice(missing) if r < absent + 0.15 else rng.choice(pool)
+        row["y"] = rng.randint(0, 1)
+        rows.append(row)
+    return rows
+
+
+def _random_pools(rng):
+    return {
+        "num": _NUMBERS + _TEXTS,
+        "few": rng.sample(_NUMBERS, 2),
+        "tie": [rng.choice([0.0, -0.0]) for _ in range(3)] + [5.0],
+        "typed": _TYPED,
+        "cat": _WORDS,
+        "mixed": _NUMBERS[:4] + ["x"],
+        "forced": _NUMBERS + _TEXTS,
+    }
+
+
+def test_column_table_matches_per_value_table_on_random_columns():
+    rng = random.Random(41)
+    for trial in range(200):
+        rows = _random_rows(rng, rng.randint(1, 40), _random_pools(rng), _MISSING, absent=0.1)
+        categorical = frozenset(rng.sample(["num", "tie", "typed", "forced"], rng.randint(0, 2)))
+        rowpath.assert_same_table(ColumnData(rows, categorical), rowpath.column_data(rows, categorical))
+
+
+def test_padded_missing_token_is_missing_in_every_column():
+    # the strip comes before the missing test, as in the catalog's encoder
+    rows = [{"g": " ? ", "y": 0}, {"g": "a", "y": 1}, {"g": " NA", "y": 0}, {"g": "  ", "y": 1}]
+    cols = ColumnData(rows)
+    assert cols.uniques["g"].tolist() == ["", "a"]
+    assert cols.codes["g"].tolist() == [0, 1, 0, 0]
+    assert cols.build_catalog([0, 1, 2, 3]).to_dict() == build_catalog(rows).to_dict()
+    assert [it.label for it in build_catalog(rows).items] == ["g=a"]
+
+
+def test_build_catalog_matches_its_detecting_row_version_on_random_records():
+    rng = random.Random(43)
+    missing = _MISSING + [" ? ", "  ", " NA "]
+    for trial in range(200):
+        records = _random_rows(rng, rng.randint(1, 40), _random_pools(rng), missing, absent=0.1)
+        rule = rng.choice(["categorical", "quantile", ("quantile", rng.randint(1, 6))])
+        binning = {rng.choice(["forced", "typed", "cat", "num"]): rule}
+        bins = rng.randint(1, 6)
+        try:
+            expected = rowpath.build_catalog(records, binning, bins).to_dict()
+        except (ValueError, TypeError) as exc:
+            with pytest.raises(type(exc)):
+                build_catalog(records, binning, bins)
+            continue
+        assert build_catalog(records, binning, bins).to_dict() == expected, trial
+
+
+def test_forced_quantile_over_text_raises_value_error():
+    with pytest.raises(ValueError, match="'g' has non-numeric values"):
+        build_catalog([{"g": "a"}, {"g": "2"}], binning_config={"g": ("quantile", 2)})
+    with pytest.raises(ValueError, match="bin count must be >= 1"):
+        build_catalog([{"g": "1"}, {"g": "2"}], binning_config={"g": ("quantile", 0)})
+
+
+# --- read_columns against read_rows ------------------------------------------
+
+
+def _columns_of_rows(path):
+    rows = list(read_rows(path))
+    return {k: [r.get(k) for r in rows] for k in dict.fromkeys(k for r in rows for k in r)}
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("quoted.csv", 'a,b,c\n"1,5",x,"two\nlines"\n3,"say ""hi""",\n'),
+        ("blank.csv", "a,b\n\n1,2\n\n\n3,4\n"),
+        ("short.csv", "a,b,c\n1\n2,3\n4,5,6\n,,\n"),
+        ("spaces.csv", "a, b\n 1 , x \n?,NA\n"),
+        ("keys.jsonl", '{"a": 1, "b": "x"}\n\n{"b": null, "c": -0.0}\n{"c": true, "a": [1, 2]}\n'),
+        ("typed.ndjson", '{"a": 1}\n{"a": 1.0}\n{"a": "1"}\n'),
+    ],
+)
+def test_read_columns_matches_read_rows(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    got = {k: list(v) for k, v in read_columns(path).items()}
+    assert got == _columns_of_rows(path)
+    assert all(len(v) == len(next(iter(got.values()))) for v in got.values())
+
+
+def test_read_columns_of_a_header_only_csv_has_empty_columns(tmp_path):
+    path = tmp_path / "h.csv"
+    path.write_text("a,b\n")
+    assert read_columns(path) == {"a": (), "b": ()}
+
+
+@pytest.mark.parametrize(
+    "name, text, message",
+    [
+        ("empty.csv", "", "empty file, expected a header row"),
+        ("long.csv", "a,b\n1,2\n\n3,4,5\n", "row 2: more fields than header columns"),
+        ("bad.jsonl", '{"a": 1}\n{"a": \n', r"row 2: invalid JSON"),
+        ("list.jsonl", '{"a": 1}\n\n[1, 2]\n', "row 3: expected a JSON object"),
+        ("repeated.csv", "a,b,a,y\n1,2,3,0\n", "column name\\(s\\) repeated in the header: 'a'"),
+    ],
+)
+def test_read_columns_and_read_rows_raise_the_same_errors(tmp_path, name, text, message):
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(DataError, match=message):
+        list(read_rows(path))
+    with pytest.raises(DataError, match=message):
+        read_columns(path)

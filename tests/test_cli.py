@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import driftscope
+import rowpath
 from driftscope.cli import main
 from driftscope.datasets import census_sample
 
@@ -495,3 +496,78 @@ def test_full_pipeline_under_ten_seconds(tmp_path):
         "--top", "10", "--out", tmp_path / "summary.md",
     ) == 0
     assert time.perf_counter() - start < 10.0
+
+
+def _census_csv(path, n, seed, columns=None):
+    rows = census_sample(n=n, seed=seed)
+    columns = columns or list(rows[0])
+    with open(path, "w", newline="") as fh:
+        w = csv.DictWriter(fh, fieldnames=columns, lineterminator="\n", extrasaction="ignore")
+        w.writeheader()
+        w.writerows(rows)
+    return rows
+
+
+def test_mine_csv_and_jsonl_of_the_same_rows_write_one_artifact(tmp_path):
+    rows = _census_csv(tmp_path / "ref.csv", 1500, seed=6)
+    with open(tmp_path / "ref.jsonl", "w") as fh:
+        for r in rows:
+            fh.write(json.dumps(r) + "\n")
+    for name in ("ref.csv", "ref.jsonl"):
+        assert run_cli(
+            "mine", "--input", tmp_path / name, "--min-support", "0.05", "--max-len", "3",
+            "--out", tmp_path / f"{name}.json",
+        ) == 0
+    assert (tmp_path / "ref.csv.json").read_bytes() == (tmp_path / "ref.jsonl.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "binning",
+    [
+        (),
+        ("age=categorical",),
+        ("age=quantile:3",),
+        ("age=quantile:3", "sex=categorical", "hours_per_week=categorical"),
+    ],
+)
+def test_mine_matches_the_row_path_without_a_label_and_with_binning_rules(tmp_path, binning):
+    columns = ["age", "workclass", "education", "sex", "hours_per_week", "capital_gain"]
+    _census_csv(tmp_path / "ref.csv", 2000, seed=8, columns=columns)
+    flags = [f for spec in binning for f in ("--binning", spec)]
+    out = tmp_path / "catalog.json"
+    assert run_cli(
+        "mine", "--input", tmp_path / "ref.csv", "--min-support", "0.02", "--max-len", "3",
+        "--bins", "5", *flags, "--out", out,
+    ) == 0
+    rules = {}
+    for spec in binning:
+        attr, _, rule = spec.partition("=")
+        rules[attr] = "categorical" if rule == "categorical" else ("quantile", int(rule.split(":")[1]))
+    expected = rowpath.mine_artifact(tmp_path / "ref.csv", 0.02, max_len=3, bins=5, binning=rules)
+    assert json.loads(out.read_text()) == expected
+
+
+def test_mine_quantile_rule_over_text_exits_two(tmp_path, caplog):
+    _census_csv(tmp_path / "ref.csv", 200, seed=8)
+    code = run_cli(
+        "mine", "--input", tmp_path / "ref.csv", "--min-support", "0.1",
+        "--binning", "sex=quantile:2", "--out", tmp_path / "c.json",
+    )
+    assert code == 2
+    assert "'sex' has non-numeric values" in caplog.text
+
+
+def test_mine_rejects_a_repeated_column_name(tmp_path, caplog):
+    src = tmp_path / "dup.csv"
+    src.write_text("a,b,a,y\n1,x,2,0\n3,y,4,1\n")
+    code = run_cli("mine", "--input", src, "--min-support", "0.1", "--out", tmp_path / "c.json")
+    assert code == 2
+    assert "column name(s) repeated in the header: 'a'" in caplog.text
+    assert not (tmp_path / "c.json").exists()
+
+
+def test_mine_header_only_file_exits_two(tmp_path, caplog):
+    src = tmp_path / "empty.csv"
+    src.write_text("a,b,y\n")
+    assert run_cli("mine", "--input", src, "--min-support", "0.1", "--out", tmp_path / "c.json") == 2
+    assert "no data rows" in caplog.text

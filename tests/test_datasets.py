@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import rowpath
 from driftscope.datasets import ADULT_COLUMNS, census_sample, load_adult, resolve_tabular
 
 
@@ -47,9 +48,10 @@ def test_load_adult_headerless_format(tmp_path):
     ]
     p = tmp_path / "adult.data"
     p.write_text("\n".join(lines) + "\n")
-    rows = load_adult(p)
-    assert len(rows) == 2
-    assert rows[0]["age"] == "39"
+    cols = load_adult(p)
+    assert cols.n == 2
+    rows = cols.records([0, 1])
+    assert rows[0]["age"] == 39.0
     assert rows[0]["workclass"] == "State-gov"
     assert rows[0]["y"] == 0
     assert rows[1]["y"] == 1
@@ -60,30 +62,86 @@ def test_load_adult_headered_format(tmp_path):
     p.write_text(
         "age,workclass,income\n40,Private,>50K\n30,?, <=50K\n"
     )
-    rows = load_adult(p)
-    assert rows[0] == {"age": "40", "workclass": "Private", "y": 1}
-    assert rows[1]["y"] == 0
+    rows = load_adult(p).records([0, 1])
+    assert rows[0] == {"age": 40.0, "workclass": "Private", "y": 1}
+    assert rows[1] == {"age": 30.0, "workclass": None, "y": 0}
 
 
 def test_resolve_tabular_fallback_and_env(tmp_path, monkeypatch):
     monkeypatch.delenv("DRIFTSCOPE_ADULT", raising=False)
-    rows, name = resolve_tabular(None, n=100, seed=0)
+    cols, name = resolve_tabular(None, n=100, seed=0)
     assert name == "census-surrogate"
-    assert len(rows) == 100
+    assert cols.n == 100
 
     p = tmp_path / "adult.csv"
     p.write_text("age,workclass,income\n40,Private,>50K\n")
     monkeypatch.setenv("DRIFTSCOPE_ADULT", str(p))
-    rows, name = resolve_tabular(None)
+    cols, name = resolve_tabular(None)
     assert name.startswith("adult:")
-    assert len(rows) == 1
+    assert cols.n == 1
 
-    rows, name = resolve_tabular("surrogate", n=50, seed=0)
+    cols, name = resolve_tabular("surrogate", n=50, seed=0)
     assert name == "census-surrogate"
+    assert cols.n == 50
 
 
 def test_load_adult_bad_label(tmp_path):
     p = tmp_path / "adult.csv"
     p.write_text("age,income\n40,maybe\n")
     with pytest.raises(ValueError, match="income label"):
+        load_adult(p)
+
+
+_ADULT_LINES = [
+    "50, Self-emp-not-inc, 83311, Bachelors, 13, Married-civ-spouse,"
+    " Exec-managerial, Husband, White, Male, 0, 0, 13, United-States, >50K.",
+    "39, State-gov, 77516, Bachelors, 13, Never-married, Adm-clerical,"
+    " Not-in-family, White, Male, 2174, 0, 40, United-States, <=50K",
+    "",
+    "38, Private, 215646, HS-grad, 9, Divorced, ?, Not-in-family,"
+    " White, Female, 0, 0, 40, ?, <=50K.",
+    "| a comment line",
+    "53, Private, 234721, 11th, 7, Married-civ-spouse",  # wrong width: skipped
+    "28,Private,338409,Bachelors,13,Married-civ-spouse,Prof-specialty,"
+    "Wife,Black,Female,0,0,40,Cuba,>50K",
+]
+
+
+def test_load_adult_header_detection_ignores_age_inside_a_value(tmp_path):
+    # "Exec-managerial" contains "age"; the first field 50 says: no header
+    p = tmp_path / "adult.data"
+    p.write_text("\n".join(_ADULT_LINES) + "\n")
+    cols = load_adult(p)
+    assert cols.n == 4
+    assert cols.attrs == list(ADULT_COLUMNS)
+    assert cols.y.tolist() == [1, 0, 0, 1]
+    assert cols.records([0])[0]["occupation"] == "Exec-managerial"
+
+
+@pytest.mark.parametrize("layout", ["adult.data", "adult.test", "headered.csv", "dashed.csv"])
+def test_load_adult_matches_the_row_path(tmp_path, layout):
+    if layout == "adult.data":
+        # the first line keeps "age" out, so the row path's header test agrees
+        text = "\n".join(_ADULT_LINES[1:]) + "\n"
+    elif layout == "adult.test":
+        text = "|1x3 Cross validator\n" + "\n".join(_ADULT_LINES[1:]) + "\n"
+    else:
+        names = [c.replace("_", "-") if layout == "dashed.csv" else c for c in ADULT_COLUMNS]
+        body = [line for line in _ADULT_LINES if line.count(",") == len(ADULT_COLUMNS)]
+        text = ",".join([*names, "Income"]) + "\n" + "\n".join(body) + "\n"
+    p = tmp_path / layout
+    p.write_text(text)
+    rowpath.assert_same_table(load_adult(p), rowpath.column_data(rowpath.load_adult(p)))
+
+
+def test_load_adult_errors(tmp_path):
+    p = tmp_path / "adult.csv"
+    p.write_text("age,workclass\n40,Private\n")
+    with pytest.raises(ValueError, match="no income/label column found in header"):
+        load_adult(p)
+    p.write_text("age,workclass,income\n")
+    with pytest.raises(ValueError, match="no data rows parsed"):
+        load_adult(p)
+    p.write_text("| only a comment\n")
+    with pytest.raises(ValueError, match="no data rows parsed"):
         load_adult(p)
