@@ -234,8 +234,11 @@ class ItemCatalog:
                 continue
             if isinstance(raw, str):
                 raw = raw.strip()
-            if raw in MISSING_VALUES:
-                continue
+            try:
+                if raw in MISSING_VALUES:
+                    continue
+            except TypeError:  # a JSON array or object: its text, as mine reads it
+                raw = str(raw).strip()
             encoder = self._encoders.get(attr)
             if encoder is None:
                 item_id = None

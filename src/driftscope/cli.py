@@ -486,7 +486,7 @@ def _cmd_report(args) -> int:
     if args.prune_t > 0:
         ranked = redundancy_prune(ranked, args.prune_t)
     entries = []
-    for e in ranked.entries[: args.top]:
+    for e in ranked.head(args.top):
         entries.append(
             {
                 "subgroup_id": e.subgroup.index,

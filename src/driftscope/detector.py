@@ -143,22 +143,31 @@ class DriftReport:
         """Serializable per-subgroup rows (NaN mapped to None)."""
         if indices is None:
             indices = np.arange(self.n_subgroups)
-
-        def val(x: float) -> float | None:
-            return None if np.isnan(x) else float(x)
-
         indices = np.asarray(indices)
-        support = catalog.supports()[indices].tolist()
-        for j, items, s in zip(indices.tolist(), catalog.items_of(indices), support):
+
+        def nullable(a: np.ndarray) -> list[float | None]:
+            return [None if x != x else x for x in a[indices].tolist()]
+
+        columns = zip(
+            indices.tolist(),
+            catalog.items_of(indices),
+            catalog.supports()[indices].tolist(),
+            nullable(self.h_ref),
+            nullable(self.h_cur),
+            nullable(self.delta_h),
+            self.t_values[indices].tolist(),
+            self.drifted[indices].astype(bool).tolist(),
+        )
+        for j, items, s, h_ref, h_cur, delta_h, t, drifted in columns:
             yield {
                 "subgroup_id": j,
                 "items": ",".join(map(str, items)) or "(global)",  # as Subgroup.label()
                 "support": s,
-                "h_ref": val(self.h_ref[j]),
-                "h_cur": val(self.h_cur[j]),
-                "delta_h": val(self.delta_h[j]),
-                "t": float(self.t_values[j]),
-                "drifted": bool(self.drifted[j]),
+                "h_ref": h_ref,
+                "h_cur": h_cur,
+                "delta_h": delta_h,
+                "t": t,
+                "drifted": drifted,
             }
 
     def to_dict(self, catalog: SubgroupCatalog, top_k: int = 100) -> dict:

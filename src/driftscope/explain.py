@@ -42,67 +42,122 @@ class RankedEntry:
     delta_h: float | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RankedReport:
-    """Subgroups in a stable total order: t desc, |delta_h| desc, items asc."""
+    """Subgroups of ``catalog`` in a stable total order (t desc, |delta_h|
+    desc, items asc), as the dense indices ``order``; entries are built
+    only for the rows read."""
 
-    entries: tuple[RankedEntry, ...]
+    order: np.ndarray
+    report: DriftReport
+    catalog: SubgroupCatalog
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.order)
 
     def __iter__(self):
         return iter(self.entries)
 
+    @property
+    def entries(self) -> tuple[RankedEntry, ...]:
+        return self.head(len(self.order))
 
-def _sort_key(e: RankedEntry):
-    mag = abs(e.delta_h) if e.delta_h is not None else -1.0
-    return (-e.t, -mag, e.subgroup.item_ids)
+    def head(self, k: int) -> tuple[RankedEntry, ...]:
+        """The first ``k`` entries."""
+        order = self.order[:k]
+        return tuple(
+            RankedEntry(subgroup=sg, t=t, delta_h=None if d != d else d)
+            for sg, t, d in zip(
+                self.catalog.subgroups_at(order),
+                self.report.t_values[order].tolist(),
+                self.report.delta_h[order].tolist(),
+            )
+        )
 
 
 def rank(report: DriftReport, catalog: SubgroupCatalog, top_k: int | None = None) -> RankedReport:
     """Order all subgroups by drift significance; ``top_k`` truncates."""
     if report.warming_up or report.n_subgroups != len(catalog):
         raise ValueError("ranking requires a scored (non-warming) report for this catalog")
-    entries = []
-    for sg in catalog.subgroups:
-        d = report.delta_h[sg.index]
-        entries.append(
-            RankedEntry(
-                subgroup=sg,
-                t=float(report.t_values[sg.index]),
-                delta_h=None if np.isnan(d) else float(d),
-            )
-        )
-    entries.sort(key=_sort_key)
-    if top_k is not None:
-        entries = entries[:top_k]
-    return RankedReport(entries=tuple(entries))
+    mag = np.where(np.isnan(report.delta_h), -1.0, np.abs(report.delta_h))
+    order = np.lexsort((catalog.lex_ranks(), -mag, -report.t_values))
+    return RankedReport(order[:top_k], report, catalog)
+
+
+def _drop_bit(masks: np.ndarray, i) -> np.ndarray:
+    """``masks`` (bit i unset) as masks over the items left when item i is
+    dropped; ``i`` is one position or one per mask."""
+    return masks & ((1 << i) - 1) | (masks >> (i + 1)) << i
+
+
+def _subset_index(catalog: SubgroupCatalog, max_len: int | None = None):
+    """Per itemset length k (ascending, up to ``max_len``), the length-k
+    ``(indices, items)`` table and an ``(n_k, 2^k)`` array whose entry
+    ``[r, mask]`` is the dense index of the subset of row r holding item i
+    iff bit i of ``mask`` is set (as :func:`_coalitions`), or -1 if that
+    itemset is not in the catalog.
+
+    Only the k drop-one parents of each row are looked up; every other
+    subset is read from the previous length's array through a parent that
+    exists. Entries no parent resolves (catalogs not closed under subsets)
+    are looked up directly. At most two lengths are held at once.
+    """
+    row = np.zeros(len(catalog), dtype=np.intp)  # dense index -> row in its table
+    # the global subgroup, the one 0-itemset; each level's last row is all
+    # -2 (not resolved), the row read through a missing parent
+    prev = np.array([[0], [-2]], dtype=np.intp)
+    for idx, items in catalog.length_tables:
+        n, k = items.shape
+        if max_len is not None and k > max_len:
+            break
+        if prev.shape[1] != 1 << (k - 1):  # no (k-1)-itemsets: no parent exists
+            prev = np.full((1, 1 << (k - 1)), -2, dtype=np.intp)
+        masks = np.arange((1 << k) - 1)
+        parents = np.array([catalog.indices_of(np.delete(items, i, axis=1)) for i in range(k)])
+        parent_rows = np.where(parents >= 0, row[parents], len(prev) - 1)
+        subsets = np.full((n + 1, len(masks) + 1), -2, dtype=np.intp)
+        subsets[:n, -1] = idx
+        # each mask through the parent that drops its lowest unset bit
+        via = np.bitwise_count((~masks & (masks + 1)) - 1).astype(np.intp)
+        subsets[:n, :-1] = prev[parent_rows[via].T, _drop_bit(masks, via)]
+        # left over: rows with a missing parent, through any parent there is
+        missing = np.flatnonzero((parents < 0).any(axis=0))
+        r, m = np.nonzero(subsets[missing] == -2)
+        r = missing[r]
+        for i in range(k):
+            ok = (m >> i & 1 == 0) & (parents[i, r] >= 0)
+            subsets[r[ok], m[ok]] = prev[parent_rows[i, r[ok]], _drop_bit(m[ok], i)]
+            r, m = r[~ok], m[~ok]
+        member = _coalitions(k)
+        for mask in np.unique(m).tolist():
+            at = r[m == mask]
+            subsets[at, mask] = catalog.indices_of(items[at][:, member[mask]])
+        yield idx, items, subsets[:n]
+        row[idx] = np.arange(n)
+        prev = subsets
 
 
 def redundancy_prune(ranked: RankedReport, t_threshold: float) -> RankedReport:
     """Drop refinements whose t is explained by a more general subgroup.
 
-    Entries are visited from the most general (shortest itemset) down. An
-    entry is pruned when some *surviving* strict subset of it has a t-value
-    within ``t_threshold`` of its own; the more general subgroup already
-    carries the signal, and comparing against survivors collapses transitive
-    chains while guaranteeing every pruned itemset has a surviving ancestor
-    within the threshold. A threshold of 0 prunes nothing. The result is
-    re-sorted by the ranking order.
+    An entry is pruned when some *surviving* strict subset of it has a
+    t-value within ``t_threshold`` of its own; the more general subgroup
+    already carries the signal, and comparing against survivors collapses
+    transitive chains while guaranteeing every pruned itemset has a
+    surviving ancestor within the threshold. Strict subsets are shorter, so
+    entries are decided one itemset length at a time, shortest first,
+    through the subset index. Subsets absent from ``ranked`` (cut by
+    ``top_k``, or not in the catalog) are not survivors. A threshold of 0
+    prunes nothing. The result keeps the ranking order.
     """
-    order = sorted(ranked.entries, key=lambda e: (len(e.subgroup.item_ids),) + _sort_key(e))
-    survivors: list[tuple[frozenset[int], float, RankedEntry]] = []
-    for e in order:
-        items = frozenset(e.subgroup.item_ids)
-        pruned = any(
-            s_items < items and abs(s_t - e.t) < t_threshold
-            for s_items, s_t, _ in survivors
-        )
-        if not pruned:
-            survivors.append((items, e.t, e))
-    kept = sorted((e for _, _, e in survivors), key=_sort_key)
-    return RankedReport(entries=tuple(kept))
+    t = ranked.report.t_values
+    alive = np.zeros(len(ranked.catalog), dtype=bool)
+    alive[ranked.order] = True
+    for idx, _, subsets in _subset_index(ranked.catalog):
+        strict = subsets[:, :-1]
+        close = alive[strict] & (strict >= 0) & (np.abs(t[strict] - t[idx][:, None]) < t_threshold)
+        alive[idx] &= ~close.any(axis=1)
+    return RankedReport(ranked.order[alive[ranked.order]], ranked.report, ranked.catalog)
 
 
 @dataclass(frozen=True)
@@ -171,18 +226,12 @@ def shapley_global(report: DriftReport, catalog: SubgroupCatalog) -> ItemAttribu
     v = np.where(np.isnan(report.delta_h), report.mu_ref - report.mu_cur, report.delta_h)
     sums = np.zeros(catalog.n_items)
     counts = np.zeros(catalog.n_items, dtype=np.int64)
-    for _, items in catalog.length_tables:
+    for _, items, coalitions in _subset_index(catalog, MAX_EXACT_ITEMS):
         k = items.shape[1]
-        if k > MAX_EXACT_ITEMS:
-            continue
-        member = _coalitions(k)
-        coalitions = np.column_stack(
-            [catalog.indices_of(items[:, member[mask]]) for mask in range(1 << k)]
-        )
         if (coalitions < 0).any():
             r, mask = np.argwhere(coalitions < 0)[0]
             raise ValueError(
-                f"itemset {items[r, member[mask]].tolist()} is not a mined subgroup; "
+                f"itemset {items[r, _coalitions(k)[mask]].tolist()} is not a mined subgroup; "
                 "Shapley attribution needs a catalog closed under subsets"
             )
         np.add.at(sums, items, v[coalitions] @ _shapley_weights(k))

@@ -149,20 +149,28 @@ class SubgroupCatalog:
     def subgroups(self) -> tuple[Subgroup, ...]:
         """Every subgroup in dense order, built on first use."""
         if self._subgroups is None:
-            self._subgroups = tuple(
-                Subgroup(tuple(items), s, c, j)
-                for j, (items, s, c) in enumerate(
-                    zip(self.items_of(np.arange(len(self))), self._support.tolist(), self._count.tolist())
-                )
-            )
+            self._subgroups = tuple(self.subgroups_at(np.arange(len(self))))
         return self._subgroups
 
     def subgroup(self, j: int) -> Subgroup:
         """Subgroup ``j``, read from the tables without building the others."""
+        return self.subgroups_at([j])[0]
+
+    def subgroups_at(self, indices) -> list[Subgroup]:
+        """The subgroups at ``indices``, read from the tables (one gather per
+        itemset length) without building the others."""
+        indices = np.asarray(indices, dtype=np.intp)
         if self._subgroups is not None:
-            return self._subgroups[j]
-        (items,) = self.items_of([j])
-        return Subgroup(tuple(items), float(self._support[j]), int(self._count[j]), int(j))
+            return [self._subgroups[j] for j in indices.tolist()]
+        return [
+            Subgroup(tuple(items), s, c, j)
+            for j, items, s, c in zip(
+                indices.tolist(),
+                self.items_of(indices),
+                self._support[indices].tolist(),
+                self._count[indices].tolist(),
+            )
+        ]
 
     def items_of(self, indices) -> list[list[int]]:
         """The item ids of each subgroup in ``indices``, read from the tables
@@ -192,6 +200,16 @@ class SubgroupCatalog:
         """Dense index of an itemset, or None if it was not mined."""
         j = int(self.indices_of([sorted(set(item_ids))])[0])
         return None if j < 0 else j
+
+    def lex_ranks(self) -> np.ndarray:
+        """Each subgroup's position in the lexicographic order of all
+        itemsets by item ids (the global subgroup first); ``arange`` for a
+        mined catalog, whose dense order is that order."""
+        ranks = np.zeros(len(self), dtype=np.intp)
+        if self.length_tables:
+            idx = np.concatenate([idx for idx, _ in self.length_tables])
+            ranks[idx] = _lex_ranks([items for _, items in self.length_tables]) + 1
+        return ranks
 
     def supports(self) -> np.ndarray:
         """The support of each subgroup, in dense order (read-only)."""
@@ -366,18 +384,28 @@ def _catalog_of_levels(levels, n_rows: int, n_items: int, config: MiningConfig) 
     total = sum(len(sets) for sets, _ in levels)
     count = np.empty(total + 1, dtype=np.int64)
     count[0] = n_rows
-    tables = []
-    if levels:
-        # pad with -1 so that a prefix sorts before its extensions
-        padded = np.full((total, levels[-1][0].shape[1]), -1, dtype=np.intp)
-        offsets = np.cumsum([0] + [len(sets) for sets, _ in levels])
-        for (sets, _), lo in zip(levels, offsets):
-            padded[lo : lo + len(sets), : sets.shape[1]] = sets
-        dense = np.empty(total, dtype=np.intp)
-        dense[np.lexsort(padded.T[::-1])] = np.arange(1, total + 1)
-        count[dense] = np.concatenate([c for _, c in levels])
-        tables = [(dense[lo : lo + len(sets)], sets) for (sets, _), lo in zip(levels, offsets)]
+    dense = _lex_ranks([sets for sets, _ in levels]) + 1
+    offsets = np.cumsum([0] + [len(sets) for sets, _ in levels])
+    tables = [(dense[lo : lo + len(sets)], sets) for (sets, _), lo in zip(levels, offsets)]
+    for (idx, _), (_, c) in zip(tables, levels):
+        count[idx] = c
     return SubgroupCatalog.from_tables(tables, count / n_rows, count, n_items, config)
+
+
+def _lex_ranks(sets: Sequence[np.ndarray]) -> np.ndarray:
+    """The position of each row of the ``(n_k, k)`` arrays ``sets`` (taken
+    in turn) in the lexicographic order of all of them: one ``lexsort`` over
+    the rows padded with -1, so that a prefix sorts before its extensions."""
+    total = sum(len(s) for s in sets)
+    ranks = np.empty(total, dtype=np.intp)
+    if total:
+        padded = np.full((total, max(s.shape[1] for s in sets)), -1, dtype=np.intp)
+        lo = 0
+        for s in sets:
+            padded[lo : lo + len(s), : s.shape[1]] = s
+            lo += len(s)
+        ranks[np.lexsort(padded.T[::-1])] = np.arange(total)
+    return ranks
 
 
 def brute_force_frequent(

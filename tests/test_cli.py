@@ -571,3 +571,50 @@ def test_mine_header_only_file_exits_two(tmp_path, caplog):
     src.write_text("a,b,y\n")
     assert run_cli("mine", "--input", src, "--min-support", "0.1", "--out", tmp_path / "c.json") == 2
     assert "no data rows" in caplog.text
+
+
+def test_monitor_reads_a_jsonl_array_or_object_value_as_its_text(tmp_path, caplog):
+    src, catalog_path, _ = _mined_and_monitored(tmp_path)
+    rows = list(csv.DictReader(open(src)))[:200]
+    rows[0]["color"] = {"k": 1}  # no such item: skipped
+    rows[1]["size"] = [1, 2]  # unparsable as a number: skipped
+    with open(tmp_path / "stream.jsonl", "w") as fh:
+        for r in rows:
+            fh.write(json.dumps(r) + "\n")
+    caplog.set_level("INFO")
+    assert run_cli(
+        "monitor", "--catalog", catalog_path, "--input", tmp_path / "stream.jsonl",
+        "--window", "1", "--batch-size", "100", "--out", tmp_path / "out",
+    ) == 0
+    assert "(2 skipped values)" in caplog.text
+
+
+def test_mine_then_monitor_on_jsonl_array_values_match_their_text_in_csv(tmp_path):
+    rng = np.random.default_rng(5)
+    rows = []
+    for _ in range(400):
+        tags = [[1, 2], [3], []][int(rng.integers(0, 3))]
+        rows.append({"color": str(rng.choice(["red", "blue"])), "tags": tags,
+                     "y": int(rng.integers(0, 2)), "y_hat": int(rng.integers(0, 2))})
+    with open(tmp_path / "ref.jsonl", "w") as fh:
+        for r in rows:
+            fh.write(json.dumps(r) + "\n")
+    with open(tmp_path / "ref.csv", "w", newline="") as fh:
+        w = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
+        w.writeheader()
+        w.writerows({**r, "tags": str(r["tags"])} for r in rows)
+    for name in ("ref.jsonl", "ref.csv"):
+        assert run_cli(
+            "mine", "--input", tmp_path / name, "--min-support", "0.05", "--max-len", "2",
+            "--out", tmp_path / f"{name}.json",
+        ) == 0
+        assert run_cli(
+            "monitor", "--catalog", tmp_path / f"{name}.json", "--input", tmp_path / name,
+            "--window", "1", "--batch-size", "100", "--out", tmp_path / f"{name}.out",
+        ) == 0
+    assert (tmp_path / "ref.jsonl.json").read_bytes() == (tmp_path / "ref.csv.json").read_bytes()
+    items = json.loads((tmp_path / "ref.jsonl.json").read_text())["item_catalog"]["items"]
+    assert {"[1, 2]", "[3]", "[]"} <= {it["value"] for it in items if it["attribute"] == "tags"}
+    assert (tmp_path / "ref.jsonl.out" / "reports.jsonl").read_text() == (
+        tmp_path / "ref.csv.out" / "reports.jsonl"
+    ).read_text()

@@ -7,7 +7,8 @@ import pytest
 from driftscope.detector import DriftReport
 from driftscope.explain import (
     RankedEntry,
-    RankedReport,
+    _coalitions,
+    _subset_index,
     rank,
     redundancy_prune,
     shapley_global,
@@ -78,35 +79,32 @@ class TestRank:
         assert len(ranked_all) == len(cat)
 
 
-def entry(items, t):
-    return RankedEntry(subgroup=Subgroup(tuple(items), 0.5, 5, 0), t=t, delta_h=None)
+def ranked_with(t_by_items, n_items):
+    """The ranking of exactly the itemsets of ``t_by_items``: when the
+    global subgroup is not among them, it ranks last (t = 0, every other t
+    is positive) and ``top_k`` cuts it."""
+    cat = catalog_from_itemsets([items for items in t_by_items if items], n_items)
+    return rank(report_with(cat, t_by_items), cat, top_k=len(t_by_items))
 
 
 class TestRedundancyPrune:
     def test_threshold_zero_is_identity(self):
-        entries = [entry((0,), 10.0), entry((0, 1), 10.0), entry((1,), 4.0)]
-        ranked = RankedReport(entries=tuple(sorted(entries, key=lambda e: -e.t)))
+        ranked = ranked_with({(0,): 10.0, (0, 1): 10.0, (1,): 4.0}, 2)
         pruned = redundancy_prune(ranked, 0.0)
         assert set(e.subgroup.item_ids for e in pruned) == {(0,), (0, 1), (1,)}
 
     def test_child_within_threshold_dropped(self):
-        ranked = RankedReport(entries=(entry((0, 1), 12.0), entry((0,), 10.0)))
+        ranked = ranked_with({(0, 1): 12.0, (0,): 10.0}, 2)
         pruned = redundancy_prune(ranked, 5.0)
         assert [e.subgroup.item_ids for e in pruned] == [(0,)]
 
     def test_child_outside_threshold_kept(self):
-        ranked = RankedReport(entries=(entry((0, 1), 20.0), entry((0,), 10.0)))
+        ranked = ranked_with({(0, 1): 20.0, (0,): 10.0}, 2)
         pruned = redundancy_prune(ranked, 5.0)
         assert {e.subgroup.item_ids for e in pruned} == {(0,), (0, 1)}
 
     def test_chain_collapses_onto_most_general(self):
-        ranked = RankedReport(
-            entries=(
-                entry((0, 1, 2), 18.0),
-                entry((0, 1), 14.0),
-                entry((0,), 10.0),
-            )
-        )
+        ranked = ranked_with({(0, 1, 2): 18.0, (0, 1): 14.0, (0,): 10.0}, 3)
         pruned = redundancy_prune(ranked, 5.0)
         # (0,1) is within 5 of (0,); (0,1,2) is within 5 of surviving... only
         # (0,) survives the 14-10 comparison; 18 vs 10 is 8 > 5, so (0,1,2)
@@ -128,10 +126,8 @@ class TestRedundancyPrune:
                 for r in range(len(items)):
                     for sub in itertools.combinations(items, r):
                         closed.add(sub)
-            entries = tuple(
-                entry(items, float(rng.uniform(0, 30))) for items in sorted(closed)
-            )
-            ranked = RankedReport(entries=entries)
+            ranked = ranked_with({items: float(rng.uniform(0, 30)) for items in sorted(closed)}, 6)
+            entries = ranked.entries
             threshold = float(rng.uniform(1, 10))
             pruned = redundancy_prune(ranked, threshold)
             kept = {e.subgroup.item_ids: e.t for e in pruned}
@@ -149,12 +145,127 @@ class TestRedundancyPrune:
 
     def test_converges_to_unpruned_as_threshold_shrinks(self):
         rng = np.random.default_rng(4)
-        entries = tuple(
-            entry(items, float(rng.uniform(0, 30)))
-            for items in [(0,), (1,), (0, 1), (0, 2), (0, 1, 2)]
+        itemsets = [(0,), (1,), (0, 1), (0, 2), (0, 1, 2)]
+        ranked = ranked_with({items: float(rng.uniform(0, 30)) for items in itemsets}, 3)
+        assert len(redundancy_prune(ranked, 1e-12)) == len(itemsets)
+
+
+# The per-entry ranking and survivor loop that rank and redundancy_prune
+# replace, kept as their oracle.
+
+
+def _sort_key(e: RankedEntry):
+    mag = abs(e.delta_h) if e.delta_h is not None else -1.0
+    return (-e.t, -mag, e.subgroup.item_ids)
+
+
+def oracle_rank(report, catalog, top_k=None):
+    entries = []
+    for sg in catalog.subgroups:
+        d = report.delta_h[sg.index]
+        entries.append(
+            RankedEntry(
+                subgroup=sg,
+                t=float(report.t_values[sg.index]),
+                delta_h=None if np.isnan(d) else float(d),
+            )
         )
-        ranked = RankedReport(entries=entries)
-        assert len(redundancy_prune(ranked, 1e-12)) == len(entries)
+    entries.sort(key=_sort_key)
+    return entries[:top_k]
+
+
+def oracle_prune(entries, t_threshold):
+    order = sorted(entries, key=lambda e: (len(e.subgroup.item_ids),) + _sort_key(e))
+    survivors = []
+    for e in order:
+        items = frozenset(e.subgroup.item_ids)
+        pruned = any(
+            s_items < items and abs(s_t - e.t) < t_threshold
+            for s_items, s_t, _ in survivors
+        )
+        if not pruned:
+            survivors.append((items, e.t, e))
+    return sorted((e for _, _, e in survivors), key=_sort_key)
+
+
+def random_catalog(rng, closed):
+    """A catalog over up to 7 items with itemsets of length up to 5, in a
+    shuffled dense order (the global subgroup first); ``closed`` adds every
+    subset of every itemset, otherwise some subsets are missing."""
+    n_items = int(rng.integers(1, 8))
+    itemsets = set()
+    for _ in range(int(rng.integers(1, 10))):
+        size = int(rng.integers(1, min(n_items, 5) + 1))
+        top = tuple(sorted(rng.choice(n_items, size=size, replace=False).tolist()))
+        itemsets.add(top)
+        for r in range(1, size):
+            itemsets.update(
+                sub for sub in itertools.combinations(top, r) if closed or rng.random() < 0.5
+            )
+    itemsets = sorted(itemsets)
+    rng.shuffle(itemsets)
+    sgs = [Subgroup((), 1.0, 10, 0)] + [
+        Subgroup(items, 0.5, 5, j) for j, items in enumerate(itemsets, start=1)
+    ]
+    return SubgroupCatalog(sgs, n_items, MiningConfig(0.01, 7))
+
+
+def random_report(rng, cat):
+    """t and delta_h from few values, so that both tie; some delta_h NaN."""
+    n = len(cat)
+    rep = report_with(cat, {})
+    rep.t_values[:] = rng.choice([0.0, 0.5, 2.0, 4.5, 6.0, 9.0], size=n)
+    rep.delta_h[:] = rng.choice([np.nan, -0.3, -0.1, 0.0, 0.1, 0.3], size=n)
+    return rep
+
+
+class TestExplainOracle:
+    def test_rank_and_prune_match_the_per_entry_loop(self):
+        rng = np.random.default_rng(61)
+        for trial in range(240):
+            cat = random_catalog(rng, closed=trial % 2 == 0)
+            rep = random_report(rng, cat)
+            top_k = None if trial % 3 else int(rng.integers(1, len(cat) + 2))
+            want = oracle_rank(rep, cat, top_k)
+            ranked = rank(rep, cat, top_k)
+            assert list(ranked.entries) == want, f"trial {trial}"
+            assert ranked.head(3) == tuple(want[:3])
+            for threshold in (0.0, 0.3, 2.0, 5.0, 1e9):
+                got = [e.subgroup.index for e in redundancy_prune(ranked, threshold)]
+                expect = [e.subgroup.index for e in oracle_prune(want, threshold)]
+                assert got == expect, f"trial {trial} threshold {threshold}"
+
+    def test_subset_index_matches_per_mask_lookups(self):
+        rng = np.random.default_rng(62)
+        # every subset of 10 items, then with some missing: masks past 8 bits
+        every = [c for r in range(1, 11) for c in itertools.combinations(range(10), r)]
+        long_ones = [
+            catalog_from_itemsets(every, 10),
+            catalog_from_itemsets([c for c in every if len(c) == 10 or rng.random() < 0.7], 10),
+        ]
+        for trial in range(62):
+            cat = long_ones[trial - 60] if trial >= 60 else random_catalog(rng, closed=trial % 2 == 0)
+            max_len = None if trial % 3 or trial >= 60 else int(rng.integers(1, 4))
+            lengths = []
+            for idx, items, subsets in _subset_index(cat, max_len):
+                k = items.shape[1]
+                lengths.append(k)
+                member = _coalitions(k)
+                want = np.column_stack(
+                    [cat.indices_of(items[:, member[mask]]) for mask in range(1 << k)]
+                )
+                np.testing.assert_array_equal(subsets, want)
+                np.testing.assert_array_equal(subsets[:, -1], idx)
+            expect = [items.shape[1] for _, items in cat.length_tables]
+            assert lengths == [k for k in expect if max_len is None or k <= max_len]
+
+    def test_lex_ranks_order_itemsets(self):
+        rng = np.random.default_rng(63)
+        for _ in range(20):
+            cat = random_catalog(rng, closed=False)
+            lex = cat.lex_ranks()
+            by_items = sorted(range(len(cat)), key=lambda j: cat.subgroup(j).item_ids)
+            assert lex[by_items].tolist() == list(range(len(cat)))
 
 
 class TestShapleyLocal:
