@@ -415,14 +415,10 @@ class _ContingencyWindow(BaselineDetector):
         self.buf_err += error
         if self.buf_n < self.window_size:
             return NO_DRIFT
-        window = (self.buf_n - self.buf_err, self.buf_err)  # (correct, wrong)
+        correct, wrong = self.buf_n - self.buf_err, self.buf_err
         self.buf_n = 0
         self.buf_err = 0
-        if self.ref is None:
-            self.ref = window
-            return NO_DRIFT
-        p = self._test(self.ref, window)
-        return DRIFT if p < self.p_value else NO_DRIFT
+        return self.update_counts(correct, wrong)
 
     def update_counts(self, correct: int, wrong: int) -> str:
         """Windowed-count entry point: one call is one full window."""

@@ -24,7 +24,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -374,10 +374,14 @@ class ColumnData:
     def __init__(self, rows: Sequence[Mapping[str, object]], categorical: frozenset[str] = frozenset()):
         if not rows:
             raise ValueError("no rows")
-        columns = _rows_to_columns(rows)
-        label = columns.get("y")
-        y = None if label is None else np.fromiter(map(int, label), dtype=np.int64, count=len(label))
-        self._fill(columns, categorical, y)
+
+        def column(name: str) -> list:
+            return [r.get(name) for r in rows]
+
+        names = dict.fromkeys(chain.from_iterable(rows))
+        self.n = len(rows)
+        self.y = np.fromiter(map(int, column("y")), dtype=np.int64, count=self.n) if "y" in names else None
+        self._fill(names, column, categorical)
 
     @classmethod
     def from_columns(
@@ -389,18 +393,19 @@ class ColumnData:
         """The table of raw ``columns`` (attribute -> values in row order, all
         of one length), as :func:`read_columns` returns them."""
         table = cls.__new__(cls)
-        table._fill(columns, categorical, y)
+        table.n, table.y = len(next(iter(columns.values()), ())), y
+        table._fill(columns, columns.__getitem__, categorical)
         return table
 
-    def _fill(self, columns: Mapping[str, Sequence], categorical: frozenset[str], y: np.ndarray | None) -> None:
-        self.n = len(next(iter(columns.values()), ()))
-        self.y = y
-        self.attrs = [a for a in columns if a not in RESERVED_COLUMNS]
+    def _fill(self, names: Iterable[str], column: Callable[[str], Sequence], categorical: frozenset[str]) -> None:
+        """Type the columns ``names``, fetching one raw ``column(name)`` at a
+        time so that only one untyped column is held at once."""
+        self.attrs = [a for a in names if a not in RESERVED_COLUMNS]
         self.numeric: dict[str, np.ndarray] = {}
         self.codes: dict[str, np.ndarray] = {}
         self.uniques: dict[str, np.ndarray] = {}
         for a in self.attrs:
-            codes, distinct = _factorize(columns[a])
+            codes, distinct = _factorize(column(a))
             text = ["" if t is None else t.strip() for t in distinct]
             text = ["" if t in MISSING_VALUES else t for t in text]
             numbers = None if a in categorical else _floats(text)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import logging
 import os
@@ -41,7 +42,7 @@ from .evaluation import (
 from .explain import rank, redundancy_prune, shapley_global
 from .mining import MiningConfig, SubgroupCatalog, mine_frequent
 from .sgmetrics import EncodedBatch, aggregate, build_point_matrix, membership
-from .streams import ConceptStreamConfig, DriftSchedule, gen_concept_stream, inject_label_flip
+from .streams import ConceptStreamConfig, DriftSchedule, StreamBatch, gen_concept_stream, inject_label_flip
 from .datasets import resolve_tabular
 
 log = logging.getLogger("driftscope")
@@ -104,8 +105,6 @@ def _write_manifest(out: Path, args: argparse.Namespace) -> None:
 
 
 def _csv_text(rows: list[dict], columns: list[str]) -> str:
-    import io
-
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
     writer.writeheader()
@@ -247,18 +246,15 @@ def _cmd_monitor(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _stream_csv(batches, path: Path) -> None:
-    names = batches[0].feature_names
-    rows = []
-    for b, sb in enumerate(batches):
-        for i in range(len(sb.y)):
-            row = {"batch": b + 1}
-            for j, nm in enumerate(names):
-                v = sb.X[i, j]
-                row[nm] = int(v) if sb.feature_kinds[j] == "categorical" else float(v)
-            row["y"] = int(sb.y[i])
-            rows.append(row)
-    _atomic_write(path, _csv_text(rows, ["batch", *names, "y"]))
+def _stream_csv(table: StreamBatch, batch_size: int, path: Path) -> None:
+    """Write a generated table with its 1-based batch number per row."""
+    columns = table.columns()
+    batch = (np.arange(len(table.y)) // batch_size + 1).tolist()
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["batch", *columns])
+    writer.writerows(zip(batch, *columns.values()))
+    _atomic_write(path, buf.getvalue())
 
 
 def _cmd_gen(args) -> int:
@@ -277,13 +273,13 @@ def _cmd_gen(args) -> int:
         batch_size=args.batch_size,
         seed=args.seed,
     )
-    train, batches = gen_concept_stream(config)
+    train, stream = gen_concept_stream(config)
     out = Path(args.out)
-    _stream_csv(batches, out)
+    _stream_csv(stream, config.batch_size, out)
     if args.train_out:
-        _stream_csv([train], Path(args.train_out))
+        _stream_csv(train, config.train_size, Path(args.train_out))
     _write_manifest(out, args)
-    log.info("wrote %d stream batches to %s", len(batches), out)
+    log.info("wrote %d stream batches to %s", config.n_batches, out)
     return 0
 
 
@@ -377,7 +373,13 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    threads = args.threads or int(os.environ.get("DRIFTSCOPE_THREADS", "1"))
+    threads = args.threads
+    if not threads:
+        setting = os.environ.get("DRIFTSCOPE_THREADS", "1")
+        try:
+            threads = int(setting)
+        except ValueError:
+            raise DataError(f"DRIFTSCOPE_THREADS must be an integer, got {setting!r}") from None
     out_rows = []
     if args.suite in ("inject", "adult-inject"):
         cols, source = resolve_tabular(args.data, n=args.rows)

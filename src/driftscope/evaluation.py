@@ -20,9 +20,11 @@ from __future__ import annotations
 
 import json
 import time
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from functools import partial
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -30,7 +32,7 @@ from .baselines import DRIFT, make_detector
 from .catalog import ColumnData, ItemCatalog
 from .detector import DriftReport, MonitorState, WindowConfig, step
 from .mining import MiningConfig, SubgroupCatalog, mine_frequent
-from .sgmetrics import EncodedBatch, SubgroupStats, aggregate, membership
+from .sgmetrics import EncodedBatch, Membership, SubgroupStats, aggregate, membership
 from .streams import (
     ConceptStreamConfig,
     DriftSchedule,
@@ -180,6 +182,47 @@ def outcome_from_reports(report_dicts: Sequence[Mapping]) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Experiment core: one batch loop, one baseline scorer, one job runner
+# ---------------------------------------------------------------------------
+
+
+def _monitor_batches(
+    monitor: MonitorState,
+    sgcat: SubgroupCatalog,
+    P: Membership,
+    alpha: np.ndarray,
+    beta: np.ndarray,
+    bounds: Sequence[tuple[int, int]],
+    tau_t: float,
+) -> Iterator[tuple[Membership, DriftReport]]:
+    """Step ``monitor`` through the batches ``bounds`` of one encoded stream
+    (point matrix ``P`` and outcome vectors), yielding each batch's
+    membership and report."""
+    for b, (lo, hi) in enumerate(bounds):
+        batch = EncodedBatch(P[lo:hi], alpha[lo:hi], beta[lo:hi], batch_id=b + 1)
+        M = membership(batch, sgcat)
+        yield M, step(monitor, aggregate(batch, M), tau_t=tau_t)
+
+
+def _baselines_detected(
+    errors: np.ndarray, kinds: Sequence[str], params: Mapping[str, Mapping] | None
+) -> dict[str, bool]:
+    """Whether each global baseline detector fires on the error stream."""
+    params = params or {}
+    return {kind: DRIFT in make_detector(kind, **params.get(kind, {})).run(errors) for kind in kinds}
+
+
+def _run_jobs(jobs: Sequence[Callable], threads: int) -> list:
+    """The results of the picklable zero-argument ``jobs``, in order, over
+    ``threads`` worker processes when more than one."""
+    if threads <= 1:
+        return [job() for job in jobs]
+    with ProcessPoolExecutor(max_workers=threads) as pool:
+        futures = [pool.submit(job) for job in jobs]
+        return [f.result() for f in futures]
+
+
+# ---------------------------------------------------------------------------
 # Injection experiments
 # ---------------------------------------------------------------------------
 
@@ -222,7 +265,6 @@ def run_injection_experiment(
     """One shuffled train/test split with optional targeted label flips."""
     if kind not in ("positive", "negative"):
         raise ValueError("kind must be 'positive' or 'negative'")
-    baseline_params = dict(baseline_params or {})
     ss = np.random.SeedSequence([_INJECT_SALT, seed])
     rng = np.random.default_rng(ss)
 
@@ -264,31 +306,20 @@ def run_injection_experiment(
 
     alpha = (y_test == y_hat).astype(np.int64)
     beta = 1 - alpha
-    errors = beta
 
     monitor = MonitorState(n_subgroups=len(sgcat), config=WindowConfig(window))
-    ring: list[tuple[np.ndarray, np.ndarray]] = []  # per-batch member/altered sums
+    # altered counts of the scored batches, as many as the current window holds
+    altered_ring: deque[np.ndarray] = deque(maxlen=window)
     batch_max_t: list[float] = []
     detected = False
     final_report = None
-    for b, (blo, bhi) in enumerate(bounds):
-        batch = EncodedBatch(
-            point_matrix=P_test[blo:bhi],
-            alpha_vec=alpha[blo:bhi],
-            beta_vec=beta[blo:bhi],
-            batch_id=b + 1,
-        )
-        M = membership(batch, sgcat)
-        stats = aggregate(batch, M)
-        report = step(monitor, stats, tau_t=tau_t)
+    batches = _monitor_batches(monitor, sgcat, P_test, alpha, beta, bounds, tau_t)
+    for (blo, bhi), (M, report) in zip(bounds, batches):
         if not report.warming_up:
             batch_max_t.append(report.max_t())
             detected = detected or report.global_drift
             final_report = report
-        # every instance has alpha + beta = 1, so their sum is the member count
-        ring.append((stats.alpha_counts + stats.beta_counts, M.count(mask[blo:bhi])))
-        if len(ring) > window:
-            ring.pop(0)
+            altered_ring.append(M.count(mask[blo:bhi]))
 
     result = ExperimentResult(
         kind=kind,
@@ -297,24 +328,17 @@ def run_injection_experiment(
         seed=seed,
         target_support=target_support,
         target_items=target_items,
+        baseline_detected=_baselines_detected(beta, baseline_kinds, baseline_params),
     )
-
-    for bkind in baseline_kinds:
-        det = make_detector(bkind, **baseline_params.get(bkind, {}))
-        fired = False
-        for decision in det.run(errors):
-            if decision == DRIFT:
-                fired = True
-                break
-        result.baseline_detected[bkind] = fired
 
     extras = None
     relevance = None
     if kind == "positive" and final_report is not None:
-        member = np.sum([m for m, _ in ring], axis=0)
-        altered = np.sum([a for _, a in ring], axis=0)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            relevance = np.where(member > 0, altered / np.maximum(member, 1), 0.0)
+        # every instance has alpha + beta = 1, so their sum is the member count
+        cur = monitor.current_stats()
+        member = cur.alpha_counts + cur.beta_counts
+        altered = np.sum(altered_ring, axis=0)
+        relevance = altered / np.maximum(member, 1)  # 0 where no member: altered <= member
         t = final_report.t_values
         order = np.lexsort((np.arange(len(t)), -t))
         result.ndcg_at_10 = ndcg_at_k(relevance[order], 10)
@@ -350,37 +374,14 @@ def run_injection_suite(
     X = cols.feature_matrix()
     jobs = [("positive", seed * 10007 + i) for i in range(n_positive)]
     jobs += [("negative", seed * 10007 + n_positive + i) for i in range(n_negative)]
-
-    extras = None
-    results = []
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            futs = [
-                pool.submit(
-                    run_injection_experiment,
-                    cols,
-                    kind,
-                    s,
-                    keep_state=(i == 0),
-                    feature_matrix=X,
-                    **kwargs,
-                )
-                for i, (kind, s) in enumerate(jobs)
-            ]
-            for i, fut in enumerate(futs):
-                r, ex = fut.result()
-                results.append(r)
-                if i == 0:
-                    extras = ex
-    else:
-        for i, (kind, s) in enumerate(jobs):
-            r, ex = run_injection_experiment(
-                cols, kind, s, keep_state=(i == 0), feature_matrix=X, **kwargs
-            )
-            results.append(r)
-            if i == 0:
-                extras = ex
-    return results, extras
+    runs = _run_jobs(
+        [
+            partial(run_injection_experiment, cols, kind, s, keep_state=(i == 0), feature_matrix=X, **kwargs)
+            for i, (kind, s) in enumerate(jobs)
+        ],
+        threads,
+    )
+    return [r for r, _ in runs], runs[0][1] if runs else None
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +414,6 @@ def run_concept_experiment(
     """One synthetic stream experiment: drift (positive) or stationary."""
     if kind not in ("positive", "negative"):
         raise ValueError("kind must be 'positive' or 'negative'")
-    baseline_params = dict(baseline_params or {})
     rng = np.random.default_rng(np.random.SeedSequence([_CONCEPT_SALT, seed]))
     pool = _CONCEPT_POOL[generator]
     concept_a = int(rng.integers(pool))
@@ -445,54 +445,43 @@ def run_concept_experiment(
         batch_size=batch_size,
         seed=seed,
     )
-    train, batches = gen_concept_stream(config)
+    train, stream = gen_concept_stream(config)
 
     cat_attrs = frozenset(
         name for name, kind_ in zip(train.feature_names, train.feature_kinds) if kind_ == "categorical"
     )
-    train_cols = ColumnData(train.records(), categorical=cat_attrs)
+    train_cols = ColumnData.from_columns(train.columns(), categorical=cat_attrs)
+    stream_cols = ColumnData.from_columns(stream.columns(), categorical=cat_attrs)
     train_idx = np.arange(train_cols.n)
     catalog = train_cols.build_catalog(train_idx, bins=bins)
     P_train = train_cols.point_matrix(train_idx, catalog)
     sgcat = mine_frequent(P_train, mining, item_attrs=catalog.item_attributes())
 
     model = fit_tree(train.X, train.y, max_depth=tree_depth)
+    alpha = (stream.y == model.predict(stream.X)).astype(np.int64)
+    beta = 1 - alpha
+    P = stream_cols.point_matrix(np.arange(stream_cols.n), catalog)
+    bounds = [(b * batch_size, (b + 1) * batch_size) for b in range(n_batches)]
 
     monitor = MonitorState(n_subgroups=len(sgcat), config=WindowConfig(window))
     batch_max_t: list[float] = []
     detected = False
     report_lines: list[str] = []
-    all_errors: list[np.ndarray] = []
-    for b, sb in enumerate(batches):
-        y_hat = model.predict(sb.X)
-        alpha = (sb.y == y_hat).astype(np.int64)
-        beta = 1 - alpha
-        all_errors.append(beta)
-        bc = ColumnData(sb.records(), categorical=cat_attrs)
-        P = bc.point_matrix(np.arange(bc.n), catalog)
-        batch = EncodedBatch(point_matrix=P, alpha_vec=alpha, beta_vec=beta, batch_id=b + 1)
-        M = membership(batch, sgcat)
-        stats = aggregate(batch, M)
-        report = step(monitor, stats, tau_t=tau_t)
+    for _, report in _monitor_batches(monitor, sgcat, P, alpha, beta, bounds, tau_t):
         if not report.warming_up:
             batch_max_t.append(report.max_t())
             detected = detected or report.global_drift
         if keep_reports:
             report_lines.append(json.dumps(report.to_dict(sgcat), sort_keys=True))
 
-    result = ExperimentResult(
+    return ExperimentResult(
         kind=kind,
         detected=detected,
         batch_max_t=batch_max_t,
         seed=seed,
+        baseline_detected=_baselines_detected(beta, baseline_kinds, baseline_params),
         report_jsonl="\n".join(report_lines) if keep_reports else None,
     )
-    if baseline_kinds:
-        errors = np.concatenate(all_errors)
-        for bkind in baseline_kinds:
-            det = make_detector(bkind, **baseline_params.get(bkind, {}))
-            result.baseline_detected[bkind] = any(d == DRIFT for d in det.run(errors))
-    return result
 
 
 def run_concept_suite(
@@ -505,14 +494,7 @@ def run_concept_suite(
 ) -> list[ExperimentResult]:
     jobs = [("positive", seed * 20011 + i) for i in range(n_positive)]
     jobs += [("negative", seed * 20011 + n_positive + i) for i in range(n_negative)]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            futs = [
-                pool.submit(run_concept_experiment, generator, kind, s, **kwargs)
-                for kind, s in jobs
-            ]
-            return [f.result() for f in futs]
-    return [run_concept_experiment(generator, kind, s, **kwargs) for kind, s in jobs]
+    return _run_jobs([partial(run_concept_experiment, generator, kind, s, **kwargs) for kind, s in jobs], threads)
 
 
 # ---------------------------------------------------------------------------

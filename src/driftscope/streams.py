@@ -27,7 +27,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .catalog import ItemCatalog
+from .catalog import DataError, ItemCatalog
 
 __all__ = [
     "DriftSchedule",
@@ -74,23 +74,22 @@ N_CONCEPTS = {"agrawal": 10, "sea": 4, "led": 8, "hyperplane": 2**31}
 
 @dataclass(frozen=True)
 class StreamBatch:
-    """One batch of labeled instances with named features."""
+    """A table of labeled instances with named features: a train set or a
+    whole stream."""
 
     X: np.ndarray
     y: np.ndarray
     feature_names: tuple[str, ...]
     feature_kinds: tuple[str, ...]  # "continuous" | "categorical" per feature
 
-    def records(self) -> list[dict]:
-        """Rows as attribute dicts (plus 'y') for catalog encoding."""
-        out = []
-        for i in range(len(self.y)):
-            rec: dict = {}
-            for j, name in enumerate(self.feature_names):
-                v = self.X[i, j]
-                rec[name] = int(v) if self.feature_kinds[j] == "categorical" else float(v)
-            rec["y"] = int(self.y[i])
-            out.append(rec)
+    def columns(self) -> dict[str, list]:
+        """Attribute -> values in row order (ints for categorical features,
+        floats for continuous ones), plus 'y', for catalog encoding."""
+        out = {
+            name: (self.X[:, j].astype(np.int64) if kind == "categorical" else self.X[:, j]).tolist()
+            for j, (name, kind) in enumerate(zip(self.feature_names, self.feature_kinds))
+        }
+        out["y"] = self.y.tolist()
         return out
 
 
@@ -309,12 +308,14 @@ def _apply_label_noise(y: np.ndarray, noise: float, n_classes: int, rng: np.rand
     return y
 
 
-def gen_concept_stream(config: ConceptStreamConfig) -> tuple[StreamBatch, list[StreamBatch]]:
-    """Generate (train set, batched stream) for a sigmoid concept drift.
+def gen_concept_stream(config: ConceptStreamConfig) -> tuple[StreamBatch, StreamBatch]:
+    """Generate (train set, stream) for a sigmoid concept drift.
 
     The train set is drawn purely from concept A. Each stream instance i is
     drawn from concept B with probability sigma(i); labels are then flipped
-    independently with probability ``label_noise``. Byte-identical for a
+    independently with probability ``label_noise``. The stream is one table
+    of ``n_batches * batch_size`` rows; batch b is its rows
+    ``b * batch_size`` to ``(b + 1) * batch_size``. Byte-identical for a
     given config.
     """
     names, kinds = _GENERATOR_SCHEMAS[config.generator]
@@ -339,12 +340,7 @@ def gen_concept_stream(config: ConceptStreamConfig) -> tuple[StreamBatch, list[S
     ).astype(np.int64)
     sX, sy = _draw(config.generator, concepts, stream_rng)
     sy = _apply_label_noise(sy, config.label_noise, n_classes, noise_rng)
-
-    batches = []
-    for b in range(config.n_batches):
-        lo, hi = b * config.batch_size, (b + 1) * config.batch_size
-        batches.append(StreamBatch(X=sX[lo:hi], y=sy[lo:hi], feature_names=names, feature_kinds=kinds))
-    return train, batches
+    return train, StreamBatch(X=sX, y=sy, feature_names=names, feature_kinds=kinds)
 
 
 # ---------------------------------------------------------------------------
@@ -420,10 +416,20 @@ def inject_label_flip(
 
     Returns the perturbed batches (records copied, only 'y' changes) and one
     boolean altered-mask per batch marking exactly the flipped instances.
-    Raises when the target subgroup covers no instance of the stream.
+    Raises a :class:`DataError` naming the row when a record has no integer
+    label 'y', and raises when the target subgroup covers no instance of the
+    stream.
     """
     records = [rec for batch in batches for rec in batch]
-    y = np.array([int(rec["y"]) for rec in records], dtype=np.int64)
+    y = np.empty(len(records), dtype=np.int64)
+    for i, rec in enumerate(records):
+        try:
+            label = float(str(rec.get("y")))
+        except ValueError:
+            label = np.nan
+        if not label.is_integer():
+            raise DataError(f"row {i + 1}: no integer label in column 'y' (got {rec.get('y')!r})")
+        y[i] = label
     bad = (y != 0) & (y != 1)
     if bad.any():
         raise ValueError(f"label flipping requires binary labels, got y={y[np.argmax(bad)]}")

@@ -1,17 +1,25 @@
 """Row-at-a-time reference implementations of the ingest that the columnar
-path (``read_columns`` -> ``ColumnData``) replaced, kept as test oracles.
+path (``read_columns`` -> ``ColumnData``) replaced, and of the concept
+experiment that encoded each batch through dict rows, kept as test oracles.
 
-Each is the earlier program code, unchanged but for returning plain values.
+Each is the earlier program code, unchanged but for returning plain values
+(and, for the concept experiment, slicing its batches from the one stream
+table that the generator now returns).
 """
 
+import json
 from types import SimpleNamespace
 
 import numpy as np
 
-from driftscope.catalog import MISSING_VALUES, RESERVED_COLUMNS, _catalog_of_columns, read_rows
+from driftscope import evaluation
+from driftscope.baselines import DRIFT, make_detector
+from driftscope.catalog import MISSING_VALUES, RESERVED_COLUMNS, ColumnData, _catalog_of_columns, read_rows
 from driftscope.datasets import ADULT_COLUMNS
+from driftscope.detector import MonitorState, WindowConfig, step
 from driftscope.mining import MiningConfig, mine_frequent
-from driftscope.sgmetrics import build_point_matrix
+from driftscope.sgmetrics import EncodedBatch, aggregate, build_point_matrix, membership
+from driftscope.streams import ConceptStreamConfig, concept_disagreement, fit_tree, gen_concept_stream
 
 
 def column_data(rows, categorical=frozenset()):
@@ -163,3 +171,119 @@ def assert_same_table(new, old):
     for a in old.codes:
         assert new.uniques[a].tolist() == old.uniques[a].tolist(), a
         assert np.array_equal(new.codes[a], old.codes[a]), a
+
+
+def stream_records(X, y, feature_names, feature_kinds):
+    """``StreamBatch.records()``: rows as attribute dicts (plus 'y')."""
+    out = []
+    for i in range(len(y)):
+        rec = {}
+        for j, name in enumerate(feature_names):
+            v = X[i, j]
+            rec[name] = int(v) if feature_kinds[j] == "categorical" else float(v)
+        rec["y"] = int(y[i])
+        out.append(rec)
+    return out
+
+
+def concept_experiment(
+    generator,
+    kind,
+    seed,
+    mining=MiningConfig(0.05, max_len=3),
+    bins=4,
+    window=5,
+    tau_t=5.0,
+    tree_depth=5,
+    train_size=5000,
+    n_batches=50,
+    batch_size=200,
+    label_noise=0.10,
+    drift_center=5000,
+    drift_width=1000,
+    baseline_kinds=(),
+    baseline_params=None,
+    keep_reports=False,
+    min_disagreement=0.10,
+):
+    """``run_concept_experiment`` as it was: every batch re-encoded through
+    dict rows into its own table and point matrix, and predicted on its own."""
+    baseline_params = dict(baseline_params or {})
+    rng = np.random.default_rng(np.random.SeedSequence([evaluation._CONCEPT_SALT, seed]))
+    pool = evaluation._CONCEPT_POOL[generator]
+    concept_a = int(rng.integers(pool))
+    if kind == "positive":
+        for _ in range(200):
+            concept_b = int(rng.integers(pool - 1))
+            concept_b += concept_b >= concept_a
+            if concept_disagreement(generator, concept_a, concept_b, seed=seed) >= min_disagreement:
+                break
+            concept_a = int(rng.integers(pool))
+        else:
+            raise ValueError(f"no {generator} concept pair reaches disagreement {min_disagreement}")
+    else:
+        concept_b = concept_a
+
+    config = ConceptStreamConfig(
+        generator=generator,
+        concept_a=concept_a,
+        concept_b=concept_b,
+        drift_center=drift_center,
+        drift_width=drift_width,
+        label_noise=label_noise,
+        train_size=train_size,
+        n_batches=n_batches,
+        batch_size=batch_size,
+        seed=seed,
+    )
+    train, stream = gen_concept_stream(config)
+    names, kinds = train.feature_names, train.feature_kinds
+    batches = [
+        (stream.X[b * batch_size : (b + 1) * batch_size], stream.y[b * batch_size : (b + 1) * batch_size])
+        for b in range(n_batches)
+    ]
+
+    cat_attrs = frozenset(name for name, k in zip(names, kinds) if k == "categorical")
+    train_cols = ColumnData(stream_records(train.X, train.y, names, kinds), categorical=cat_attrs)
+    train_idx = np.arange(train_cols.n)
+    catalog = train_cols.build_catalog(train_idx, bins=bins)
+    P_train = train_cols.point_matrix(train_idx, catalog)
+    sgcat = mine_frequent(P_train, mining, item_attrs=catalog.item_attributes())
+
+    model = fit_tree(train.X, train.y, max_depth=tree_depth)
+
+    monitor = MonitorState(n_subgroups=len(sgcat), config=WindowConfig(window))
+    batch_max_t = []
+    detected = False
+    report_lines = []
+    all_errors = []
+    for b, (X, y) in enumerate(batches):
+        y_hat = model.predict(X)
+        alpha = (y == y_hat).astype(np.int64)
+        beta = 1 - alpha
+        all_errors.append(beta)
+        bc = ColumnData(stream_records(X, y, names, kinds), categorical=cat_attrs)
+        P = bc.point_matrix(np.arange(bc.n), catalog)
+        batch = EncodedBatch(point_matrix=P, alpha_vec=alpha, beta_vec=beta, batch_id=b + 1)
+        M = membership(batch, sgcat)
+        stats = aggregate(batch, M)
+        report = step(monitor, stats, tau_t=tau_t)
+        if not report.warming_up:
+            batch_max_t.append(report.max_t())
+            detected = detected or report.global_drift
+        if keep_reports:
+            report_lines.append(json.dumps(report.to_dict(sgcat), sort_keys=True))
+
+    result = evaluation.ExperimentResult(
+        kind=kind,
+        detected=detected,
+        batch_max_t=batch_max_t,
+        seed=seed,
+        report_jsonl="\n".join(report_lines) if keep_reports else None,
+    )
+    if baseline_kinds:
+        errors = np.concatenate(all_errors)
+        for bkind in baseline_kinds:
+            det = make_detector(bkind, **baseline_params.get(bkind, {}))
+            result.baseline_detected[bkind] = any(d == DRIFT for d in det.run(errors))
+    return result

@@ -13,6 +13,7 @@ import driftscope
 import rowpath
 from driftscope.cli import main
 from driftscope.datasets import census_sample
+from driftscope.streams import ConceptStreamConfig, gen_concept_stream
 
 
 def run_cli(*args):
@@ -153,6 +154,35 @@ def test_gen_inject_bench_pipeline(tmp_path):
     assert len(lines) == 10  # one report per generated batch
 
 
+@pytest.mark.parametrize("dataset", ["agrawal", "led"])
+def test_gen_csvs_read_back_equal_the_generator_arrays(tmp_path, dataset):
+    stream, train = tmp_path / "stream.csv", tmp_path / "train.csv"
+    assert run_cli(
+        "gen", "--dataset", dataset, "--concepts", "0,2", "--drift-center", "300",
+        "--drift-width", "100", "--n-batches", "7", "--batch-size", "90",
+        "--train-size", "250", "--seed", "5", "--out", stream, "--train-out", train,
+    ) == 0
+    config = ConceptStreamConfig(
+        generator=dataset, concept_a=0, concept_b=2, drift_center=300, drift_width=100,
+        train_size=250, n_batches=7, batch_size=90, seed=5,
+    )
+    want_train, want_stream = gen_concept_stream(config)
+    for path, want, batch in (
+        (stream, want_stream, np.arange(7 * 90) // 90 + 1),
+        (train, want_train, np.ones(250, dtype=int)),
+    ):
+        with open(path, newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header == ["batch", *want.feature_names, "y"]
+        assert [int(r[0]) for r in rows] == batch.tolist()
+        X = np.array([[float(v) for v in r[1:-1]] for r in rows])
+        assert X.tobytes() == want.X.tobytes()
+        assert [int(r[-1]) for r in rows] == want.y.tolist()
+        for j, kind in enumerate(want.feature_kinds):
+            if kind == "categorical":  # written as integers
+                assert all(r[1 + j].lstrip("-").isdigit() for r in rows)
+
+
 def _with_predictions(tmp_path, stream):
     rows = list(csv.DictReader(open(stream)))
     out = tmp_path / "stream_pred.csv"
@@ -229,6 +259,39 @@ def test_bad_subgroup_item_exits_two(tmp_path):
         "--out", tmp_path / "x.csv", "--mask", tmp_path / "m.csv",
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "labels, message",
+    [(None, "row 1: no integer label in column 'y' (got None)"),
+     (["1", "0", "yes"], "row 3: no integer label in column 'y' (got 'yes')")],
+)
+def test_inject_needs_an_integer_label_column(tmp_path, caplog, labels, message):
+    rng = np.random.default_rng(4)
+    src = tmp_path / "data.csv"
+    with open(src, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["color", "size"] + (["y"] if labels else []))
+        for i in range(60):
+            row = [rng.choice(["red", "blue"]), int(rng.integers(1, 9))]
+            w.writerow(row + ([labels[i] if i < len(labels) else i % 2] if labels else []))
+    catalog_path = tmp_path / "catalog.json"
+    assert run_cli("mine", "--input", src, "--min-support", "0.1", "--out", catalog_path) == 0
+    code = run_cli(
+        "inject", "--input", src, "--catalog", catalog_path, "--subgroup", "color=red",
+        "--p-max", "0.5", "--normal", "1", "--transition", "1", "--drift", "1",
+        "--out", tmp_path / "x.csv", "--mask", tmp_path / "m.csv",
+    )
+    assert code == 2
+    assert message in caplog.text
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_eval_names_a_bad_threads_setting(tmp_path, caplog, monkeypatch):
+    monkeypatch.setenv("DRIFTSCOPE_THREADS", "x")
+    code = run_cli("eval", "--suite", "sea", "--n-exp", "1", "--out", tmp_path / "sea.csv")
+    assert code == 2
+    assert "DRIFTSCOPE_THREADS" in caplog.text and "'x'" in caplog.text
 
 
 def _mined_and_monitored(tmp_path):

@@ -1,7 +1,9 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+import rowpath
 
 from driftscope.catalog import ItemCatalog, build_catalog
 from driftscope.evaluation import (
@@ -12,7 +14,9 @@ from driftscope.evaluation import (
     ndcg_at_k,
     outcome_from_reports,
     run_concept_experiment,
+    run_concept_suite,
     run_injection_experiment,
+    run_injection_suite,
     timing_bench,
     youden_sweep,
 )
@@ -362,6 +366,55 @@ class TestExperimentSmoke:
             batch_size=100,
         )
         assert neg.kind == "negative"
+
+
+_SMALL_CONCEPT = dict(
+    mining=MiningConfig(0.1, max_len=2),
+    train_size=1200,
+    n_batches=16,
+    batch_size=100,
+    drift_center=800,
+    drift_width=200,
+)
+
+
+class TestExperimentCore:
+    @pytest.mark.parametrize("generator", ["sea", "agrawal", "led", "hyperplane"])
+    @pytest.mark.parametrize("kind", ["positive", "negative"])
+    def test_concept_experiment_matches_per_batch_row_path(self, generator, kind):
+        kw = dict(_SMALL_CONCEPT, keep_reports=True, baseline_kinds=("ddm", "adwin"))
+        got = run_concept_experiment(generator, kind, seed=2, **kw)
+        want = rowpath.concept_experiment(generator, kind, seed=2, **kw)
+        assert dataclasses.asdict(got) == dataclasses.asdict(want)
+        assert got.report_jsonl.count("\n") == 15 and set(got.baseline_detected) == {"ddm", "adwin"}
+
+    def test_concept_suite_pool_equals_serial(self):
+        kw = dict(_SMALL_CONCEPT, n_positive=2, n_negative=1, seed=4, keep_reports=True, baseline_kinds=("ddm",))
+        serial = run_concept_suite("sea", threads=1, **kw)
+        pooled = run_concept_suite("sea", threads=2, **kw)
+        assert [r.kind for r in serial] == ["positive", "positive", "negative"]
+        assert [dataclasses.asdict(r) for r in pooled] == [dataclasses.asdict(r) for r in serial]
+
+    def test_injection_suite_pool_equals_serial(self, small_rows):
+        cols = ColumnData(small_rows)
+        kw = dict(
+            n_positive=2,
+            n_negative=1,
+            seed=3,
+            support_band=(0.05, 0.25),
+            mining=MiningConfig(0.05, max_len=2),
+            n_batches=15,
+            tree_depth=4,
+            baseline_kinds=("ddm", "adwin"),
+            n_random_rankings=5,
+        )
+        serial, serial_extras = run_injection_suite(cols, threads=1, **kw)
+        pooled, pooled_extras = run_injection_suite(cols, threads=2, **kw)
+        assert [r.kind for r in serial] == ["positive", "positive", "negative"]
+        assert [dataclasses.asdict(r) for r in pooled] == [dataclasses.asdict(r) for r in serial]
+        assert np.array_equal(pooled_extras.relevance, serial_extras.relevance)
+        assert np.array_equal(pooled_extras.final_report.t_values, serial_extras.final_report.t_values)
+        assert pooled_extras.sgcat.to_dict() == serial_extras.sgcat.to_dict()
 
 
 def test_timing_bench_shape():

@@ -97,13 +97,12 @@ class TestGenerators:
 
     def test_seed_determinism_byte_identical(self):
         cfg = ConceptStreamConfig(generator="agrawal", concept_a=0, concept_b=3, seed=11)
-        t1, b1 = gen_concept_stream(cfg)
-        t2, b2 = gen_concept_stream(cfg)
+        t1, s1 = gen_concept_stream(cfg)
+        t2, s2 = gen_concept_stream(cfg)
         assert t1.X.tobytes() == t2.X.tobytes()
         assert t1.y.tobytes() == t2.y.tobytes()
-        for x, y in zip(b1, b2):
-            assert x.X.tobytes() == y.X.tobytes()
-            assert x.y.tobytes() == y.y.tobytes()
+        assert s1.X.tobytes() == s2.X.tobytes()
+        assert s1.y.tobytes() == s2.y.tobytes()
 
     def test_invalid_concept_rejected(self):
         with pytest.raises(ValueError):
@@ -115,11 +114,12 @@ class TestGenerators:
         cfg = ConceptStreamConfig(generator="sea", concept_a=0, concept_b=2,
                                   label_noise=0.0, drift_center=2000, drift_width=400,
                                   n_batches=20, batch_size=200, seed=7)
-        _, batches = gen_concept_stream(cfg)
-        # after the drift the labels follow threshold 7, not 8
-        late = batches[-1]
-        want_b = (late.X[:, 0] + late.X[:, 1] <= 7.0).astype(int)
-        assert np.array_equal(late.y, want_b)
+        _, stream = gen_concept_stream(cfg)
+        assert len(stream.y) == 20 * 200
+        # after the drift the labels of the last batch follow threshold 7, not 8
+        late_X, late_y = stream.X[-200:], stream.y[-200:]
+        want_b = (late_X[:, 0] + late_X[:, 1] <= 7.0).astype(int)
+        assert np.array_equal(late_y, want_b)
 
 
 def _catalog_and_batches(n_per_batch=40, n_batches=25):
