@@ -332,6 +332,10 @@ def _rows_to_columns(rows: Sequence[Mapping[str, object]]) -> dict[str, list]:
 # -0.0, are one dict key).
 _TEXT_EXACT = frozenset({str, int, type(None)})
 
+# A column of only these is numeric with no text round trip (unless forced
+# categorical), None for missing.
+_FLOAT_OR_NONE = frozenset({float, type(None)})
+
 
 def _factorize(values: Sequence) -> tuple[np.ndarray, list]:
     """Codes of ``values`` into their distinct values in first-seen order,
@@ -364,7 +368,8 @@ class ColumnData:
     ``codes`` index its sorted distinct stripped strings ``uniques``, where
     "" stands for missing. Types are fixed from the whole table, whatever
     rows a catalog is built from. Values are stripped, tested for missing
-    and parsed once per distinct value. ``y`` is the int label column, or
+    and parsed once per distinct value; a column of only floats and None is
+    taken as numbers directly. ``y`` is the int label column, or
     None. Outcome and stream-structure columns are never attributes.
 
     ``ColumnData(rows)`` takes dict rows (keys in first-seen order, ``y``
@@ -405,7 +410,12 @@ class ColumnData:
         self.codes: dict[str, np.ndarray] = {}
         self.uniques: dict[str, np.ndarray] = {}
         for a in self.attrs:
-            codes, distinct = _factorize(column(a))
+            values = column(a)
+            if a not in categorical and _FLOAT_OR_NONE.issuperset(map(type, values)):
+                # a float's text parses back to that float, so take it as is
+                self.numeric[a] = np.array(values, dtype=np.float64)  # None -> NaN
+                continue
+            codes, distinct = _factorize(values)
             text = ["" if t is None else t.strip() for t in distinct]
             text = ["" if t in MISSING_VALUES else t for t in text]
             numbers = None if a in categorical else _floats(text)

@@ -495,55 +495,108 @@ class TreeModel:
         return out
 
 
-def _grow(X: np.ndarray, onehot: np.ndarray, classes: np.ndarray, depth: int, max_depth: int) -> _Node:
-    n = len(X)
-    counts = onehot.sum(0)
-    majority = int(classes[int(np.argmax(counts))])
-    node = _Node(prediction=majority)
-    if depth >= max_depth or counts.max() == n:
-        return node
-
-    best_score = -np.inf
-    best: tuple[int, float] | None = None
-    for f in range(X.shape[1]):
-        order = np.argsort(X[:, f], kind="stable")
-        xv = X[order, f]
-        cuts = np.flatnonzero(xv[1:] > xv[:-1]) + 1
-        if cuts.size == 0:
-            continue
-        cum = np.cumsum(onehot[order], axis=0)
-        left = cum[cuts - 1].astype(np.float64)
-        nl = cuts.astype(np.float64)
-        right = counts.astype(np.float64) - left
-        nr = n - nl
-        # maximizing sum(c^2)/n over both sides minimizes weighted Gini
-        score = (left**2).sum(1) / nl + (right**2).sum(1) / nr
-        k = int(np.argmax(score))  # first max: lowest threshold wins ties
-        if score[k] > best_score:
-            best_score = float(score[k])
-            best = (f, float((xv[cuts[k] - 1] + xv[cuts[k]]) / 2.0))
-    if best is None:
-        return node
-
-    f, thr = best
-    go_left = X[:, f] <= thr
-    node.feature = f
-    node.threshold = thr
-    node.left = _grow(X[go_left], onehot[go_left], classes, depth + 1, max_depth)
-    node.right = _grow(X[~go_left], onehot[~go_left], classes, depth + 1, max_depth)
-    return node
-
-
 def fit_tree(X: np.ndarray, y: np.ndarray, max_depth: int = 5) -> TreeModel:
-    """Fit a depth-bounded Gini tree. Single-class data yields a constant
-    predictor (with a warning)."""
+    """Fit a depth-bounded exact Gini tree. Single-class data yields a
+    constant predictor (with a warning).
+
+    The tree is grown level-wise over columns sorted once, as in SLIQ (Mehta,
+    Agrawal & Rissanen, 1996): each feature's rows are argsorted at the root
+    and kept grouped by node, with one stable partition per depth, so one
+    pass per feature scores every cut of every open node of a depth. Cuts lie
+    midway between consecutive distinct values of a node; NaN sorts last,
+    never forms a cut and goes right. A node is a leaf at ``max_depth``, when
+    pure, or when no feature has a cut in it. Raises ValueError unless ``X``
+    is 2-D with at least one row and ``y`` holds one label per row.
+    """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
-    classes = np.unique(y)
+    if X.ndim != 2:
+        raise ValueError(f"X must be 2-D, got shape {X.shape}")
+    if y.shape != (len(X),):
+        raise ValueError(f"X has shape {X.shape} but y has shape {y.shape}: need one label per row of X")
+    if len(X) == 0:
+        raise ValueError(f"cannot fit a tree on zero rows (X has shape {X.shape})")
+    classes, codes = np.unique(y, return_inverse=True)
     if len(classes) < 2:
         warnings.warn("training data contains a single class; model is constant")
         return TreeModel(root=_Node(prediction=int(classes[0])), classes=classes, max_depth=0)
-    onehot = (y[:, None] == classes[None, :]).astype(np.int64)
-    root = _grow(X, onehot, classes, 0, max_depth)
-    return TreeModel(root=root, classes=classes, max_depth=max_depth)
 
+    n, n_classes = len(y), len(classes)
+    class_ids = np.arange(n_classes)[:, None]
+    columns = np.ascontiguousarray(X.T)
+    # per feature, row ids by (value, row id): the order a stable sort of any
+    # node's rows gives, which a stable partition by node keeps
+    order = list(np.argsort(columns, axis=1, kind="stable"))
+    root = _Node()
+    level = [root]  # the nodes of this depth
+    node_of = np.zeros(n, dtype=np.intp)  # row -> its node in `level`, or len(level) below a leaf
+    depth = 0
+    while True:
+        k = len(level)
+        counts = np.bincount(node_of * n_classes + codes, minlength=(k + 1) * n_classes)
+        counts = counts.reshape(k + 1, n_classes)[:k]
+        for node, c in zip(level, counts.argmax(1)):  # first max: lowest class label wins ties
+            node.prediction = int(classes[c])
+        sizes = counts.sum(1)
+        is_open = counts.max(1) < sizes  # an empty node counts as pure
+        if depth >= max_depth or not is_open.any():
+            break
+
+        # each row's open node; rows below a leaf get the last key, so a
+        # stable sort by it groups a feature's rows by node and cuts them off
+        n_open = int(is_open.sum())
+        rank = np.full(k + 1, n_open, dtype=np.min_scalar_type(n_open))
+        rank[:k][is_open] = np.arange(n_open)
+        open_of = rank[node_of]
+        sizes, counts = sizes[is_open], counts[is_open].T
+        m = int(sizes.sum())
+        starts = np.cumsum(sizes) - sizes
+        ahead = np.cumsum(counts, axis=1) - counts  # class counts of the rows of earlier nodes
+        node_at = np.repeat(np.arange(n_open), sizes)  # node of each position of a feature's order
+        same_node = node_at[1:] == node_at[:-1]
+        best = np.full(n_open, -np.inf)
+        feature = np.full(n_open, -1)
+        threshold = np.zeros(n_open)
+        for f in range(len(order)):
+            rows = order[f] = order[f][np.argsort(open_of[order[f]], kind="stable")[:m]]
+            xs = columns[f, rows]
+            cut = np.flatnonzero((xs[1:] > xs[:-1]) & same_node) + 1  # first position right of a cut
+            if cut.size == 0:
+                continue
+            of = node_at[cut]
+            cum = np.cumsum(codes[rows] == class_ids, axis=1)
+            left = (cum.take(cut - 1, axis=1) - ahead.take(of, axis=1)).astype(np.float64)
+            nl = (cut - starts[of]).astype(np.float64)
+            right = counts.take(of, axis=1).astype(np.float64) - left
+            nr = sizes[of] - nl
+            # maximizing sum(c^2)/n over both sides minimizes weighted Gini
+            score = (left**2).sum(0) / nl + (right**2).sum(0) / nr
+            first = np.flatnonzero(np.r_[True, of[1:] != of[:-1]])  # each node's first cut
+            top = np.maximum.reduceat(score, first)
+            hit = np.flatnonzero(score == np.repeat(top, np.diff(np.r_[first, cut.size])))
+            hit = hit[np.r_[True, of[hit[1:]] != of[hit[:-1]]]]  # first max: lowest threshold wins ties
+            won = top > best[of[first]]  # strictly: the lowest feature wins ties
+            j, at = of[first][won], cut[hit[won]]
+            best[j], feature[j], threshold[j] = top[won], f, (xs[at - 1] + xs[at]) / 2.0
+
+        splits = np.flatnonzero(feature >= 0)
+        if splits.size == 0:
+            break
+        nodes = [node for node, o in zip(level, is_open) if o]
+        level = []
+        for j in splits:
+            node = nodes[j]
+            node.feature, node.threshold = int(feature[j]), float(threshold[j])
+            node.left, node.right = _Node(), _Node()
+            level += [node.left, node.right]
+        # route the rows of split nodes by predict's test, not by position:
+        # ~(x <= t) sends NaN right, and a midpoint that rounds onto the
+        # value above the cut sends that value left
+        left_child = np.zeros(n_open, dtype=np.intp)
+        left_child[splits] = np.arange(0, len(level), 2)
+        in_split = feature[node_at] >= 0
+        rows, at = order[0][in_split], node_at[in_split]
+        node_of = np.full(n, len(level))
+        node_of[rows] = left_child[at] + ~(columns[feature[at], rows] <= threshold[at])
+        depth += 1
+    return TreeModel(root=root, classes=classes, max_depth=max_depth)

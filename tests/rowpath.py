@@ -1,6 +1,7 @@
 """Row-at-a-time reference implementations of the ingest that the columnar
-path (``read_columns`` -> ``ColumnData``) replaced, and of the concept
-experiment that encoded each batch through dict rows, kept as test oracles.
+path (``read_columns`` -> ``ColumnData``) replaced, of the concept
+experiment that encoded each batch through dict rows, and of the tree fit
+that re-sorted every feature at every node, kept as test oracles.
 
 Each is the earlier program code, unchanged but for returning plain values
 (and, for the concept experiment, slicing its batches from the one stream
@@ -8,6 +9,7 @@ table that the generator now returns).
 """
 
 import json
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,7 +21,14 @@ from driftscope.datasets import ADULT_COLUMNS
 from driftscope.detector import MonitorState, WindowConfig, step
 from driftscope.mining import MiningConfig, mine_frequent
 from driftscope.sgmetrics import EncodedBatch, aggregate, build_point_matrix, membership
-from driftscope.streams import ConceptStreamConfig, concept_disagreement, fit_tree, gen_concept_stream
+from driftscope.streams import (
+    ConceptStreamConfig,
+    TreeModel,
+    _Node,
+    concept_disagreement,
+    fit_tree,
+    gen_concept_stream,
+)
 
 
 def column_data(rows, categorical=frozenset()):
@@ -287,3 +296,57 @@ def concept_experiment(
             det = make_detector(bkind, **baseline_params.get(bkind, {}))
             result.baseline_detected[bkind] = any(d == DRIFT for d in det.run(errors))
     return result
+
+
+def _grow(X: np.ndarray, onehot: np.ndarray, classes: np.ndarray, depth: int, max_depth: int) -> _Node:
+    n = len(X)
+    counts = onehot.sum(0)
+    majority = int(classes[int(np.argmax(counts))])
+    node = _Node(prediction=majority)
+    if depth >= max_depth or counts.max() == n:
+        return node
+
+    best_score = -np.inf
+    best: tuple[int, float] | None = None
+    for f in range(X.shape[1]):
+        order = np.argsort(X[:, f], kind="stable")
+        xv = X[order, f]
+        cuts = np.flatnonzero(xv[1:] > xv[:-1]) + 1
+        if cuts.size == 0:
+            continue
+        cum = np.cumsum(onehot[order], axis=0)
+        left = cum[cuts - 1].astype(np.float64)
+        nl = cuts.astype(np.float64)
+        right = counts.astype(np.float64) - left
+        nr = n - nl
+        # maximizing sum(c^2)/n over both sides minimizes weighted Gini
+        score = (left**2).sum(1) / nl + (right**2).sum(1) / nr
+        k = int(np.argmax(score))  # first max: lowest threshold wins ties
+        if score[k] > best_score:
+            best_score = float(score[k])
+            best = (f, float((xv[cuts[k] - 1] + xv[cuts[k]]) / 2.0))
+    if best is None:
+        return node
+
+    f, thr = best
+    go_left = X[:, f] <= thr
+    node.feature = f
+    node.threshold = thr
+    node.left = _grow(X[go_left], onehot[go_left], classes, depth + 1, max_depth)
+    node.right = _grow(X[~go_left], onehot[~go_left], classes, depth + 1, max_depth)
+    return node
+
+
+def fit_tree_recursive(X: np.ndarray, y: np.ndarray, max_depth: int = 5) -> TreeModel:
+    """Fit a depth-bounded Gini tree. Single-class data yields a constant
+    predictor (with a warning)."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y)
+    classes = np.unique(y)
+    if len(classes) < 2:
+        warnings.warn("training data contains a single class; model is constant")
+        return TreeModel(root=_Node(prediction=int(classes[0])), classes=classes, max_depth=0)
+    onehot = (y[:, None] == classes[None, :]).astype(np.int64)
+    root = _grow(X, onehot, classes, 0, max_depth)
+    return TreeModel(root=root, classes=classes, max_depth=max_depth)
+

@@ -455,6 +455,18 @@ def test_column_table_matches_per_value_table_on_random_columns():
         rowpath.assert_same_table(ColumnData(rows, categorical), rowpath.column_data(rows, categorical))
 
 
+@pytest.mark.parametrize("categorical", [frozenset(), frozenset({"x"})])
+def test_float_column_matches_its_text_round_trip(categorical):
+    values = [-0.0, 0.0, float("nan"), math.inf, None, -math.inf, 2.5, 0.0, None, -0.0]
+    rows = [{"x": v, "y": i % 2} for i, v in enumerate(values)]
+    cols = ColumnData(rows, categorical)
+    rowpath.assert_same_table(cols, rowpath.column_data(rows, categorical))
+    assert ("x" in cols.numeric) == (not categorical)
+    idx = list(range(len(rows)))
+    binning = {"x": "categorical"} if categorical else None
+    assert cols.build_catalog(idx).to_dict() == rowpath.build_catalog(rows, binning).to_dict()
+
+
 def test_padded_missing_token_is_missing_in_every_column():
     # the strip comes before the missing test, as in the catalog's encoder
     rows = [{"g": " ? ", "y": 0}, {"g": "a", "y": 1}, {"g": " NA", "y": 0}, {"g": "  ", "y": 1}]

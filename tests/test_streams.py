@@ -1,7 +1,15 @@
+import struct
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import rowpath
 from driftscope.catalog import build_catalog
+from driftscope.datasets import census_sample
+from driftscope.evaluation import _INJECT_SALT, ColumnData
 from driftscope.streams import (
     ConceptStreamConfig,
     DriftSchedule,
@@ -256,3 +264,93 @@ class TestTree:
         model = fit_tree(X, y, max_depth=2)
         assert (model.predict(X) == y).mean() > 0.95
 
+
+class TestTreeInputShapes:
+    @pytest.mark.parametrize("X", [np.zeros(10), np.zeros((10, 2, 1))])
+    def test_x_not_2d(self, X):
+        with pytest.raises(ValueError, match=r"2-D.*\(10,"):
+            fit_tree(X, np.arange(10) % 2)
+
+    @pytest.mark.parametrize("n_rows, n_labels", [(10, 20), (20, 10)])
+    def test_length_mismatch(self, n_rows, n_labels):
+        with pytest.raises(ValueError, match=rf"\({n_rows}, 3\).*\({n_labels},\)"):
+            fit_tree(np.zeros((n_rows, 3)), np.arange(n_labels) % 2)
+
+    def test_no_rows(self):
+        with pytest.raises(ValueError, match=r"zero rows.*\(0, 3\)"):
+            fit_tree(np.zeros((0, 3)), np.zeros(0, dtype=int))
+
+
+def assert_same_tree(new, old):
+    """Node for node: feature, bit-equal threshold and prediction."""
+    assert new.max_depth == old.max_depth and np.array_equal(new.classes, old.classes)
+    pairs = [(new.root, old.root)]
+    while pairs:
+        a, b = pairs.pop()
+        assert (a.is_leaf, a.feature, a.prediction) == (b.is_leaf, b.feature, b.prediction)
+        assert struct.pack("<d", a.threshold) == struct.pack("<d", b.threshold)
+        if not a.is_leaf:
+            pairs += [(a.left, b.left), (a.right, b.right)]
+
+
+def assert_fits_match(X, y, depth):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # both warn on a single class
+        assert_same_tree(fit_tree(X, y, depth), rowpath.fit_tree_recursive(X, y, depth))
+
+
+# duplicates, signed zeros, infinities (whose midpoints overflow or are NaN)
+# and NaN, with neighbouring floats whose midpoint rounds onto a value
+_TREE_VALUES = [-2.0, -0.0, 0.0, 0.5, 1.0, np.nextafter(1.0, 2.0), 3.0, 1.7e308, np.inf, -np.inf, np.nan]
+
+
+@st.composite
+def tree_fits(draw):
+    n = draw(st.integers(1, 40))
+    n_features = draw(st.integers(1, 4))
+    value = st.one_of(st.sampled_from(_TREE_VALUES), st.floats(-10, 10, width=16))
+    X = np.array(draw(st.lists(value, min_size=n * n_features, max_size=n * n_features))).reshape(n, n_features)
+    labels = draw(st.sampled_from([(0, 1), (-1, 3, 7), (2, 4, 5, 9)]))
+    y = np.array(draw(st.lists(st.sampled_from(labels), min_size=n, max_size=n)))
+    return X, y, draw(st.integers(0, 9))
+
+
+class TestTreeMatchesRecursiveFit:
+    @given(tree_fits())
+    @settings(max_examples=200)
+    def test_random_fits(self, case):
+        assert_fits_match(*case)
+
+    @pytest.mark.parametrize("depth", range(10))
+    def test_fixed_cases(self, depth):
+        rng = np.random.default_rng(depth)
+        dup = rng.integers(0, 4, (60, 3)).astype(float)
+        dup[:, 1] = 5.0  # a constant column
+        assert_fits_match(dup, rng.integers(0, 2, 60), depth)
+        assert_fits_match(rng.random((80, 2)), np.array([-1, 3, 7])[rng.integers(0, 3, 80)], depth)
+        assert_fits_match(np.array([[2.0, np.nan]]), np.array([7]), depth)
+        zeros = rng.choice([-0.0, 0.0, np.nan, 1.0], (50, 2))
+        assert_fits_match(zeros, rng.integers(0, 2, 50), depth)
+
+    @pytest.mark.parametrize("d", [10, 17])
+    def test_parity_grows_complete_levels(self, d):
+        # y is the parity of d bits, so every cut of a node ties and it splits
+        # on its lowest unused bit: depth j has 2**j open nodes, which needs
+        # node keys wider than one byte at d = 10 and than two at d = 17
+        bits = (np.arange(2**d)[:, None] >> np.arange(d)) & 1
+        X, y = bits.astype(float), bits.sum(1) % 2
+        model = fit_tree(X, y, d)
+        level = [model.root]
+        for depth in range(d):
+            assert [node.feature for node in level] == [depth] * 2**depth
+            level = [child for node in level for child in (node.left, node.right)]
+        assert all(node.is_leaf for node in level)
+        assert np.array_equal(model.predict(X), y)
+        if d == 10:
+            assert_same_tree(model, rowpath.fit_tree_recursive(X, y, d))
+
+    def test_census_surrogate_depth_8_on_the_injection_split(self):
+        cols = ColumnData(census_sample(seed=0))
+        perm = np.random.default_rng(np.random.SeedSequence([_INJECT_SALT, 1])).permutation(cols.n)
+        train = perm[: cols.n // 2]
+        assert_fits_match(cols.feature_matrix()[train], cols.y[train], 8)
