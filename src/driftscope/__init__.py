@@ -55,7 +55,6 @@ from .streams import (
     TreeModel,
     fit_tree,
     gen_concept_stream,
-    inject_label_flip,
 )
 from .baselines import make_detector
 from .evaluation import (
@@ -112,7 +111,6 @@ __all__ = [
     "TreeModel",
     "fit_tree",
     "gen_concept_stream",
-    "inject_label_flip",
     "make_detector",
     "ExperimentResult",
     "correlations",

@@ -358,6 +358,13 @@ def _floats(texts: Sequence[str]) -> np.ndarray | None:
         return None
 
 
+def _float_or_nan(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        return math.nan
+
+
 class ColumnData:
     """A table as typed columns: the one ingest path from raw values to
     catalogs and point matrices.
@@ -496,14 +503,20 @@ class ColumnData:
 
     def point_matrix(self, idx: np.ndarray, catalog: ItemCatalog) -> Membership:
         """Point matrix (packed item bitmaps) of the selected rows, vectorized
-        over the catalog's own per-attribute lookup, as ``encode`` uses it."""
+        over the catalog's own per-attribute lookup, as ``encode`` uses it:
+        an attribute with no column gives no item, and a quantile attribute's
+        text parses as a float (NaN if it does not)."""
         n = len(idx)
         # one bool row per item, plus a last row that collects the id -1 of
         # values outside the catalog and is dropped before packing
         mask = np.zeros((catalog.n_items + 1, n), dtype=bool)
         instances = np.arange(n)
         for attr, encoder in catalog._encoders.items():
+            if attr not in self.numeric and attr not in self.codes:
+                continue
             if isinstance(encoder, dict):
+                if attr in self.numeric:
+                    raise ValueError(f"attribute {attr!r} is categorical in the catalog, numeric in the table")
                 trans = np.array(
                     [encoder.get(str(u), -1) for u in self.uniques[attr]], dtype=np.int64
                 )
@@ -511,7 +524,10 @@ class ColumnData:
             else:
                 lo, hi, edges, bin_ids = encoder
                 bin_ids = np.array([-1 if i is None else i for i in bin_ids], dtype=np.int64)
-                x = self.numeric[attr][idx]
+                if attr in self.numeric:
+                    x = self.numeric[attr][idx]
+                else:
+                    x = np.array([_float_or_nan(u) for u in self.uniques[attr]])[self.codes[attr][idx]]
                 binned = bin_ids[np.searchsorted(edges, x, side="left")]
                 ids = np.where(~np.isnan(x) & (x >= lo) & (x <= hi), binned, -1)
             mask[ids, instances] = True
@@ -542,12 +558,12 @@ class MetricSpec:
     def outcome(self, row: Mapping[str, object], row_num: int) -> tuple[int, int]:
         def bit(col: str) -> int:
             try:
-                v = int(float(str(row[col])))
-            except (TypeError, ValueError, KeyError):
+                x = float(str(row[col]))
+            except (ValueError, KeyError):
                 raise DataError(f"row {row_num}: column {col!r} is not a 0/1 value")
-            if v not in (0, 1):
-                raise DataError(f"row {row_num}: column {col!r} must be 0 or 1, got {v}")
-            return v
+            if x not in (0.0, 1.0):
+                raise DataError(f"row {row_num}: column {col!r} must be 0 or 1, got {row[col]!r}")
+            return int(x)
 
         if self.kind == "explicit":
             a, b = bit("alpha"), bit("beta")

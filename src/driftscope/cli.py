@@ -34,6 +34,7 @@ from .catalog import (
 )
 from .detector import MonitorState, WindowConfig, score_windows, step
 from .evaluation import (
+    _even_bounds,
     run_concept_suite,
     run_injection_suite,
     summarize_suite,
@@ -42,7 +43,8 @@ from .evaluation import (
 from .explain import rank, redundancy_prune, shapley_global
 from .mining import MiningConfig, SubgroupCatalog, mine_frequent
 from .sgmetrics import EncodedBatch, aggregate, build_point_matrix, membership
-from .streams import ConceptStreamConfig, DriftSchedule, StreamBatch, gen_concept_stream, inject_label_flip
+from .streams import ConceptStreamConfig, DriftSchedule, StreamBatch, gen_concept_stream
+from .streams import _inject_flips_columns, _target_cover
 from .datasets import resolve_tabular
 
 log = logging.getLogger("driftscope")
@@ -246,15 +248,19 @@ def _cmd_monitor(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _stream_csv(table: StreamBatch, batch_size: int, path: Path) -> None:
-    """Write a generated table with its 1-based batch number per row."""
-    columns = table.columns()
-    batch = (np.arange(len(table.y)) // batch_size + 1).tolist()
+def _write_columns(path: Path, columns: dict) -> None:
+    """Write ``columns`` (name -> values in row order) as CSV, None as an empty cell."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["batch", *columns])
-    writer.writerows(zip(batch, *columns.values()))
+    writer.writerow(columns)
+    writer.writerows(zip(*columns.values()))
     _atomic_write(path, buf.getvalue())
+
+
+def _stream_csv(table: StreamBatch, batch_size: int, path: Path) -> None:
+    """Write a generated table with its 1-based batch number per row."""
+    batch = (np.arange(len(table.y)) // batch_size + 1).tolist()
+    _write_columns(path, {"batch": batch, **table.columns()})
 
 
 def _cmd_gen(args) -> int:
@@ -303,10 +309,29 @@ def _parse_subgroup(spec: str) -> list[str]:
     return [p for p in parts if p]
 
 
+def _binary_labels(values) -> np.ndarray:
+    """The label column ``y`` as 0/1 ints; a DataError names the first row
+    whose label is not an integer, or not 0 or 1."""
+    y = np.empty(len(values), dtype=np.int64)
+    for i, v in enumerate(values):
+        try:
+            label = float(str(v))
+        except ValueError:
+            label = np.nan
+        if not label.is_integer():
+            raise DataError(f"row {i + 1}: no integer label in column 'y' (got {v!r})")
+        if label not in (0.0, 1.0):
+            raise DataError(f"row {i + 1}: label flipping requires binary labels, got y={v!r}")
+        y[i] = label
+    return y
+
+
 def _cmd_inject(args) -> int:
     catalog, _ = _load_artifact(args.catalog)
-    rows = list(read_rows(args.input))
-    if not rows:
+    columns = read_columns(args.input)
+    categorical = frozenset(a for a, d in catalog.discretizers.items() if d.kind == "categorical")
+    table = ColumnData.from_columns(columns, categorical=categorical)
+    if not table.n:
         raise DataError(f"{args.input}: no rows")
     item_ids = []
     for part in _parse_subgroup(args.subgroup):
@@ -315,9 +340,6 @@ def _cmd_inject(args) -> int:
         if item_id is None:
             raise DataError(f"subgroup item {part!r} not found in the catalog")
         item_ids.append(item_id)
-    total = args.normal + args.transition + args.drift
-    bounds = np.linspace(0, len(rows), total + 1).astype(int)
-    batches = [rows[bounds[i] : bounds[i + 1]] for i in range(total)]
     schedule = DriftSchedule(
         target_subgroup=tuple(sorted(item_ids)),
         p_max=args.p_max,
@@ -326,23 +348,20 @@ def _cmd_inject(args) -> int:
         drift_batches=args.drift,
         ramp=args.ramp,
     )
-    try:
-        flipped, masks = inject_label_flip(batches, catalog, schedule, seed=args.seed)
-    except ValueError as exc:
-        raise DataError(str(exc))
-    out_rows = []
-    mask_rows = []
-    idx = 0
-    columns = list(rows[0].keys())
-    for b, (batch, mask) in enumerate(zip(flipped, masks)):
-        for i, rec in enumerate(batch):
-            out_rows.append(rec)
-            mask_rows.append({"row": idx, "batch": b + 1, "altered": int(mask[i])})
-            idx += 1
-    _atomic_write(Path(args.out), _csv_text(out_rows, columns))
-    _atomic_write(Path(args.mask), _csv_text(mask_rows, ["row", "batch", "altered"]))
+    total = args.normal + args.transition + args.drift
+    if total < 1:
+        raise DataError("inject needs at least one batch")
+    bounds = _even_bounds(table.n, total)
+    y = _binary_labels(columns.get("y", (None,) * table.n))
+    cover = _target_cover(table.point_matrix(np.arange(table.n), catalog), schedule.target_subgroup)
+    y, mask = _inject_flips_columns(y, cover, bounds, schedule, args.seed)
+    # an unflipped label keeps its text
+    columns["y"] = [int(f) if m else v for v, f, m in zip(columns["y"], y.tolist(), mask.tolist())]
+    batch = np.repeat(np.arange(1, total + 1), [hi - lo for lo, hi in bounds]).tolist()
+    _write_columns(Path(args.out), columns)
+    _write_columns(Path(args.mask), {"row": range(table.n), "batch": batch, "altered": mask.astype(int).tolist()})
     _write_manifest(Path(args.out), args)
-    log.info("flipped %d labels across %d batches", int(sum(m.sum() for m in masks)), total)
+    log.info("flipped %d labels across %d batches", int(mask.sum()), total)
     return 0
 
 
@@ -435,14 +454,10 @@ def _cmd_eval(args) -> int:
         P = cols.point_matrix(test_idx, catalog)
         y = cols.y[test_idx]
         batches = []
-        bounds = np.linspace(0, len(test_idx), 31).astype(int)
-        for b in range(30):
-            lo, hi = bounds[b], bounds[b + 1]
+        for b, (lo, hi) in enumerate(_even_bounds(len(test_idx), 30), start=1):
             alpha = np.ones(hi - lo, dtype=np.int64)  # timing only; outcomes irrelevant
             alpha[: (hi - lo) // 5] = 0
-            batches.append(
-                EncodedBatch(P[lo:hi], alpha, 1 - alpha, batch_id=b + 1)
-            )
+            batches.append(EncodedBatch(P[lo:hi], alpha, 1 - alpha, batch_id=b))
         timing = timing_bench(
             sgcat,
             batches,

@@ -37,6 +37,7 @@ from .streams import (
     ConceptStreamConfig,
     DriftSchedule,
     _inject_flips_columns,
+    _target_cover,
     concept_disagreement,
     fit_tree,
     gen_concept_stream,
@@ -298,10 +299,7 @@ def run_injection_experiment(
         target_support = target.support
         target_items = target.item_ids
         schedule = DriftSchedule(target_subgroup=target.item_ids, p_max=p_max)
-        cover_bits = np.bitwise_and.reduce(P_test.bits[list(target.item_ids)], axis=0)
-        cover = np.unpackbits(cover_bits, count=P_test.n_instances).astype(bool)
-        if not cover.any():
-            raise ValueError("target subgroup covers no test instance")
+        cover = _target_cover(P_test, target.item_ids)
         y_test, mask = _inject_flips_columns(y_test, cover, bounds, schedule, seed)
 
     alpha = (y_test == y_hat).astype(np.int64)

@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .catalog import DataError, ItemCatalog
+from .sgmetrics import Membership
 
 __all__ = [
     "DriftSchedule",
@@ -42,7 +42,6 @@ __all__ = [
     "concept_labels",
     "concept_disagreement",
     "sigmoid_mix",
-    "inject_label_flip",
     "flip_probability",
     "fit_tree",
 ]
@@ -387,6 +386,16 @@ def flip_probability(schedule: DriftSchedule, batch_index: int) -> float:
     return schedule.p_max
 
 
+def _target_cover(P: Membership, target: Sequence[int]) -> np.ndarray:
+    """Instances of the point matrix ``P`` that hold every item of the target
+    subgroup, as a bool vector; raises when there are none."""
+    bits = np.bitwise_and.reduce(P.bits[list(target)], axis=0)
+    cover = np.unpackbits(bits, count=P.n_instances).astype(bool)
+    if not cover.any():
+        raise ValueError("target subgroup covers no instance of the stream")
+    return cover
+
+
 def _inject_flips_columns(
     y: np.ndarray,
     cover: np.ndarray,
@@ -404,46 +413,6 @@ def _inject_flips_columns(
         draws = rng.random(hi - lo)
         mask[lo:hi] = cover[lo:hi] & (draws < p)
     return np.where(mask, 1 - y, y), mask
-
-
-def inject_label_flip(
-    batches: Sequence[Sequence[Mapping]],
-    catalog: ItemCatalog,
-    schedule: DriftSchedule,
-    seed: int = 0,
-) -> tuple[list[list[dict]], list[np.ndarray]]:
-    """Flip binary labels inside the target subgroup per the drift schedule.
-
-    Returns the perturbed batches (records copied, only 'y' changes) and one
-    boolean altered-mask per batch marking exactly the flipped instances.
-    Raises a :class:`DataError` naming the row when a record has no integer
-    label 'y', and raises when the target subgroup covers no instance of the
-    stream.
-    """
-    records = [rec for batch in batches for rec in batch]
-    y = np.empty(len(records), dtype=np.int64)
-    for i, rec in enumerate(records):
-        try:
-            label = float(str(rec.get("y")))
-        except ValueError:
-            label = np.nan
-        if not label.is_integer():
-            raise DataError(f"row {i + 1}: no integer label in column 'y' (got {rec.get('y')!r})")
-        y[i] = label
-    bad = (y != 0) & (y != 1)
-    if bad.any():
-        raise ValueError(f"label flipping requires binary labels, got y={y[np.argmax(bad)]}")
-    target = frozenset(schedule.target_subgroup)
-    cover = np.array([target <= set(catalog.encode(rec)) for rec in records], dtype=bool)
-    if not cover.any():
-        raise ValueError("target subgroup covers no instance of the stream")
-    ends = np.cumsum([len(batch) for batch in batches], dtype=np.int64)
-    bounds = list(zip([0, *ends[:-1]], ends))
-    flipped, mask = _inject_flips_columns(y, cover, bounds, schedule, seed)
-    out = [dict(rec) for rec in records]
-    for k in np.flatnonzero(mask):
-        out[k]["y"] = int(flipped[k])
-    return [out[lo:hi] for lo, hi in bounds], [mask[lo:hi] for lo, hi in bounds]
 
 
 # ---------------------------------------------------------------------------

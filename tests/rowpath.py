@@ -1,7 +1,8 @@
 """Row-at-a-time reference implementations of the ingest that the columnar
 path (``read_columns`` -> ``ColumnData``) replaced, of the concept
-experiment that encoded each batch through dict rows, and of the tree fit
-that re-sorted every feature at every node, kept as test oracles.
+experiment that encoded each batch through dict rows, of the tree fit
+that re-sorted every feature at every node, and of the label-flip
+injection that encoded every record on its own, kept as test oracles.
 
 Each is the earlier program code, unchanged but for returning plain values
 (and, for the concept experiment, slicing its batches from the one stream
@@ -11,19 +12,31 @@ table that the generator now returns).
 import json
 import warnings
 from types import SimpleNamespace
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from driftscope import evaluation
 from driftscope.baselines import DRIFT, make_detector
-from driftscope.catalog import MISSING_VALUES, RESERVED_COLUMNS, ColumnData, _catalog_of_columns, read_rows
+from driftscope.catalog import (
+    MISSING_VALUES,
+    RESERVED_COLUMNS,
+    ColumnData,
+    DataError,
+    ItemCatalog,
+    _catalog_of_columns,
+    read_rows,
+)
+from driftscope.cli import _csv_text, _load_artifact, _parse_subgroup
 from driftscope.datasets import ADULT_COLUMNS
 from driftscope.detector import MonitorState, WindowConfig, step
 from driftscope.mining import MiningConfig, mine_frequent
 from driftscope.sgmetrics import EncodedBatch, aggregate, build_point_matrix, membership
 from driftscope.streams import (
     ConceptStreamConfig,
+    DriftSchedule,
     TreeModel,
+    _inject_flips_columns,
     _Node,
     concept_disagreement,
     fit_tree,
@@ -350,3 +363,84 @@ def fit_tree_recursive(X: np.ndarray, y: np.ndarray, max_depth: int = 5) -> Tree
     root = _grow(X, onehot, classes, 0, max_depth)
     return TreeModel(root=root, classes=classes, max_depth=max_depth)
 
+
+def inject_label_flip(
+    batches: Sequence[Sequence[Mapping]],
+    catalog: ItemCatalog,
+    schedule: DriftSchedule,
+    seed: int = 0,
+) -> tuple[list[list[dict]], list[np.ndarray]]:
+    """Flip binary labels inside the target subgroup per the drift schedule.
+
+    Returns the perturbed batches (records copied, only 'y' changes) and one
+    boolean altered-mask per batch marking exactly the flipped instances.
+    Raises a :class:`DataError` naming the row when a record has no integer
+    label 'y', and raises when the target subgroup covers no instance of the
+    stream.
+    """
+    records = [rec for batch in batches for rec in batch]
+    y = np.empty(len(records), dtype=np.int64)
+    for i, rec in enumerate(records):
+        try:
+            label = float(str(rec.get("y")))
+        except ValueError:
+            label = np.nan
+        if not label.is_integer():
+            raise DataError(f"row {i + 1}: no integer label in column 'y' (got {rec.get('y')!r})")
+        y[i] = label
+    bad = (y != 0) & (y != 1)
+    if bad.any():
+        raise ValueError(f"label flipping requires binary labels, got y={y[np.argmax(bad)]}")
+    target = frozenset(schedule.target_subgroup)
+    cover = np.array([target <= set(catalog.encode(rec)) for rec in records], dtype=bool)
+    if not cover.any():
+        raise ValueError("target subgroup covers no instance of the stream")
+    ends = np.cumsum([len(batch) for batch in batches], dtype=np.int64)
+    bounds = list(zip([0, *ends[:-1]], ends))
+    flipped, mask = _inject_flips_columns(y, cover, bounds, schedule, seed)
+    out = [dict(rec) for rec in records]
+    for k in np.flatnonzero(mask):
+        out[k]["y"] = int(flipped[k])
+    return [out[lo:hi] for lo, hi in bounds], [mask[lo:hi] for lo, hi in bounds]
+
+
+def inject_texts(input_path, catalog_path, subgroup, p_max, normal=10, transition=10, drift=10,
+                 ramp="linear", seed=0):
+    """The record-path ``driftscope inject``: the texts it wrote to ``--out``
+    and ``--mask``."""
+    catalog, _ = _load_artifact(catalog_path)
+    rows = list(read_rows(input_path))
+    if not rows:
+        raise DataError(f"{input_path}: no rows")
+    item_ids = []
+    for part in _parse_subgroup(subgroup):
+        attr, _, value = part.partition("=")
+        item_id = catalog.id_of(attr, value)
+        if item_id is None:
+            raise DataError(f"subgroup item {part!r} not found in the catalog")
+        item_ids.append(item_id)
+    total = normal + transition + drift
+    bounds = np.linspace(0, len(rows), total + 1).astype(int)
+    batches = [rows[bounds[i] : bounds[i + 1]] for i in range(total)]
+    schedule = DriftSchedule(
+        target_subgroup=tuple(sorted(item_ids)),
+        p_max=p_max,
+        normal_batches=normal,
+        transition_batches=transition,
+        drift_batches=drift,
+        ramp=ramp,
+    )
+    try:
+        flipped, masks = inject_label_flip(batches, catalog, schedule, seed=seed)
+    except ValueError as exc:
+        raise DataError(str(exc))
+    out_rows = []
+    mask_rows = []
+    idx = 0
+    columns = list(rows[0].keys())
+    for b, (batch, mask) in enumerate(zip(flipped, masks)):
+        for i, rec in enumerate(batch):
+            out_rows.append(rec)
+            mask_rows.append({"row": idx, "batch": b + 1, "altered": int(mask[i])})
+            idx += 1
+    return _csv_text(out_rows, columns), _csv_text(mask_rows, ["row", "batch", "altered"])

@@ -11,6 +11,7 @@ import pytest
 
 import driftscope
 import rowpath
+from driftscope.catalog import DataError, ItemCatalog
 from driftscope.cli import main
 from driftscope.datasets import census_sample
 from driftscope.streams import ConceptStreamConfig, gen_concept_stream
@@ -140,6 +141,8 @@ def test_gen_inject_bench_pipeline(tmp_path):
     mask_rows = list(csv.DictReader(open(mask)))
     assert len(mask_rows) == 1000
     assert any(r["altered"] == "1" for r in mask_rows)
+    out_text, mask_text = rowpath.inject_texts(stream, catalog_path, sub, 0.9, normal=3, transition=3, drift=4)
+    assert injected.read_text() == out_text and mask.read_text() == mask_text
 
     code = run_cli("bench", "--detector", "ddm", "--input", _with_predictions(tmp_path, stream))
     assert code == 0
@@ -264,7 +267,8 @@ def test_bad_subgroup_item_exits_two(tmp_path):
 @pytest.mark.parametrize(
     "labels, message",
     [(None, "row 1: no integer label in column 'y' (got None)"),
-     (["1", "0", "yes"], "row 3: no integer label in column 'y' (got 'yes')")],
+     (["1", "0", "yes"], "row 3: no integer label in column 'y' (got 'yes')"),
+     (["1", "1e300", "yes"], "row 2: label flipping requires binary labels, got y='1e300'")],
 )
 def test_inject_needs_an_integer_label_column(tmp_path, caplog, labels, message):
     rng = np.random.default_rng(4)
@@ -285,6 +289,175 @@ def test_inject_needs_an_integer_label_column(tmp_path, caplog, labels, message)
     assert code == 2
     assert message in caplog.text
     assert not (tmp_path / "x.csv").exists()
+
+
+_COLORS = ["red", "green", "blue", " red", "blue ", "purple", "", "?", "NA", " N/A "]
+_NUMBERS = ["nan", "inf", "-inf", "", "?", " 7 ", "-1e9", "1e9", "1_0"]
+_TEXTS = ["abc", "forty", "1.2.3"]
+
+
+def _write_noisy_stream(path, rng, n, numbers, shape, batch):
+    """A stream CSV over the columns of ``_write_reference`` with padded,
+    missing and unseen categories, out-of-range and odd ``numbers``, short
+    rows, a blank line, quoted text and, as asked, a ``shape`` and a
+    ``batch`` column."""
+    header = ["y", "color", "size", "weight", "note"] + ["shape"] * shape + ["batch"] * batch
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+
+        def pick(pool):
+            return pool[rng.integers(len(pool))]
+
+        def number(value):
+            return pick(numbers) if rng.random() < 0.15 else value
+
+        for i in range(n):
+            row = [
+                pick(["0", "1", " 1", "1.0", "0.0"]),
+                pick(_COLORS) if rng.random() < 0.3 else pick(["red", "green", "blue"]),
+                number(str(int(rng.integers(1, 100)))),
+                number(f"{rng.uniform(0, 10):.2f}"),
+                pick(["plain", "a,b", 'say "hi"', "two\nlines", ""]),
+            ] + [pick(["circle", "square", "?", "oval"])] * shape + [str(i // 40 + 1)] * batch
+            if rng.random() < 0.05:
+                row = row[: rng.integers(1, len(row))]
+            w.writerow(row)
+            if i == n // 2:
+                fh.write("\n")
+
+
+def _write_reference(path, rng, n=300):
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(["color", "size", "weight", "shape", "y"])
+        for _ in range(n):
+            w.writerow([["red", "green", "blue"][rng.integers(3)], int(rng.integers(1, 100)),
+                        f"{rng.uniform(0, 10):.2f}", ["circle", "square"][rng.integers(2)], int(rng.integers(2))])
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_inject_matches_the_record_path_byte_for_byte(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    ref, stream, catalog_path = tmp_path / "ref.csv", tmp_path / "stream.csv", tmp_path / "catalog.json"
+    _write_reference(ref, rng)
+    binning = ["--binning", "size=categorical"] * (seed % 4 == 3)
+    assert run_cli("mine", "--input", ref, "--min-support", "0.05", "--max-len", "3", *binning,
+                   "--out", catalog_path) == 0
+    numbers = _NUMBERS + _TEXTS * (seed % 2)
+    _write_noisy_stream(stream, rng, 240, numbers, shape=seed % 3 != 0, batch=seed % 2 == 0)
+    artifact = json.loads(catalog_path.read_text())
+    labels = {e["id"]: f"{e['attribute']}={e['value']}" for e in artifact["item_catalog"]["items"]}
+    subgroups = [e["items"] for e in artifact["subgroup_catalog"]["subgroups"] if e["items"]]
+    single = [items for items in subgroups if len(items) == 1]
+    multi = [items for items in subgroups if len(items) >= 2]
+    picks = [single[rng.integers(len(single))]] + [multi[k] for k in rng.choice(len(multi), 3, replace=False)]
+    for k, items in enumerate(picks):
+        spec = ",".join(labels[i] for i in items)
+        ramp = ["linear", "sigmoid"][k % 2]
+        out, mask = tmp_path / f"out{k}.csv", tmp_path / f"mask{k}.csv"
+        code = run_cli(
+            "inject", "--input", stream, "--catalog", catalog_path, "--subgroup", spec, "--p-max", "0.7",
+            "--normal", "2", "--transition", "2", "--drift", "2", "--ramp", ramp, "--seed", seed + k,
+            "--out", out, "--mask", mask,
+        )
+        try:
+            out_text, mask_text = rowpath.inject_texts(
+                stream, catalog_path, spec, 0.7, normal=2, transition=2, drift=2, ramp=ramp, seed=seed + k
+            )
+        except DataError:
+            assert code == 2 and not out.exists()
+            continue
+        assert code == 0
+        assert out.read_bytes() == out_text.encode() and mask.read_bytes() == mask_text.encode()
+
+
+def test_inject_encodes_no_row_on_its_own(tmp_path, monkeypatch):
+    src = tmp_path / "data.csv"
+    write_sample_csv(src, n=200)
+    catalog_path = tmp_path / "catalog.json"
+    assert run_cli("mine", "--input", src, "--min-support", "0.1", "--out", catalog_path) == 0
+
+    def refuse(self, record):
+        raise AssertionError("inject encoded a row on its own")
+
+    monkeypatch.setattr(ItemCatalog, "encode_with_stats", refuse)
+    assert run_cli(
+        "inject", "--input", src, "--catalog", catalog_path, "--subgroup", "color=red", "--p-max", "0.5",
+        "--out", tmp_path / "x.csv", "--mask", tmp_path / "m.csv",
+    ) == 0
+
+
+def test_inject_keeps_every_jsonl_key(tmp_path):
+    src = tmp_path / "data.csv"
+    write_sample_csv(src, n=300)
+    catalog_path = tmp_path / "catalog.json"
+    assert run_cli("mine", "--input", src, "--min-support", "0.1", "--out", catalog_path) == 0
+    rows = list(csv.DictReader(open(src)))
+    for i, r in enumerate(rows):
+        r["race"] = ["a", "b"][i % 2]
+    del rows[0]["race"]
+    stream = tmp_path / "stream.jsonl"
+    stream.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    out = tmp_path / "x.csv"
+    assert run_cli(
+        "inject", "--input", stream, "--catalog", catalog_path, "--subgroup", "color=red", "--p-max", "0.5",
+        "--out", out, "--mask", tmp_path / "m.csv",
+    ) == 0
+    written = list(csv.DictReader(open(out)))
+    assert len(written) == 300
+    assert [r.get("race") for r in written] == [""] + [r["race"] for r in rows[1:]]
+    assert [r["color"] for r in written] == [r["color"] for r in rows]
+
+
+@pytest.mark.parametrize("command", ["monitor", "bench"])
+@pytest.mark.parametrize("value", ["inf", "0.7", "nan"])
+def test_outcome_columns_take_only_0_or_1(tmp_path, caplog, command, value):
+    src, catalog_path, _ = _mined_and_monitored(tmp_path)
+    rows = list(csv.DictReader(open(src)))
+    stream = tmp_path / "stream.csv"
+    if command == "monitor":
+        args = ["monitor", "--catalog", catalog_path, "--input", stream, "--out", tmp_path / "out"]
+    else:
+        args = ["bench", "--detector", "ddm", "--input", stream]
+    rows[5]["y_hat"] = "1.0"  # a float equal to 1 is valid
+    for y_hat, code in ((value, 2), ("0", 0)):
+        rows[4]["y_hat"] = y_hat
+        with open(stream, "w", newline="") as fh:
+            w = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
+            w.writeheader()
+            w.writerows(rows)
+        assert run_cli(*args) == code
+    assert "row 5: column 'y_hat' must be 0 or 1" in caplog.text
+
+
+def test_monitor_csv_format_writes_each_scored_batch(tmp_path):
+    src, catalog_path, _ = _mined_and_monitored(tmp_path)
+    out = tmp_path / "csv"
+    assert run_cli(
+        "monitor", "--catalog", catalog_path, "--input", src, "--window", "2", "--batch-size", "100",
+        "--format", "csv", "--out", out,
+    ) == 0
+    reports = [json.loads(line) for line in (out / "reports.jsonl").read_text().splitlines()]
+    scored = [r["batch_id"] for r in reports if not r["warming_up"]]
+    assert scored == [3, 4]
+    assert sorted(p.name for p in out.glob("batch_*.csv")) == [f"batch_{b:04d}.csv" for b in scored]
+    items = json.loads(catalog_path.read_text())["item_catalog"]["items"]
+    label = {str(e["id"]): f"{e['attribute']}={e['value']}" for e in items}
+    assert any("," in text and text.startswith("size=") for text in label.values())
+    columns = ["subgroup_id", "items", "support", "h_ref", "h_cur", "delta_h", "t", "drifted"]
+    for report in reports[2:]:
+        with open(out / f"batch_{report['batch_id']:04d}.csv", newline="") as fh:
+            table = list(csv.reader(fh))
+        assert table[0] == columns
+        want = []
+        for sg in report["subgroups"]:
+            ids = sg["items"].split(",") if sg["items"] and sg["items"] != "(global)" else []
+            sg = {**sg, "items": ",".join(label[i] for i in ids) if ids else sg["items"]}
+            want.append(["" if sg[c] is None else str(sg[c]) for c in columns])
+        assert table[1:] == want
+    decoded = {item for report in reports[2:] for sg in report["subgroups"] for item in sg["items"].split(",")}
+    assert any(label[i].startswith("size=") for i in decoded if i in label)
 
 
 def test_eval_names_a_bad_threads_setting(tmp_path, caplog, monkeypatch):

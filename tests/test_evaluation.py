@@ -22,7 +22,7 @@ from driftscope.evaluation import (
 )
 from driftscope.mining import MiningConfig, mine_frequent
 from driftscope.sgmetrics import EncodedBatch, build_point_matrix
-from driftscope.streams import DriftSchedule, inject_label_flip
+from driftscope.streams import DriftSchedule
 from driftscope.datasets import census_sample
 
 
@@ -207,6 +207,37 @@ class TestColumnFastPath:
                 row[list(ids)] = 1
                 assert np.array_equal(P[r], row), f"drop {drop}: row {i}"
 
+    @pytest.mark.parametrize("case", ["absent attribute", "text in a quantile column"])
+    def test_point_matrix_matches_encode_on_stream_tables(self, rows, case):
+        catalog = ColumnData(rows).build_catalog(np.arange(200), bins=4)
+        categorical = frozenset(a for a, d in catalog.discretizers.items() if d.kind == "categorical")
+        rng = np.random.default_rng(len(case))
+        nums = ["9.5", " 11 ", "-40", "1e9", "nan", "inf", "", "?", "7"]
+        texts = ["forty", "1.2.3", "ten"] if case == "text in a quantile column" else []
+        stream = []
+        for _ in range(300):
+            rec = {
+                "num": str(rng.choice(nums + texts)),
+                "cat": str(rng.choice(["x", " y ", "z", "v", "NA"])),
+                "low": str(rng.choice(["0", "1", " 1 "] + texts)),
+                "y": "1",
+            }
+            if case == "absent attribute":
+                del rec["cat"]
+            stream.append(rec)
+        columns = {a: [rec[a] for rec in stream] for a in stream[0]}
+        table = ColumnData.from_columns(columns, categorical=categorical)
+        P = table.point_matrix(np.arange(table.n), catalog).toarray()
+        for r, rec in enumerate(stream):
+            row = np.zeros(catalog.n_items)
+            row[list(catalog.encode_with_stats(rec)[0])] = 1
+            assert np.array_equal(P[r], row), rec
+
+    def test_point_matrix_of_a_categorical_attribute_typed_numeric_names_it(self, rows):
+        catalog = ColumnData(rows, categorical=frozenset({"low"})).build_catalog(np.arange(200))
+        with pytest.raises(ValueError, match="'low' is categorical in the catalog, numeric in the table"):
+            ColumnData(rows).point_matrix(np.arange(10), catalog)
+
     def test_catalog_equivalent_to_record_builder(self, rows):
         cols = ColumnData(rows)
         idx = np.arange(0, 250)
@@ -253,7 +284,7 @@ class TestColumnFastPath:
                                  normal_batches=2, transition_batches=2, drift_batches=2)
         bounds = [(0, 80), (80, 160), (160, 240), (240, 320), (320, 360), (360, 400)]
         batches = [[rows[i] for i in range(lo, hi)] for lo, hi in bounds]
-        _, rec_masks = inject_label_flip(batches, catalog, schedule, seed=77)
+        _, rec_masks = rowpath.inject_label_flip(batches, catalog, schedule, seed=77)
 
         from driftscope.evaluation import _inject_flips_columns
 

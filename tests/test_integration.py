@@ -8,6 +8,7 @@ that subgroup (or a refinement of it) at the top of the pruned ranking.
 import numpy as np
 
 from driftscope import (
+    ColumnData,
     DriftSchedule,
     EncodedBatch,
     MiningConfig,
@@ -16,7 +17,6 @@ from driftscope import (
     aggregate,
     build_catalog,
     build_point_matrix,
-    inject_label_flip,
     make_drift_value_fn,
     membership,
     mine_frequent,
@@ -26,7 +26,9 @@ from driftscope import (
     step,
 )
 from driftscope.detector import score_windows
+from driftscope.evaluation import _even_bounds
 from driftscope.sgmetrics import merge
+from driftscope.streams import _inject_flips_columns, _target_cover
 
 
 def make_rows(n, rng):
@@ -62,7 +64,13 @@ def test_injected_subgroup_is_detected_and_ranked_first():
         target_subgroup=target, p_max=0.9,
         normal_batches=5, transition_batches=4, drift_batches=6,
     )
-    flipped, masks = inject_label_flip(stream, catalog, schedule, seed=7)
+    rows = [r for batch in stream for r in batch]
+    table = ColumnData(rows)
+    bounds = _even_bounds(len(rows), 15)
+    cover = _target_cover(table.point_matrix(np.arange(table.n), catalog), target)
+    y, mask = _inject_flips_columns(table.y, cover, bounds, schedule, seed=7)
+    flipped = [[{**r, "y": int(y[i])} for i, r in enumerate(rows[lo:hi], start=lo)] for lo, hi in bounds]
+    masks = [mask[lo:hi] for lo, hi in bounds]
 
     monitor = MonitorState(n_subgroups=len(sgcat), config=WindowConfig(5))
     batch_stats = []

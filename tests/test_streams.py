@@ -18,10 +18,11 @@ from driftscope.streams import (
     StreamBatch,
     _agrawal_group_a,
     _hyperplane_weights,
+    _inject_flips_columns,
+    _target_cover,
     fit_tree,
     flip_probability,
     gen_concept_stream,
-    inject_label_flip,
     sigmoid_mix,
 )
 
@@ -147,12 +148,25 @@ def _catalog_and_batches(n_per_batch=40, n_batches=25):
     return catalog, batches
 
 
+def flip_batches(batches, catalog, schedule, seed):
+    """Label flips of record batches by the column path that ``inject`` and
+    the injection experiments take: the flipped batches and their masks."""
+    records = [rec for batch in batches for rec in batch]
+    table = ColumnData(records)
+    ends = np.cumsum([len(batch) for batch in batches])
+    bounds = list(zip([0, *ends[:-1]], ends))
+    cover = _target_cover(table.point_matrix(np.arange(table.n), catalog), schedule.target_subgroup)
+    y, mask = _inject_flips_columns(table.y, cover, bounds, schedule, seed)
+    out = [{**rec, "y": int(label)} for rec, label in zip(records, y)]
+    return [out[lo:hi] for lo, hi in bounds], [mask[lo:hi] for lo, hi in bounds]
+
+
 class TestInjectLabelFlip:
     def test_normal_batches_unchanged(self):
         catalog, batches = _catalog_and_batches()
         target = (catalog.id_of("g", "a"),)
         schedule = DriftSchedule(target_subgroup=target, p_max=1.0)
-        out, masks = inject_label_flip(batches, catalog, schedule, seed=1)
+        out, masks = flip_batches(batches, catalog, schedule, seed=1)
         for b in range(10):
             assert masks[b].sum() == 0
             assert [r["y"] for r in out[b]] == [r["y"] for r in batches[b]]
@@ -161,7 +175,7 @@ class TestInjectLabelFlip:
         catalog, batches = _catalog_and_batches()
         target = (catalog.id_of("g", "a"),)
         schedule = DriftSchedule(target_subgroup=target, p_max=1.0)
-        out, masks = inject_label_flip(batches, catalog, schedule, seed=1)
+        out, masks = flip_batches(batches, catalog, schedule, seed=1)
         for b in range(20, 25):
             covered = np.array([r["g"] == "a" for r in batches[b]])
             assert np.array_equal(masks[b], covered)
@@ -172,7 +186,7 @@ class TestInjectLabelFlip:
         catalog, batches = _catalog_and_batches()
         target = (catalog.id_of("g", "a"),)
         schedule = DriftSchedule(target_subgroup=target, p_max=0.7)
-        out, masks = inject_label_flip(batches, catalog, schedule, seed=3)
+        out, masks = flip_batches(batches, catalog, schedule, seed=3)
         for batch, mask in zip(batches, masks):
             uncovered = np.array([r["g"] != "a" for r in batch])
             assert not (mask & uncovered).any()
@@ -186,7 +200,7 @@ class TestInjectLabelFlip:
         schedule = DriftSchedule(target_subgroup=target, p_max=0.8)
         small = [[{"g": "a", "y": 0}] for _ in range(14)]
         big = [{"g": "a", "y": 0} for _ in range(10000)]
-        _, masks = inject_label_flip(small + [big], catalog, schedule, seed=5)
+        _, masks = flip_batches(small + [big], catalog, schedule, seed=5)
         frac = masks[14].mean()
         assert abs(frac - 0.4) <= 0.02
 
@@ -202,13 +216,13 @@ class TestInjectLabelFlip:
         bogus = (catalog.id_of("g", "a"), catalog.id_of("g", "b"))  # contradictory
         schedule = DriftSchedule(target_subgroup=bogus, p_max=0.5)
         with pytest.raises(ValueError, match="covers no instance"):
-            inject_label_flip(batches, catalog, schedule, seed=0)
+            flip_batches(batches, catalog, schedule, seed=0)
 
     def test_metadata_and_count_preserved(self):
         catalog, batches = _catalog_and_batches()
         target = (catalog.id_of("g", "b"),)
         schedule = DriftSchedule(target_subgroup=target, p_max=0.9)
-        out, masks = inject_label_flip(batches, catalog, schedule, seed=9)
+        out, masks = flip_batches(batches, catalog, schedule, seed=9)
         assert sum(len(b) for b in out) == sum(len(b) for b in batches)
         for ob, ib in zip(out, batches):
             for o, i in zip(ob, ib):
