@@ -580,13 +580,18 @@ class MetricSpec:
         raise ValueError(f"unknown metric spec kind {self.kind!r}")
 
 
+def _is_jsonl(path: str | Path) -> bool:
+    """Whether every reader takes ``path`` for JSONL (by its suffix)."""
+    return Path(path).suffix.lower() in {".jsonl", ".ndjson"}
+
+
 def read_rows(path: str | Path) -> Iterator[dict[str, object]]:
     """Stream rows from a CSV (RFC 4180, header row) or JSONL file.
 
     A CSV header that names a column twice is a :class:`DataError`.
     """
     path = Path(path)
-    if path.suffix.lower() in {".jsonl", ".ndjson"}:
+    if _is_jsonl(path):
         with open(path, encoding="utf-8") as fh:
             for i, line in enumerate(fh, start=1):
                 line = line.strip()
@@ -621,7 +626,7 @@ def read_columns(path: str | Path) -> dict[str, Sequence]:
     first-seen order.
     """
     path = Path(path)
-    if path.suffix.lower() in {".jsonl", ".ndjson"}:
+    if _is_jsonl(path):
         return _rows_to_columns(list(read_rows(path)))
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)

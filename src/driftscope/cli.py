@@ -27,12 +27,13 @@ from .catalog import (
     DataError,
     ItemCatalog,
     MetricSpec,
+    _is_jsonl,
     atomic_open,
     build_catalog,  # not called here; perfbench/instrument.py traces cli.build_catalog
     read_columns,
     read_rows,
 )
-from .detector import MonitorState, WindowConfig, score_windows, step
+from .detector import MonitorState, WindowConfig, score_windows, step  # perfbench traces cli.score_windows
 from .evaluation import (
     _even_bounds,
     run_concept_suite,
@@ -106,13 +107,18 @@ def _write_manifest(out: Path, args: argparse.Namespace) -> None:
     _write_json(target, manifest)
 
 
-def _csv_text(rows: list[dict], columns: list[str]) -> str:
+def _columns_text(columns: dict) -> str:
+    """``columns`` (name -> values in row order) as CSV text, None as an empty cell."""
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
-    writer.writeheader()
-    for r in rows:
-        writer.writerow({c: ("" if r.get(c) is None else r.get(c)) for c in columns})
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(zip(*columns.values()))
     return buf.getvalue()
+
+
+def _csv_text(rows: list[dict], columns: list[str]) -> str:
+    """The ``columns`` of ``rows`` as CSV text; a key a row lacks is an empty cell."""
+    return _columns_text({c: [r.get(c) for r in rows] for c in columns})
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +218,7 @@ def _cmd_monitor(args) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    monitor = MonitorState(n_subgroups=len(sgcat), config=WindowConfig(args.window))
+    monitor = MonitorState(n_subgroups=len(sgcat), config=WindowConfig(args.window, args.tau_t, args.min_count))
     lines = []
     csv_columns = ["subgroup_id", "items", "support", "h_ref", "h_cur", "delta_h", "t", "drifted"]
     for b, (item_sets, outcomes) in enumerate(batches):
@@ -223,7 +229,7 @@ def _cmd_monitor(args) -> int:
             batch_id=b + 1,
         )
         M = membership(batch, sgcat)
-        report = step(monitor, aggregate(batch, M), tau_t=args.tau_t, min_count=args.min_count)
+        report = step(monitor, aggregate(batch, M))
         d = report.to_dict(sgcat, top_k=args.top_k)
         lines.append(json.dumps(d, sort_keys=True))
         if args.format == "csv" and not report.warming_up:
@@ -248,22 +254,22 @@ def _cmd_monitor(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _write_columns(path: Path, columns: dict) -> None:
-    """Write ``columns`` (name -> values in row order) as CSV, None as an empty cell."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    writer.writerows(zip(*columns.values()))
-    _atomic_write(path, buf.getvalue())
+def _csv_outputs(args, *dests: str) -> None:
+    """Reject a JSONL path among a command's CSV outputs, before any is written."""
+    for dest in dests:
+        path = getattr(args, dest)
+        if path is not None and _is_jsonl(path):
+            raise DataError(f"--{dest.replace('_', '-')} {path}: {args.command} writes CSV, not JSONL")
 
 
 def _stream_csv(table: StreamBatch, batch_size: int, path: Path) -> None:
     """Write a generated table with its 1-based batch number per row."""
     batch = (np.arange(len(table.y)) // batch_size + 1).tolist()
-    _write_columns(path, {"batch": batch, **table.columns()})
+    _atomic_write(path, _columns_text({"batch": batch, **table.columns()}))
 
 
 def _cmd_gen(args) -> int:
+    _csv_outputs(args, "out", "train_out")
     concepts = [int(c) for c in args.concepts.split(",")]
     if len(concepts) != 2:
         raise DataError("--concepts expects two comma-separated indices, e.g. 0,2")
@@ -289,24 +295,19 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _parse_subgroup(spec: str) -> list[str]:
-    """Split "a=x,b=(25,36],c=y" on commas outside interval brackets."""
-    parts: list[str] = []
-    depth = 0
-    current = []
-    for ch in spec:
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth = max(depth - 1, 0)
-        if ch == "," and depth == 0:
-            parts.append("".join(current).strip())
-            current = []
+def _parse_subgroup(spec: str, attributes) -> list[str]:
+    """Split "a=x,b=(25,36],c=y" into items. A comma separates two items only
+    where the text after it, leading spaces stripped, starts with a catalog
+    attribute and "=", so values may hold commas ("city=Paris, FR")."""
+    heads = tuple(f"{a}=" for a in attributes)
+    first, *rest = spec.split(",")
+    parts = [first]
+    for piece in rest:
+        if piece.lstrip().startswith(heads):
+            parts.append(piece)
         else:
-            current.append(ch)
-    if current:
-        parts.append("".join(current).strip())
-    return [p for p in parts if p]
+            parts[-1] += "," + piece
+    return [p.strip() for p in parts if p.strip()]
 
 
 def _binary_labels(values) -> np.ndarray:
@@ -327,6 +328,7 @@ def _binary_labels(values) -> np.ndarray:
 
 
 def _cmd_inject(args) -> int:
+    _csv_outputs(args, "out", "mask")
     catalog, _ = _load_artifact(args.catalog)
     columns = read_columns(args.input)
     categorical = frozenset(a for a, d in catalog.discretizers.items() if d.kind == "categorical")
@@ -334,7 +336,7 @@ def _cmd_inject(args) -> int:
     if not table.n:
         raise DataError(f"{args.input}: no rows")
     item_ids = []
-    for part in _parse_subgroup(args.subgroup):
+    for part in _parse_subgroup(args.subgroup, catalog.attributes):
         attr, _, value = part.partition("=")
         item_id = catalog.id_of(attr, value)
         if item_id is None:
@@ -358,8 +360,9 @@ def _cmd_inject(args) -> int:
     # an unflipped label keeps its text
     columns["y"] = [int(f) if m else v for v, f, m in zip(columns["y"], y.tolist(), mask.tolist())]
     batch = np.repeat(np.arange(1, total + 1), [hi - lo for lo, hi in bounds]).tolist()
-    _write_columns(Path(args.out), columns)
-    _write_columns(Path(args.mask), {"row": range(table.n), "batch": batch, "altered": mask.astype(int).tolist()})
+    _atomic_write(Path(args.out), _columns_text(columns))
+    mask_columns = {"row": range(table.n), "batch": batch, "altered": mask.astype(int).tolist()}
+    _atomic_write(Path(args.mask), _columns_text(mask_columns))
     _write_manifest(Path(args.out), args)
     log.info("flipped %d labels across %d batches", int(mask.sum()), total)
     return 0
@@ -496,9 +499,7 @@ def _cmd_report(args) -> int:
         raise DataError(f"monitor state has {state.n_subgroups} subgroups, catalog has {len(sgcat)}")
     if not state.reference_frozen or not state.current_ring:
         raise DataError("monitoring never left the warming-up phase")
-    full = score_windows(
-        state.reference_stats, state.current_stats(), tau_t=args.tau_t
-    )
+    full = state.score()
     ranked = rank(full, sgcat)
     if args.prune_t > 0:
         ranked = redundancy_prune(ranked, args.prune_t)
@@ -634,7 +635,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reports", required=True, help="reports dir or reports.jsonl path")
     p.add_argument("--catalog", required=True)
     p.add_argument("--prune-t", type=float, default=0.0)
-    p.add_argument("--tau-t", type=float, default=5.0)
     p.add_argument("--top", type=_positive_int, default=20)
     p.add_argument("--format", choices=["csv", "md"], default="md")
     p.add_argument("--shapley", action="store_true",

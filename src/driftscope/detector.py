@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -75,11 +76,20 @@ def drift_delta(ref: SubgroupStats, cur: SubgroupStats, j: int) -> float | None:
 
 @dataclass(frozen=True)
 class WindowConfig:
-    """Number of batches per window; the reference is the first W batches."""
+    """A run's window rule: W batches per window (the reference is the first W),
+    the t threshold, and the reference outcomes a subgroup needs to be flagged."""
 
     window_batches: int = 5
+    tau_t: float = DEFAULT_TAU_T
+    min_count: int = 0
 
     def __post_init__(self) -> None:
+        rules = (("window_batches", Integral, int), ("tau_t", Real, float), ("min_count", Integral, int))
+        for name, kind, cast in rules:
+            value = getattr(self, name)
+            if not isinstance(value, kind) or isinstance(value, bool) or value != value:
+                raise ValueError(f"{name} must be {'a number' if cast is float else 'an integer'}, got {value!r}")
+            object.__setattr__(self, name, cast(value))  # a plain Python number, as JSON holds it
         if self.window_batches < 1:
             raise ValueError("window_batches must be >= 1")
 
@@ -183,18 +193,21 @@ class DriftReport:
 
 @dataclass
 class MonitorState:
-    """Single-writer state of one monitored stream.
+    """Single-writer state of one monitored stream under one window rule.
 
-    The reference window accumulates the first ``window_batches`` batch stats
-    and is then frozen; ``current_ring`` holds the most recent W batch stats.
+    ``current_ring`` holds the most recent W batch stats. Until the reference
+    is frozen those are the warm-up batches; at the W-th their merge becomes
+    ``reference_stats`` and the ring empties.
     """
 
     n_subgroups: int
     config: WindowConfig = field(default_factory=WindowConfig)
-    reference_parts: list[SubgroupStats] = field(default_factory=list)
     reference_stats: SubgroupStats | None = None
-    current_ring: deque = field(default_factory=deque)
+    current_ring: deque = field(init=False)
     batches_seen: int = 0
+
+    def __post_init__(self) -> None:
+        self.current_ring = deque(maxlen=self.config.window_batches)
 
     @property
     def reference_frozen(self) -> bool:
@@ -203,49 +216,60 @@ class MonitorState:
     def current_stats(self) -> SubgroupStats:
         return merge(list(self.current_ring), n_subgroups=self.n_subgroups)
 
+    def score(self) -> DriftReport:
+        """The frozen reference against the current window, under the run's rule."""
+        c = self.config
+        return score_windows(self.reference_stats, self.current_stats(), c.tau_t, c.min_count, self.batches_seen)
+
     def reset_reference(self) -> None:
         """Discard the frozen reference and re-anchor on upcoming batches.
 
         Never triggered automatically: re-anchoring after a confirmed drift is
         an operator decision.
         """
-        self.reference_parts = []
         self.reference_stats = None
         self.current_ring.clear()
         self.batches_seen = 0
 
     def to_dict(self) -> dict:
         return {
-            "version": 1,
+            "version": 2,
             "n_subgroups": self.n_subgroups,
             "window_batches": self.config.window_batches,
+            "tau_t": self.config.tau_t,
+            "min_count": self.config.min_count,
             "batches_seen": self.batches_seen,
-            "reference_parts": [s.to_dict() for s in self.reference_parts],
             "reference_stats": self.reference_stats.to_dict() if self.reference_stats else None,
             "current_ring": [s.to_dict() for s in self.current_ring],
         }
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "MonitorState":
-        if d.get("version") != 1:
-            raise DataError(f"unsupported monitor state version {d.get('version')!r}, expected 1")
-        try:
-            state = cls(
-                n_subgroups=int(d["n_subgroups"]),
-                config=WindowConfig(window_batches=int(d["window_batches"])),
+        if d.get("version") != 2:
+            raise DataError(
+                f"unsupported monitor state version {d.get('version')!r}, expected 2; "
+                "re-run `driftscope monitor` to write it"
             )
+        try:
+            config = WindowConfig(d["window_batches"], d["tau_t"], d["min_count"])
+            state = cls(n_subgroups=int(d["n_subgroups"]), config=config)
             state.batches_seen = int(d["batches_seen"])
-            state.reference_parts = [SubgroupStats.from_dict(s) for s in d["reference_parts"]]
             if d["reference_stats"] is not None:
                 state.reference_stats = SubgroupStats.from_dict(d["reference_stats"])
-            state.current_ring = deque(
-                SubgroupStats.from_dict(s) for s in d["current_ring"]
-            )
+            ring = [SubgroupStats.from_dict(s) for s in d["current_ring"]]
         except KeyError as exc:
             raise DataError(f"monitor state has no field {exc}") from None
-        except TypeError as exc:  # a field of the wrong type, e.g. null
+        except (TypeError, ValueError) as exc:  # a field of the wrong type, e.g. null
             raise DataError(f"malformed monitor state: {exc}") from None
-        parts = [*state.reference_parts, *state.current_ring, state.reference_stats]
+        # the W-th warm-up batch freezes the reference and empties the ring
+        most = config.window_batches - (not state.reference_frozen)
+        if len(ring) > most:
+            raise DataError(
+                f"monitor state current_ring holds {len(ring)} batches, more than {most} at window_batches "
+                f"{config.window_batches} with reference_stats {'set' if state.reference_frozen else 'null'}"
+            )
+        state.current_ring.extend(ring)
+        parts = [*ring, state.reference_stats]
         wrong = {s.n_subgroups for s in parts if s is not None} - {state.n_subgroups}
         if wrong:
             raise DataError(
@@ -302,44 +326,22 @@ def score_windows(
     )
 
 
-def step(
-    monitor: MonitorState,
-    batch_stats: SubgroupStats,
-    tau_t: float = DEFAULT_TAU_T,
-    min_count: int = 0,
-) -> DriftReport:
+def step(monitor: MonitorState, batch_stats: SubgroupStats) -> DriftReport:
     """Advance the monitor by one batch and report drift.
 
-    While fewer than W batches have been seen, the batch joins the reference
-    window and a warming-up report (no statistics, no flags) is returned.
-    Afterwards the batch enters the current ring and every subgroup is scored;
-    subgroups are only eligible for flagging when their reference window holds
-    at least ``min_count`` outcomes (default 0: all subgroups, since the
-    posterior is defined at zero counts).
+    The batch enters the ring. Until the reference is frozen the report is a
+    warming-up one (no statistics, no flags), and the W-th batch freezes the
+    ring's merge as the reference. After that, :meth:`MonitorState.score`.
     """
     if batch_stats.n_subgroups != monitor.n_subgroups:
         raise ValueError("batch stats subgroup count does not match the monitor")
-    W = monitor.config.window_batches
     monitor.batches_seen += 1
-    batch_id = monitor.batches_seen
-
-    if not monitor.reference_frozen:
-        monitor.reference_parts.append(batch_stats)
-        if len(monitor.reference_parts) == W:
-            monitor.reference_stats = merge(monitor.reference_parts)
-            monitor.reference_parts = []
-        return DriftReport(
-            batch_id=batch_id, warming_up=True, global_drift=False, tau_t=tau_t
-        )
-
     monitor.current_ring.append(batch_stats)
-    while len(monitor.current_ring) > W:
-        monitor.current_ring.popleft()
-
-    return score_windows(
-        monitor.reference_stats,
-        monitor.current_stats(),
-        tau_t=tau_t,
-        min_count=min_count,
-        batch_id=batch_id,
+    if monitor.reference_frozen:
+        return monitor.score()
+    if len(monitor.current_ring) == monitor.config.window_batches:
+        monitor.reference_stats = merge(list(monitor.current_ring))
+        monitor.current_ring.clear()
+    return DriftReport(
+        batch_id=monitor.batches_seen, warming_up=True, global_drift=False, tau_t=monitor.config.tau_t
     )

@@ -194,7 +194,6 @@ def _monitor_batches(
     alpha: np.ndarray,
     beta: np.ndarray,
     bounds: Sequence[tuple[int, int]],
-    tau_t: float,
 ) -> Iterator[tuple[Membership, DriftReport]]:
     """Step ``monitor`` through the batches ``bounds`` of one encoded stream
     (point matrix ``P`` and outcome vectors), yielding each batch's
@@ -202,7 +201,7 @@ def _monitor_batches(
     for b, (lo, hi) in enumerate(bounds):
         batch = EncodedBatch(P[lo:hi], alpha[lo:hi], beta[lo:hi], batch_id=b + 1)
         M = membership(batch, sgcat)
-        yield M, step(monitor, aggregate(batch, M), tau_t=tau_t)
+        yield M, step(monitor, aggregate(batch, M))
 
 
 def _baselines_detected(
@@ -305,13 +304,13 @@ def run_injection_experiment(
     alpha = (y_test == y_hat).astype(np.int64)
     beta = 1 - alpha
 
-    monitor = MonitorState(n_subgroups=len(sgcat), config=WindowConfig(window))
+    monitor = MonitorState(n_subgroups=len(sgcat), config=WindowConfig(window, tau_t))
     # altered counts of the scored batches, as many as the current window holds
     altered_ring: deque[np.ndarray] = deque(maxlen=window)
     batch_max_t: list[float] = []
     detected = False
     final_report = None
-    batches = _monitor_batches(monitor, sgcat, P_test, alpha, beta, bounds, tau_t)
+    batches = _monitor_batches(monitor, sgcat, P_test, alpha, beta, bounds)
     for (blo, bhi), (M, report) in zip(bounds, batches):
         if not report.warming_up:
             batch_max_t.append(report.max_t())
@@ -461,11 +460,11 @@ def run_concept_experiment(
     P = stream_cols.point_matrix(np.arange(stream_cols.n), catalog)
     bounds = [(b * batch_size, (b + 1) * batch_size) for b in range(n_batches)]
 
-    monitor = MonitorState(n_subgroups=len(sgcat), config=WindowConfig(window))
+    monitor = MonitorState(n_subgroups=len(sgcat), config=WindowConfig(window, tau_t))
     batch_max_t: list[float] = []
     detected = False
     report_lines: list[str] = []
-    for _, report in _monitor_batches(monitor, sgcat, P, alpha, beta, bounds, tau_t):
+    for _, report in _monitor_batches(monitor, sgcat, P, alpha, beta, bounds):
         if not report.warming_up:
             batch_max_t.append(report.max_t())
             detected = detected or report.global_drift
@@ -524,12 +523,12 @@ def timing_bench(
 
     pipeline_times = []
     for _ in range(max(reps, 1)):
-        monitor = MonitorState(n_subgroups=len(sgcat), config=WindowConfig(window))
+        monitor = MonitorState(n_subgroups=len(sgcat), config=WindowConfig(window, tau_t))
         t0 = time.perf_counter()
         for batch in batches:
             M = membership(batch, sgcat)
             stats = aggregate(batch, M)
-            step(monitor, stats, tau_t=tau_t)
+            step(monitor, stats)
         pipeline_times.append((time.perf_counter() - t0) / len(batches))
 
     out = {

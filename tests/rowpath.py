@@ -274,7 +274,7 @@ def concept_experiment(
 
     model = fit_tree(train.X, train.y, max_depth=tree_depth)
 
-    monitor = MonitorState(n_subgroups=len(sgcat), config=WindowConfig(window))
+    monitor = MonitorState(n_subgroups=len(sgcat), config=WindowConfig(window, tau_t))
     batch_max_t = []
     detected = False
     report_lines = []
@@ -289,7 +289,7 @@ def concept_experiment(
         batch = EncodedBatch(point_matrix=P, alpha_vec=alpha, beta_vec=beta, batch_id=b + 1)
         M = membership(batch, sgcat)
         stats = aggregate(batch, M)
-        report = step(monitor, stats, tau_t=tau_t)
+        report = step(monitor, stats)
         if not report.warming_up:
             batch_max_t.append(report.max_t())
             detected = detected or report.global_drift
@@ -413,7 +413,7 @@ def inject_texts(input_path, catalog_path, subgroup, p_max, normal=10, transitio
     if not rows:
         raise DataError(f"{input_path}: no rows")
     item_ids = []
-    for part in _parse_subgroup(subgroup):
+    for part in _parse_subgroup(subgroup, catalog.attributes):
         attr, _, value = part.partition("=")
         item_id = catalog.id_of(attr, value)
         if item_id is None:

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import os
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 import driftscope
 import rowpath
 from driftscope.catalog import DataError, ItemCatalog
-from driftscope.cli import main
+from driftscope.cli import _csv_text, _parse_subgroup, main
 from driftscope.datasets import census_sample
 from driftscope.streams import ConceptStreamConfig, gen_concept_stream
 
@@ -854,3 +855,158 @@ def test_mine_then_monitor_on_jsonl_array_values_match_their_text_in_csv(tmp_pat
     assert (tmp_path / "ref.jsonl.out" / "reports.jsonl").read_text() == (
         tmp_path / "ref.csv.out" / "reports.jsonl"
     ).read_text()
+
+
+def _drifting_stream(path, n=600, drift_from=400, seed=6):
+    """``write_sample_csv`` rows whose predictions for red rows turn wrong
+    from row ``drift_from`` on."""
+    write_sample_csv(path, n=n, seed=seed)
+    rows = list(csv.DictReader(open(path)))
+    for i, r in enumerate(rows):
+        if i >= drift_from and r["color"] == "red":
+            r["y_hat"] = str(1 - int(r["y"]))
+    with open(path, "w", newline="") as fh:
+        w = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
+        w.writeheader()
+        w.writerows(rows)
+
+
+def test_report_flags_agree_with_the_run_it_reports_on(tmp_path):
+    src, catalog_path = tmp_path / "stream.csv", tmp_path / "catalog.json"
+    _drifting_stream(src)
+    assert run_cli("mine", "--input", src, "--min-support", "0.05", "--max-len", "2", "--out", catalog_path) == 0
+    flagged = {}
+    for tau_t, min_count in (("5", "0"), ("30", "0"), ("1", "0"), ("5", "100000"), ("2", "60")):
+        out = tmp_path / f"run_{tau_t}_{min_count}"
+        assert run_cli(
+            "monitor", "--catalog", catalog_path, "--input", src, "--window", "2", "--batch-size", "100",
+            "--tau-t", tau_t, "--min-count", min_count, "--out", out,
+        ) == 0
+        last = json.loads((out / "reports.jsonl").read_text().splitlines()[-1])
+        assert last["tau_t"] == float(tau_t)
+        drifted = {sg["subgroup_id"] for sg in last["subgroups"] if sg["drifted"]}
+        table = out / "report.csv"
+        assert run_cli(
+            "report", "--reports", out, "--catalog", catalog_path, "--format", "csv", "--out", table,
+        ) == 0
+        rows = list(csv.DictReader(open(table)))
+        assert rows
+        assert [r["drifted"] == "True" for r in rows] == [int(r["subgroup_id"]) in drifted for r in rows]
+        flagged[tau_t, min_count] = sum(r["drifted"] == "True" for r in rows)
+    # the rules give different flags, so the check above can tell them apart
+    assert flagged["5", "0"] > 0 and flagged["30", "0"] == 0 and flagged["5", "100000"] == 0
+    assert 0 < flagged["2", "60"] < flagged["1", "0"]
+
+
+def test_report_has_no_tau_t_flag(tmp_path, capsys):
+    _, catalog_path, reports_dir = _mined_and_monitored(tmp_path)
+    assert run_cli("report", "--reports", reports_dir, "--catalog", catalog_path, "--tau-t", "5") == 1
+    assert "--tau-t" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d.update(version=1), "monitor state version 1, expected 2; re-run `driftscope monitor`"),
+        (
+            lambda d: d["current_ring"].append(d["current_ring"][0]),
+            "current_ring holds 3 batches, more than 2 at window_batches 2 with reference_stats set",
+        ),
+        (
+            lambda d: d.update(reference_stats=None),
+            "current_ring holds 2 batches, more than 1 at window_batches 2 with reference_stats null",
+        ),
+        (lambda d: d.pop("tau_t"), "no field 'tau_t'"),
+        (lambda d: d.update(tau_t="five"), "tau_t must be a number"),
+        (lambda d: d.pop("min_count"), "no field 'min_count'"),
+        (lambda d: d.update(min_count="none"), "min_count must be an integer"),
+    ],
+)
+def test_report_rejects_a_bad_state_naming_the_field(tmp_path, caplog, edit, message):
+    _, catalog_path, reports_dir = _mined_and_monitored(tmp_path)
+    state_path = reports_dir / "monitor_state.json"
+    state = json.loads(state_path.read_text())
+    edit(state)
+    state_path.write_text(json.dumps(state))
+    assert run_cli("report", "--reports", reports_dir, "--catalog", catalog_path) == 2
+    assert message in caplog.text
+
+
+@pytest.mark.parametrize(
+    "command, outputs",
+    [("inject", {"out": "x.jsonl"}), ("inject", {"mask": "m.NDJSON"}),
+     ("gen", {"out": "s.jsonl"}), ("gen", {"train_out": "t.ndjson"})],
+)
+def test_csv_writers_reject_a_jsonl_output_path(tmp_path, caplog, command, outputs):
+    src, catalog_path, _ = _mined_and_monitored(tmp_path)
+    paths = {"out": "x.csv", "mask": "m.csv", "train_out": "t.csv", **outputs}
+    paths = {k: tmp_path / "outputs" / v for k, v in paths.items()}
+    (tmp_path / "outputs").mkdir()
+    if command == "inject":
+        args = ["inject", "--input", src, "--catalog", catalog_path, "--subgroup", "color=red",
+                "--p-max", "0.5", "--out", paths["out"], "--mask", paths["mask"]]
+    else:
+        args = ["gen", "--dataset", "sea", "--n-batches", "2", "--batch-size", "50", "--train-size", "50",
+                "--out", paths["out"], "--train-out", paths["train_out"]]
+    assert run_cli(*args) == 2
+    flag = next(iter(outputs))
+    assert f"--{flag.replace('_', '-')} {paths[flag]}: {command} writes CSV, not JSONL" in caplog.text
+    assert list((tmp_path / "outputs").iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "spec, attributes, items",
+    [
+        ("city=Paris, FR", ["city"], ["city=Paris, FR"]),
+        ("city=Paris, FR,size=(25,36]", ["city", "size"], ["city=Paris, FR", "size=(25,36]"]),
+        ("age=(25,36],sex=Female", ["age", "sex"], ["age=(25,36]", "sex=Female"]),
+        ("age=[-inf,25],sex=Female", ["age", "sex"], ["age=[-inf,25]", "sex=Female"]),
+        ("education=HS, grad,education_num=(9,13]", ["education", "education_num"],
+         ["education=HS, grad", "education_num=(9,13]"]),
+        ("education_num=(9,13],education=Bachelors", ["education", "education_num"],
+         ["education_num=(9,13]", "education=Bachelors"]),
+        ("sex=Female,  age=(25,36], workclass=Private", ["age", "sex", "workclass"],
+         ["sex=Female", "age=(25,36]", "workclass=Private"]),
+    ],
+)
+def test_parse_subgroup_splits_only_before_a_catalog_attribute(spec, attributes, items):
+    assert _parse_subgroup(spec, attributes) == items
+
+
+def test_inject_targets_a_categorical_value_holding_a_comma(tmp_path):
+    rng = np.random.default_rng(2)
+    src, catalog_path = tmp_path / "data.csv", tmp_path / "catalog.json"
+    with open(src, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(["city", "size", "y"])
+        for _ in range(200):
+            w.writerow([["Paris, FR", "Lyon, FR"][rng.integers(2)], int(rng.integers(1, 100)), int(rng.integers(2))])
+    assert run_cli("mine", "--input", src, "--min-support", "0.1", "--out", catalog_path) == 0
+    out, mask = tmp_path / "x.csv", tmp_path / "m.csv"
+    spec = "city=Paris, FR"
+    assert run_cli(
+        "inject", "--input", src, "--catalog", catalog_path, "--subgroup", spec, "--p-max", "0.9",
+        "--normal", "1", "--transition", "1", "--drift", "2", "--out", out, "--mask", mask,
+    ) == 0
+    rows = list(csv.DictReader(open(src)))
+    altered = [r["altered"] == "1" for r in csv.DictReader(open(mask))]
+    assert any(altered) and all(r["city"] == "Paris, FR" for r, a in zip(rows, altered) if a)
+    out_text, mask_text = rowpath.inject_texts(src, catalog_path, spec, 0.9, normal=1, transition=1, drift=2)
+    assert out.read_text() == out_text and mask.read_text() == mask_text
+
+
+def test_csv_text_matches_a_dict_writer():
+    rng = np.random.default_rng(9)
+    values = [None, "", "a", "a,b", 'say "hi"', "two\nlines", 0, -3, 1.5, float("nan"), 1e-300, True, "(25,36]"]
+    columns = ["subgroup_id", "items", "t", "drifted"]
+    for _ in range(50):
+        rows = [
+            {c: values[rng.integers(len(values))] for c in columns if rng.random() < 0.8}
+            for _ in range(int(rng.integers(0, 6)))
+        ]
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
+        writer.writeheader()
+        for r in rows:
+            writer.writerow({c: ("" if r.get(c) is None else r.get(c)) for c in columns})
+        assert _csv_text(rows, columns) == buf.getvalue()

@@ -133,9 +133,9 @@ class TestStep:
 
     def test_derived_drift_fires_at_tau_5(self):
         # global subgroup: 50/0 per reference batch vs 25/25 per current batch
-        mon = MonitorState(n_subgroups=1, config=WindowConfig(1))
+        mon = MonitorState(n_subgroups=1, config=WindowConfig(1, tau_t=5.0))
         step(mon, stats_of([(50, 0)]))
-        rep = step(mon, stats_of([(25, 25)]), tau_t=5.0)
+        rep = step(mon, stats_of([(25, 25)]))
         assert rep.global_drift
         assert abs(rep.t_values[0] - math.sqrt(33125 / 727)) <= 1e-9
 
@@ -184,9 +184,9 @@ class TestStep:
             assert t2 >= t1 - 1e-9
 
     def test_min_count_suppresses_flags(self):
-        mon = MonitorState(n_subgroups=2, config=WindowConfig(1))
+        mon = MonitorState(n_subgroups=2, config=WindowConfig(1, tau_t=1.0, min_count=5))
         step(mon, stats_of([(50, 0), (0, 0)]))
-        rep = step(mon, stats_of([(25, 25), (0, 20)]), tau_t=1.0, min_count=5)
+        rep = step(mon, stats_of([(25, 25), (0, 20)]))
         # subgroup 1 has zero reference outcomes: ineligible at min_count=5
         assert rep.drifted[0]
         assert not rep.drifted[1]
@@ -207,9 +207,9 @@ class TestStep:
 class TestReportAndState:
     def test_report_rows_and_retention(self):
         catalog = tiny_catalog(2)
-        mon = MonitorState(n_subgroups=3, config=WindowConfig(1))
+        mon = MonitorState(n_subgroups=3, config=WindowConfig(1, tau_t=5.0))
         step(mon, stats_of([(50, 0), (25, 0), (25, 0)]))
-        rep = step(mon, stats_of([(25, 25), (12, 13), (13, 12)]), tau_t=5.0)
+        rep = step(mon, stats_of([(25, 25), (12, 13), (13, 12)]))
         d = rep.to_dict(catalog, top_k=2)
         assert d["global_drift"] is True
         ids = [r["subgroup_id"] for r in d["subgroups"]]
@@ -266,7 +266,8 @@ class TestReportAndState:
         good = mon.to_dict()
         MonitorState.from_dict(good)
         for field, change in (
-            ("version", lambda d: d.update(version=2)),
+            ("version 1", lambda d: d.update(version=1)),
+            ("version 3", lambda d: d.update(version=3)),
             ("version", lambda d: d.pop("version")),
             ("length", lambda d: d.update(n_subgroups=3)),
             ("length", lambda d: d["current_ring"][0].update(alpha=[1], beta=[1])),
@@ -276,11 +277,70 @@ class TestReportAndState:
             ("no field 'beta'", lambda d: d["reference_stats"].pop("beta")),
             ("malformed", lambda d: d.update(current_ring=None)),
             ("malformed", lambda d: d.update(n_subgroups=None)),
+            (
+                "current_ring holds 2 batches, more than 1 at window_batches 1 with reference_stats set",
+                lambda d: d["current_ring"].append(d["current_ring"][0]),
+            ),
+            (
+                "current_ring holds 1 batches, more than 0 at window_batches 1 with reference_stats null",
+                lambda d: d.update(reference_stats=None),
+            ),
+            ("no field 'tau_t'", lambda d: d.pop("tau_t")),
+            ("no field 'min_count'", lambda d: d.pop("min_count")),
+            ("tau_t must be a number, got '5'", lambda d: d.update(tau_t="5")),
+            ("tau_t must be a number, got None", lambda d: d.update(tau_t=None)),
+            ("min_count must be an integer, got 2.5", lambda d: d.update(min_count=2.5)),
+            ("min_count must be an integer, got '0'", lambda d: d.update(min_count="0")),
         ):
             bad = json.loads(json.dumps(good))
             change(bad)
             with pytest.raises(DataError, match=field):
                 MonitorState.from_dict(bad)
+
+    def test_state_records_its_rule_and_scores_with_it(self):
+        mon = MonitorState(n_subgroups=2, config=WindowConfig(1, tau_t=1.0, min_count=5))
+        step(mon, stats_of([(50, 0), (0, 0)]))
+        step(mon, stats_of([(25, 25), (0, 20)]))
+        d = json.loads(json.dumps(mon.to_dict()))
+        assert (d["version"], d["window_batches"], d["tau_t"], d["min_count"]) == (2, 1, 1.0, 5)
+        rep = MonitorState.from_dict(d).score()
+        assert rep.tau_t == 1.0 and rep.drifted.tolist() == [True, False]
+        assert rep.batch_id == 2
+
+    def test_snapshot_mid_warm_up_resumes_like_an_uninterrupted_run(self, tmp_path):
+        catalog = tiny_catalog(2)
+        rng = np.random.default_rng(3)
+        batches = []
+        for _ in range(8):
+            a, b = rng.integers(0, 30, 3), rng.integers(0, 30, 3)
+            a[0], b[0] = a.sum(), b.sum()
+            batches.append(SubgroupStats(a.astype(np.int64), b.astype(np.int64), int(a[0] + b[0])))
+        rule = WindowConfig(3, tau_t=0.5, min_count=20)
+        whole = MonitorState(n_subgroups=3, config=rule)
+        expected = [step(whole, s).to_dict(catalog) for s in batches]
+        first = MonitorState(n_subgroups=3, config=rule)
+        got = [step(first, s).to_dict(catalog) for s in batches[:2]]
+        first.save(tmp_path / "state.json")
+        resumed = MonitorState.load(tmp_path / "state.json")
+        assert not resumed.reference_frozen and len(resumed.current_ring) == 2
+        got += [step(resumed, s).to_dict(catalog) for s in batches[2:]]
+        assert got == expected
+        assert any(d["global_drift"] for d in expected)
+        assert resumed.to_dict() == whole.to_dict()
+
+    def test_window_config_validates_its_rule(self):
+        assert WindowConfig(np.int64(3), 2, np.int32(1)) == WindowConfig(3, 2.0, 1)
+        assert isinstance(WindowConfig(3, 2).tau_t, float)
+        for args, message in (
+            ((0,), "window_batches must be >= 1"),
+            ((2.0,), "window_batches must be an integer"),
+            ((2, "5"), "tau_t must be a number"),
+            ((2, float("nan")), "tau_t must be a number"),
+            ((2, True), "tau_t must be a number"),
+            ((2, 5.0, 1.0), "min_count must be an integer"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                WindowConfig(*args)
 
     def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
         path = tmp_path / "monitor_state.json"

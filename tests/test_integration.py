@@ -72,7 +72,7 @@ def test_injected_subgroup_is_detected_and_ranked_first():
     flipped = [[{**r, "y": int(y[i])} for i, r in enumerate(rows[lo:hi], start=lo)] for lo, hi in bounds]
     masks = [mask[lo:hi] for lo, hi in bounds]
 
-    monitor = MonitorState(n_subgroups=len(sgcat), config=WindowConfig(5))
+    monitor = MonitorState(n_subgroups=len(sgcat), config=WindowConfig(5, tau_t=5.0))
     batch_stats = []
     drift_seen_at = None
     for b, batch_rows in enumerate(flipped, start=1):
@@ -84,7 +84,7 @@ def test_injected_subgroup_is_detected_and_ranked_first():
         )
         stats = aggregate(batch, membership(batch, sgcat))
         batch_stats.append(stats)
-        report = step(monitor, stats, tau_t=5.0)
+        report = step(monitor, stats)
         if report.global_drift and drift_seen_at is None:
             drift_seen_at = b
 
