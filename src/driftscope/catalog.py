@@ -160,6 +160,24 @@ def _quantile_discretizer(attr: str, bins: int, values: np.ndarray) -> _Discreti
     return _Discretizer(kind="quantile", bins=bins, edges=tuple(edges), lo=float(srt[0]), hi=hi)
 
 
+# The encoder of an outcome or batch column: never an item.
+_RESERVED = object()
+
+
+def _text(raw: object) -> str | None:
+    """A raw value's text as the catalog reads it, stripped; None when it is
+    missing. A JSON number or bool is its ``str``; a JSON array or object is
+    its text, as ``mine`` reads it."""
+    if isinstance(raw, str):
+        raw = raw.strip()
+    try:
+        if raw in MISSING_VALUES:
+            return None
+    except TypeError:  # unhashable: a JSON array or object
+        pass
+    return raw if isinstance(raw, str) else str(raw).strip()
+
+
 class ItemCatalog:
     """Immutable bidirectional map between attribute=value items and dense ids.
 
@@ -178,16 +196,23 @@ class ItemCatalog:
         if sorted(it.id for it in self.items) != list(range(len(self.items))):
             raise ValueError("item ids must be a bijection onto 0..n_items-1")
         # per attribute, the value -> item id dict of a categorical one, or a
-        # quantile one's (lo, hi, edges, item id of each bin or None)
-        self._encoders: dict[str, dict | tuple] = {}
+        # quantile one's (lo, hi, edges, item id of each bin or None); an
+        # outcome or batch column is _RESERVED, whatever the discretizers say.
+        # A categorical dict holds only the values that a raw value can match
+        # once stripped and not missing: a hand-edited catalog may hold "?" or
+        # " x", which no value encodes to.
+        self._encoders: dict[str, dict | tuple | object] = {}
         for attr, disc in self.discretizers.items():
             if disc.kind == "quantile":
                 bin_ids = [self._by_key.get((attr, label)) for label in disc.labels()]
                 self._encoders[attr] = (disc.lo, disc.hi, list(disc.edges), bin_ids)
             else:
                 self._encoders[attr] = {
-                    it.value: it.id for it in self.items if it.attribute == attr
+                    it.value: it.id
+                    for it in self.items
+                    if it.attribute == attr and it.value == it.value.strip() and it.value not in MISSING_VALUES
                 }
+        self._encoders.update(dict.fromkeys(RESERVED_COLUMNS, _RESERVED))
 
     @property
     def n_items(self) -> int:
@@ -229,29 +254,33 @@ class ItemCatalog:
         """
         ids: list[int] = []
         skipped = 0
+        encoders = self._encoders
         for attr, raw in record.items():
-            if attr in RESERVED_COLUMNS:
+            encoder = encoders.get(attr)
+            if encoder is _RESERVED:
                 continue
-            if isinstance(raw, str):
-                raw = raw.strip()
-            try:
-                if raw in MISSING_VALUES:
-                    continue
-            except TypeError:  # a JSON array or object: its text, as mine reads it
-                raw = str(raw).strip()
-            encoder = self._encoders.get(attr)
-            if encoder is None:
-                item_id = None
-            elif isinstance(encoder, dict):
-                item_id = encoder.get(raw if isinstance(raw, str) else str(raw).strip())
-            else:
+            if type(encoder) is dict:
+                # the common case, a text that is exactly a catalog value, in one lookup
+                item_id = encoder.get(raw) if type(raw) is str else None
+                if item_id is None:
+                    text = _text(raw)
+                    if text is None:
+                        continue
+                    item_id = encoder.get(text)
+            elif encoder is not None:
                 lo, hi, edges, bin_ids = encoder
                 try:
-                    x = float(raw)  # type: ignore[arg-type]
+                    x = float(raw)  # type: ignore[arg-type]  # float() strips a text as _text does
                 except (TypeError, ValueError):
+                    if _text(raw) is None:
+                        continue
                     x = math.nan  # unparsable: skipped, as NaN is
                 # bin i is (e_i, e_i+1], the first one [lo, e1]; NaN fails both tests
                 item_id = bin_ids[bisect_left(edges, x)] if lo <= x <= hi else None
+            elif _text(raw) is None:
+                continue
+            else:
+                item_id = None  # an attribute unknown to the catalog
             if item_id is None:
                 skipped += 1
             else:
@@ -512,7 +541,7 @@ class ColumnData:
         mask = np.zeros((catalog.n_items + 1, n), dtype=bool)
         instances = np.arange(n)
         for attr, encoder in catalog._encoders.items():
-            if attr not in self.numeric and attr not in self.codes:
+            if attr not in self.numeric and attr not in self.codes:  # an outcome or batch column too
                 continue
             if isinstance(encoder, dict):
                 if attr in self.numeric:
@@ -539,6 +568,27 @@ class ColumnData:
 # ---------------------------------------------------------------------------
 
 
+# The exact outcome texts, looked up before the parse. Keyed by str only, so
+# True, 1 and 1.0 still take the parse and its messages.
+_BIT_TEXTS = {"0": 0, "1": 1}
+
+
+def _bit(row: Mapping[str, object], col: str, row_num: int) -> int:
+    """The 0/1 outcome indicator in column ``col`` of a row."""
+    value = row.get(col)
+    try:
+        return _BIT_TEXTS[value]  # type: ignore[index]
+    except (KeyError, TypeError):  # any other value, or an unhashable one
+        pass
+    try:
+        x = float(str(value))
+    except ValueError:  # a missing column reads "None"
+        raise DataError(f"row {row_num}: column {col!r} is not a 0/1 value")
+    if x not in (0.0, 1.0):
+        raise DataError(f"row {row_num}: column {col!r} must be 0 or 1, got {value!r}")
+    return int(x)
+
+
 @dataclass(frozen=True)
 class MetricSpec:
     """How outcome indicators are derived from file columns.
@@ -556,21 +606,12 @@ class MetricSpec:
         return ("alpha", "beta") if self.kind == "explicit" else ("y", "y_hat")
 
     def outcome(self, row: Mapping[str, object], row_num: int) -> tuple[int, int]:
-        def bit(col: str) -> int:
-            try:
-                x = float(str(row[col]))
-            except (ValueError, KeyError):
-                raise DataError(f"row {row_num}: column {col!r} is not a 0/1 value")
-            if x not in (0.0, 1.0):
-                raise DataError(f"row {row_num}: column {col!r} must be 0 or 1, got {row[col]!r}")
-            return int(x)
-
         if self.kind == "explicit":
-            a, b = bit("alpha"), bit("beta")
+            a, b = _bit(row, "alpha", row_num), _bit(row, "beta", row_num)
             if a + b > 1:
                 raise DataError(f"row {row_num}: alpha + beta > 1")
             return a, b
-        y, y_hat = bit("y"), bit("y_hat")
+        y, y_hat = _bit(row, "y", row_num), _bit(row, "y_hat", row_num)
         if self.kind == "accuracy":
             return (1, 0) if y == y_hat else (0, 1)
         if self.kind == "false_positive_rate":
@@ -606,14 +647,13 @@ def read_rows(path: str | Path) -> Iterator[dict[str, object]]:
                 yield row
     else:
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None:
-                raise DataError(f"{path}: empty file, expected a header row")
-            _check_header(path, reader.fieldnames)
-            for i, row in enumerate(reader, start=1):
-                if None in row:
-                    raise DataError(f"row {i}: more fields than header columns")
-                yield row
+            reader = csv.reader(fh)
+            header = _csv_header(path, reader)
+            width = len(header)
+            for i, row in enumerate(filter(None, reader), start=1):
+                if len(row) != width:
+                    row = _fit_row(row, width, i)
+                yield dict(zip(header, row))
 
 
 def read_columns(path: str | Path) -> dict[str, Sequence]:
@@ -630,24 +670,35 @@ def read_columns(path: str | Path) -> dict[str, Sequence]:
         return _rows_to_columns(list(read_rows(path)))
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"{path}: empty file, expected a header row")
-        _check_header(path, header)
-        rows = [row for row in reader if row]
+        header = _csv_header(path, reader)
+        rows = list(filter(None, reader))
     width = len(header)
     if rows and not min(map(len, rows)) == max(map(len, rows)) == width:
-        for i, row in enumerate(rows, start=1):
-            if len(row) > width:
-                raise DataError(f"row {i}: more fields than header columns")
-            row += [None] * (width - len(row))
+        rows = [_fit_row(row, width, i) for i, row in enumerate(rows, start=1)]
     return dict(zip(header, zip(*rows))) if rows else {name: () for name in header}
 
 
-def _check_header(path: Path, names: Sequence[str]) -> None:
-    repeated = [name for name, count in Counter(names).items() if count > 1]
+# The CSV record rule of both readers: the first row is the header, checked by
+# _csv_header; blank lines are skipped; every other row is fitted to the
+# header by _fit_row, numbered among the non-blank rows from 1.
+
+
+def _csv_header(path: Path, reader: Iterator[list[str]]) -> list[str]:
+    header = next(reader, None)
+    if header is None:
+        raise DataError(f"{path}: empty file, expected a header row")
+    repeated = [name for name, count in Counter(header).items() if count > 1]
     if repeated:
         raise DataError(f"{path}: column name(s) repeated in the header: {', '.join(map(repr, repeated))}")
+    return header
+
+
+def _fit_row(row: list, width: int, row_num: int) -> list:
+    """A CSV row of the header's ``width``: a short row padded with None; a
+    long one is a DataError."""
+    if len(row) > width:
+        raise DataError(f"row {row_num}: more fields than header columns")
+    return row + [None] * (width - len(row))
 
 
 @contextmanager

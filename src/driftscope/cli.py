@@ -33,7 +33,7 @@ from .catalog import (
     read_columns,
     read_rows,
 )
-from .detector import MonitorState, WindowConfig, score_windows, step  # perfbench traces cli.score_windows
+from .detector import MonitorState, ReportWriter, WindowConfig, score_windows, step  # perfbench traces cli.score_windows
 from .evaluation import (
     _even_bounds,
     run_concept_suite,
@@ -211,6 +211,7 @@ def _batched_records(path, catalog, spec, batch_size):
 
 
 def _cmd_monitor(args) -> int:
+    config = WindowConfig(args.window, args.tau_t, args.min_count)
     catalog, sgcat = _load_artifact(args.catalog)
     spec = MetricSpec(kind=args.metric)
     batches, n_rows, skipped_values = _batched_records(args.input, catalog, spec, args.batch_size)
@@ -218,7 +219,8 @@ def _cmd_monitor(args) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    monitor = MonitorState(n_subgroups=len(sgcat), config=WindowConfig(args.window, args.tau_t, args.min_count))
+    monitor = MonitorState(n_subgroups=len(sgcat), config=config)
+    writer = ReportWriter(sgcat, args.top_k)
     lines = []
     csv_columns = ["subgroup_id", "items", "support", "h_ref", "h_cur", "delta_h", "t", "drifted"]
     for b, (item_sets, outcomes) in enumerate(batches):
@@ -230,11 +232,10 @@ def _cmd_monitor(args) -> int:
         )
         M = membership(batch, sgcat)
         report = step(monitor, aggregate(batch, M))
-        d = report.to_dict(sgcat, top_k=args.top_k)
-        lines.append(json.dumps(d, sort_keys=True))
+        lines.append(writer.line(report))
         if args.format == "csv" and not report.warming_up:
             labeled = []
-            for row in d["subgroups"]:
+            for row in report.to_dict(sgcat, top_k=args.top_k)["subgroups"]:
                 row = dict(row)
                 row["items"] = ",".join(
                     catalog.label_of(int(i)) for i in row["items"].split(",") if i

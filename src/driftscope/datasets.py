@@ -256,11 +256,13 @@ def resolve_tabular(source: str | None = None, n: int = 48842, seed: int = 0) ->
 
     ``source`` may be a file path, "surrogate", or None (try the
     DRIFTSCOPE_ADULT environment variable, then fall back to the surrogate).
-    Returns (table, name) where name identifies what was actually loaded.
+    Returns (table, name) where name identifies what was actually loaded: a
+    file by its name, not its path, so that results do not depend on where
+    the file lies.
     """
     if source not in (None, "surrogate"):
-        return load_adult(source), f"adult:{source}"
+        return load_adult(source), f"adult:{Path(source).name}"
     env = os.environ.get("DRIFTSCOPE_ADULT")
     if source is None and env:
-        return load_adult(env), f"adult:{env}"
+        return load_adult(env), f"adult:{Path(env).name}"
     return ColumnData(census_sample(n=n, seed=seed)), "census-surrogate"

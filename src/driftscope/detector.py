@@ -16,10 +16,11 @@ multiple-testing correction is applied to the raw t threshold; see README.
 from __future__ import annotations
 
 import json
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from numbers import Integral, Real
-from typing import Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -31,6 +32,7 @@ __all__ = [
     "WindowConfig",
     "MonitorState",
     "DriftReport",
+    "ReportWriter",
     "beta_posterior",
     "welch_t",
     "drift_delta",
@@ -77,7 +79,8 @@ def drift_delta(ref: SubgroupStats, cur: SubgroupStats, j: int) -> float | None:
 @dataclass(frozen=True)
 class WindowConfig:
     """A run's window rule: W batches per window (the reference is the first W),
-    the t threshold, and the reference outcomes a subgroup needs to be flagged."""
+    the finite t threshold, and the reference outcomes a subgroup needs to be
+    flagged."""
 
     window_batches: int = 5
     tau_t: float = DEFAULT_TAU_T
@@ -89,6 +92,8 @@ class WindowConfig:
             value = getattr(self, name)
             if not isinstance(value, kind) or isinstance(value, bool) or value != value:
                 raise ValueError(f"{name} must be {'a number' if cast is float else 'an integer'}, got {value!r}")
+            if cast is float and not math.isfinite(value):  # JSON has no infinity
+                raise ValueError(f"{name} must be finite, got {value!r}")
             object.__setattr__(self, name, cast(value))  # a plain Python number, as JSON holds it
         if self.window_batches < 1:
             raise ValueError("window_batches must be >= 1")
@@ -145,50 +150,70 @@ class DriftReport:
             keep[tied[: k - int(ahead.sum())]] = True
         return np.flatnonzero(keep).astype(np.int64)
 
-    def rows(
-        self,
-        catalog: SubgroupCatalog,
-        indices: np.ndarray | None = None,
-    ) -> Iterator[dict]:
-        """Serializable per-subgroup rows (NaN mapped to None)."""
-        if indices is None:
-            indices = np.arange(self.n_subgroups)
-        indices = np.asarray(indices)
-
-        def nullable(a: np.ndarray) -> list[float | None]:
-            return [None if x != x else x for x in a[indices].tolist()]
-
-        columns = zip(
-            indices.tolist(),
-            catalog.items_of(indices),
-            catalog.supports()[indices].tolist(),
-            nullable(self.h_ref),
-            nullable(self.h_cur),
-            nullable(self.delta_h),
-            self.t_values[indices].tolist(),
-            self.drifted[indices].astype(bool).tolist(),
-        )
-        for j, items, s, h_ref, h_cur, delta_h, t, drifted in columns:
-            yield {
-                "subgroup_id": j,
-                "items": ",".join(map(str, items)) or "(global)",  # as Subgroup.label()
-                "support": s,
-                "h_ref": h_ref,
-                "h_cur": h_cur,
-                "delta_h": delta_h,
-                "t": t,
-                "drifted": drifted,
-            }
-
     def to_dict(self, catalog: SubgroupCatalog, top_k: int = 100) -> dict:
-        return {
-            "batch_id": self.batch_id,
-            "warming_up": self.warming_up,
-            "global_drift": self.global_drift,
-            "tau_t": self.tau_t,
-            "max_t": self.max_t() if not self.warming_up else None,
-            "subgroups": list(self.rows(catalog, self.retained_indices(top_k))),
-        }
+        """The report as its JSON object: the header fields and the retained
+        subgroups' rows (NaN as None), as :class:`ReportWriter` writes it."""
+        return json.loads(ReportWriter(catalog, top_k).line(self))
+
+
+class ReportWriter:
+    """One run's report-line writer: ``line(report)`` is
+    ``json.dumps(report.to_dict(catalog, top_k), sort_keys=True)``.
+
+    A retained subgroup's fields that never change within a run (``items``,
+    ``subgroup_id`` and ``support``) are formatted once, the first time it is
+    retained, so the cache holds at most one text per subgroup. Per row only
+    ``delta_h``, ``drifted``, ``h_cur``, ``h_ref`` and ``t`` are formatted,
+    one column at a time by :func:`json.dumps`.
+    """
+
+    def __init__(self, catalog: SubgroupCatalog, top_k: int = 100):
+        self.catalog = catalog
+        self.top_k = top_k
+        self._fixed: dict[int, str] = {}
+
+    def _fixed_texts(self, indices: list[int]) -> list[str]:
+        fixed = self._fixed
+        new = [j for j in indices if j not in fixed]
+        if new:
+            supports = self.catalog.supports()[new].tolist()
+            for j, items, s in zip(new, self.catalog.items_of(new), supports):
+                # the label is digits and commas or "(global)", as Subgroup.label(),
+                # so json.dumps escapes nothing in it
+                label = ",".join(map(str, items)) or "(global)"
+                fixed[j] = json.dumps({"items": label, "subgroup_id": j, "support": s}, sort_keys=True)[1:-1]
+        return [fixed[j] for j in indices]
+
+    def line(self, report: DriftReport) -> str:
+        """The report's JSON line (no newline): keys sorted, NaN as null."""
+        idx = report.retained_indices(self.top_k)
+        columns = zip(
+            _texts(_nullable(report.delta_h[idx])),
+            _texts(report.drifted[idx].astype(bool).tolist()),
+            _texts(_nullable(report.h_cur[idx])),
+            _texts(_nullable(report.h_ref[idx])),
+            self._fixed_texts(idx.tolist()),
+            _texts(report.t_values[idx].tolist()),
+        )
+        rows = ", ".join(
+            f'{{"delta_h": {d}, "drifted": {f}, "h_cur": {c}, "h_ref": {r}, {fixed}, "t": {t}}}'
+            for d, f, c, r, fixed, t in columns
+        )
+        max_t = None if report.warming_up else report.max_t()
+        head = json.dumps({"batch_id": report.batch_id, "global_drift": report.global_drift, "max_t": max_t})
+        tail = json.dumps({"tau_t": report.tau_t, "warming_up": report.warming_up})
+        return f'{head[:-1]}, "subgroups": [{rows}], {tail[1:]}'
+
+
+def _nullable(values: np.ndarray) -> list[float | None]:
+    """The values as Python floats, NaN as None."""
+    return [None if x != x else x for x in values.tolist()]
+
+
+def _texts(values: list) -> list[str]:
+    """The JSON text of each value, as ``json.dumps`` writes it in a list
+    (a JSON number, null, true or false holds no ", ")."""
+    return json.dumps(values)[1:-1].split(", ") if values else []
 
 
 @dataclass

@@ -18,7 +18,6 @@ subgroup (from the injection ground-truth mask) as relevance.
 
 from __future__ import annotations
 
-import json
 import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
@@ -30,7 +29,7 @@ import numpy as np
 
 from .baselines import DRIFT, make_detector
 from .catalog import ColumnData, ItemCatalog
-from .detector import DriftReport, MonitorState, WindowConfig, step
+from .detector import DriftReport, MonitorState, ReportWriter, WindowConfig, step
 from .mining import MiningConfig, SubgroupCatalog, mine_frequent
 from .sgmetrics import EncodedBatch, Membership, SubgroupStats, aggregate, membership
 from .streams import (
@@ -463,13 +462,14 @@ def run_concept_experiment(
     monitor = MonitorState(n_subgroups=len(sgcat), config=WindowConfig(window, tau_t))
     batch_max_t: list[float] = []
     detected = False
+    writer = ReportWriter(sgcat)
     report_lines: list[str] = []
     for _, report in _monitor_batches(monitor, sgcat, P, alpha, beta, bounds):
         if not report.warming_up:
             batch_max_t.append(report.max_t())
             detected = detected or report.global_drift
         if keep_reports:
-            report_lines.append(json.dumps(report.to_dict(sgcat), sort_keys=True))
+            report_lines.append(writer.line(report))
 
     return ExperimentResult(
         kind=kind,

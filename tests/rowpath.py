@@ -1,8 +1,9 @@
 """Row-at-a-time reference implementations of the ingest that the columnar
 path (``read_columns`` -> ``ColumnData``) replaced, of the concept
 experiment that encoded each batch through dict rows, of the tree fit
-that re-sorted every feature at every node, and of the label-flip
-injection that encoded every record on its own, kept as test oracles.
+that re-sorted every feature at every node, of the label-flip injection
+that encoded every record on its own, and of the report serializer that
+built one dict per retained subgroup, kept as test oracles.
 
 Each is the earlier program code, unchanged but for returning plain values
 (and, for the concept experiment, slicing its batches from the one stream
@@ -294,7 +295,7 @@ def concept_experiment(
             batch_max_t.append(report.max_t())
             detected = detected or report.global_drift
         if keep_reports:
-            report_lines.append(json.dumps(report.to_dict(sgcat), sort_keys=True))
+            report_lines.append(json.dumps(report_dict(report, sgcat), sort_keys=True))
 
     result = evaluation.ExperimentResult(
         kind=kind,
@@ -444,3 +445,52 @@ def inject_texts(input_path, catalog_path, subgroup, p_max, normal=10, transitio
             mask_rows.append({"row": idx, "batch": b + 1, "altered": int(mask[i])})
             idx += 1
     return _csv_text(out_rows, columns), _csv_text(mask_rows, ["row", "batch", "altered"])
+
+
+def report_rows(report, catalog, indices=None):
+    """Serializable per-subgroup rows (NaN mapped to None), as
+    ``DriftReport.rows`` built them."""
+    if indices is None:
+        indices = np.arange(report.n_subgroups)
+    indices = np.asarray(indices)
+
+    def nullable(a):
+        return [None if x != x else x for x in a[indices].tolist()]
+
+    columns = zip(
+        indices.tolist(),
+        catalog.items_of(indices),
+        catalog.supports()[indices].tolist(),
+        nullable(report.h_ref),
+        nullable(report.h_cur),
+        nullable(report.delta_h),
+        report.t_values[indices].tolist(),
+        report.drifted[indices].astype(bool).tolist(),
+    )
+    out = []
+    for j, items, s, h_ref, h_cur, delta_h, t, drifted in columns:
+        out.append(
+            {
+                "subgroup_id": j,
+                "items": ",".join(map(str, items)) or "(global)",  # as Subgroup.label()
+                "support": s,
+                "h_ref": h_ref,
+                "h_cur": h_cur,
+                "delta_h": delta_h,
+                "t": t,
+                "drifted": drifted,
+            }
+        )
+    return out
+
+
+def report_dict(report, catalog, top_k=100):
+    """``DriftReport.to_dict`` as it was: a dict per retained subgroup."""
+    return {
+        "batch_id": report.batch_id,
+        "warming_up": report.warming_up,
+        "global_drift": report.global_drift,
+        "tau_t": report.tau_t,
+        "max_t": report.max_t() if not report.warming_up else None,
+        "subgroups": report_rows(report, catalog, report.retained_indices(top_k)),
+    }

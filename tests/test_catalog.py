@@ -1,8 +1,11 @@
+import csv
+import io
 import json
 import logging
 import math
 import random
 
+import numpy as np
 import pytest
 
 import rowpath
@@ -14,6 +17,7 @@ from driftscope.catalog import (
     Item,
     ItemCatalog,
     MetricSpec,
+    _Discretizer,
     build_catalog,
     read_columns,
     read_rows,
@@ -152,6 +156,21 @@ class TestIngestOutcomes:
         with pytest.raises(DataError, match="row 5: column 'y_hat' must be 0 or 1"):
             MetricSpec().outcome({"y": "1", "y_hat": "2"}, 5)
 
+    def test_values_other_than_the_exact_texts_take_the_parse(self):
+        spec = MetricSpec()
+        assert spec.outcome({"y": "1.0", "y_hat": " 1"}, 1) == (1, 0)
+        assert spec.outcome({"y": 1, "y_hat": "0.0"}, 2) == (0, 1)
+        assert spec.outcome({"y": 1.0, "y_hat": 0}, 3) == (0, 1)
+        for value in (True, False, [1], None, "1 1"):
+            with pytest.raises(DataError, match="^row 4: column 'y' is not a 0/1 value$"):
+                spec.outcome({"y": value, "y_hat": "1"}, 4)
+        with pytest.raises(DataError, match="^row 5: column 'y_hat' is not a 0/1 value$"):
+            spec.outcome({"y": "1"}, 5)
+        with pytest.raises(DataError, match="^row 6: column 'y' must be 0 or 1, got ' 2'$"):
+            spec.outcome({"y": " 2", "y_hat": "1"}, 6)
+        with pytest.raises(DataError, match="^row 7: column 'y_hat' must be 0 or 1, got 2$"):
+            spec.outcome({"y": "1", "y_hat": 2}, 7)
+
     @pytest.fixture()
     def artifact(self, tmp_path):
         ref = tmp_path / "ref.csv"
@@ -201,6 +220,8 @@ def _label_encode_with_stats(cat, record):
     for attr, raw in record.items():
         if attr in RESERVED_COLUMNS:
             continue
+        if isinstance(raw, (list, dict)):  # a JSON array or object: its text
+            raw = str(raw)
         if raw in MISSING_VALUES or (isinstance(raw, str) and raw.strip() in MISSING_VALUES):
             continue
         disc = cat.discretizers.get(attr)
@@ -243,7 +264,15 @@ def _random_catalogs():
     partial = ItemCatalog(
         [Item(it.attribute, it.value, k) for k, it in enumerate(kept)], full.discretizers
     )
-    return full, partial
+    # as a hand-edited artifact may be: item values that no stripped, present
+    # value matches, texts of JSON values, and an outcome column with items
+    values = {"cat": ["?", " x", "x", "NA ", "", "[1, 2]", "True", "5", "2.5", "d d"], "y": ["1"]}
+    edited = ItemCatalog(
+        [Item(a, v, k) for k, (a, v) in enumerate((a, v) for a, vs in values.items() for v in vs)]
+        + [Item("x", label, len(values["cat"]) + 1 + i) for i, label in enumerate(full.discretizers["x"].labels())],
+        {"cat": _Discretizer("categorical"), "y": _Discretizer("categorical"), "x": full.discretizers["x"]},
+    )
+    return full, partial, edited
 
 
 def test_encode_matches_label_oracle_on_random_values():
@@ -263,8 +292,11 @@ def test_encode_matches_label_oracle_on_random_values():
                 probes[attr] += [int(b) for b in bounds if float(b).is_integer()]
             else:
                 probes[attr] = [" a", "a", "b", " b ", "c", "d d", " d d ", "e", 5, "?", "NA", "", None]
-        probes["unknown"] = ["u", 1.5, "?", None]
+                probes[attr] += [" x", "x", " ? ", "NA ", "[1, 2]", [1, 2], True, False, 2.5, 0, {"k": 1}, "True"]
+            probes[attr] += [7, -3, 1.25, True, False, [1, 2], [], {"k": 1}]
+        probes["unknown"] = ["u", 1.5, "?", None, [1], True]
         probes["y_hat"] = ["1", "zz"]
+        probes["y"] = ["1", " 1", [1]]
         for _ in range(3000):
             record = {
                 attr: rng.choice(values)
@@ -272,6 +304,21 @@ def test_encode_matches_label_oracle_on_random_values():
                 if rng.random() < 0.85
             }
             assert cat.encode_with_stats(record) == _label_encode_with_stats(cat, record), record
+
+
+def test_point_matrix_and_encode_agree_on_a_hand_edited_catalog():
+    """Item values that no stripped, present value matches ("", "?", " x")
+    collect nothing in either encoder, missing cells included."""
+    _, _, edited = _random_catalogs()
+    cells = ["?", "", " ? ", "x", " x", "NA ", "[1, 2]", "True", "d d", "u", None]
+    stream = [{"cat": c, "y": "1"} for c in cells]
+    table = ColumnData.from_columns({"cat": cells, "y": ["1"] * len(cells)}, categorical=frozenset({"cat"}))
+    P = table.point_matrix(np.arange(table.n), edited).toarray()
+    for r, rec in enumerate(stream):
+        row = np.zeros(edited.n_items)
+        row[list(edited.encode_with_stats(rec)[0])] = 1
+        assert np.array_equal(P[r], row), rec
+    assert P[:3].sum() == 0  # the missing cells
 
 
 @pytest.mark.parametrize(
@@ -526,6 +573,36 @@ def test_read_columns_matches_read_rows(tmp_path, name, text):
     got = {k: list(v) for k, v in read_columns(path).items()}
     assert got == _columns_of_rows(path)
     assert all(len(v) == len(next(iter(got.values()))) for v in got.values())
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("a,b\n\n1,2\n\n\n3,4\n", None),  # blank lines
+        ("a,b,c\n1\n2,3\n\n4,5,6\n,,\n", None),  # short rows
+        ('a,b,c\n"1,5",x,"two\nlines"\n\n"",", ",\n', None),  # quoted commas and newlines
+        ("a,b\n", None),  # header only
+        ("a,b\n1,2\n\n3,4\n5,6,7\n", "row 3: more fields than header columns"),  # a long row
+        ("\na,b\n1,2\n", "row 1: more fields than header columns"),  # a blank first line is the header
+        ("", "{path}: empty file, expected a header row"),
+        ("a,b,a\n1,2,3\n", "{path}: column name(s) repeated in the header: 'a'"),
+    ],
+)
+def test_read_rows_and_read_columns_follow_one_record_rule(tmp_path, text, error):
+    """Both readers give the same cells, or the same DataError naming the
+    same 1-based row among the non-blank ones."""
+    path = tmp_path / "t.csv"
+    path.write_text(text)
+    if error is not None:
+        for read in (lambda: list(read_rows(path)), lambda: read_columns(path)):
+            with pytest.raises(DataError) as exc:
+                read()
+            assert str(exc.value) == error.format(path=path)
+        return
+    rows, columns = list(read_rows(path)), read_columns(path)
+    assert list(columns) == next(csv.reader(io.StringIO(text)))
+    assert rows == [dict(zip(columns, cells)) for cells in zip(*columns.values())]
+    assert all(list(row) == list(columns) for row in rows)
 
 
 def test_read_columns_of_a_header_only_csv_has_empty_columns(tmp_path):

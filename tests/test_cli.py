@@ -484,6 +484,38 @@ def _mined_and_monitored(tmp_path):
     return src, catalog_path, reports_dir
 
 
+def test_monitor_rejects_an_infinite_tau_t(tmp_path, caplog):
+    src = tmp_path / "data.csv"
+    write_sample_csv(src, n=200)
+    catalog_path = tmp_path / "catalog.json"
+    assert run_cli("mine", "--input", src, "--min-support", "0.1", "--out", catalog_path) == 0
+    for tau_t in ("inf", "-inf"):
+        out = tmp_path / f"reports{tau_t}"
+        assert run_cli("monitor", "--catalog", catalog_path, "--input", src, f"--tau-t={tau_t}", "--out", out) == 2
+        assert f"tau_t must be finite, got {tau_t}" in caplog.text
+        assert not (out / "reports.jsonl").exists()
+
+
+def test_eval_results_do_not_depend_on_where_the_data_file_lies(tmp_path):
+    rows = census_sample(n=3000, seed=4)
+    texts = []
+    for where in ("one", "two/deeper"):
+        data = tmp_path / where / "census.csv"
+        data.parent.mkdir(parents=True)
+        with open(data, "w", newline="") as fh:
+            w = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
+            w.writeheader()
+            w.writerows(rows)
+        out = tmp_path / where / "results.csv"
+        code = run_cli(
+            "eval", "--suite", "inject", "--data", data, "--supports", "0.1", "--n-exp", "1", "--out", out,
+        )
+        assert code == 0
+        texts.append(out.read_bytes())
+    assert texts[0] == texts[1]
+    assert {r["dataset"] for r in csv.DictReader(io.StringIO(texts[0].decode()))} == {"adult:census.csv"}
+
+
 def _edit_artifact(path, edit):
     artifact = json.loads(path.read_text())
     edit(artifact["subgroup_catalog"]["subgroups"])
@@ -918,6 +950,7 @@ def test_report_has_no_tau_t_flag(tmp_path, capsys):
         ),
         (lambda d: d.pop("tau_t"), "no field 'tau_t'"),
         (lambda d: d.update(tau_t="five"), "tau_t must be a number"),
+        (lambda d: d.update(tau_t=float("inf")), "tau_t must be finite, got inf"),
         (lambda d: d.pop("min_count"), "no field 'min_count'"),
         (lambda d: d.update(min_count="none"), "min_count must be an integer"),
     ],

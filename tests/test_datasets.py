@@ -85,6 +85,15 @@ def test_resolve_tabular_fallback_and_env(tmp_path, monkeypatch):
     assert cols.n == 50
 
 
+def test_resolve_tabular_names_a_file_by_its_name(tmp_path, monkeypatch):
+    p = tmp_path / "deep" / "adult.csv"
+    p.parent.mkdir()
+    p.write_text("age,workclass,income\n40,Private,>50K\n")
+    assert resolve_tabular(str(p))[1] == "adult:adult.csv"
+    monkeypatch.setenv("DRIFTSCOPE_ADULT", str(p))
+    assert resolve_tabular(None)[1] == "adult:adult.csv"
+
+
 def test_load_adult_bad_label(tmp_path):
     p = tmp_path / "adult.csv"
     p.write_text("age,income\n40,maybe\n")

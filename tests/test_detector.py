@@ -1,19 +1,23 @@
 import json
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
 
+import rowpath
 from driftscope.detector import (
     DriftReport,
     MonitorState,
+    ReportWriter,
     WindowConfig,
     beta_posterior,
     drift_delta,
     step,
     welch_t,
 )
+from driftscope.catalog import DataError
 from driftscope.mining import MiningConfig, Subgroup, SubgroupCatalog
 from driftscope.sgmetrics import SubgroupStats, merge
 
@@ -358,3 +362,98 @@ class TestReportAndState:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["monitor_state.json"]
         assert MonitorState.load(path).batches_seen == 1
+
+
+def test_window_config_and_state_reject_an_infinite_tau_t():
+    for tau_t in (math.inf, -math.inf, np.float64("inf")):
+        with pytest.raises(ValueError, match="tau_t must be finite, got"):
+            WindowConfig(2, tau_t)
+    d = MonitorState(n_subgroups=1).to_dict()
+    d["tau_t"] = math.inf
+    text = json.dumps(d)
+    assert "Infinity" in text  # what json.dumps writes, and no strict parser reads
+    with pytest.raises(DataError, match="tau_t must be finite, got inf"):
+        MonitorState.from_dict(json.loads(text))
+
+
+# --- report lines against the dict-per-row serializer they replaced ---------
+
+
+def _writer_catalog(n_items=6, seed=3):
+    """The global subgroup and every itemset of one or two items, with
+    supports whose shortest repr is long."""
+    rng = np.random.default_rng(seed)
+    sets = [(), *((i,) for i in range(n_items)), *combinations(range(n_items), 2)]
+    supports = [1.0, *rng.random(len(sets) - 1).tolist()]
+    sgs = [Subgroup(s, sup, int(sup * 1000), j) for j, (s, sup) in enumerate(zip(sets, supports))]
+    return SubgroupCatalog(sgs, n_items, MiningConfig(0.01, 2))
+
+
+def _random_report(rng, n, batch_id):
+    """A scored report with ties in t, NaN h values and many flags."""
+    t = rng.integers(0, 4, size=n) * 1.25
+    t = np.where(rng.random(n) < 0.5, t, t + rng.random(n))  # some ties, some odd floats
+    h_ref, h_cur = rng.random(n), rng.random(n)
+    h_ref[rng.random(n) < 0.25] = np.nan
+    h_cur[rng.random(n) < 0.25] = np.nan
+    drifted = rng.random(n) < 0.4
+    return DriftReport(
+        batch_id, False, bool(drifted.any()), 5.0,
+        h_ref=h_ref, h_cur=h_cur, delta_h=h_ref - h_cur, t_values=t, drifted=drifted,
+    )
+
+
+def _reference_line(report, catalog, top_k):
+    return json.dumps(rowpath.report_dict(report, catalog, top_k), sort_keys=True)
+
+
+class TestReportWriter:
+    @pytest.mark.parametrize("top_k", [0, 1, 3, 7, 22, 100])
+    def test_lines_equal_the_reference_bytes(self, top_k):
+        catalog = _writer_catalog()
+        n = len(catalog)
+        assert n == 22  # so top_k 22 and 100 are >= |G|
+        rng = np.random.default_rng(top_k)
+        writer = ReportWriter(catalog, top_k)  # one writer across the batches
+        for b in range(1, 40):
+            report = _random_report(rng, n, b)
+            line = writer.line(report)
+            assert line == _reference_line(report, catalog, top_k), (top_k, b)
+            assert report.to_dict(catalog, top_k) == rowpath.report_dict(report, catalog, top_k)
+            json.loads(line, parse_constant=lambda c: pytest.fail(f"{c} in a report line"))
+
+    def test_edge_reports(self):
+        catalog = _writer_catalog()
+        n = len(catalog)
+        nan = np.full(n, np.nan)
+        tied = np.full(n, 2.0)
+        reports = [
+            DriftReport(1, True, False, 5.0),  # warming up
+            DriftReport(2, False, False, 5.0, h_ref=nan, h_cur=nan, delta_h=nan, t_values=tied,
+                        drifted=np.zeros(n, dtype=bool)),  # all NaN, all tied at the k-th t
+            DriftReport(3, False, True, 0.5, h_ref=np.ones(n), h_cur=np.zeros(n), delta_h=np.ones(n),
+                        t_values=np.arange(n, dtype=np.float64), drifted=np.ones(n, dtype=bool)),  # all flagged
+        ]
+        for top_k in (0, 2, n, n + 1):
+            writer = ReportWriter(catalog, top_k)
+            for report in reports:
+                assert writer.line(report) == _reference_line(report, catalog, top_k), (top_k, report.batch_id)
+        warm = json.loads(ReportWriter(catalog).line(reports[0]))
+        assert warm["subgroups"] == [] and warm["max_t"] is None
+        line = ReportWriter(catalog, 2).line(reports[1])
+        assert '"items": "(global)", "subgroup_id": 0, "support": 1.0' in line and "NaN" not in line
+        assert len(json.loads(ReportWriter(catalog, 0).line(reports[2]))["subgroups"]) == n
+
+    def test_a_writer_reused_through_a_monitor_run_and_a_reset(self):
+        catalog = _writer_catalog()
+        n = len(catalog)
+        rng = np.random.default_rng(8)
+        mon = MonitorState(n_subgroups=n, config=WindowConfig(2, tau_t=1.0))
+        writer = ReportWriter(catalog, 4)
+        for b in range(30):
+            if b == 12:
+                mon.reset_reference()
+            a = rng.integers(0, 30, size=n) * (rng.random(n) < 0.8)  # some empty subgroups: NaN h
+            stats = stats_of(list(zip(a.tolist(), (rng.integers(0, 30, size=n) * (a > 0)).tolist())))
+            report = step(mon, stats)
+            assert writer.line(report) == _reference_line(report, catalog, 4), b
