@@ -15,20 +15,16 @@ Implemented from the original publications:
   - ADWIN: Bifet & Gavalda, "Learning from Time-Changing Data with Adaptive
     Windowing" (2007); exponential-histogram buckets, variance-based cut test.
   - KSWIN: Raab et al., "Reactive Soft Prototype Computing for Concept Drift
-    Streams" (2020); Kolmogorov-Smirnov test on sampled-vs-recent windows.
+    Streams" (2020); Kolmogorov-Smirnov test on sampled-vs-recent windows,
+    with the exact equal-size p-value of Gnedenko & Korolyuk (1951).
   - Chi-squared / Fisher's Exact Test: 2x2 contingency (correct/incorrect x
     reference/current window); chi2 falls back to FET when any expected cell
     is below 5.
-
-``scipy.stats`` is imported inside the two tests that use it, because every
-``driftscope`` command imports this module and that import alone takes
-about a second.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from collections import deque
 from typing import Sequence
 
@@ -49,6 +45,8 @@ __all__ = [
     "make_detector",
     "fisher_exact_two_sided",
     "chi2_statistic",
+    "chi2_p_value",
+    "ks_two_sample",
     "DETECTOR_KINDS",
 ]
 
@@ -294,6 +292,11 @@ class KSWIN(BaselineDetector):
     sized uniform sample of the older window part; drift when the KS p-value
     falls below alpha and the statistic is substantial. Sampling is driven by
     a seeded generator so runs are reproducible; reset() restores the seed.
+
+    The p-value is Gnedenko & Korolyuk's exact two-sided series for two
+    samples of one size (``ks_two_sample``). It applies at every
+    ``stat_size``, also above 10,000, where library KS routines commonly
+    switch to an asymptotic series; the CLI uses ``stat_size`` 30.
     """
 
     def __init__(
@@ -323,19 +326,39 @@ class KSWIN(BaselineDetector):
         older = arr[: -self.stat_size]
         recent = arr[-self.stat_size :]
         sample = self.rng.choice(older, self.stat_size, replace=True)
-        from scipy.stats import ks_2samp  # here, not at module level: see the module docstring
-
-        with warnings.catch_warnings():
-            # binary error streams are all ties; scipy falls back to the
-            # asymptotic KS p-value and warns about it on every update
-            warnings.simplefilter("ignore", RuntimeWarning)
-            ks, p = ks_2samp(sample, recent, method="auto")
+        ks, p = ks_two_sample(sample, recent)
         if p <= self.alpha and ks > 0.1:
             kept = list(recent)
             self.window.clear()
             self.window.extend(kept)
             return DRIFT
         return NO_DRIFT
+
+
+def ks_two_sample(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
+    """Two-sided two-sample Kolmogorov-Smirnov test for samples of one size n.
+
+    Returns (D, p). D = h / n, where h is the largest gap between the two
+    samples' ECDF counts. p = P(D_nn >= h / n) is the exact series
+    2 sum_{j>=1} (-1)^(j+1) C(2n, n - jh) / C(2n, n) (Gnedenko & Korolyuk,
+    1951), evaluated as nested products 2 A0 (1 - A1 (1 - A2 (...))) so that
+    no two terms cancel. It holds for every n.
+    """
+    x, y = np.sort(x), np.sort(y)
+    n = len(x)
+    if len(y) != n:
+        raise ValueError(f"ks_two_sample needs two samples of one size, got {n} and {len(y)}")
+    both = np.concatenate([x, y])
+    h = int(np.abs(np.searchsorted(x, both, side="right") - np.searchsorted(y, both, side="right")).max())
+    if h == 0:
+        return 0.0, 1.0
+    p = 0.0
+    for k in range(n // h, -1, -1):
+        a = 1.0  # A_k = C(2n, n - (k + 1)h) / C(2n, n - kh), h factors
+        for j in range(h):
+            a = (n - k * h - j) * a / (n + k * h + j + 1)
+        p = a * (1.0 - p)
+    return h / n, min(max(2.0 * p, 0.0), 1.0)
 
 
 def expected_table(table: Sequence[Sequence[float]]) -> np.ndarray:
@@ -358,6 +381,12 @@ def chi2_statistic(table: Sequence[Sequence[float]]) -> tuple[float, np.ndarray]
         raise ValueError("chi-squared statistic undefined for empty-margin tables")
     stat = float(((obs - expected) ** 2 / expected).sum())
     return stat, expected
+
+
+def chi2_p_value(stat: float) -> float:
+    """Upper tail of the chi-squared distribution with one degree of
+    freedom: P(X >= stat) = erfc(sqrt(stat / 2))."""
+    return math.erfc(math.sqrt(stat / 2.0))
 
 
 def fisher_exact_two_sided(a: int, b: int, c: int, d: int) -> float:
@@ -446,9 +475,7 @@ class Chi2Window(_ContingencyWindow):
         if (expected_table(table) < 5.0).any():
             return fisher_exact_two_sided(ref[0], ref[1], cur[0], cur[1])
         stat, _ = chi2_statistic(table)
-        from scipy.stats import chi2  # here, not at module level: see the module docstring
-
-        return float(chi2.sf(stat, df=1))
+        return chi2_p_value(stat)
 
 
 def make_detector(kind: str, **hyperparams) -> BaselineDetector:

@@ -18,7 +18,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .baselines import DETECTOR_KINDS, make_detector
@@ -98,7 +97,6 @@ def _write_manifest(out: Path, args: argparse.Namespace) -> None:
         "tool": "driftscope",
         "version": __version__,
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "python": sys.version.split()[0],
         "argv": sys.argv[1:],
         "config": {k: (str(v) if isinstance(v, Path) else v) for k, v in config.items()},
@@ -374,16 +372,25 @@ def _cmd_inject(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# each bench flag: the detectors that take it -> their parameter name
+_BENCH_PARAMS = {
+    "min_samples": {"ddm": "min_samples", "page_hinkley": "min_instances"},
+    "delta": {"adwin": "delta"},
+    "window_size": {"kswin": "window_size", "chi2": "window_size", "fet": "window_size"},
+}
+
+
 def _cmd_bench(args) -> int:
     params = {}
-    if args.min_samples is not None:
-        key = {"ddm": "min_samples", "page_hinkley": "min_instances"}.get(args.detector)
-        if key:
-            params[key] = args.min_samples
-    if args.delta is not None and args.detector in ("adwin",):
-        params["delta"] = args.delta
-    if args.window_size is not None and args.detector in ("kswin", "chi2", "fet"):
-        params["window_size"] = args.window_size
+    for flag, takers in _BENCH_PARAMS.items():
+        value = getattr(args, flag)
+        if value is None:
+            continue
+        if args.detector not in takers:
+            option = "--" + flag.replace("_", "-")
+            print(f"driftscope bench: error: {option} does not apply to --detector {args.detector}", file=sys.stderr)
+            return 1
+        params[takers[args.detector]] = value
     det = make_detector(args.detector, **params)
     spec = MetricSpec(kind=args.metric)
     drifts = []
@@ -396,6 +403,13 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    if args.baselines:
+        kinds = tuple(args.baselines.split(","))
+    else:
+        kinds = ("ddm",) if args.suite in ("inject", "adult-inject", "timing") else ()
+    for kind in kinds:
+        if kind not in DETECTOR_KINDS:
+            raise DataError(f"unknown --baselines kind {kind!r}, expected one of {', '.join(DETECTOR_KINDS)}")
     threads = args.threads
     if not threads:
         setting = os.environ.get("DRIFTSCOPE_THREADS", "1")
@@ -408,7 +422,6 @@ def _cmd_eval(args) -> int:
         cols, source = resolve_tabular(args.data, n=args.rows)
         log.info("injection suite on %s (%d rows)", source, cols.n)
         supports = [float(s) for s in args.supports.split(",")] if args.supports else [0.01, 0.05]
-        methods = ["driftscope"] + (args.baselines.split(",") if args.baselines else ["ddm"])
         for k, support in enumerate(supports):
             # targets drawn from a narrow band around each requested support
             results, _ = run_injection_suite(
@@ -419,10 +432,10 @@ def _cmd_eval(args) -> int:
                 threads=threads,
                 support_band=(0.8 * support, 1.25 * support),
                 window=args.window,
-                baseline_kinds=tuple(args.baselines.split(",")) if args.baselines else ("ddm",),
+                baseline_kinds=kinds,
                 baseline_params={"ddm": {"min_samples": 4000}},
             )
-            for method in methods:
+            for method in ("driftscope", *kinds):
                 row = summarize_suite(results, method)
                 row["suite"] = args.suite
                 row["dataset"] = source
@@ -436,10 +449,9 @@ def _cmd_eval(args) -> int:
             seed=args.seed,
             threads=threads,
             window=args.window,
-            baseline_kinds=tuple(args.baselines.split(",")) if args.baselines else (),
+            baseline_kinds=kinds,
         )
-        methods = ["driftscope"] + (args.baselines.split(",") if args.baselines else [])
-        for method in methods:
+        for method in ("driftscope", *kinds):
             row = summarize_suite(results, method)
             row["suite"] = args.suite
             row["dataset"] = args.suite
@@ -465,7 +477,7 @@ def _cmd_eval(args) -> int:
         timing = timing_bench(
             sgcat,
             batches,
-            detector_kinds=tuple(args.baselines.split(",")) if args.baselines else ("ddm",),
+            detector_kinds=kinds,
         )
         for method, vals in timing.items():
             out_rows.append({"suite": "timing", "dataset": source, "method": method, **vals})

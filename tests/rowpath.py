@@ -2,8 +2,9 @@
 path (``read_columns`` -> ``ColumnData``) replaced, of the concept
 experiment that encoded each batch through dict rows, of the tree fit
 that re-sorted every feature at every node, of the label-flip injection
-that encoded every record on its own, and of the report serializer that
-built one dict per retained subgroup, kept as test oracles.
+that encoded every record on its own, of the report serializer that
+built one dict per retained subgroup, and of the KSWIN and chi-squared
+window tests that took their p-values from scipy, kept as test oracles.
 
 Each is the earlier program code, unchanged but for returning plain values
 (and, for the concept experiment, slicing its batches from the one stream
@@ -18,7 +19,16 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from driftscope import evaluation
-from driftscope.baselines import DRIFT, make_detector
+from driftscope.baselines import (
+    DRIFT,
+    KSWIN,
+    NO_DRIFT,
+    Chi2Window,
+    chi2_statistic,
+    expected_table,
+    fisher_exact_two_sided,
+    make_detector,
+)
 from driftscope.catalog import (
     MISSING_VALUES,
     RESERVED_COLUMNS,
@@ -494,3 +504,40 @@ def report_dict(report, catalog, top_k=100):
         "max_t": report.max_t() if not report.warming_up else None,
         "subgroups": report_rows(report, catalog, report.retained_indices(top_k)),
     }
+
+
+class ScipyKSWIN(KSWIN):
+    """``KSWIN`` with the p-value of scipy's ``ks_2samp``."""
+
+    def update(self, error: int) -> str:
+        self.window.append(float(error))
+        if len(self.window) < self.window_size:
+            return NO_DRIFT
+        arr = np.asarray(self.window)
+        older = arr[: -self.stat_size]
+        recent = arr[-self.stat_size :]
+        sample = self.rng.choice(older, self.stat_size, replace=True)
+        from scipy.stats import ks_2samp
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            ks, p = ks_2samp(sample, recent, method="auto")
+        if p <= self.alpha and ks > 0.1:
+            kept = list(recent)
+            self.window.clear()
+            self.window.extend(kept)
+            return DRIFT
+        return NO_DRIFT
+
+
+class ScipyChi2Window(Chi2Window):
+    """``Chi2Window`` with the p-value of scipy's ``chi2.sf``."""
+
+    def _test(self, ref, cur) -> float:
+        table = [[ref[0], ref[1]], [cur[0], cur[1]]]
+        if (expected_table(table) < 5.0).any():
+            return fisher_exact_two_sided(ref[0], ref[1], cur[0], cur[1])
+        stat, _ = chi2_statistic(table)
+        from scipy.stats import chi2
+
+        return float(chi2.sf(stat, df=1))

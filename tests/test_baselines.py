@@ -1,9 +1,12 @@
 import math
+import warnings
 from math import comb
 
 import numpy as np
 import pytest
+from scipy.stats import chi2, ks_2samp
 
+import rowpath
 from driftscope.baselines import (
     ADWIN,
     DDM,
@@ -14,8 +17,10 @@ from driftscope.baselines import (
     NO_DRIFT,
     Chi2Window,
     PageHinkley,
+    chi2_p_value,
     chi2_statistic,
     fisher_exact_two_sided,
+    ks_two_sample,
     make_detector,
 )
 
@@ -174,8 +179,93 @@ class TestKSWIN:
         det.reset()
         assert det.run(stream) == first
 
+    @pytest.mark.parametrize("window_size", [50, 100, 1000])
+    def test_decisions_match_the_scipy_oracle(self, window_size):
+        fired = 0
+        for seed in range(17):
+            rng = np.random.default_rng([window_size, seed])
+            lead = window_size + 50
+            if seed % 2:
+                stream = bernoulli(rng, 0.2, lead + 100)
+            else:
+                stream = np.concatenate([bernoulli(rng, 0.1, lead), bernoulli(rng, 0.7, 100)])
+            got = KSWIN(window_size=window_size, seed=seed).run(stream)
+            assert got == rowpath.ScipyKSWIN(window_size=window_size, seed=seed).run(stream), seed
+            fired += DRIFT in got
+        assert fired >= 8  # the drifted streams fire, so not every decision compared is "no drift"
+
+
+def scipy_ks(x, y):
+    """scipy's (D, p), and whether its exact p rounded above 1 so that it
+    fell back to its asymptotic series (it warns when it does)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = ks_2samp(x, y, method="auto")
+    fell_back = any("Exact calculation unsuccessful" in str(w.message) for w in caught)
+    return float(res.statistic), float(res.pvalue), fell_back
+
+
+class TestKSTwoSample:
+    def test_every_gap_up_to_60_matches_scipy_bit_for_bit(self):
+        for n in range(1, 61):
+            for h in range(n + 1):
+                x = np.zeros(n)
+                y = np.concatenate([np.ones(h), np.zeros(n - h)])  # D = h / n
+                d, p = ks_two_sample(x, y)
+                want_d, want_p, fell_back = scipy_ks(x, y)
+                assert d == want_d == h / n, (n, h)
+                if fell_back:
+                    # scipy's exact sum came out above 1 (all such pairs have
+                    # small h), so it used its asymptotic series; the module
+                    # clips its own to 1. No decision at alpha < 0.9999 differs.
+                    assert p >= 0.9999 and want_p >= 0.9999, (n, h)
+                else:
+                    assert p == want_p, (n, h)
+
+    def test_ties_and_continuous_samples_match_scipy(self):
+        rng = np.random.default_rng(14)
+        for i in range(150):
+            n = int(rng.integers(1, 300))
+            if i % 3 == 0:
+                x, y = rng.integers(0, 2, n), rng.integers(0, 2, n)
+            elif i % 3 == 1:
+                x, y = rng.integers(0, 5, n), rng.integers(0, 5, n) + int(rng.integers(0, 2))
+            else:
+                x, y = rng.normal(0.0, 1.0, n), rng.normal(0.3, 1.0, n)
+            x, y = x.astype(float), y.astype(float)
+            d, p = ks_two_sample(x, y)
+            want_d, want_p, fell_back = scipy_ks(x, y)
+            assert d == want_d
+            assert p == want_p or (fell_back and min(p, want_p) >= 0.9999)
+
+    def test_identical_samples_and_unequal_sizes(self):
+        assert ks_two_sample([1.0, 2.0], [2.0, 1.0]) == (0.0, 1.0)
+        with pytest.raises(ValueError, match="one size"):
+            ks_two_sample([1.0, 2.0], [1.0])
+
 
 class TestChi2:
+    def test_p_value_matches_scipy(self):
+        grid = np.concatenate([[0.0, 3.841, 6.635], np.linspace(0.0, 40.0, 2001)])
+        for x in grid.tolist():
+            assert chi2_p_value(x) == pytest.approx(float(chi2.sf(x, 1)), rel=1e-12, abs=0.0), x
+
+    @pytest.mark.parametrize("window_size", [50, 100, 1000])
+    def test_decisions_match_the_scipy_oracle(self, window_size):
+        fired = 0
+        for seed in range(17):
+            rng = np.random.default_rng([window_size, seed])
+            if seed % 2:
+                stream = bernoulli(rng, 0.1, 20 * window_size)
+            else:
+                stream = np.concatenate(
+                    [bernoulli(rng, 0.1, 12 * window_size), bernoulli(rng, 0.4, 8 * window_size)]
+                )
+            got = Chi2Window(window_size=window_size).run(stream)
+            assert got == rowpath.ScipyChi2Window(window_size=window_size).run(stream), seed
+            fired += DRIFT in got
+        assert fired >= 8  # the drifted streams fire, so not every decision compared is "no drift"
+
     def test_textbook_statistic(self):
         # [[30,10],[20,20]]: expected [[25,15],[25,15]]
         stat, expected = chi2_statistic([[30, 10], [20, 20]])

@@ -12,6 +12,7 @@ import pytest
 
 import driftscope
 import rowpath
+from driftscope import cli
 from driftscope.catalog import DataError, ItemCatalog
 from driftscope.cli import _csv_text, _parse_subgroup, main
 from driftscope.datasets import census_sample
@@ -614,33 +615,6 @@ def test_monitor_on_unordered_quantile_edges_exits_two(tmp_path, caplog):
     assert "lo <= e1 < ... < ek < hi" in caplog.text
 
 
-def test_mine_monitor_report_never_import_scipy_stats(tmp_path):
-    # scipy.stats costs about a second per process; only eval and bench need it
-    src, _, _ = _mined_and_monitored(tmp_path)
-    script = f"""
-import sys
-from driftscope.cli import main
-args = [
-    ["mine", "--input", {str(src)!r}, "--min-support", "0.05", "--out", "c.json"],
-    ["monitor", "--catalog", "c.json", "--input", {str(src)!r}, "--window", "2",
-     "--batch-size", "100", "--out", "mon"],
-    ["report", "--reports", "mon", "--catalog", "c.json", "--prune-t", "1", "--shapley",
-     "--out", "r.md"],
-]
-codes = [main(a) for a in args]
-print(codes, "scipy.stats" in sys.modules)
-"""
-    package_root = str(Path(driftscope.__file__).resolve().parents[1])
-    paths = [package_root, *filter(None, [os.environ.get("PYTHONPATH")])]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
-    out = subprocess.run(
-        [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.split("\n")[0] == "[0, 0, 0] False"
-    assert (tmp_path / "r.attribution.csv").exists()
-
-
 def test_config_file_supplies_defaults_but_flags_win(tmp_path):
     src = tmp_path / "d.csv"
     write_sample_csv(src, n=300)
@@ -701,6 +675,85 @@ code = main(["eval", "--suite", "inject", "--data", "surrogate", "--rows", "2000
 print(code, "scipy.stats" in sys.modules)
 """
     assert _run_python(script, tmp_path) == "0 False"
+
+
+def test_every_command_runs_with_scipy_unimportable(tmp_path):
+    # scipy is a test oracle only: a finder ahead of all others refuses it
+    src, _, _ = _mined_and_monitored(tmp_path)
+    script = f"""
+import contextlib
+import io
+import sys
+
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ModuleNotFoundError(f"No module named {{name!r}}", name=name)
+        return None
+
+
+sys.meta_path.insert(0, NoScipy())
+from driftscope.cli import main
+src = {str(src)!r}
+args = [
+    ["mine", "--input", src, "--min-support", "0.05", "--out", "c.json"],
+    ["monitor", "--catalog", "c.json", "--input", src, "--window", "2", "--batch-size", "100", "--out", "mon"],
+    ["report", "--reports", "mon", "--catalog", "c.json", "--prune-t", "1", "--shapley", "--out", "r.md"],
+    ["gen", "--dataset", "sea", "--n-batches", "4", "--batch-size", "100", "--train-size", "200",
+     "--drift-center", "200", "--drift-width", "50", "--out", "g.csv"],
+    ["inject", "--input", src, "--catalog", "c.json", "--subgroup", "color=red", "--p-max", "0.5",
+     "--normal", "1", "--transition", "1", "--drift", "2", "--out", "i.csv", "--mask", "m.csv"],
+    ["bench", "--detector", "ddm", "--input", src],
+    ["bench", "--detector", "hddm_a", "--input", src],
+    ["bench", "--detector", "page_hinkley", "--input", src],
+    ["bench", "--detector", "adwin", "--input", src],
+    ["bench", "--detector", "kswin", "--window-size", "100", "--input", src],
+    ["bench", "--detector", "chi2", "--window-size", "100", "--input", src],
+    ["bench", "--detector", "fet", "--window-size", "100", "--input", src],
+    ["eval", "--suite", "sea", "--n-exp", "1", "--baselines", "kswin,chi2,fet", "--out", "sea.csv"],
+    ["eval", "--suite", "inject", "--data", "surrogate", "--rows", "2000", "--supports", "0.1",
+     "--n-exp", "1", "--baselines", "kswin,chi2,fet", "--out", "inject.csv"],
+]
+with contextlib.redirect_stdout(io.StringIO()):  # bench prints its drift points
+    codes = [main(a) for a in args]
+print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    assert _run_python(script, tmp_path) == f"{[0] * 14} []"
+    assert (tmp_path / "r.attribution.csv").exists()
+    for name in ("g.csv", "i.csv", "sea.csv", "inject.csv"):
+        assert (tmp_path / name).stat().st_size > 0
+    assert "scipy" not in json.loads((tmp_path / "sea.csv.manifest.json").read_text())
+
+
+@pytest.mark.parametrize("suite", ["inject", "sea", "timing"])
+def test_eval_rejects_an_unknown_baseline_before_any_work(tmp_path, caplog, monkeypatch, suite):
+    def never(*args, **kwargs):
+        raise AssertionError("a suite started before the baseline kinds were checked")
+
+    for name in ("resolve_tabular", "run_injection_suite", "run_concept_suite", "timing_bench"):
+        monkeypatch.setattr(cli, name, never)
+    out = tmp_path / "out.csv"
+    code = run_cli(
+        "eval", "--suite", suite, "--data", "surrogate", "--rows", "4000",
+        "--baselines", "kswin,foo", "--out", out,
+    )
+    assert code == 2
+    assert "unknown --baselines kind 'foo'" in caplog.text
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag,value,detector",
+    [("--delta", "0.01", "ddm"), ("--min-samples", "50", "kswin"), ("--window-size", "50", "adwin")],
+)
+def test_bench_rejects_a_flag_its_detector_does_not_take(tmp_path, capsys, flag, value, detector):
+    src = tmp_path / "data.csv"
+    write_sample_csv(src, n=100)
+    assert run_cli("bench", "--detector", detector, flag, value, "--input", src) == 1
+    captured = capsys.readouterr()
+    assert f"driftscope bench: error: {flag} does not apply to --detector {detector}" in captured.err
+    assert captured.out == ""
 
 
 def test_eval_timing_suite_small(tmp_path):
