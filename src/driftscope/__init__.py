@@ -9,6 +9,7 @@ item-attributed drift reports.
 __version__ = "0.1.0"
 
 from .catalog import (
+    Column,
     ColumnData,
     DataError,
     Item,
@@ -70,6 +71,7 @@ from .evaluation import (
 
 __all__ = [
     "__version__",
+    "Column",
     "ColumnData",
     "DataError",
     "Item",

@@ -315,22 +315,25 @@ class KSWIN(BaselineDetector):
         self.reset()
 
     def reset(self) -> None:
-        self.window: deque[float] = deque(maxlen=self.window_size)
+        # the window is a ring stored twice over, so that its n_held values,
+        # oldest first, are the one slice ring[next + w - n_held : next + w]
+        self.ring = np.zeros(2 * self.window_size)
+        self.n_held = 0
+        self.next = 0
         self.rng = np.random.default_rng(np.random.SeedSequence([0x4B535749, self.seed]))
 
     def update(self, error: int) -> str:
-        self.window.append(float(error))
-        if len(self.window) < self.window_size:
+        w, s = self.window_size, self.stat_size
+        self.ring[self.next] = self.ring[self.next + w] = float(error)
+        self.next = (self.next + 1) % w
+        self.n_held = min(self.n_held + 1, w)
+        if self.n_held < w:
             return NO_DRIFT
-        arr = np.asarray(self.window)
-        older = arr[: -self.stat_size]
-        recent = arr[-self.stat_size :]
-        sample = self.rng.choice(older, self.stat_size, replace=True)
-        ks, p = ks_two_sample(sample, recent)
+        window = self.ring[self.next : self.next + w]
+        sample = self.rng.choice(window[:-s], s, replace=True)
+        ks, p = ks_two_sample(sample, window[-s:])
         if p <= self.alpha and ks > 0.1:
-            kept = list(recent)
-            self.window.clear()
-            self.window.extend(kept)
+            self.n_held = s  # keep only the recent values
             return DRIFT
         return NO_DRIFT
 

@@ -7,8 +7,9 @@ reference data and frozen. Encoding is deterministic for the lifetime of the
 catalog, which makes item ids stable across the whole monitoring run.
 
 Reference data is read once into typed columns (:class:`ColumnData`): each
-raw column is factorized, values are parsed per distinct value, and catalogs
-and point matrices come from array lookups over the codes.
+raw column is factorized as it is read, a block of records at a time, values
+are parsed per distinct value, and catalogs and point matrices come from
+array lookups over the codes.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from bisect import bisect_left
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -32,6 +33,7 @@ from .mining import _packed_rows
 from .sgmetrics import Membership
 
 __all__ = [
+    "Column",
     "ColumnData",
     "DataError",
     "Item",
@@ -323,7 +325,8 @@ def build_catalog(
         raise ValueError("cannot build a catalog from zero records")
     binning = dict(binning_config or {})
     categorical = frozenset(a for a, rule in binning.items() if rule == "categorical")
-    table = ColumnData.from_columns(_rows_to_columns(records), categorical=categorical)
+    columns = {k: [r.get(k) for r in records] for k in dict.fromkeys(chain.from_iterable(records))}
+    table = ColumnData.from_columns(columns, categorical=categorical)
     return table.build_catalog(np.arange(table.n), default_bins, binning)
 
 
@@ -350,33 +353,91 @@ def _catalog_of_columns(columns: Iterable[tuple[str, int | None, object]]) -> It
     return ItemCatalog(items, discretizers)
 
 
-def _rows_to_columns(rows: Sequence[Mapping[str, object]]) -> dict[str, list]:
-    """The columns of ``rows``: keys in first-seen order, None where a row
-    lacks one."""
-    return {k: [r.get(k) for r in rows] for k in dict.fromkeys(chain.from_iterable(rows))}
-
-
-# Types whose equal values have equal text, so a column of only these can be
-# keyed by its values; other numbers cannot (1, 1.0 and True, or 0.0 and
+# Types whose equal values have equal text, so a value of one of them can
+# be its own factorize key; other numbers cannot (1, 1.0 and True, or 0.0 and
 # -0.0, are one dict key).
 _TEXT_EXACT = frozenset({str, int, type(None)})
 
-# A column of only these is numeric with no text round trip (unless forced
-# categorical), None for missing.
+# An in-memory column of only these is numeric with no text round trip
+# (unless forced categorical), None for missing.
 _FLOAT_OR_NONE = frozenset({float, type(None)})
 
+# Records read and factorized at a time: bounds the raw cells held as
+# objects to BLOCK rows.
+BLOCK = 1024
 
-def _factorize(values: Sequence) -> tuple[np.ndarray, list]:
-    """Codes of ``values`` into their distinct values in first-seen order,
-    and the text (None for None) of each distinct value, as the catalog
-    reads it. Columns with values of other types are keyed by text."""
-    if not _TEXT_EXACT.issuperset(map(type, values)):
-        values = [v if v is None or isinstance(v, str) else str(v) for v in values]
-    distinct = dict.fromkeys(values)
-    for i, v in enumerate(distinct):
-        distinct[v] = i
-    codes = np.fromiter(map(distinct.__getitem__, values), dtype=np.intp, count=len(values))
-    return codes, [v if v is None or isinstance(v, str) else str(v) for v in distinct]
+
+def _key(value: object) -> object:
+    """The factorize key of a raw value: the value itself for a str, int or
+    None; otherwise its type and repr, so that 1, 1.0 and True, or 0.0 and
+    -0.0, stay apart, and a JSON array or object is hashable."""
+    return value if type(value) in _TEXT_EXACT else (type(value), repr(value))
+
+
+class Column:
+    """One raw column: its distinct values in first-seen order, and per row
+    the code of its value. Iterating gives the raw values in row order."""
+
+    __slots__ = ("values", "codes")
+
+    def __init__(self, values: list, codes: np.ndarray):
+        self.values, self.codes = values, codes
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __iter__(self) -> Iterator:
+        get = self.values.__getitem__
+        return chain.from_iterable(
+            map(get, self.codes[lo : lo + BLOCK].tolist()) for lo in range(0, len(self.codes), BLOCK)
+        )
+
+
+class _Factorizer:
+    """A :class:`Column` built one block of raw values at a time, keyed by
+    :func:`_key` per value, so a later block may bring a value of a new type.
+    ``missing`` rows read before the column's first block lack it: None."""
+
+    def __init__(self, missing: int = 0):
+        self.index: dict = {}
+        self.values: list = []
+        self.blocks: list[np.ndarray] = []
+        if missing:
+            self.index[None] = 0
+            self.values.append(None)
+            self.blocks.append(np.zeros(missing, dtype=np.intp))
+
+    def add(self, block: Sequence) -> None:
+        keys = block if _TEXT_EXACT.issuperset(map(type, block)) else list(map(_key, block))
+        index, values = self.index, self.values
+        for key, value in dict(zip(keys, block)).items():
+            if key not in index:
+                index[key] = len(values)
+                values.append(value)
+        self.blocks.append(np.fromiter(map(index.__getitem__, keys), dtype=np.intp, count=len(keys)))
+
+    def column(self) -> Column:
+        """The column read so far; the factorizer is spent."""
+        blocks, self.blocks, self.index = self.blocks, [], {}
+        return Column(self.values, np.concatenate(blocks) if blocks else np.zeros(0, dtype=np.intp))
+
+
+def _factorize(values: Sequence) -> Column:
+    """An in-memory column, factorized as one block."""
+    factorizer = _Factorizer()
+    factorizer.add(values)
+    return factorizer.column()
+
+
+def _columns_of_rows(rows: Iterable[Sequence], width: int) -> list[Column]:
+    """The ``width`` columns of ``rows``, each a sequence of ``width`` cells,
+    factorized BLOCK rows at a time."""
+    rows = iter(rows)
+    columns = [_Factorizer() for _ in range(width)]
+    while block := list(islice(rows, BLOCK)):
+        for factorizer, values in zip(columns, zip(*block)):
+            factorizer.add(values)
+    return [factorizer.column() for factorizer in columns]
 
 
 def _floats(texts: Sequence[str]) -> np.ndarray | None:
@@ -404,8 +465,8 @@ class ColumnData:
     ``codes`` index its sorted distinct stripped strings ``uniques``, where
     "" stands for missing. Types are fixed from the whole table, whatever
     rows a catalog is built from. Values are stripped, tested for missing
-    and parsed once per distinct value; a column of only floats and None is
-    taken as numbers directly. ``y`` is the int label column, or
+    and parsed once per distinct value; an in-memory column of only floats
+    and None is taken as numbers directly. ``y`` is the int label column, or
     None. Outcome and stream-structure columns are never attributes.
 
     ``ColumnData(rows)`` takes dict rows (keys in first-seen order, ``y``
@@ -427,41 +488,45 @@ class ColumnData:
     @classmethod
     def from_columns(
         cls,
-        columns: Mapping[str, Sequence],
+        columns: Mapping[str, Column | Sequence],
         categorical: frozenset[str] = frozenset(),
         y: np.ndarray | None = None,
     ) -> "ColumnData":
-        """The table of raw ``columns`` (attribute -> values in row order, all
-        of one length), as :func:`read_columns` returns them."""
+        """The table of raw ``columns`` (attribute -> a :class:`Column`, as
+        :func:`read_columns` returns them, or the values in row order), all
+        of one length."""
         table = cls.__new__(cls)
         table.n, table.y = len(next(iter(columns.values()), ())), y
         table._fill(columns, columns.__getitem__, categorical)
         return table
 
-    def _fill(self, names: Iterable[str], column: Callable[[str], Sequence], categorical: frozenset[str]) -> None:
+    def _fill(
+        self, names: Iterable[str], column: Callable[[str], Column | Sequence], categorical: frozenset[str]
+    ) -> None:
         """Type the columns ``names``, fetching one raw ``column(name)`` at a
-        time so that only one untyped column is held at once."""
+        time so that only one untyped in-memory column is held at once."""
         self.attrs = [a for a in names if a not in RESERVED_COLUMNS]
         self.numeric: dict[str, np.ndarray] = {}
         self.codes: dict[str, np.ndarray] = {}
         self.uniques: dict[str, np.ndarray] = {}
         for a in self.attrs:
-            values = column(a)
-            if a not in categorical and _FLOAT_OR_NONE.issuperset(map(type, values)):
-                # a float's text parses back to that float, so take it as is
-                self.numeric[a] = np.array(values, dtype=np.float64)  # None -> NaN
-                continue
-            codes, distinct = _factorize(values)
-            text = ["" if t is None else t.strip() for t in distinct]
+            col = column(a)
+            if not isinstance(col, Column):
+                if a not in categorical and _FLOAT_OR_NONE.issuperset(map(type, col)):
+                    # a float's text parses back to that float, so take it as is
+                    self.numeric[a] = np.array(col, dtype=np.float64)  # None -> NaN
+                    continue
+                col = _factorize(col)
+            text = ["" if v is None else (v if isinstance(v, str) else str(v)).strip() for v in col.values]
             text = ["" if t in MISSING_VALUES else t for t in text]
             numbers = None if a in categorical else _floats(text)
             if numbers is not None:
-                self.numeric[a] = numbers[codes]
+                self.numeric[a] = numbers[col.codes]
                 continue
             uniques = sorted(set(text))
             position = {u: i for i, u in enumerate(uniques)}
             self.uniques[a] = np.array(uniques, dtype=object)
-            self.codes[a] = np.array([position[t] for t in text], dtype=np.intp)[codes]
+            self.codes[a] = np.array([position[t] for t in text], dtype=np.intp)[col.codes]
 
     def feature_matrix(self) -> np.ndarray:
         """Numeric design matrix for the tree: raw numbers, ordinal codes."""
@@ -656,9 +721,10 @@ def read_rows(path: str | Path) -> Iterator[dict[str, object]]:
                 yield dict(zip(header, row))
 
 
-def read_columns(path: str | Path) -> dict[str, Sequence]:
-    """Read a CSV or JSONL file at once into columns: each attribute's raw
-    values in row order.
+def read_columns(path: str | Path) -> dict[str, Column]:
+    """Read a CSV or JSONL file into columns: each attribute's raw values as
+    a :class:`Column`, factorized BLOCK records at a time, so that no more
+    than a block of records is held as objects.
 
     The rows, values and errors are those of :func:`read_rows`: blank lines
     are skipped, and a cell that a short CSV row or a JSONL object lacks is
@@ -667,15 +733,25 @@ def read_columns(path: str | Path) -> dict[str, Sequence]:
     """
     path = Path(path)
     if _is_jsonl(path):
-        return _rows_to_columns(list(read_rows(path)))
+        columns: dict[str, _Factorizer] = {}
+        rows, n = read_rows(path), 0
+        while block := list(islice(rows, BLOCK)):
+            for name in dict.fromkeys(chain.from_iterable(block)):
+                if name not in columns:
+                    columns[name] = _Factorizer(missing=n)
+            for name, factorizer in columns.items():
+                factorizer.add([r.get(name) for r in block])
+            n += len(block)
+        return {name: factorizer.column() for name, factorizer in columns.items()}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = _csv_header(path, reader)
-        rows = list(filter(None, reader))
-    width = len(header)
-    if rows and not min(map(len, rows)) == max(map(len, rows)) == width:
-        rows = [_fit_row(row, width, i) for i, row in enumerate(rows, start=1)]
-    return dict(zip(header, zip(*rows))) if rows else {name: () for name in header}
+        width = len(header)
+        rows = (
+            row if len(row) == width else _fit_row(row, width, i)
+            for i, row in enumerate(filter(None, reader), start=1)
+        )
+        return dict(zip(header, _columns_of_rows(rows, width)))
 
 
 # The CSV record rule of both readers: the first row is the header, checked by

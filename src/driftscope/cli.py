@@ -22,6 +22,7 @@ import numpy as np
 from . import __version__
 from .baselines import DETECTOR_KINDS, make_detector
 from .catalog import (
+    Column,
     ColumnData,
     DataError,
     ItemCatalog,
@@ -309,21 +310,24 @@ def _parse_subgroup(spec: str, attributes) -> list[str]:
     return [p.strip() for p in parts if p.strip()]
 
 
-def _binary_labels(values) -> np.ndarray:
-    """The label column ``y`` as 0/1 ints; a DataError names the first row
-    whose label is not an integer, or not 0 or 1."""
-    y = np.empty(len(values), dtype=np.int64)
-    for i, v in enumerate(values):
+def _binary_labels(labels: Column) -> np.ndarray:
+    """The label column ``y`` as 0/1 ints, parsed once per distinct value; a
+    DataError names the first row whose label is not an integer, or not 0
+    or 1."""
+    y = []
+    for code, v in enumerate(labels.values):
         try:
             label = float(str(v))
         except ValueError:
             label = np.nan
-        if not label.is_integer():
-            raise DataError(f"row {i + 1}: no integer label in column 'y' (got {v!r})")
-        if label not in (0.0, 1.0):
-            raise DataError(f"row {i + 1}: label flipping requires binary labels, got y={v!r}")
-        y[i] = label
-    return y
+        if not (label.is_integer() and label in (0.0, 1.0)):
+            # values are in first-seen order, so this one's first row is the first bad row
+            row = int(np.argmax(labels.codes == code)) + 1
+            if not label.is_integer():
+                raise DataError(f"row {row}: no integer label in column 'y' (got {v!r})")
+            raise DataError(f"row {row}: label flipping requires binary labels, got y={v!r}")
+        y.append(int(label))
+    return np.array(y, dtype=np.int64)[labels.codes]
 
 
 def _cmd_inject(args) -> int:
@@ -353,11 +357,12 @@ def _cmd_inject(args) -> int:
     if total < 1:
         raise DataError("inject needs at least one batch")
     bounds = _even_bounds(table.n, total)
-    y = _binary_labels(columns.get("y", (None,) * table.n))
+    labels = columns["y"] if "y" in columns else Column([None], np.zeros(table.n, dtype=np.intp))
+    y = _binary_labels(labels)
     cover = _target_cover(table.point_matrix(np.arange(table.n), catalog), schedule.target_subgroup)
     y, mask = _inject_flips_columns(y, cover, bounds, schedule, args.seed)
-    # an unflipped label keeps its text
-    columns["y"] = [int(f) if m else v for v, f, m in zip(columns["y"], y.tolist(), mask.tolist())]
+    # an unflipped label keeps its raw value; a flipped one is the int 0 or 1
+    columns["y"] = Column([*labels.values, 0, 1], np.where(mask, len(labels.values) + y, labels.codes))
     batch = np.repeat(np.arange(1, total + 1), [hi - lo for lo, hi in bounds]).tolist()
     _atomic_write(Path(args.out), _columns_text(columns))
     mask_columns = {"row": range(table.n), "batch": batch, "altered": mask.astype(int).tolist()}

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .catalog import MISSING_VALUES, ColumnData, read_columns
+from .catalog import MISSING_VALUES, Column, ColumnData, _columns_of_rows, read_columns
 
 __all__ = ["load_adult", "census_sample", "resolve_tabular", "ADULT_COLUMNS"]
 
@@ -77,9 +77,8 @@ def load_adult(path: str | Path) -> ColumnData:
             return 0
         raise ValueError(f"unrecognized income label {v!r}")
 
-    def labels(values) -> np.ndarray:
-        y = {v: norm_label(v) for v in dict.fromkeys(values)}
-        return np.fromiter(map(y.__getitem__, values), dtype=np.int64, count=len(values))
+    def labels(column: Column) -> np.ndarray:
+        return np.array([norm_label(v) for v in column.values], dtype=np.int64)[column.codes]
 
     if has_header:
         columns: dict = {}
@@ -95,9 +94,8 @@ def load_adult(path: str | Path) -> ColumnData:
     else:
         width = len(ADULT_COLUMNS) + 1
         with open(path, encoding="utf-8") as fh:
-            lines = [line.split(",") for line in map(str.strip, fh) if line and not line.startswith("|")]
-        rows = [parts for parts in lines if len(parts) == width]
-        *attributes, label = zip(*rows) if rows else [()] * width
+            lines = (line.split(",") for line in map(str.strip, fh) if line and not line.startswith("|"))
+            *attributes, label = _columns_of_rows((parts for parts in lines if len(parts) == width), width)
         columns = dict(zip(ADULT_COLUMNS, attributes))
     if not len(label):
         raise ValueError(f"no data rows parsed from {path}")

@@ -3,8 +3,9 @@ path (``read_columns`` -> ``ColumnData``) replaced, of the concept
 experiment that encoded each batch through dict rows, of the tree fit
 that re-sorted every feature at every node, of the label-flip injection
 that encoded every record on its own, of the report serializer that
-built one dict per retained subgroup, and of the KSWIN and chi-squared
-window tests that took their p-values from scipy, kept as test oracles.
+built one dict per retained subgroup, of the KSWIN window that was a deque
+copied into an array on every row, and of the KSWIN and chi-squared window
+tests that took their p-values from scipy, kept as test oracles.
 
 Each is the earlier program code, unchanged but for returning plain values
 (and, for the concept experiment, slicing its batches from the one stream
@@ -13,6 +14,7 @@ table that the generator now returns).
 
 import json
 import warnings
+from collections import deque
 from types import SimpleNamespace
 from typing import Mapping, Sequence
 
@@ -27,6 +29,7 @@ from driftscope.baselines import (
     chi2_statistic,
     expected_table,
     fisher_exact_two_sided,
+    ks_two_sample,
     make_detector,
 )
 from driftscope.catalog import (
@@ -506,8 +509,13 @@ def report_dict(report, catalog, top_k=100):
     }
 
 
-class ScipyKSWIN(KSWIN):
-    """``KSWIN`` with the p-value of scipy's ``ks_2samp``."""
+class DequeKSWIN(KSWIN):
+    """``KSWIN`` with its window as a deque, copied into a new array on
+    every row."""
+
+    def reset(self) -> None:
+        self.window: deque[float] = deque(maxlen=self.window_size)
+        self.rng = np.random.default_rng(np.random.SeedSequence([0x4B535749, self.seed]))
 
     def update(self, error: int) -> str:
         self.window.append(float(error))
@@ -517,17 +525,27 @@ class ScipyKSWIN(KSWIN):
         older = arr[: -self.stat_size]
         recent = arr[-self.stat_size :]
         sample = self.rng.choice(older, self.stat_size, replace=True)
-        from scipy.stats import ks_2samp
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            ks, p = ks_2samp(sample, recent, method="auto")
+        ks, p = self.ks_test(sample, recent)
         if p <= self.alpha and ks > 0.1:
             kept = list(recent)
             self.window.clear()
             self.window.extend(kept)
             return DRIFT
         return NO_DRIFT
+
+    def ks_test(self, sample, recent):
+        return ks_two_sample(sample, recent)
+
+
+class ScipyKSWIN(DequeKSWIN):
+    """``DequeKSWIN`` with the p-value of scipy's ``ks_2samp``."""
+
+    def ks_test(self, sample, recent):
+        from scipy.stats import ks_2samp
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            return ks_2samp(sample, recent, method="auto")
 
 
 class ScipyChi2Window(Chi2Window):

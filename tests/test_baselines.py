@@ -195,6 +195,17 @@ class TestKSWIN:
         assert fired >= 8  # the drifted streams fire, so not every decision compared is "no drift"
 
 
+    @pytest.mark.parametrize("window_size", [100, 1000])
+    def test_ring_window_decides_as_the_deque_window(self, window_size):
+        # error rates that shift every 500 rows, so that the detector fires
+        # and restarts from its recent values many times
+        rng = np.random.default_rng([window_size, 20_000])
+        stream = np.concatenate([bernoulli(rng, p, 500) for p in rng.uniform(0.05, 0.9, 40)])
+        got = KSWIN(window_size=window_size, seed=5).run(stream)
+        assert got == rowpath.DequeKSWIN(window_size=window_size, seed=5).run(stream)
+        assert got.count(DRIFT) >= 5
+
+
 def scipy_ks(x, y):
     """scipy's (D, p), and whether its exact p rounded above 1 so that it
     fell back to its asymptotic series (it warns when it does)."""

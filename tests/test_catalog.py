@@ -4,11 +4,13 @@ import json
 import logging
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import rowpath
+from driftscope import catalog
 from driftscope.catalog import (
     MISSING_VALUES,
     RESERVED_COLUMNS,
@@ -24,6 +26,7 @@ from driftscope.catalog import (
     _fmt_number,
 )
 from driftscope.cli import main
+from driftscope.datasets import census_sample
 
 
 def test_categorical_passthrough_two_items():
@@ -556,17 +559,17 @@ def _columns_of_rows(path):
     return {k: [r.get(k) for r in rows] for k in dict.fromkeys(k for r in rows for k in r)}
 
 
-@pytest.mark.parametrize(
-    "name, text",
-    [
-        ("quoted.csv", 'a,b,c\n"1,5",x,"two\nlines"\n3,"say ""hi""",\n'),
-        ("blank.csv", "a,b\n\n1,2\n\n\n3,4\n"),
-        ("short.csv", "a,b,c\n1\n2,3\n4,5,6\n,,\n"),
-        ("spaces.csv", "a, b\n 1 , x \n?,NA\n"),
-        ("keys.jsonl", '{"a": 1, "b": "x"}\n\n{"b": null, "c": -0.0}\n{"c": true, "a": [1, 2]}\n'),
-        ("typed.ndjson", '{"a": 1}\n{"a": 1.0}\n{"a": "1"}\n'),
-    ],
-)
+_INGEST_INPUTS = [
+    ("quoted.csv", 'a,b,c\n"1,5",x,"two\nlines"\n3,"say ""hi""",\n'),
+    ("blank.csv", "a,b\n\n1,2\n\n\n3,4\n"),
+    ("short.csv", "a,b,c\n1\n2,3\n4,5,6\n,,\n"),
+    ("spaces.csv", "a, b\n 1 , x \n?,NA\n"),
+    ("keys.jsonl", '{"a": 1, "b": "x"}\n\n{"b": null, "c": -0.0}\n{"c": true, "a": [1, 2]}\n'),
+    ("typed.ndjson", '{"a": 1}\n{"a": 1.0}\n{"a": "1"}\n'),
+]
+
+
+@pytest.mark.parametrize("name, text", _INGEST_INPUTS)
 def test_read_columns_matches_read_rows(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
@@ -608,7 +611,100 @@ def test_read_rows_and_read_columns_follow_one_record_rule(tmp_path, text, error
 def test_read_columns_of_a_header_only_csv_has_empty_columns(tmp_path):
     path = tmp_path / "h.csv"
     path.write_text("a,b\n")
-    assert read_columns(path) == {"a": (), "b": ()}
+    assert {k: list(v) for k, v in read_columns(path).items()} == {"a": [], "b": []}
+
+
+# --- read_columns block by block ------------------------------------------------
+
+# Inputs whose records cross blocks of 2 and 3 rows.
+_BLOCK_INPUTS = [
+    # values first seen in a later block, numbers turning to text there
+    ("later.csv", "a,b\n1,x\n2,x\n3,y\n1,z\n5,x\nfive,w\n"),
+    # short rows padded in a later block
+    ("late_short.csv", "a,b,c\n1,2,3\n4,5,6\n7,8,9\n10\n11,12\n13,14,15\n"),
+    # blank lines across the boundaries
+    ("blank_blocks.csv", "a,b\n1,2\n\n\n3,4\n\n5,6\n\n7,8\n\n\n"),
+    # a key first seen in a later block, None before it
+    ("late_key.jsonl", '{"a": 1}\n{"a": 2}\n\n{"a": 3}\n{"a": 4, "b": "x"}\n{"b": 2.5}\n'),
+    # numbers, texts and bools that are one dict key or one text, in every block
+    ("typed.jsonl", "".join(
+        f'{{"v": {v}, "w": {w}, "x": {x}}}\n'
+        for v, w, x in [("1", "0.0", "1.0"), ('"1"', "-0.0", '"1.0"'), ("1.0", "0", "true"), ("true", "false", '"True"'),
+                        ("0.0", "-0.0", "-0.0"), ("-0.0", '"0"', '"-0.0"'), ("1", "0.0", '"True"'),
+                        ("0", "true", "1.0"), ("false", "1", '"1.0"'), ("-0.0", "null", "true")]
+    )),
+]
+
+
+def _typed(values):
+    """Values with their types, so that 1, 1.0 and True, or 0.0 and -0.0, differ."""
+    return [(type(v), repr(v)) for v in values]
+
+
+@pytest.mark.parametrize("block", [2, 3, catalog.BLOCK])
+@pytest.mark.parametrize("name, text", _INGEST_INPUTS + _BLOCK_INPUTS)
+def test_read_columns_in_blocks_gives_the_values_and_table_of_read_rows(tmp_path, monkeypatch, block, name, text):
+    monkeypatch.setattr(catalog, "BLOCK", block)
+    path = tmp_path / name
+    path.write_text(text)
+    columns, expected = read_columns(path), _columns_of_rows(path)
+    assert list(columns) == list(expected)
+    for attr, values in expected.items():
+        assert _typed(columns[attr]) == _typed(values), attr
+    rowpath.assert_same_table(ColumnData.from_columns(columns), ColumnData(list(read_rows(path))))
+
+
+def test_read_columns_keeps_a_value_that_a_later_block_brings_in_a_new_type(tmp_path, monkeypatch):
+    monkeypatch.setattr(catalog, "BLOCK", 2)
+    path = tmp_path / "t.jsonl"
+    path.write_text('{"v": 1}\n{"v": 0}\n{"v": true}\n{"v": 1.0}\n{"v": "1"}\n{"v": 1}\n')
+    column = read_columns(path)["v"]
+    assert _typed(column.values) == _typed([1, 0, True, 1.0, "1"])
+    assert column.codes.tolist() == [0, 1, 2, 3, 4, 0]
+
+
+@pytest.mark.parametrize("block", [2, 3])
+def test_a_long_row_in_a_later_block_names_its_row_in_the_file(tmp_path, monkeypatch, block):
+    monkeypatch.setattr(catalog, "BLOCK", block)
+    path = tmp_path / "t.csv"
+    path.write_text("a,b\n1,2\n\n3,4\n5\n\n\n6,7\n8,9,10\n11,12\n")
+    for read in (lambda: list(read_rows(path)), lambda: read_columns(path)):
+        with pytest.raises(DataError) as exc:
+            read()
+        assert str(exc.value) == "row 5: more fields than header columns"
+
+
+def test_read_columns_of_a_header_and_blank_lines_has_empty_columns(tmp_path, monkeypatch):
+    monkeypatch.setattr(catalog, "BLOCK", 2)
+    path = tmp_path / "h.csv"
+    path.write_text("a,b\n\n\n\n\n")
+    columns = read_columns(path)
+    assert {k: list(v) for k, v in columns.items()} == {"a": [], "b": []}
+    assert ColumnData.from_columns(columns).n == 0
+
+
+def test_read_columns_and_typing_hold_few_bytes_per_cell(tmp_path):
+    """The file is read BLOCK records at a time and kept as distinct values
+    and codes. Reading a 20k-row census CSV into typed columns peaked at ~68
+    traced bytes per cell when the reader held every row as a list and every
+    cell as its own str; a first block reader (4,096-record blocks) peaked at
+    25-31, and 1,024-record blocks peak at ~21."""
+    rows = census_sample(n=20_000, seed=0)
+    path = tmp_path / "census.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+    cells = len(rows) * len(rows[0])
+    del rows
+    tracemalloc.start()
+    try:
+        table = ColumnData.from_columns(read_columns(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.n == 20_000
+    assert peak / cells <= 40, peak / cells
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,7 @@ import pytest
 
 import driftscope
 import rowpath
-from driftscope import cli
+from driftscope import catalog, cli
 from driftscope.catalog import DataError, ItemCatalog
 from driftscope.cli import _csv_text, _parse_subgroup, main
 from driftscope.datasets import census_sample
@@ -374,6 +374,47 @@ def test_inject_matches_the_record_path_byte_for_byte(tmp_path, seed):
         assert out.read_bytes() == out_text.encode() and mask.read_bytes() == mask_text.encode()
 
 
+def test_inject_of_typed_jsonl_labels_in_blocks_matches_the_record_path(tmp_path, monkeypatch):
+    # labels of one value in several types, read 3 records at a time: each
+    # unflipped one is written back as it was read
+    monkeypatch.setattr(catalog, "BLOCK", 3)
+    rng = np.random.default_rng(6)
+    labels = [1, "1", 1.0, 0, "0", 0.0, -0.0, " 1 "]
+    stream = tmp_path / "stream.jsonl"
+    with open(stream, "w") as fh:
+        for _ in range(200):
+            rec = {"color": str(rng.choice(["red", "blue"])), "size": [1, 2.0, "3", None][rng.integers(4)]}
+            fh.write(json.dumps({**rec, "y": labels[rng.integers(len(labels))]}) + "\n")
+    catalog_path, out, mask = tmp_path / "catalog.json", tmp_path / "x.csv", tmp_path / "m.csv"
+    assert run_cli("mine", "--input", stream, "--min-support", "0.1", "--out", catalog_path) == 0
+    assert run_cli(
+        "inject", "--input", stream, "--catalog", catalog_path, "--subgroup", "color=red", "--p-max", "0.9",
+        "--normal", "1", "--transition", "1", "--drift", "2", "--out", out, "--mask", mask,
+    ) == 0
+    out_text, mask_text = rowpath.inject_texts(stream, catalog_path, "color=red", 0.9, normal=1, transition=1, drift=2)
+    assert out.read_bytes() == out_text.encode() and mask.read_bytes() == mask_text.encode()
+    assert {"-0.0", "1.0", " 1 "} <= {r["y"] for r in csv.DictReader(io.StringIO(out_text))}
+
+
+@pytest.mark.parametrize(
+    "label, message",
+    [("yes", "row 8: no integer label in column 'y' (got 'yes')"),
+     (2, "row 8: label flipping requires binary labels, got y=2")],
+)
+def test_inject_names_a_bad_label_in_a_later_block_by_its_row(tmp_path, caplog, monkeypatch, label, message):
+    monkeypatch.setattr(catalog, "BLOCK", 3)
+    stream = tmp_path / "stream.jsonl"
+    labels = [1, 0, "1", 0, 1, 1, 0, label, 1, label]
+    stream.write_text("".join(json.dumps({"color": ["red", "blue"][i % 2], "y": y}) + "\n" for i, y in enumerate(labels)))
+    catalog_path = tmp_path / "catalog.json"
+    assert run_cli("mine", "--input", stream, "--min-support", "0.1", "--out", catalog_path) == 0
+    assert run_cli(
+        "inject", "--input", stream, "--catalog", catalog_path, "--subgroup", "color=red", "--p-max", "0.5",
+        "--normal", "1", "--transition", "1", "--drift", "1", "--out", tmp_path / "x.csv", "--mask", tmp_path / "m.csv",
+    ) == 2
+    assert message in caplog.text
+
+
 def test_inject_encodes_no_row_on_its_own(tmp_path, monkeypatch):
     src = tmp_path / "data.csv"
     write_sample_csv(src, n=200)
@@ -647,10 +688,12 @@ def _run_python(script, cwd):
     return out.stdout.split("\n")[0]
 
 
-def test_mine_monitor_report_never_import_scipy_sparse_or_stats(tmp_path):
-    # the point matrix is packed bitmaps; scipy is for eval/bench baselines only
+def test_mine_monitor_report_eval_never_import_scipy(tmp_path):
+    # scipy is importable here, so a guarded optional import would load it,
+    # which the test with scipy unimportable cannot see
     src, _, _ = _mined_and_monitored(tmp_path)
     script = f"""
+import importlib.util
 import sys
 from driftscope.cli import main
 args = [
@@ -659,22 +702,13 @@ args = [
      "--batch-size", "100", "--out", "mon"],
     ["report", "--reports", "mon", "--catalog", "c.json", "--prune-t", "1", "--shapley",
      "--out", "r.md"],
+    ["eval", "--suite", "inject", "--data", "surrogate", "--rows", "2000",
+     "--supports", "0.1", "--n-exp", "1", "--out", "inject.csv"],
 ]
 codes = [main(a) for a in args]
-print(codes, sorted(m for m in ("scipy.sparse", "scipy.stats") if m in sys.modules))
+print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"), importlib.util.find_spec("scipy") is not None)
 """
-    assert _run_python(script, tmp_path) == "[0, 0, 0] []"
-
-
-def test_eval_inject_with_ddm_never_imports_scipy_stats(tmp_path):
-    script = """
-import sys
-from driftscope.cli import main
-code = main(["eval", "--suite", "inject", "--data", "surrogate", "--rows", "2000",
-             "--supports", "0.1", "--n-exp", "1", "--out", "inject.csv"])
-print(code, "scipy.stats" in sys.modules)
-"""
-    assert _run_python(script, tmp_path) == "0 False"
+    assert _run_python(script, tmp_path) == "[0, 0, 0, 0] [] True"
 
 
 def test_every_command_runs_with_scipy_unimportable(tmp_path):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import rowpath
+from driftscope import catalog
 from driftscope.datasets import ADULT_COLUMNS, census_sample, load_adult, resolve_tabular
 
 
@@ -127,19 +128,32 @@ def test_load_adult_header_detection_ignores_age_inside_a_value(tmp_path):
     assert cols.records([0])[0]["occupation"] == "Exec-managerial"
 
 
-@pytest.mark.parametrize("layout", ["adult.data", "adult.test", "headered.csv", "dashed.csv"])
-def test_load_adult_matches_the_row_path(tmp_path, layout):
+def _adult_text(layout):
     if layout == "adult.data":
         # the first line keeps "age" out, so the row path's header test agrees
-        text = "\n".join(_ADULT_LINES[1:]) + "\n"
-    elif layout == "adult.test":
-        text = "|1x3 Cross validator\n" + "\n".join(_ADULT_LINES[1:]) + "\n"
-    else:
-        names = [c.replace("_", "-") if layout == "dashed.csv" else c for c in ADULT_COLUMNS]
-        body = [line for line in _ADULT_LINES if line.count(",") == len(ADULT_COLUMNS)]
-        text = ",".join([*names, "Income"]) + "\n" + "\n".join(body) + "\n"
+        return "\n".join(_ADULT_LINES[1:]) + "\n"
+    if layout == "adult.test":
+        return "|1x3 Cross validator\n" + "\n".join(_ADULT_LINES[1:]) + "\n"
+    names = [c.replace("_", "-") if layout == "dashed.csv" else c for c in ADULT_COLUMNS]
+    body = [line for line in _ADULT_LINES if line.count(",") == len(ADULT_COLUMNS)]
+    return ",".join([*names, "Income"]) + "\n" + "\n".join(body) + "\n"
+
+
+_ADULT_LAYOUTS = ["adult.data", "adult.test", "headered.csv", "dashed.csv"]
+
+
+@pytest.mark.parametrize("layout", _ADULT_LAYOUTS)
+def test_load_adult_matches_the_row_path(tmp_path, layout):
     p = tmp_path / layout
-    p.write_text(text)
+    p.write_text(_adult_text(layout))
+    rowpath.assert_same_table(load_adult(p), rowpath.column_data(rowpath.load_adult(p)))
+
+
+@pytest.mark.parametrize("layout", _ADULT_LAYOUTS)
+def test_load_adult_in_blocks_of_3_rows_matches_the_row_path(tmp_path, monkeypatch, layout):
+    monkeypatch.setattr(catalog, "BLOCK", 3)
+    p = tmp_path / layout
+    p.write_text(_adult_text(layout))
     rowpath.assert_same_table(load_adult(p), rowpath.column_data(rowpath.load_adult(p)))
 
 
