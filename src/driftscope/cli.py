@@ -34,19 +34,13 @@ from .catalog import (
     read_rows,
 )
 from .detector import MonitorState, ReportWriter, WindowConfig, score_windows, step  # perfbench traces cli.score_windows
-from .evaluation import (
-    _even_bounds,
-    run_concept_suite,
-    run_injection_suite,
-    summarize_suite,
-    timing_bench,
-)
 from .explain import rank, redundancy_prune, shapley_global
 from .mining import MiningConfig, SubgroupCatalog, mine_frequent
 from .sgmetrics import EncodedBatch, aggregate, build_point_matrix, membership
-from .streams import ConceptStreamConfig, DriftSchedule, StreamBatch, gen_concept_stream
-from .streams import _inject_flips_columns, _target_cover
 from .datasets import resolve_tabular
+
+# gen, inject and eval import `streams` and `evaluation` themselves, so that
+# mine, monitor and report never load them
 
 log = logging.getLogger("driftscope")
 
@@ -262,13 +256,15 @@ def _csv_outputs(args, *dests: str) -> None:
             raise DataError(f"--{dest.replace('_', '-')} {path}: {args.command} writes CSV, not JSONL")
 
 
-def _stream_csv(table: StreamBatch, batch_size: int, path: Path) -> None:
-    """Write a generated table with its 1-based batch number per row."""
+def _stream_csv(table, batch_size: int, path: Path) -> None:
+    """Write a generated ``StreamBatch`` with its 1-based batch number per row."""
     batch = (np.arange(len(table.y)) // batch_size + 1).tolist()
     _atomic_write(path, _columns_text({"batch": batch, **table.columns()}))
 
 
 def _cmd_gen(args) -> int:
+    from .streams import ConceptStreamConfig, gen_concept_stream
+
     _csv_outputs(args, "out", "train_out")
     concepts = [int(c) for c in args.concepts.split(",")]
     if len(concepts) != 2:
@@ -331,6 +327,8 @@ def _binary_labels(labels: Column) -> np.ndarray:
 
 
 def _cmd_inject(args) -> int:
+    from .streams import DriftSchedule, _even_bounds, _inject_flips_columns, _target_cover
+
     _csv_outputs(args, "out", "mask")
     catalog, _ = _load_artifact(args.catalog)
     columns = read_columns(args.input)
@@ -408,6 +406,9 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    from .evaluation import run_concept_suite, run_injection_suite, summarize_suite, timing_bench
+    from .streams import _even_bounds
+
     if args.baselines:
         kinds = tuple(args.baselines.split(","))
     else:
@@ -662,46 +663,81 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    if "--config" not in argv:
-        return argv
-    i = argv.index("--config")
-    if i + 1 >= len(argv):
-        return argv
-    path = Path(argv[i + 1])
-    if path.suffix == ".toml":
-        try:
-            import tomllib  # py311+
-        except ImportError:  # pragma: no cover
+def _commands(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    """The subcommand parsers of ``parser``, by name."""
+    return next(a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+
+def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> None:
+    """Make the ``--config`` file's values the flag defaults of the parser
+    and of every subparser. A missing, unreadable or malformed file, or a
+    key that no flag defines, is a DataError."""
+    pre = _Parser(prog="driftscope", add_help=False)
+    pre.add_argument("--config")
+    config = pre.parse_known_args(argv)[0].config  # as the main parser reads it: --config=PATH too
+    if config is None:
+        return
+    path = Path(config)
+    try:
+        if path.suffix == ".toml":
             try:
-                import tomli as tomllib  # type: ignore
-            except ImportError:
-                raise DataError("TOML config requires Python 3.11+ or tomli; use JSON instead")
-        with open(path, "rb") as fh:
-            cfg = tomllib.load(fh)
-    else:
-        with open(path, encoding="utf-8") as fh:
-            cfg = json.load(fh)
+                import tomllib  # py311+
+            except ImportError:  # pragma: no cover
+                try:
+                    import tomli as tomllib  # type: ignore
+                except ImportError:
+                    raise DataError("TOML config requires Python 3.11+ or tomli; use JSON instead")
+            with open(path, "rb") as fh:
+                cfg = tomllib.load(fh)
+        else:
+            with open(path, encoding="utf-8") as fh:
+                cfg = json.load(fh)
+    except (OSError, ValueError) as exc:  # the JSON, TOML and UTF-8 decode errors are ValueErrors
+        raise DataError(f"--config {path}: {exc}") from None
+    if not isinstance(cfg, dict):
+        raise DataError(f"--config {path}: expected an object of flag defaults")
     defaults = {k.replace("-", "_"): v for k, v in cfg.items()}
-    parser.set_defaults(**defaults)
     # subcommands parse into a fresh namespace (argparse >= 3.7 semantics),
     # so the file defaults must reach every subparser too
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for sub in action.choices.values():
-                known = {a.dest for a in sub._actions}
-                sub.set_defaults(**{k: v for k, v in defaults.items() if k in known})
-    return argv
+    parsers = [parser, *_commands(parser).values()]
+    flags = [
+        {a.dest: a for a in p._actions if a.option_strings and a.dest not in ("help", "config")} for p in parsers
+    ]
+    unknown = sorted(set(defaults).difference(*flags))
+    if unknown:
+        raise DataError(f"--config {path}: no flag takes {', '.join(map(repr, unknown))}")
+    for p, actions in zip(parsers, flags):
+        # argparse runs a flag's type over a string default of the command
+        # that runs, so a typed value passes the flag's own check, and fails
+        # with its message and exit code
+        p.set_defaults(**{
+            k: v if actions[k].type is None else str(v) for k, v in defaults.items() if k in actions
+        })
+
+
+def _check_choices(command: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Hold each value to its flag's choices; argparse checks only the values
+    given as flags, so this catches a --config value."""
+    for action in command._actions:
+        if action.choices is not None:
+            try:
+                command._check_value(action, getattr(args, action.dest))
+            except argparse.ArgumentError as exc:
+                command.error(str(exc))
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        argv = _apply_config_file(parser, argv)
+        _apply_config_file(parser, argv)
         args = parser.parse_args(argv)
+        _check_choices(_commands(parser)[args.command], args)
     except SystemExit as exc:
         return int(exc.code or 0)
+    except DataError as exc:
+        log.error("%s", exc)
+        return 2
     logging.basicConfig(
         stream=sys.stderr,
         level=logging.DEBUG if args.verbose else logging.INFO,

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Iterator, Mapping, Sequence
@@ -35,6 +34,7 @@ from .sgmetrics import EncodedBatch, Membership, SubgroupStats, aggregate, membe
 from .streams import (
     ConceptStreamConfig,
     DriftSchedule,
+    _even_bounds,
     _inject_flips_columns,
     _target_cover,
     concept_disagreement,
@@ -216,6 +216,8 @@ def _run_jobs(jobs: Sequence[Callable], threads: int) -> list:
     ``threads`` worker processes when more than one."""
     if threads <= 1:
         return [job() for job in jobs]
+    from concurrent.futures import ProcessPoolExecutor  # a one-thread run never loads it
+
     with ProcessPoolExecutor(max_workers=threads) as pool:
         futures = [pool.submit(job) for job in jobs]
         return [f.result() for f in futures]
@@ -236,11 +238,6 @@ class InjectionExtras:
     ref_stats: SubgroupStats
     cur_stats: SubgroupStats
     relevance: np.ndarray
-
-
-def _even_bounds(n: int, n_batches: int) -> list[tuple[int, int]]:
-    cuts = np.linspace(0, n, n_batches + 1).astype(int)
-    return [(int(cuts[i]), int(cuts[i + 1])) for i in range(n_batches)]
 
 
 def run_injection_experiment(

@@ -14,7 +14,7 @@ length are one sorted search.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
@@ -406,26 +406,3 @@ def _lex_ranks(sets: Sequence[np.ndarray]) -> np.ndarray:
             lo += len(s)
         ranks[np.lexsort(padded.T[::-1])] = np.arange(total)
     return ranks
-
-
-def brute_force_frequent(
-    transactions: Sequence[Sequence[int]],
-    min_support: float,
-    max_len: int,
-) -> dict[tuple[int, ...], int]:
-    """Exhaustive reference miner for small instances (oracle for tests).
-
-    Enumerates every itemset up to ``max_len`` over the observed items and
-    counts support by direct subset checks. Exponential; keep universes small.
-    """
-    tx = [frozenset(t) for t in transactions]
-    universe = sorted(set().union(*tx)) if tx else []
-    n = len(tx)
-    out: dict[tuple[int, ...], int] = {}
-    for k in range(1, min(max_len, len(universe)) + 1):
-        for combo in combinations(universe, k):
-            s = frozenset(combo)
-            c = sum(1 for t in tx if s <= t)
-            if c / n >= min_support:
-                out[tuple(combo)] = c
-    return out

@@ -396,6 +396,11 @@ def _target_cover(P: Membership, target: Sequence[int]) -> np.ndarray:
     return cover
 
 
+def _even_bounds(n: int, n_batches: int) -> list[tuple[int, int]]:
+    cuts = np.linspace(0, n, n_batches + 1).astype(int)
+    return [(int(cuts[i]), int(cuts[i + 1])) for i in range(n_batches)]
+
+
 def _inject_flips_columns(
     y: np.ndarray,
     cover: np.ndarray,

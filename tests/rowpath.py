@@ -5,7 +5,8 @@ that re-sorted every feature at every node, of the label-flip injection
 that encoded every record on its own, of the report serializer that
 built one dict per retained subgroup, of the KSWIN window that was a deque
 copied into an array on every row, and of the KSWIN and chi-squared window
-tests that took their p-values from scipy, kept as test oracles.
+tests that took their p-values from scipy, kept as test oracles; also the
+exhaustive frequent-itemset miner that ``mine_frequent`` is checked against.
 
 Each is the earlier program code, unchanged but for returning plain values
 (and, for the concept experiment, slicing its batches from the one stream
@@ -15,6 +16,7 @@ table that the generator now returns).
 import json
 import warnings
 from collections import deque
+from itertools import combinations
 from types import SimpleNamespace
 from typing import Mapping, Sequence
 
@@ -559,3 +561,26 @@ class ScipyChi2Window(Chi2Window):
         from scipy.stats import chi2
 
         return float(chi2.sf(stat, df=1))
+
+
+def brute_force_frequent(
+    transactions: Sequence[Sequence[int]],
+    min_support: float,
+    max_len: int,
+) -> dict[tuple[int, ...], int]:
+    """Exhaustive reference miner for small instances (oracle for tests).
+
+    Enumerates every itemset up to ``max_len`` over the observed items and
+    counts support by direct subset checks. Exponential; keep universes small.
+    """
+    tx = [frozenset(t) for t in transactions]
+    universe = sorted(set().union(*tx)) if tx else []
+    n = len(tx)
+    out: dict[tuple[int, ...], int] = {}
+    for k in range(1, min(max_len, len(universe)) + 1):
+        for combo in combinations(universe, k):
+            s = frozenset(combo)
+            c = sum(1 for t in tx if s <= t)
+            if c / n >= min_support:
+                out[tuple(combo)] = c
+    return out

@@ -16,7 +16,6 @@ import pytest
 from driftscope.datasets import resolve_tabular
 from driftscope.detector import beta_posterior, welch_t
 from driftscope.evaluation import (
-    ColumnData,
     detection_scores,
     ndcg_at_k,
     run_concept_suite,
@@ -24,9 +23,10 @@ from driftscope.evaluation import (
     timing_bench,
 )
 from driftscope.explain import make_drift_value_fn, rank, redundancy_prune, shapley_local
-from driftscope.mining import MiningConfig, Subgroup, SubgroupCatalog, brute_force_frequent, mine_frequent
+from driftscope.mining import MiningConfig, Subgroup, SubgroupCatalog, mine_frequent
 from driftscope.sgmetrics import EncodedBatch, build_point_matrix, membership
 from driftscope.streams import fit_tree
+from rowpath import brute_force_frequent
 
 SEED = 0
 

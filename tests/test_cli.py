@@ -12,7 +12,7 @@ import pytest
 
 import driftscope
 import rowpath
-from driftscope import catalog, cli
+from driftscope import catalog, cli, evaluation
 from driftscope.catalog import DataError, ItemCatalog
 from driftscope.cli import _csv_text, _parse_subgroup, main
 from driftscope.datasets import census_sample
@@ -676,6 +676,67 @@ def test_config_file_supplies_defaults_but_flags_win(tmp_path):
     # without config or flag, the missing required value is a usage error
     assert run_cli("mine", "--input", src, "--out", tmp_path / "c3.json") == 1
 
+    # the file is read in every form argparse takes the flag in
+    for i, form in enumerate([f"--config={cfg}", f"--conf={cfg}"]):
+        out = tmp_path / f"c{4 + i}.json"
+        assert run_cli(form, "mine", "--input", src, "--out", out) == 0
+        assert json.loads(out.read_text())["subgroup_catalog"]["min_support"] == 0.2
+
+
+@pytest.mark.parametrize(
+    "command,config,message",
+    [
+        ("monitor", {"batch-size": 0}, "argument --batch-size: expected a positive integer, got 0"),
+        ("mine", {"bins": 0, "min-support": 0.2}, "argument --bins: expected a positive integer, got 0"),
+        ("monitor", {"top-k": 0}, "argument --top-k: expected a positive integer, got 0"),
+        ("mine", {"max-len": 2.5, "min-support": 0.2}, "argument --max-len: invalid _positive_int value: '2.5'"),
+        ("monitor", {"format": "md"}, "argument --format: invalid choice: 'md'"),
+    ],
+)
+def test_config_value_fails_like_its_flag(tmp_path, capsys, command, config, message):
+    src, catalog_path, _ = _mined_and_monitored(tmp_path)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(config))
+    args = {
+        "mine": ["--input", src, "--out", tmp_path / "c.json"],
+        "monitor": ["--catalog", catalog_path, "--input", src, "--out", tmp_path / "mon"],
+    }[command]
+    capsys.readouterr()
+    assert run_cli("--config", cfg, command, *args) == 1
+    assert f"driftscope {command}: error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "c.json").exists() and not (tmp_path / "mon").exists()
+
+
+def test_config_value_is_checked_only_by_the_command_that_runs(tmp_path):
+    # report takes --format md; monitor, which the file also configures, would refuse it
+    src, catalog_path, reports_dir = _mined_and_monitored(tmp_path)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"format": "md", "batch-size": 100}))
+    out = tmp_path / "r.md"
+    assert run_cli("--config", cfg, "report", "--reports", reports_dir, "--catalog", catalog_path, "--out", out) == 0
+    assert out.read_text().startswith("| subgroup_id |")
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        (None, "No such file or directory"),
+        ('{"min-support": 0.2', "Expecting ',' delimiter"),
+        ("[0.2]", "expected an object of flag defaults"),
+        ('{"min_suport": 0.2}', "no flag takes 'min_suport'"),
+    ],
+)
+def test_bad_config_file_is_a_data_error(tmp_path, caplog, text, message):
+    src = tmp_path / "d.csv"
+    write_sample_csv(src, n=100)
+    cfg = tmp_path / "run.json"
+    if text is not None:
+        cfg.write_text(text)
+    out = tmp_path / "c.json"
+    assert run_cli("--config", cfg, "mine", "--input", src, "--min-support", "0.2", "--out", out) == 2
+    assert f"--config {cfg}: " in caplog.text and message in caplog.text
+    assert not out.exists()
+
 
 def _run_python(script, cwd):
     package_root = str(Path(driftscope.__file__).resolve().parents[1])
@@ -705,10 +766,15 @@ args = [
     ["eval", "--suite", "inject", "--data", "surrogate", "--rows", "2000",
      "--supports", "0.1", "--n-exp", "1", "--out", "inject.csv"],
 ]
-codes = [main(a) for a in args]
-print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"), importlib.util.find_spec("scipy") is not None)
+codes = [main(a) for a in args[:3]]
+# mine, monitor and report load neither the experiment code nor the process pool
+unused = ("driftscope.evaluation", "driftscope.streams", "concurrent.futures", "multiprocessing")
+loaded = [m for m in unused if m in sys.modules]
+codes.append(main(args[3]))  # a one-thread eval runs without the pool
+print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"), importlib.util.find_spec("scipy") is not None,
+      loaded, "concurrent.futures" in sys.modules)
 """
-    assert _run_python(script, tmp_path) == "[0, 0, 0, 0] [] True"
+    assert _run_python(script, tmp_path) == "[0, 0, 0, 0] [] True [] False"
 
 
 def test_every_command_runs_with_scipy_unimportable(tmp_path):
@@ -765,8 +831,9 @@ def test_eval_rejects_an_unknown_baseline_before_any_work(tmp_path, caplog, monk
     def never(*args, **kwargs):
         raise AssertionError("a suite started before the baseline kinds were checked")
 
-    for name in ("resolve_tabular", "run_injection_suite", "run_concept_suite", "timing_bench"):
-        monkeypatch.setattr(cli, name, never)
+    monkeypatch.setattr(cli, "resolve_tabular", never)
+    for name in ("run_injection_suite", "run_concept_suite", "timing_bench"):
+        monkeypatch.setattr(evaluation, name, never)
     out = tmp_path / "out.csv"
     code = run_cli(
         "eval", "--suite", suite, "--data", "surrogate", "--rows", "4000",

@@ -28,7 +28,7 @@ def test_census_sample_label_rate_realistic():
 
 
 def test_census_sample_is_learnable():
-    from driftscope.evaluation import ColumnData
+    from driftscope.catalog import ColumnData
     from driftscope.streams import fit_tree
 
     rows = census_sample(n=8000, seed=3)

@@ -5,30 +5,18 @@ subgroup; the monitor must flag it and the explanation pipeline must surface
 that subgroup (or a refinement of it) at the top of the pruned ranking.
 """
 
-import numpy as np
+import ast
+from pathlib import Path
 
-from driftscope import (
-    ColumnData,
-    DriftSchedule,
-    EncodedBatch,
-    MiningConfig,
-    MonitorState,
-    WindowConfig,
-    aggregate,
-    build_catalog,
-    build_point_matrix,
-    make_drift_value_fn,
-    membership,
-    mine_frequent,
-    rank,
-    redundancy_prune,
-    shapley_local,
-    step,
-)
-from driftscope.detector import score_windows
-from driftscope.evaluation import _even_bounds
-from driftscope.sgmetrics import merge
-from driftscope.streams import _inject_flips_columns, _target_cover
+import numpy as np
+import pytest
+
+from driftscope.catalog import ColumnData, build_catalog
+from driftscope.detector import MonitorState, WindowConfig, score_windows, step
+from driftscope.explain import make_drift_value_fn, rank, redundancy_prune, shapley_local
+from driftscope.mining import MiningConfig, mine_frequent
+from driftscope.sgmetrics import EncodedBatch, aggregate, build_point_matrix, membership, merge
+from driftscope.streams import DriftSchedule, _even_bounds, _inject_flips_columns, _target_cover
 
 
 def make_rows(n, rng):
@@ -137,4 +125,26 @@ def test_every_exported_name_resolves():
         if not hasattr(mod, name)
     ]
     assert not missing
-    assert len(driftscope.__all__) == len(set(driftscope.__all__))
+    # each public class and function has one home: the module that defines it
+    # lists it (constants carry no module of their own)
+    elsewhere = [
+        f"{mod.__name__}.{name} (from {obj.__module__})"
+        for mod in modules
+        for name in getattr(mod, "__all__", ())
+        if callable(obj := getattr(mod, name)) and obj.__module__ != mod.__name__
+    ]
+    assert not elsewhere
+
+
+def test_sources_parse_at_the_declared_python_floor():
+    # only the newest interpreter may have numpy installed, so the declared
+    # floor is held by parsing every source with the floor's grammar
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parents[1]
+    floor = tomllib.loads((root / "pyproject.toml").read_text())["project"]["requires-python"]
+    assert floor.startswith(">=")
+    version = tuple(int(part) for part in floor[2:].split("."))
+    sources = sorted((root / "src" / "driftscope").glob("*.py"))
+    assert sources
+    for path in sources:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=version)

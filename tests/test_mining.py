@@ -3,14 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from driftscope.mining import (
-    MiningConfig,
-    Subgroup,
-    SubgroupCatalog,
-    brute_force_frequent,
-    mine_frequent,
-)
+from driftscope.mining import MiningConfig, Subgroup, SubgroupCatalog, mine_frequent
 from driftscope.sgmetrics import build_point_matrix
+from rowpath import brute_force_frequent
 
 
 def _mine(transactions, s, max_len, n_items=None, item_attrs=None):

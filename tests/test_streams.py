@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rowpath
-from driftscope.catalog import build_catalog
+from driftscope.catalog import ColumnData, build_catalog
 from driftscope.datasets import census_sample
-from driftscope.evaluation import _INJECT_SALT, ColumnData
+from driftscope.evaluation import _INJECT_SALT
 from driftscope.streams import (
     ConceptStreamConfig,
     DriftSchedule,
