@@ -13,7 +13,6 @@ import csv
 import io
 import json
 import logging
-import os
 import sys
 from pathlib import Path
 
@@ -74,6 +73,26 @@ def _positive_int(value: str) -> int:
     if x < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
     return x
+
+
+# The list types below check a value and keep its text, which the manifest
+# records as given.
+
+
+def _fractions(value: str) -> str:
+    """A comma-separated list of fractions in (0, 1]."""
+    for part in value.split(","):
+        _fraction(part)
+    return value
+
+
+def _index_pair(value: str) -> str:
+    """Two comma-separated integers."""
+    try:
+        _, _ = map(int, value.split(","))
+    except ValueError:  # a part that is no integer, or not two parts
+        raise argparse.ArgumentTypeError(f"expected two comma-separated integers, e.g. 0,2, got {value}") from None
+    return value
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -266,13 +285,11 @@ def _cmd_gen(args) -> int:
     from .streams import ConceptStreamConfig, gen_concept_stream
 
     _csv_outputs(args, "out", "train_out")
-    concepts = [int(c) for c in args.concepts.split(",")]
-    if len(concepts) != 2:
-        raise DataError("--concepts expects two comma-separated indices, e.g. 0,2")
+    concept_a, concept_b = map(int, args.concepts.split(","))
     config = ConceptStreamConfig(
         generator=args.dataset,
-        concept_a=concepts[0],
-        concept_b=concepts[1],
+        concept_a=concept_a,
+        concept_b=concept_b,
         drift_center=args.drift_center,
         drift_width=args.drift_width,
         label_noise=args.label_noise,
@@ -412,19 +429,12 @@ def _cmd_eval(args) -> int:
     if args.baselines:
         kinds = tuple(args.baselines.split(","))
     else:
-        kinds = ("ddm",) if args.suite in ("inject", "adult-inject", "timing") else ()
+        kinds = ("ddm",) if args.suite in ("inject", "timing") else ()
     for kind in kinds:
         if kind not in DETECTOR_KINDS:
             raise DataError(f"unknown --baselines kind {kind!r}, expected one of {', '.join(DETECTOR_KINDS)}")
-    threads = args.threads
-    if not threads:
-        setting = os.environ.get("DRIFTSCOPE_THREADS", "1")
-        try:
-            threads = int(setting)
-        except ValueError:
-            raise DataError(f"DRIFTSCOPE_THREADS must be an integer, got {setting!r}") from None
     out_rows = []
-    if args.suite in ("inject", "adult-inject"):
+    if args.suite == "inject":
         cols, source = resolve_tabular(args.data, n=args.rows)
         log.info("injection suite on %s (%d rows)", source, cols.n)
         supports = [float(s) for s in args.supports.split(",")] if args.supports else [0.01, 0.05]
@@ -435,7 +445,7 @@ def _cmd_eval(args) -> int:
                 n_positive=args.n_exp,
                 n_negative=args.n_exp,
                 seed=args.seed + k,
-                threads=threads,
+                threads=args.threads,
                 support_band=(0.8 * support, 1.25 * support),
                 window=args.window,
                 baseline_kinds=kinds,
@@ -453,7 +463,7 @@ def _cmd_eval(args) -> int:
             n_positive=args.n_exp,
             n_negative=args.n_exp,
             seed=args.seed,
-            threads=threads,
+            threads=args.threads,
             window=args.window,
             baseline_kinds=kinds,
         )
@@ -570,7 +580,7 @@ def _cmd_report(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="driftscope", description=__doc__)
-    parser.add_argument("--config", help="JSON (or TOML) file with flag defaults")
+    parser.add_argument("--config", help="JSON file with flag defaults")
     parser.add_argument("--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -599,7 +609,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a synthetic concept-drift stream")
     p.add_argument("--dataset", choices=["agrawal", "sea", "led", "hyperplane"], required=True)
-    p.add_argument("--concepts", default="0,1", help="two concept indices, e.g. 0,2")
+    p.add_argument("--concepts", type=_index_pair, default="0,1", help="two concept indices, e.g. 0,2")
     p.add_argument("--drift-center", type=int, default=5000)
     p.add_argument("--drift-width", type=int, default=1000)
     p.add_argument("--label-noise", type=_unit_interval, default=0.10)
@@ -636,9 +646,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="run an experiment suite and write a results table")
     p.add_argument("--suite", required=True,
-                   choices=["inject", "adult-inject", "agrawal", "sea", "led", "hyperplane", "timing"])
-    p.add_argument("--data", help="tabular CSV path or 'surrogate' (injection/timing suites)")
-    p.add_argument("--supports", help="comma-separated support band, e.g. 0.01,0.05")
+                   choices=["inject", "agrawal", "sea", "led", "hyperplane", "timing"])
+    p.add_argument("--data", default="surrogate", help="tabular CSV path or 'surrogate' (injection/timing suites)")
+    p.add_argument("--supports", type=_fractions, help="comma-separated support band, e.g. 0.01,0.05")
     p.add_argument("--min-support", type=_fraction, default=0.05, help="mining support (timing suite)")
     p.add_argument("--n-exp", type=_positive_int, default=20)
     p.add_argument("--rows", type=_positive_int, default=48842,
@@ -646,7 +656,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=_positive_int, default=5)
     p.add_argument("--baselines", help="comma-separated detector kinds")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int)
+    p.add_argument("--threads", type=_positive_int, default=1)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_eval)
 
@@ -679,20 +689,9 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> None
         return
     path = Path(config)
     try:
-        if path.suffix == ".toml":
-            try:
-                import tomllib  # py311+
-            except ImportError:  # pragma: no cover
-                try:
-                    import tomli as tomllib  # type: ignore
-                except ImportError:
-                    raise DataError("TOML config requires Python 3.11+ or tomli; use JSON instead")
-            with open(path, "rb") as fh:
-                cfg = tomllib.load(fh)
-        else:
-            with open(path, encoding="utf-8") as fh:
-                cfg = json.load(fh)
-    except (OSError, ValueError) as exc:  # the JSON, TOML and UTF-8 decode errors are ValueErrors
+        with open(path, encoding="utf-8") as fh:
+            cfg = json.load(fh)
+    except (OSError, ValueError) as exc:  # the JSON and UTF-8 decode errors are ValueErrors
         raise DataError(f"--config {path}: {exc}") from None
     if not isinstance(cfg, dict):
         raise DataError(f"--config {path}: expected an object of flag defaults")
@@ -745,13 +744,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         return args.func(args)
-    except DataError as exc:
-        log.error("%s", exc)
-        return 2
-    except FileNotFoundError as exc:
-        log.error("%s", exc)
-        return 2
-    except ValueError as exc:
+    except (ValueError, FileNotFoundError) as exc:  # a DataError is a ValueError
         log.error("%s", exc)
         return 2
 

@@ -1,17 +1,18 @@
 """Tabular dataset access for the evaluation harness.
 
-The injection experiments run on the public Adult census dataset when a copy
-is available (path argument or the DRIFTSCOPE_ADULT environment variable).
-Offline environments fall back to :func:`census_sample`, a deterministic
+The injection experiments run on the public Adult census dataset when given
+the path of a copy (``eval --data PATH``), and otherwise, with the source
+"surrogate" (the default), on :func:`census_sample`, a deterministic
 synthetic stand-in with the same column names, comparable cardinalities and
 scale, and a learnable income concept, so the full experiment protocol
 exercises identical code paths at identical sizes. Results on the stand-in
-are clearly labeled; they are not measurements on the real Adult data.
+are clearly labeled; they are not measurements on the real Adult data. The
+program reads no environment variable: the acceptance tests read an Adult
+copy's path from DRIFTSCOPE_ADULT themselves and pass it on.
 """
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 
 import numpy as np
@@ -249,18 +250,14 @@ def census_sample(n: int = 48842, seed: int = 0) -> list[dict]:
     return rows
 
 
-def resolve_tabular(source: str | None = None, n: int = 48842, seed: int = 0) -> tuple[ColumnData, str]:
+def resolve_tabular(source: str = "surrogate", n: int = 48842, seed: int = 0) -> tuple[ColumnData, str]:
     """Resolve an injection-suite dataset.
 
-    ``source`` may be a file path, "surrogate", or None (try the
-    DRIFTSCOPE_ADULT environment variable, then fall back to the surrogate).
+    ``source`` is a file path, or "surrogate" for ``census_sample(n, seed)``.
     Returns (table, name) where name identifies what was actually loaded: a
     file by its name, not its path, so that results do not depend on where
     the file lies.
     """
-    if source not in (None, "surrogate"):
+    if source != "surrogate":
         return load_adult(source), f"adult:{Path(source).name}"
-    env = os.environ.get("DRIFTSCOPE_ADULT")
-    if source is None and env:
-        return load_adult(env), f"adult:{Path(env).name}"
     return ColumnData(census_sample(n=n, seed=seed)), "census-surrogate"

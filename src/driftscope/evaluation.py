@@ -301,7 +301,8 @@ def run_injection_experiment(
     beta = 1 - alpha
 
     monitor = MonitorState(n_subgroups=len(sgcat), config=WindowConfig(window, tau_t))
-    # altered counts of the scored batches, as many as the current window holds
+    # altered counts of the scored batches, as many as the current window
+    # holds; a negative experiment alters no label, so it counts none
     altered_ring: deque[np.ndarray] = deque(maxlen=window)
     batch_max_t: list[float] = []
     detected = False
@@ -312,7 +313,8 @@ def run_injection_experiment(
             batch_max_t.append(report.max_t())
             detected = detected or report.global_drift
             final_report = report
-            altered_ring.append(M.count(mask[blo:bhi]))
+            if kind == "positive":
+                altered_ring.append(M.count(mask[blo:bhi]))
 
     result = ExperimentResult(
         kind=kind,

@@ -503,13 +503,6 @@ def test_monitor_csv_format_writes_each_scored_batch(tmp_path):
     assert any(label[i].startswith("size=") for i in decoded if i in label)
 
 
-def test_eval_names_a_bad_threads_setting(tmp_path, caplog, monkeypatch):
-    monkeypatch.setenv("DRIFTSCOPE_THREADS", "x")
-    code = run_cli("eval", "--suite", "sea", "--n-exp", "1", "--out", tmp_path / "sea.csv")
-    assert code == 2
-    assert "DRIFTSCOPE_THREADS" in caplog.text and "'x'" in caplog.text
-
-
 def _mined_and_monitored(tmp_path):
     src = tmp_path / "data.csv"
     write_sample_csv(src, n=400)
@@ -738,6 +731,17 @@ def test_bad_config_file_is_a_data_error(tmp_path, caplog, text, message):
     assert not out.exists()
 
 
+def test_config_file_in_another_format_is_a_data_error(tmp_path, caplog):
+    src = tmp_path / "d.csv"
+    write_sample_csv(src, n=100)
+    cfg = tmp_path / "run.toml"
+    cfg.write_text("min-support = 0.2\n")
+    out = tmp_path / "c.json"
+    assert run_cli("--config", cfg, "mine", "--input", src, "--out", out) == 2
+    assert f"--config {cfg}: Expecting value" in caplog.text
+    assert not out.exists()
+
+
 def _run_python(script, cwd):
     package_root = str(Path(driftscope.__file__).resolve().parents[1])
     paths = [package_root, *filter(None, [os.environ.get("PYTHONPATH")])]
@@ -841,6 +845,36 @@ def test_eval_rejects_an_unknown_baseline_before_any_work(tmp_path, caplog, monk
     )
     assert code == 2
     assert "unknown --baselines kind 'foo'" in caplog.text
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command,flag,value,message",
+    [
+        ("eval", "--supports", "abc", "invalid _fractions value: 'abc'"),
+        ("eval", "--supports", "0", "expected a fraction in (0, 1], got 0"),
+        ("eval", "--supports", "0.05,1.5", "expected a fraction in (0, 1], got 1.5"),
+        ("eval", "--threads", "-2", "expected a positive integer, got -2"),
+        ("eval", "--threads", "0", "expected a positive integer, got 0"),
+        ("eval", "--suite", "adult-inject", "invalid choice: 'adult-inject'"),
+        ("gen", "--concepts", "a,b", "expected two comma-separated integers, e.g. 0,2, got a,b"),
+        ("gen", "--concepts", "0,1,2", "expected two comma-separated integers, e.g. 0,2, got 0,1,2"),
+    ],
+)
+def test_flag_value_is_a_usage_error_before_any_work(tmp_path, capsys, monkeypatch, command, flag, value, message):
+    def never(*args, **kwargs):
+        raise AssertionError("work started before the flags were checked")
+
+    monkeypatch.setattr(cli, "resolve_tabular", never)
+    for name in ("run_injection_suite", "run_concept_suite", "timing_bench"):
+        monkeypatch.setattr(evaluation, name, never)
+    out = tmp_path / "out.csv"
+    args = {
+        "eval": ["eval", "--suite", "inject", "--data", "surrogate", "--rows", "4000", "--out", out],
+        "gen": ["gen", "--dataset", "sea", "--out", out],
+    }[command]
+    assert run_cli(*args, flag, value) == 1
+    assert f"driftscope {command}: error: argument {flag}: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -68,31 +68,21 @@ def test_load_adult_headered_format(tmp_path):
     assert rows[1] == {"age": 30.0, "workclass": None, "y": 0}
 
 
-def test_resolve_tabular_fallback_and_env(tmp_path, monkeypatch):
-    monkeypatch.delenv("DRIFTSCOPE_ADULT", raising=False)
-    cols, name = resolve_tabular(None, n=100, seed=0)
+def test_resolve_tabular_defaults_to_the_surrogate():
+    cols, name = resolve_tabular(n=100, seed=0)
     assert name == "census-surrogate"
     assert cols.n == 100
-
-    p = tmp_path / "adult.csv"
-    p.write_text("age,workclass,income\n40,Private,>50K\n")
-    monkeypatch.setenv("DRIFTSCOPE_ADULT", str(p))
-    cols, name = resolve_tabular(None)
-    assert name.startswith("adult:")
-    assert cols.n == 1
 
     cols, name = resolve_tabular("surrogate", n=50, seed=0)
     assert name == "census-surrogate"
     assert cols.n == 50
 
 
-def test_resolve_tabular_names_a_file_by_its_name(tmp_path, monkeypatch):
+def test_resolve_tabular_names_a_file_by_its_name(tmp_path):
     p = tmp_path / "deep" / "adult.csv"
     p.parent.mkdir()
     p.write_text("age,workclass,income\n40,Private,>50K\n")
     assert resolve_tabular(str(p))[1] == "adult:adult.csv"
-    monkeypatch.setenv("DRIFTSCOPE_ADULT", str(p))
-    assert resolve_tabular(None)[1] == "adult:adult.csv"
 
 
 def test_load_adult_bad_label(tmp_path):

@@ -148,3 +148,20 @@ def test_sources_parse_at_the_declared_python_floor():
     assert sources
     for path in sources:
         ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=version)
+
+
+def test_sources_read_no_environment_variable():
+    # a run's settings are its flags and its --config file, which the
+    # manifest records; an environment variable would be an unrecorded input
+    root = Path(__file__).resolve().parents[1]
+    names = {"environ", "getenv"}
+    found = []
+    for path in sorted((root / "src" / "driftscope").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if (
+                isinstance(node, ast.Attribute) and node.attr in names
+                or isinstance(node, ast.Name) and node.id in names
+                or isinstance(node, ast.alias) and node.name in names
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found
