@@ -176,7 +176,12 @@ def _cmd_mine(args) -> int:
 def _load_artifact(path: str) -> tuple[ItemCatalog, SubgroupCatalog]:
     with open(path, encoding="utf-8") as fh:
         d = json.load(fh)
+    if not isinstance(d, dict):
+        raise DataError(f"{path}: not a driftscope catalog artifact (not a JSON object)")
     try:
+        for name in ("item_catalog", "subgroup_catalog"):
+            if not isinstance(d[name], dict):
+                raise DataError(f"{path}: {name} is not a JSON object")
         return ItemCatalog.from_dict(d["item_catalog"]), SubgroupCatalog.from_dict(d["subgroup_catalog"])
     except KeyError as exc:
         raise DataError(f"{path}: not a driftscope catalog artifact (missing {exc})")
@@ -570,6 +575,8 @@ def _cmd_report(args) -> int:
             log.info("wrote item attribution to %s", attr_path)
         else:
             print(attr_text, end="")
+    if args.out:
+        _write_manifest(Path(args.out), args)
     return 0
 
 

@@ -35,7 +35,6 @@ __all__ = [
     "ReportWriter",
     "beta_posterior",
     "welch_t",
-    "drift_delta",
     "score_windows",
     "step",
     "DEFAULT_TAU_T",
@@ -65,15 +64,6 @@ def welch_t(ref: tuple[float, float], cur: tuple[float, float]) -> float:
     mu_r, nu_r = ref
     mu_c, nu_c = cur
     return abs(mu_r - mu_c) / float(np.sqrt(nu_r + nu_c))
-
-
-def drift_delta(ref: SubgroupStats, cur: SubgroupStats, j: int) -> float | None:
-    """h_ref - h_cur for subgroup j; None when either side is undefined."""
-    ar, br = int(ref.alpha_counts[j]), int(ref.beta_counts[j])
-    ac, bc = int(cur.alpha_counts[j]), int(cur.beta_counts[j])
-    if ar + br == 0 or ac + bc == 0:
-        return None
-    return ar / (ar + br) - ac / (ac + bc)
 
 
 @dataclass(frozen=True)
@@ -246,16 +236,6 @@ class MonitorState:
         c = self.config
         return score_windows(self.reference_stats, self.current_stats(), c.tau_t, c.min_count, self.batches_seen)
 
-    def reset_reference(self) -> None:
-        """Discard the frozen reference and re-anchor on upcoming batches.
-
-        Never triggered automatically: re-anchoring after a confirmed drift is
-        an operator decision.
-        """
-        self.reference_stats = None
-        self.current_ring.clear()
-        self.batches_seen = 0
-
     def to_dict(self) -> dict:
         return {
             "version": 2,
@@ -270,6 +250,8 @@ class MonitorState:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "MonitorState":
+        if not isinstance(d, Mapping):
+            raise DataError("monitor state is not a JSON object")
         if d.get("version") != 2:
             raise DataError(
                 f"unsupported monitor state version {d.get('version')!r}, expected 2; "

@@ -55,7 +55,6 @@ __all__ = [
     "run_concept_suite",
     "timing_bench",
     "summarize_suite",
-    "outcome_from_reports",
 ]
 
 _INJECT_SALT = 0x494E4A45
@@ -174,11 +173,6 @@ def youden_sweep(results: Sequence[ExperimentResult], tau_grid: Sequence[float])
         if j >= best_j:
             best_j, best_tau = j, tau
     return float(best_tau)
-
-
-def outcome_from_reports(report_dicts: Sequence[Mapping]) -> bool:
-    """Re-derive an experiment outcome from saved per-batch reports."""
-    return any(bool(d["global_drift"]) for d in report_dicts)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,10 @@ collapses chains of near-duplicate refinements onto their most general
 surviving ancestors. Shapley values attribute a subgroup's performance
 divergence to its constituent items exactly: the values of all 2^k item
 coalitions times one (2^k x k) weight matrix (itemsets are short, so this is
-cheap). Across a catalog, the coalitions of every length-k subgroup are
-looked up at once in the catalog's length-k table.
+cheap). Pruning and attribution walk the subset lattice of the catalog that
+``mine`` writes, which is closed under subsets; a catalog missing a subset
+is a ValueError. Across a catalog, the coalitions of every length-k subgroup
+are looked up at once in the catalog's length-k table.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from .detector import DriftReport
 from .mining import Subgroup, SubgroupCatalog
-from .sgmetrics import EncodedBatch, SubgroupStats, aggregate, membership, merge
+from .sgmetrics import SubgroupStats
 
 __all__ = [
     "RankedEntry",
@@ -94,45 +96,34 @@ def _subset_index(catalog: SubgroupCatalog, max_len: int | None = None):
     """Per itemset length k (ascending, up to ``max_len``), the length-k
     ``(indices, items)`` table and an ``(n_k, 2^k)`` array whose entry
     ``[r, mask]`` is the dense index of the subset of row r holding item i
-    iff bit i of ``mask`` is set (as :func:`_coalitions`), or -1 if that
-    itemset is not in the catalog.
+    iff bit i of ``mask`` is set (as :func:`_coalitions`).
 
-    Only the k drop-one parents of each row are looked up; every other
-    subset is read from the previous length's array through a parent that
-    exists. Entries no parent resolves (catalogs not closed under subsets)
-    are looked up directly. At most two lengths are held at once.
+    The catalog must be closed under subsets, as a mined one is (every
+    subset of a frequent itemset is frequent); a missing subset is a
+    ValueError that names it. Only the k drop-one parents of each row are
+    looked up; every other subset is read from the previous length's array
+    through one of them. At most two lengths are held at once.
     """
     row = np.zeros(len(catalog), dtype=np.intp)  # dense index -> row in its table
-    # the global subgroup, the one 0-itemset; each level's last row is all
-    # -2 (not resolved), the row read through a missing parent
-    prev = np.array([[0], [-2]], dtype=np.intp)
+    prev = np.zeros((1, 1), dtype=np.intp)  # the global subgroup, the one 0-itemset
     for idx, items in catalog.length_tables:
         n, k = items.shape
         if max_len is not None and k > max_len:
             break
-        if prev.shape[1] != 1 << (k - 1):  # no (k-1)-itemsets: no parent exists
-            prev = np.full((1, 1 << (k - 1)), -2, dtype=np.intp)
-        masks = np.arange((1 << k) - 1)
         parents = np.array([catalog.indices_of(np.delete(items, i, axis=1)) for i in range(k)])
-        parent_rows = np.where(parents >= 0, row[parents], len(prev) - 1)
-        subsets = np.full((n + 1, len(masks) + 1), -2, dtype=np.intp)
-        subsets[:n, -1] = idx
+        if (parents < 0).any():
+            i, r = np.argwhere(parents < 0)[0]
+            raise ValueError(
+                f"itemset {np.delete(items[r], i).tolist()} is not a mined subgroup; "
+                "explanations need a catalog closed under subsets, as `mine` writes it"
+            )
+        masks = np.arange((1 << k) - 1)
+        subsets = np.empty((n, len(masks) + 1), dtype=np.intp)
+        subsets[:, -1] = idx
         # each mask through the parent that drops its lowest unset bit
         via = np.bitwise_count((~masks & (masks + 1)) - 1).astype(np.intp)
-        subsets[:n, :-1] = prev[parent_rows[via].T, _drop_bit(masks, via)]
-        # left over: rows with a missing parent, through any parent there is
-        missing = np.flatnonzero((parents < 0).any(axis=0))
-        r, m = np.nonzero(subsets[missing] == -2)
-        r = missing[r]
-        for i in range(k):
-            ok = (m >> i & 1 == 0) & (parents[i, r] >= 0)
-            subsets[r[ok], m[ok]] = prev[parent_rows[i, r[ok]], _drop_bit(m[ok], i)]
-            r, m = r[~ok], m[~ok]
-        member = _coalitions(k)
-        for mask in np.unique(m).tolist():
-            at = r[m == mask]
-            subsets[at, mask] = catalog.indices_of(items[at][:, member[mask]])
-        yield idx, items, subsets[:n]
+        subsets[:, :-1] = prev[row[parents[via]].T, _drop_bit(masks, via)]
+        yield idx, items, subsets
         row[idx] = np.arange(n)
         prev = subsets
 
@@ -147,15 +138,15 @@ def redundancy_prune(ranked: RankedReport, t_threshold: float) -> RankedReport:
     surviving ancestor within the threshold. Strict subsets are shorter, so
     entries are decided one itemset length at a time, shortest first,
     through the subset index. Subsets absent from ``ranked`` (cut by
-    ``top_k``, or not in the catalog) are not survivors. A threshold of 0
-    prunes nothing. The result keeps the ranking order.
+    ``top_k``) are not survivors. A threshold of 0 prunes nothing. The
+    result keeps the ranking order.
     """
     t = ranked.report.t_values
     alive = np.zeros(len(ranked.catalog), dtype=bool)
     alive[ranked.order] = True
     for idx, _, subsets in _subset_index(ranked.catalog):
         strict = subsets[:, :-1]
-        close = alive[strict] & (strict >= 0) & (np.abs(t[strict] - t[idx][:, None]) < t_threshold)
+        close = alive[strict] & (np.abs(t[strict] - t[idx][:, None]) < t_threshold)
         alive[idx] &= ~close.any(axis=1)
     return RankedReport(ranked.order[alive[ranked.order]], ranked.report, ranked.catalog)
 
@@ -227,14 +218,7 @@ def shapley_global(report: DriftReport, catalog: SubgroupCatalog) -> ItemAttribu
     sums = np.zeros(catalog.n_items)
     counts = np.zeros(catalog.n_items, dtype=np.int64)
     for _, items, coalitions in _subset_index(catalog, MAX_EXACT_ITEMS):
-        k = items.shape[1]
-        if (coalitions < 0).any():
-            r, mask = np.argwhere(coalitions < 0)[0]
-            raise ValueError(
-                f"itemset {items[r, _coalitions(k)[mask]].tolist()} is not a mined subgroup; "
-                "Shapley attribution needs a catalog closed under subsets"
-            )
-        np.add.at(sums, items, v[coalitions] @ _shapley_weights(k))
+        np.add.at(sums, items, v[coalitions] @ _shapley_weights(items.shape[1]))
         np.add.at(counts, items, 1)
     return ItemAttribution({int(i): float(sums[i] / counts[i]) for i in np.flatnonzero(counts)})
 
@@ -243,42 +227,23 @@ def make_drift_value_fn(
     catalog: SubgroupCatalog,
     ref_stats: SubgroupStats,
     cur_stats: SubgroupStats,
-    ref_batches: Sequence[EncodedBatch] | None = None,
-    cur_batches: Sequence[EncodedBatch] | None = None,
 ) -> Callable[[frozenset[int]], float]:
     """Coalition value function over (reference, current) window counts.
 
-    Frequent itemsets read their cached window counts from the catalog index;
-    other itemsets are counted on demand from the retained window batches
-    (required only when evaluating coalitions outside the mined catalog).
-    Value is h_ref - h_cur, or the posterior-mean gap when h is undefined.
+    Each itemset reads its window counts through the catalog index, so an
+    itemset that was not mined is a KeyError. Value is h_ref - h_cur, or the
+    posterior-mean gap when h is undefined.
     """
     cache: dict[frozenset[int], float] = {}
 
-    def window_counts(itemset: frozenset[int]) -> list[int]:
-        """alpha and beta of the reference window, then of the current one."""
-        j = catalog.index_of(itemset)
-        if j is not None:
-            return [int(c[j]) for s in (ref_stats, cur_stats) for c in (s.alpha_counts, s.beta_counts)]
-        if ref_batches is None or cur_batches is None:
-            raise KeyError(
-                f"itemset {sorted(itemset)} is not mined and no window batches "
-                "were provided for on-demand counting"
-            )
-        probe = SubgroupCatalog(
-            [catalog.subgroup(0), Subgroup(tuple(sorted(itemset)), 0.0, 0, 1)],
-            catalog.n_items,
-            catalog.config,
-        )
-        out = []
-        for batches in (ref_batches, cur_batches):
-            stats = merge([aggregate(b, membership(b, probe)) for b in batches], n_subgroups=2)
-            out += [int(stats.alpha_counts[1]), int(stats.beta_counts[1])]
-        return out
-
     def v(itemset: frozenset[int]) -> float:
         if itemset not in cache:
-            a_r, b_r, a_c, b_c = window_counts(itemset)
+            j = catalog.index_of(itemset)
+            if j is None:
+                raise KeyError(f"itemset {sorted(itemset)} is not mined")
+            a_r, b_r, a_c, b_c = (
+                int(c[j]) for s in (ref_stats, cur_stats) for c in (s.alpha_counts, s.beta_counts)
+            )
             if a_r + b_r > 0 and a_c + b_c > 0:
                 cache[itemset] = a_r / (a_r + b_r) - a_c / (a_c + b_c)
             else:

@@ -29,7 +29,6 @@ __all__ = [
     "membership",
     "aggregate",
     "performance_vector",
-    "performance",
     "merge",
 ]
 
@@ -197,13 +196,6 @@ def aggregate(batch: EncodedBatch, M: Membership) -> SubgroupStats:
         beta_counts=M.count(batch.beta_vec),
         n_instances=batch.n_instances,
     )
-
-
-def performance(stats: SubgroupStats, j: int) -> float | None:
-    """The ratio metric h = alpha / (alpha + beta); None when undefined."""
-    a = int(stats.alpha_counts[j])
-    b = int(stats.beta_counts[j])
-    return a / (a + b) if a + b > 0 else None
 
 
 def performance_vector(stats: SubgroupStats) -> np.ndarray:

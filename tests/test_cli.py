@@ -607,12 +607,30 @@ def test_report_shapley_on_catalog_missing_a_subset_exits_two(tmp_path, caplog):
         sgs[1:] = sorted(kept, key=lambda e: e["items"])
 
     _edit_artifact(catalog_path, edit)
-    code = run_cli(
-        "report", "--reports", reports_dir, "--catalog", catalog_path,
-        "--shapley", "--out", tmp_path / "r.md",
-    )
-    assert code == 2
-    assert f"itemset [{item}]" in caplog.text
+    for flags in (["--shapley"], ["--prune-t", "2"]):
+        caplog.clear()
+        code = run_cli(
+            "report", "--reports", reports_dir, "--catalog", catalog_path, *flags, "--out", tmp_path / "r.md",
+        )
+        assert code == 2, flags
+        assert f"itemset [{item}] is not a mined subgroup" in caplog.text, flags
+
+
+@pytest.mark.parametrize(
+    "name, edit, message",
+    [
+        ("catalog.json", lambda d: [], "not a driftscope catalog artifact (not a JSON object)"),
+        ("catalog.json", lambda d: {**d, "item_catalog": None}, "item_catalog is not a JSON object"),
+        ("catalog.json", lambda d: {**d, "subgroup_catalog": []}, "subgroup_catalog is not a JSON object"),
+        ("reports/monitor_state.json", lambda d: [], "monitor state is not a JSON object"),
+    ],
+)
+def test_report_on_a_json_document_of_the_wrong_shape_exits_two(tmp_path, caplog, name, edit, message):
+    _, catalog_path, reports_dir = _mined_and_monitored(tmp_path)
+    path = tmp_path / name
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    assert run_cli("report", "--reports", reports_dir, "--catalog", catalog_path) == 2
+    assert message in caplog.text
 
 
 def test_report_state_for_another_catalog_exits_two(tmp_path, caplog):

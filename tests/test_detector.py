@@ -13,7 +13,7 @@ from driftscope.detector import (
     ReportWriter,
     WindowConfig,
     beta_posterior,
-    drift_delta,
+    score_windows,
     step,
     welch_t,
 )
@@ -88,20 +88,16 @@ class TestWelchT:
         assert t == 0.0 and math.isfinite(t)
 
 
-class TestDriftDelta:
-    def test_signed_difference(self):
-        ref = SubgroupStats(np.array([10]), np.array([0]), 10)
-        cur = SubgroupStats(np.array([38]), np.array([62]), 100)
-        assert abs(drift_delta(ref, cur, 0) - 0.62) <= 1e-12
-
-    def test_identical_windows_zero(self):
-        s = SubgroupStats(np.array([5]), np.array([5]), 10)
-        assert drift_delta(s, s, 0) == 0.0
-
-    def test_empty_side_undefined(self):
-        ref = SubgroupStats(np.array([5]), np.array([5]), 10)
-        cur = SubgroupStats(np.array([0]), np.array([0]), 0)
-        assert drift_delta(ref, cur, 0) is None
+class TestScoreWindows:
+    def test_delta_h_is_the_signed_gap_and_nan_where_a_window_has_no_outcome(self):
+        # per subgroup: a drop of 0.62, identical windows, an empty current
+        # window, an empty reference window
+        ref = SubgroupStats(np.array([10, 5, 5, 0]), np.array([0, 5, 5, 0]), 10)
+        cur = SubgroupStats(np.array([38, 5, 0, 5]), np.array([62, 5, 0, 5]), 100)
+        delta = score_windows(ref, cur).delta_h
+        assert abs(delta[0] - 0.62) <= 1e-12
+        assert delta[1] == 0.0
+        assert np.isnan(delta[2:]).all()
 
 
 def tiny_catalog(n_extra=1):
@@ -195,17 +191,6 @@ class TestStep:
         assert rep.drifted[0]
         assert not rep.drifted[1]
         assert rep.t_values[1] > 1.0  # statistic still computed
-
-    def test_reset_reference(self):
-        mon = MonitorState(n_subgroups=1, config=WindowConfig(1))
-        step(mon, stats_of([(50, 0)]))
-        rep = step(mon, stats_of([(25, 25)]))
-        assert rep.global_drift
-        mon.reset_reference()
-        rep = step(mon, stats_of([(25, 25)]))
-        assert rep.warming_up
-        rep = step(mon, stats_of([(25, 25)]))
-        assert not rep.warming_up and not rep.global_drift
 
 
 class TestReportAndState:
@@ -451,8 +436,8 @@ class TestReportWriter:
         mon = MonitorState(n_subgroups=n, config=WindowConfig(2, tau_t=1.0))
         writer = ReportWriter(catalog, 4)
         for b in range(30):
-            if b == 12:
-                mon.reset_reference()
+            if b == 12:  # a new run over the same catalog
+                mon = MonitorState(n_subgroups=n, config=WindowConfig(2, tau_t=1.0))
             a = rng.integers(0, 30, size=n) * (rng.random(n) < 0.8)  # some empty subgroups: NaN h
             stats = stats_of(list(zip(a.tolist(), (rng.integers(0, 30, size=n) * (a > 0)).tolist())))
             report = step(mon, stats)

@@ -12,7 +12,6 @@ from driftscope.evaluation import (
     correlations,
     detection_scores,
     ndcg_at_k,
-    outcome_from_reports,
     run_concept_experiment,
     run_concept_suite,
     run_injection_experiment,
@@ -150,12 +149,6 @@ class TestYouden:
         more = base + [exp("positive", True, [9.0]), exp("negative", False, [2.0])]
         grid = [0.5, 3.0, 8.0]
         assert youden_sweep(base, grid) == youden_sweep(more, grid)
-
-
-def test_outcome_from_reports_round_trip():
-    dicts = [{"global_drift": False}, {"global_drift": True}]
-    assert outcome_from_reports(dicts) is True
-    assert outcome_from_reports(dicts[:1]) is False
 
 
 @pytest.fixture(scope="module")

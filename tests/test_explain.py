@@ -1,5 +1,7 @@
 import itertools
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -80,11 +82,33 @@ class TestRank:
 
 
 def ranked_with(t_by_items, n_items):
-    """The ranking of exactly the itemsets of ``t_by_items``: when the
-    global subgroup is not among them, it ranks last (t = 0, every other t
-    is positive) and ``top_k`` cuts it."""
-    cat = catalog_from_itemsets([items for items in t_by_items if items], n_items)
+    """The ranking of exactly the itemsets of ``t_by_items`` over a catalog
+    closed under subsets: the subsets not listed (the global subgroup among
+    them) get t = 0, below every listed t, so they rank last and ``top_k``
+    cuts them."""
+    closed = {
+        sub for items in t_by_items for r in range(1, len(items) + 1) for sub in itertools.combinations(items, r)
+    }
+    cat = catalog_from_itemsets(closed, n_items)
     return rank(report_with(cat, t_by_items), cat, top_k=len(t_by_items))
+
+
+def missing_parents(cat, max_len=None):
+    """The drop-one parents absent from ``cat`` of its itemsets up to
+    ``max_len`` items: empty iff those itemsets are closed under subsets."""
+    have = {sg.item_ids for sg in cat.subgroups}
+    return {
+        parent
+        for items in have
+        if items and (max_len is None or len(items) <= max_len)
+        for parent in itertools.combinations(items, len(items) - 1)
+        if parent not in have
+    }
+
+
+def named_itemset(error):
+    """The itemset that a missing-subset ValueError names."""
+    return tuple(json.loads(re.match(r"itemset (\[[\d, ]*\]) is not a mined subgroup", str(error)).group(1)))
 
 
 class TestRedundancyPrune:
@@ -230,6 +254,12 @@ class TestExplainOracle:
             ranked = rank(rep, cat, top_k)
             assert list(ranked.entries) == want, f"trial {trial}"
             assert ranked.head(3) == tuple(want[:3])
+            missing = missing_parents(cat)
+            if missing:  # a non-closed trial: pruning names a missing subset
+                with pytest.raises(ValueError) as err:
+                    redundancy_prune(ranked, 1.0)
+                assert named_itemset(err.value) in missing, f"trial {trial}"
+                continue
             for threshold in (0.0, 0.3, 2.0, 5.0, 1e9):
                 got = [e.subgroup.index for e in redundancy_prune(ranked, threshold)]
                 expect = [e.subgroup.index for e in oracle_prune(want, threshold)]
@@ -246,6 +276,12 @@ class TestExplainOracle:
         for trial in range(62):
             cat = long_ones[trial - 60] if trial >= 60 else random_catalog(rng, closed=trial % 2 == 0)
             max_len = None if trial % 3 or trial >= 60 else int(rng.integers(1, 4))
+            missing = missing_parents(cat, max_len)
+            if missing:  # a non-closed trial
+                with pytest.raises(ValueError) as err:
+                    list(_subset_index(cat, max_len))
+                assert named_itemset(err.value) in missing, f"trial {trial}"
+                continue
             lengths = []
             for idx, items, subsets in _subset_index(cat, max_len):
                 k = items.shape[1]
@@ -429,7 +465,6 @@ class TestDriftValueFn:
         from driftscope.sgmetrics import EncodedBatch, aggregate, build_point_matrix, membership
 
         rng = np.random.default_rng(0)
-        batches = {}
         stats = {}
         for name, p_correct in (("ref", 0.9), ("cur", 0.6)):
             ids, alpha = [], []
@@ -438,45 +473,31 @@ class TestDriftValueFn:
                 alpha.append(int(rng.random() < p_correct))
             alpha = np.array(alpha, dtype=np.int64)
             batch = EncodedBatch(build_point_matrix(ids, n_items), alpha, 1 - alpha)
-            batches[name] = batch
             stats[name] = aggregate(batch, membership(batch, cat))
-        return make_drift_value_fn(
-            cat, stats["ref"], stats["cur"],
-            ref_batches=[batches["ref"]], cur_batches=[batches["cur"]],
-        ), batches, stats
+        return make_drift_value_fn(cat, stats["ref"], stats["cur"]), stats
 
     def test_cached_path_matches_stats(self):
         cat = catalog_from_itemsets([(0,), (1,), (0, 1)], 3)
-        v, _, stats = self._windows(cat, 3)
+        v, stats = self._windows(cat, 3)
         j = cat.index_of((0, 1))
         ar, br = stats["ref"].alpha_counts[j], stats["ref"].beta_counts[j]
         ac, bc = stats["cur"].alpha_counts[j], stats["cur"].beta_counts[j]
         want = ar / (ar + br) - ac / (ac + bc)
         assert v(frozenset({0, 1})) == pytest.approx(want)
 
-    def test_on_demand_path_counts_from_batches(self):
-        # {0, 2} is not a mined subgroup: the value must come from the batches
-        cat = catalog_from_itemsets([(0,), (1,), (0, 1)], 3)
-        v, batches, _ = self._windows(cat, 3)
-        got = v(frozenset({0, 2}))
-        import numpy as np
-
-        vals = []
-        for batch in (batches["ref"], batches["cur"]):
-            P = batch.point_matrix.toarray()
-            member = (P[:, 0] > 0) & (P[:, 2] > 0)
-            a = batch.alpha_vec[member].sum()
-            b = batch.beta_vec[member].sum()
-            vals.append((a, b))
-        (ar, br), (ac, bc) = vals
-        want = ar / (ar + br) - ac / (ac + bc)
-        assert got == pytest.approx(want)
-
-    def test_unmined_itemset_without_batches_raises(self):
-        from driftscope.explain import make_drift_value_fn
-
+    def test_unmined_itemset_raises_key_error(self):
         cat = catalog_from_itemsets([(0,)], 3)
-        _, _, stats = self._windows(cat, 3)
-        v = make_drift_value_fn(cat, stats["ref"], stats["cur"])
-        with pytest.raises(KeyError, match="not mined"):
+        v, _ = self._windows(cat, 3)
+        with pytest.raises(KeyError, match=r"itemset \[0, 2\] is not mined"):
             v(frozenset({0, 2}))
+
+    def test_undefined_h_falls_back_to_the_posterior_mean_gap(self):
+        from driftscope.explain import make_drift_value_fn
+        from driftscope.sgmetrics import SubgroupStats
+
+        cat = catalog_from_itemsets([(0,)], 1)
+        ref = SubgroupStats(np.array([8, 3]), np.array([2, 1]), 10)
+        cur = SubgroupStats(np.array([5, 0]), np.array([5, 0]), 10)  # {0} has no outcome in cur
+        v = make_drift_value_fn(cat, ref, cur)
+        assert v(frozenset()) == pytest.approx(0.8 - 0.5)
+        assert v(frozenset({0})) == pytest.approx(4 / 6 - 1 / 2)

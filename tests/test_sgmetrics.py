@@ -11,7 +11,7 @@ from driftscope.sgmetrics import (
     build_point_matrix,
     membership,
     merge,
-    performance,
+    performance_vector,
 )
 
 
@@ -304,11 +304,12 @@ class TestAggregate:
 
 
 class TestPerformanceAndMerge:
-    def test_performance_examples(self):
+    def test_performance_vector_examples(self):
         stats = SubgroupStats(np.array([3, 0, 5]), np.array([1, 0, 0]), 9)
-        assert performance(stats, 0) == 0.75
-        assert performance(stats, 1) is None
-        assert performance(stats, 2) == 1.0
+        h = performance_vector(stats)
+        assert h[0] == 0.75
+        assert np.isnan(h[1])
+        assert h[2] == 1.0
 
     def test_merge_example(self):
         a = SubgroupStats(np.array([2]), np.array([1]), 3)
