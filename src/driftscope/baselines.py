@@ -447,14 +447,9 @@ class _ContingencyWindow(BaselineDetector):
         self.buf_err += error
         if self.buf_n < self.window_size:
             return NO_DRIFT
-        correct, wrong = self.buf_n - self.buf_err, self.buf_err
+        window = (int(self.buf_n - self.buf_err), int(self.buf_err))
         self.buf_n = 0
         self.buf_err = 0
-        return self.update_counts(correct, wrong)
-
-    def update_counts(self, correct: int, wrong: int) -> str:
-        """Windowed-count entry point: one call is one full window."""
-        window = (int(correct), int(wrong))
         if self.ref is None:
             self.ref = window
             return NO_DRIFT

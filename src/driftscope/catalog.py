@@ -25,7 +25,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain, islice
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -54,6 +54,8 @@ OUTCOME_COLUMNS = frozenset({"y", "y_hat", "alpha", "beta"})
 
 # Structural columns of stream files (batch numbering), also never items.
 RESERVED_COLUMNS = OUTCOME_COLUMNS | {"batch"}
+
+T = TypeVar("T")
 
 
 class DataError(ValueError):
@@ -792,4 +794,20 @@ def atomic_open(path: str | Path) -> Iterator:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def read_json(path: str | Path, what: str, build: Callable[[object], T]) -> T:
+    """``build`` of the JSON document in ``path``; an unreadable file, one that
+    is not JSON, or a document ``build`` rejects is one DataError that starts
+    with ``what`` and ``path``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return build(json.load(fh))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, DataError) as exc:
+        reason = str(exc)
+    except KeyError as exc:
+        reason = f"no field {exc}"
+    except (TypeError, AttributeError, ValueError) as exc:  # a field of the wrong type or value
+        reason = f"malformed: {exc}"
+    raise DataError(f"{what} {path}: {reason}") from None
 

@@ -30,6 +30,7 @@ from .catalog import (
     atomic_open,
     build_catalog,  # not called here; perfbench/instrument.py traces cli.build_catalog
     read_columns,
+    read_json,
     read_rows,
 )
 from .detector import MonitorState, ReportWriter, WindowConfig, score_windows, step  # perfbench traces cli.score_windows
@@ -101,10 +102,6 @@ def _atomic_write(path: Path, text: str) -> None:
         fh.write(text)
 
 
-def _write_json(path: Path, obj) -> None:
-    _atomic_write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
-
-
 def _write_manifest(out: Path, args: argparse.Namespace) -> None:
     config = {k: v for k, v in vars(args).items() if k != "func" and not k.startswith("_")}
     manifest = {
@@ -116,7 +113,7 @@ def _write_manifest(out: Path, args: argparse.Namespace) -> None:
         "config": {k: (str(v) if isinstance(v, Path) else v) for k, v in config.items()},
     }
     target = out / "manifest.json" if out.is_dir() else out.with_suffix(out.suffix + ".manifest.json")
-    _write_json(target, manifest)
+    _atomic_write(target, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _columns_text(columns: dict) -> str:
@@ -174,17 +171,15 @@ def _cmd_mine(args) -> int:
 
 
 def _load_artifact(path: str) -> tuple[ItemCatalog, SubgroupCatalog]:
-    with open(path, encoding="utf-8") as fh:
-        d = json.load(fh)
-    if not isinstance(d, dict):
-        raise DataError(f"{path}: not a driftscope catalog artifact (not a JSON object)")
-    try:
+    def build(d):
+        if not isinstance(d, dict):
+            raise DataError("not a JSON object")
         for name in ("item_catalog", "subgroup_catalog"):
             if not isinstance(d[name], dict):
-                raise DataError(f"{path}: {name} is not a JSON object")
+                raise DataError(f"{name} is not a JSON object")
         return ItemCatalog.from_dict(d["item_catalog"]), SubgroupCatalog.from_dict(d["subgroup_catalog"])
-    except KeyError as exc:
-        raise DataError(f"{path}: not a driftscope catalog artifact (missing {exc})")
+
+    return read_json(path, "catalog artifact", build)
 
 
 # ---------------------------------------------------------------------------
@@ -251,14 +246,11 @@ def _cmd_monitor(args) -> int:
         report = step(monitor, aggregate(batch, M))
         lines.append(writer.line(report))
         if args.format == "csv" and not report.warming_up:
-            labeled = []
-            for row in report.to_dict(sgcat, top_k=args.top_k)["subgroups"]:
-                row = dict(row)
-                row["items"] = ",".join(
-                    catalog.label_of(int(i)) for i in row["items"].split(",") if i
-                ) if row["items"] and row["items"] != "(global)" else row["items"]
-                labeled.append(row)
-            _atomic_write(out_dir / f"batch_{b + 1:04d}.csv", _csv_text(labeled, csv_columns))
+            rows = json.loads(lines[-1])["subgroups"]
+            for row in rows:
+                if row["items"] != "(global)":
+                    row["items"] = ",".join(catalog.label_of(int(i)) for i in row["items"].split(","))
+            _atomic_write(out_dir / f"batch_{b + 1:04d}.csv", _csv_text(rows, csv_columns))
         if report.global_drift:
             log.info("batch %d: drift (max t = %.2f)", b + 1, report.max_t())
     _atomic_write(out_dir / "reports.jsonl", "\n".join(lines) + "\n")
@@ -489,7 +481,6 @@ def _cmd_eval(args) -> int:
             item_attrs=catalog.item_attributes(),
         )
         P = cols.point_matrix(test_idx, catalog)
-        y = cols.y[test_idx]
         batches = []
         for b, (lo, hi) in enumerate(_even_bounds(len(test_idx), 30), start=1):
             alpha = np.ones(hi - lo, dtype=np.int64)  # timing only; outcomes irrelevant
@@ -549,6 +540,8 @@ def _cmd_report(args) -> int:
                 "drifted": bool(full.drifted[e.subgroup.index]),
             }
         )
+    # everything that can fail runs before the first write
+    attribution = shapley_global(full, sgcat) if args.shapley else None
     columns = ["subgroup_id", "items", "support", "delta_h", "t", "drifted"]
     if args.format == "md":
         lines = ["| " + " | ".join(columns) + " |", "|" + "---|" * len(columns)]
@@ -562,8 +555,7 @@ def _cmd_report(args) -> int:
     else:
         print(text, end="")
 
-    if args.shapley:
-        attribution = shapley_global(full, sgcat)
+    if attribution is not None:
         rows = [
             {"item_id": item, "item": catalog.label_of(item), "contribution": value}
             for item, value in attribution.top()
@@ -694,24 +686,23 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> None
     config = pre.parse_known_args(argv)[0].config  # as the main parser reads it: --config=PATH too
     if config is None:
         return
-    path = Path(config)
-    try:
-        with open(path, encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except (OSError, ValueError) as exc:  # the JSON and UTF-8 decode errors are ValueErrors
-        raise DataError(f"--config {path}: {exc}") from None
-    if not isinstance(cfg, dict):
-        raise DataError(f"--config {path}: expected an object of flag defaults")
-    defaults = {k.replace("-", "_"): v for k, v in cfg.items()}
     # subcommands parse into a fresh namespace (argparse >= 3.7 semantics),
     # so the file defaults must reach every subparser too
     parsers = [parser, *_commands(parser).values()]
     flags = [
         {a.dest: a for a in p._actions if a.option_strings and a.dest not in ("help", "config")} for p in parsers
     ]
-    unknown = sorted(set(defaults).difference(*flags))
-    if unknown:
-        raise DataError(f"--config {path}: no flag takes {', '.join(map(repr, unknown))}")
+
+    def build(cfg):
+        if not isinstance(cfg, dict):
+            raise DataError("expected an object of flag defaults")
+        defaults = {k.replace("-", "_"): v for k, v in cfg.items()}
+        unknown = sorted(set(defaults).difference(*flags))
+        if unknown:
+            raise DataError(f"no flag takes {', '.join(map(repr, unknown))}")
+        return defaults
+
+    defaults = read_json(config, "--config", build)
     for p, actions in zip(parsers, flags):
         # argparse runs a flag's type over a string default of the command
         # that runs, so a typed value passes the flag's own check, and fails

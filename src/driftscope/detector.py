@@ -24,7 +24,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .catalog import DataError, atomic_open
+from .catalog import DataError, atomic_open, read_json
 from .mining import SubgroupCatalog
 from .sgmetrics import SubgroupStats, merge, performance_vector
 
@@ -250,38 +250,31 @@ class MonitorState:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "MonitorState":
+        """The state ``to_dict`` wrote; :meth:`load` names the file in any error."""
         if not isinstance(d, Mapping):
-            raise DataError("monitor state is not a JSON object")
+            raise DataError("not a JSON object")
         if d.get("version") != 2:
             raise DataError(
-                f"unsupported monitor state version {d.get('version')!r}, expected 2; "
-                "re-run `driftscope monitor` to write it"
+                f"unsupported version {d.get('version')!r}, expected 2; re-run `driftscope monitor` to write it"
             )
-        try:
-            config = WindowConfig(d["window_batches"], d["tau_t"], d["min_count"])
-            state = cls(n_subgroups=int(d["n_subgroups"]), config=config)
-            state.batches_seen = int(d["batches_seen"])
-            if d["reference_stats"] is not None:
-                state.reference_stats = SubgroupStats.from_dict(d["reference_stats"])
-            ring = [SubgroupStats.from_dict(s) for s in d["current_ring"]]
-        except KeyError as exc:
-            raise DataError(f"monitor state has no field {exc}") from None
-        except (TypeError, ValueError) as exc:  # a field of the wrong type, e.g. null
-            raise DataError(f"malformed monitor state: {exc}") from None
+        config = WindowConfig(d["window_batches"], d["tau_t"], d["min_count"])
+        state = cls(n_subgroups=int(d["n_subgroups"]), config=config)
+        state.batches_seen = int(d["batches_seen"])
+        if d["reference_stats"] is not None:
+            state.reference_stats = SubgroupStats.from_dict(d["reference_stats"])
+        ring = [SubgroupStats.from_dict(s) for s in d["current_ring"]]
         # the W-th warm-up batch freezes the reference and empties the ring
         most = config.window_batches - (not state.reference_frozen)
         if len(ring) > most:
             raise DataError(
-                f"monitor state current_ring holds {len(ring)} batches, more than {most} at window_batches "
+                f"current_ring holds {len(ring)} batches, more than {most} at window_batches "
                 f"{config.window_batches} with reference_stats {'set' if state.reference_frozen else 'null'}"
             )
         state.current_ring.extend(ring)
         parts = [*ring, state.reference_stats]
         wrong = {s.n_subgroups for s in parts if s is not None} - {state.n_subgroups}
         if wrong:
-            raise DataError(
-                f"monitor state count vector length {min(wrong)} != n_subgroups {state.n_subgroups}"
-            )
+            raise DataError(f"count vector length {min(wrong)} != n_subgroups {state.n_subgroups}")
         return state
 
     def save(self, path) -> None:
@@ -293,8 +286,8 @@ class MonitorState:
 
     @classmethod
     def load(cls, path) -> "MonitorState":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        """The state saved at ``path``; any fault in it is a DataError naming the file."""
+        return read_json(path, "monitor state", cls.from_dict)
 
 
 def score_windows(

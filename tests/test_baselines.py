@@ -29,6 +29,12 @@ def bernoulli(rng, p, n):
     return (rng.random(n) < p).astype(int)
 
 
+def window(det, correct, wrong):
+    """The decision at the end of one full window of ``correct`` then ``wrong`` outcomes."""
+    assert correct + wrong == det.window_size
+    return det.run([0] * correct + [1] * wrong)[-1]
+
+
 def exact_fisher_oracle(a, b, c, d):
     """Two-sided FET by exact integer enumeration (small tables only)."""
     n = a + b + c + d
@@ -286,18 +292,18 @@ class TestChi2:
 
     def test_detects_on_windowed_counts(self):
         det = Chi2Window(window_size=100, p_value=0.01)
-        assert det.update_counts(90, 10) == NO_DRIFT  # freezes reference
-        assert det.update_counts(88, 12) == NO_DRIFT
-        assert det.update_counts(50, 50) == DRIFT
+        assert window(det, 90, 10) == NO_DRIFT  # freezes reference
+        assert window(det, 88, 12) == NO_DRIFT
+        assert window(det, 50, 50) == DRIFT
 
     def test_small_expected_cell_falls_back_to_fet(self):
         det = Chi2Window(window_size=10, p_value=0.05)
-        det.update_counts(10, 0)
+        window(det, 10, 0)
         fet = FETWindow(window_size=10, p_value=0.05)
-        fet.update_counts(10, 0)
+        window(fet, 10, 0)
         # expected wrong-cell counts are < 5; decisions must match FET's
         for cur in [(10, 0), (7, 3), (4, 6), (1, 9)]:
-            assert det.update_counts(*cur) == fet.update_counts(*cur)
+            assert window(det, *cur) == window(fet, *cur)
 
     def test_per_instance_buffering(self):
         det = Chi2Window(window_size=50, p_value=0.01)
@@ -329,9 +335,9 @@ class TestFET:
 
     def test_windowed_detector(self):
         det = FETWindow(window_size=50, p_value=0.01)
-        det.update_counts(50, 0)
-        assert det.update_counts(25, 25) == DRIFT
-        assert det.update_counts(49, 1) == NO_DRIFT
+        window(det, 50, 0)
+        assert window(det, 25, 25) == DRIFT
+        assert window(det, 49, 1) == NO_DRIFT
 
 
 class TestInterface:

@@ -614,15 +614,22 @@ def test_report_shapley_on_catalog_missing_a_subset_exits_two(tmp_path, caplog):
         )
         assert code == 2, flags
         assert f"itemset [{item}] is not a mined subgroup" in caplog.text, flags
+        # the run fails before its first write
+        for name in ("r.md", "r.attribution.csv", "r.md.manifest.json"):
+            assert not (tmp_path / name).exists(), (flags, name)
+
+
+# what a DataError about each JSON file the CLI reads starts with, before the path
+_JSON_FILES = {"catalog.json": "catalog artifact", "reports/monitor_state.json": "monitor state", "run.json": "--config"}
 
 
 @pytest.mark.parametrize(
     "name, edit, message",
     [
-        ("catalog.json", lambda d: [], "not a driftscope catalog artifact (not a JSON object)"),
+        ("catalog.json", lambda d: [], "not a JSON object"),
         ("catalog.json", lambda d: {**d, "item_catalog": None}, "item_catalog is not a JSON object"),
         ("catalog.json", lambda d: {**d, "subgroup_catalog": []}, "subgroup_catalog is not a JSON object"),
-        ("reports/monitor_state.json", lambda d: [], "monitor state is not a JSON object"),
+        ("reports/monitor_state.json", lambda d: [], "not a JSON object"),
     ],
 )
 def test_report_on_a_json_document_of_the_wrong_shape_exits_two(tmp_path, caplog, name, edit, message):
@@ -630,7 +637,59 @@ def test_report_on_a_json_document_of_the_wrong_shape_exits_two(tmp_path, caplog
     path = tmp_path / name
     path.write_text(json.dumps(edit(json.loads(path.read_text()))))
     assert run_cli("report", "--reports", reports_dir, "--catalog", catalog_path) == 2
-    assert message in caplog.text
+    assert f"{_JSON_FILES[name]} {path}: {message}" in caplog.text
+
+
+def _set(*keys, value):
+    """A text edit: the JSON document with the value at ``keys`` replaced by ``value``."""
+    def edit(text):
+        doc = json.loads(text)
+        inner = doc
+        for key in keys[:-1]:
+            inner = inner[key]
+        inner[keys[-1]] = value
+        return json.dumps(doc)
+    return edit
+
+
+_DEFECTS = {
+    "subgroups[1] is 5": _set("subgroup_catalog", "subgroups", 1, value=5),
+    "items[0] is 5": _set("item_catalog", "items", 0, value=5),
+    "discretizers.size is 5": _set("item_catalog", "discretizers", "size", value=5),
+    "not JSON": lambda text: "{not json",
+    "a JSON list": lambda text: f"[{text}]",
+}
+
+
+@pytest.mark.parametrize(
+    "command, name, defect",
+    [
+        *[
+            (command, "catalog.json", defect)
+            for command in ("monitor", "inject", "report")
+            for defect in ("subgroups[1] is 5", "items[0] is 5", "discretizers.size is 5", "not JSON")
+        ],
+        ("report", "reports/monitor_state.json", "not JSON"),
+        ("report", "reports/monitor_state.json", "a JSON list"),
+        ("report", "run.json", "not JSON"),
+    ],
+)
+def test_a_malformed_json_file_exits_two_naming_the_file(tmp_path, caplog, capsys, command, name, defect):
+    src, catalog_path, reports_dir = _mined_and_monitored(tmp_path)
+    path = tmp_path / name
+    path.write_text(_DEFECTS[defect](path.read_text() if path.exists() else ""))
+    args = {
+        "monitor": ["--catalog", catalog_path, "--input", src, "--batch-size", "100", "--out", tmp_path / "again"],
+        "inject": [
+            "--input", src, "--catalog", catalog_path, "--subgroup", "color=red", "--p-max", "0.5",
+            "--out", tmp_path / "injected.csv", "--mask", tmp_path / "mask.csv",
+        ],
+        "report": ["--reports", reports_dir, "--catalog", catalog_path],
+    }[command]
+    config = ["--config", path] if name == "run.json" else []
+    assert run_cli(*config, command, *args) == 2
+    assert f"{_JSON_FILES[name]} {path}: " in caplog.text
+    assert "Traceback" not in caplog.text + capsys.readouterr().err
 
 
 def test_report_state_for_another_catalog_exits_two(tmp_path, caplog):
@@ -1145,7 +1204,7 @@ def test_report_has_no_tau_t_flag(tmp_path, capsys):
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (lambda d: d.update(version=1), "monitor state version 1, expected 2; re-run `driftscope monitor`"),
+        (lambda d: d.update(version=1), "unsupported version 1, expected 2; re-run `driftscope monitor`"),
         (
             lambda d: d["current_ring"].append(d["current_ring"][0]),
             "current_ring holds 3 batches, more than 2 at window_batches 2 with reference_stats set",
@@ -1169,6 +1228,7 @@ def test_report_rejects_a_bad_state_naming_the_field(tmp_path, caplog, edit, mes
     state_path.write_text(json.dumps(state))
     assert run_cli("report", "--reports", reports_dir, "--catalog", catalog_path) == 2
     assert message in caplog.text
+    assert f"monitor state {state_path}: " in caplog.text
 
 
 @pytest.mark.parametrize(

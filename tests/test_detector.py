@@ -246,9 +246,10 @@ class TestReportAndState:
         assert r1.global_drift == r2.global_drift
         assert r1.batch_id == r2.batch_id
 
-    def test_state_load_rejects_bad_version_and_vector_lengths(self):
+    def test_state_load_rejects_bad_version_and_vector_lengths(self, tmp_path):
         from driftscope.catalog import DataError
 
+        path = tmp_path / "monitor_state.json"
         mon = MonitorState(n_subgroups=2, config=WindowConfig(1))
         for s in (stats_of([(40, 10), (20, 5)]), stats_of([(35, 15), (15, 10)])):
             step(mon, s)
@@ -283,8 +284,9 @@ class TestReportAndState:
         ):
             bad = json.loads(json.dumps(good))
             change(bad)
+            path.write_text(json.dumps(bad))
             with pytest.raises(DataError, match=field):
-                MonitorState.from_dict(bad)
+                MonitorState.load(path)
 
     def test_state_records_its_rule_and_scores_with_it(self):
         mon = MonitorState(n_subgroups=2, config=WindowConfig(1, tau_t=1.0, min_count=5))
@@ -349,7 +351,7 @@ class TestReportAndState:
         assert MonitorState.load(path).batches_seen == 1
 
 
-def test_window_config_and_state_reject_an_infinite_tau_t():
+def test_window_config_and_state_reject_an_infinite_tau_t(tmp_path):
     for tau_t in (math.inf, -math.inf, np.float64("inf")):
         with pytest.raises(ValueError, match="tau_t must be finite, got"):
             WindowConfig(2, tau_t)
@@ -357,8 +359,10 @@ def test_window_config_and_state_reject_an_infinite_tau_t():
     d["tau_t"] = math.inf
     text = json.dumps(d)
     assert "Infinity" in text  # what json.dumps writes, and no strict parser reads
+    path = tmp_path / "monitor_state.json"
+    path.write_text(text)
     with pytest.raises(DataError, match="tau_t must be finite, got inf"):
-        MonitorState.from_dict(json.loads(text))
+        MonitorState.load(path)
 
 
 # --- report lines against the dict-per-row serializer they replaced ---------
