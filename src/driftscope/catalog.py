@@ -693,6 +693,16 @@ def _is_jsonl(path: str | Path) -> bool:
     return Path(path).suffix.lower() in {".jsonl", ".ndjson"}
 
 
+def _open_data(path: Path, **kwargs):
+    """``path`` opened to read UTF-8 text; a path that cannot be opened (one
+    that is absent, a directory or unreadable) is a :class:`DataError` that
+    names it."""
+    try:
+        return open(path, encoding="utf-8", **kwargs)
+    except OSError as exc:
+        raise DataError(f"{path}: {exc.strerror or exc}") from None
+
+
 def read_rows(path: str | Path) -> Iterator[dict[str, object]]:
     """Stream rows from a CSV (RFC 4180, header row) or JSONL file.
 
@@ -700,7 +710,7 @@ def read_rows(path: str | Path) -> Iterator[dict[str, object]]:
     """
     path = Path(path)
     if _is_jsonl(path):
-        with open(path, encoding="utf-8") as fh:
+        with _open_data(path) as fh:
             for i, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:
@@ -713,7 +723,7 @@ def read_rows(path: str | Path) -> Iterator[dict[str, object]]:
                     raise DataError(f"row {i}: expected a JSON object")
                 yield row
     else:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with _open_data(path, newline="") as fh:
             reader = csv.reader(fh)
             header = _csv_header(path, reader)
             width = len(header)
@@ -745,7 +755,7 @@ def read_columns(path: str | Path) -> dict[str, Column]:
                 factorizer.add([r.get(name) for r in block])
             n += len(block)
         return {name: factorizer.column() for name, factorizer in columns.items()}
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _open_data(path, newline="") as fh:
         reader = csv.reader(fh)
         header = _csv_header(path, reader)
         width = len(header)

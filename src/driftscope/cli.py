@@ -525,21 +525,26 @@ def _cmd_report(args) -> int:
     if not state.reference_frozen or not state.current_ring:
         raise DataError("monitoring never left the warming-up phase")
     full = state.score()
-    ranked = rank(full, sgcat)
+    order = rank(full, sgcat)
     if args.prune_t > 0:
-        ranked = redundancy_prune(ranked, args.prune_t)
-    entries = []
-    for e in ranked.head(args.top):
-        entries.append(
-            {
-                "subgroup_id": e.subgroup.index,
-                "items": e.subgroup.label(catalog),
-                "support": round(e.subgroup.support, 6),
-                "delta_h": None if e.delta_h is None else round(e.delta_h, 6),
-                "t": round(e.t, 4),
-                "drifted": bool(full.drifted[e.subgroup.index]),
-            }
+        order = redundancy_prune(order, full, sgcat, args.prune_t)
+    top = order[: args.top]
+    entries = [
+        {
+            "subgroup_id": sg.index,
+            "items": sg.label(catalog),
+            "support": round(sg.support, 6),
+            "delta_h": None if d != d else round(d, 6),
+            "t": round(t, 4),
+            "drifted": drifted,
+        }
+        for sg, t, d, drifted in zip(
+            sgcat.subgroups_at(top),
+            full.t_values[top].tolist(),
+            full.delta_h[top].tolist(),
+            full.drifted[top].tolist(),
         )
+    ]
     # everything that can fail runs before the first write
     attribution = shapley_global(full, sgcat) if args.shapley else None
     columns = ["subgroup_id", "items", "support", "delta_h", "t", "drifted"]

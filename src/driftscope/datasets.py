@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .catalog import MISSING_VALUES, Column, ColumnData, _columns_of_rows, read_columns
+from .catalog import MISSING_VALUES, Column, ColumnData, _columns_of_rows, _open_data, read_columns
 
 __all__ = ["load_adult", "census_sample", "resolve_tabular", "ADULT_COLUMNS"]
 
@@ -65,7 +65,7 @@ def load_adult(path: str | Path) -> ColumnData:
     column becomes the label ``y`` (1 for >50K). ``?`` entries are missing.
     """
     path = Path(path)
-    with open(path, encoding="utf-8") as fh:
+    with _open_data(path) as fh:
         first = fh.readline().strip()
     first_field = first.split(",", 1)[0].strip()
     has_header = not (first.startswith("|") or first_field in MISSING_VALUES or _is_number(first_field))

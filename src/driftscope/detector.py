@@ -107,8 +107,6 @@ class DriftReport:
     delta_h: np.ndarray = field(default_factory=lambda: np.empty(0))
     mu_ref: np.ndarray = field(default_factory=lambda: np.empty(0))
     mu_cur: np.ndarray = field(default_factory=lambda: np.empty(0))
-    nu_ref: np.ndarray = field(default_factory=lambda: np.empty(0))
-    nu_cur: np.ndarray = field(default_factory=lambda: np.empty(0))
     t_values: np.ndarray = field(default_factory=lambda: np.empty(0))
     drifted: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=bool))
 
@@ -319,8 +317,6 @@ def score_windows(
         delta_h=delta,
         mu_ref=mu_r,
         mu_cur=mu_c,
-        nu_ref=nu_r,
-        nu_cur=nu_c,
         t_values=t,
         drifted=drifted,
     )

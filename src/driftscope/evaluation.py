@@ -29,6 +29,7 @@ import numpy as np
 from .baselines import DRIFT, make_detector
 from .catalog import ColumnData, ItemCatalog
 from .detector import DriftReport, MonitorState, ReportWriter, WindowConfig, step
+from .explain import rank
 from .mining import MiningConfig, SubgroupCatalog, mine_frequent
 from .sgmetrics import EncodedBatch, Membership, SubgroupStats, aggregate, membership
 from .streams import (
@@ -328,13 +329,11 @@ def run_injection_experiment(
         member = cur.alpha_counts + cur.beta_counts
         altered = np.sum(altered_ring, axis=0)
         relevance = altered / np.maximum(member, 1)  # 0 where no member: altered <= member
-        t = final_report.t_values
-        order = np.lexsort((np.arange(len(t)), -t))
-        result.ndcg_at_10 = ndcg_at_k(relevance[order], 10)
+        result.ndcg_at_10 = ndcg_at_k(relevance[rank(final_report, sgcat)], 10)
         result.random_ndcg_samples = [
             ndcg_at_k(rng.permutation(relevance), 10) for _ in range(n_random_rankings)
         ]
-        cors = correlations(relevance, t)
+        cors = correlations(relevance, final_report.t_values)
         result.pearson = cors["pearson"]
         result.spearman = cors["spearman"]
 

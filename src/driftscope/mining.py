@@ -8,7 +8,8 @@ level-wise Apriori that ANDs and popcounts those bitmaps. The empty itemset
 items, so that batch membership is the AND of packed item bitmaps (the same
 bitmaps the miner counts with). The same tables, keyed by each row's item
 ids, are the catalog's only itemset index: lookups of many itemsets of one
-length are one sorted search.
+length are one sorted search. The catalog's subset lattice, which pruning
+and Shapley attribution read, is built from them one length at a time.
 """
 
 from __future__ import annotations
@@ -67,8 +68,8 @@ class SubgroupCatalog:
     item ids, rows in ascending lexicographic order. Every itemset must list
     distinct item ids in ascending order, each in ``[0, n_items)``, and no
     itemset may occur twice. Supports and counts are arrays over the dense
-    index; :class:`Subgroup` objects are built only when asked for. Immutable
-    once built.
+    index; :class:`Subgroup` objects are built only when asked for, and so is
+    each level of the subset lattice (:meth:`lattice`). Immutable once built.
     """
 
     def __init__(
@@ -141,6 +142,8 @@ class SubgroupCatalog:
         self.length_tables: tuple[tuple[np.ndarray, np.ndarray], ...] = tuple(
             (idx, items) for idx, items, _ in self._tables.values()
         )
+        # per length k: the (n_k, 2^k) subset table, built by lattice(k) on first use
+        self._lattice: dict[int, np.ndarray] = {}
 
     def __len__(self) -> int:
         return len(self._support)
@@ -201,6 +204,47 @@ class SubgroupCatalog:
         j = int(self.indices_of([sorted(set(item_ids))])[0])
         return None if j < 0 else j
 
+    def lattice(self, k: int) -> np.ndarray:
+        """Level k of the subset lattice: an ``(n_k, 2^k)`` array whose entry
+        ``[r, mask]`` is the dense index of the subset of row r of the length-k
+        table (``length_tables``) that holds its i-th item iff bit i of
+        ``mask`` is set; column ``2^k - 1`` is the row itself.
+
+        Built on first use, together with the shorter levels it is read from,
+        and kept: a consumer that stops at length k builds no longer level.
+        The catalog must be closed under subsets, as a mined one is (every
+        subset of a frequent itemset is frequent); a missing subset is a
+        ValueError that names it, raised at the shortest length missing one.
+        Dense indices are held as int32 where they fit.
+        """
+        if k not in self._lattice:
+            self._lattice[k] = self._lattice_level(k)
+        return self._lattice[k]
+
+    def _lattice_level(self, k: int) -> np.ndarray:
+        """Level k, read from level k-1 through each row's k drop-one parents:
+        only those are looked up, every other subset is read from the row of
+        level k-1 of one of them."""
+        # the global subgroup is the one 0-itemset; a missing level k-1 fails
+        # the parent lookup below
+        prev = self.lattice(k - 1) if k - 1 in self._tables else np.zeros((1, 1), dtype=np.intp)
+        idx, items, _ = self._tables[k]
+        parents = np.array([self.indices_of(np.delete(items, i, axis=1)) for i in range(k)])
+        if (parents < 0).any():
+            i, r = np.argwhere(parents < 0)[0]
+            raise ValueError(
+                f"itemset {np.delete(items[r], i).tolist()} is not a mined subgroup; "
+                "explanations need a catalog closed under subsets, as `mine` writes it"
+            )
+        masks = np.arange((1 << k) - 1)
+        dtype = np.int32 if len(self) <= np.iinfo(np.int32).max else np.intp
+        subsets = np.empty((len(idx), len(masks) + 1), dtype=dtype)
+        subsets[:, -1] = idx
+        # each mask through the parent that drops its lowest unset bit
+        via = np.bitwise_count((~masks & (masks + 1)) - 1).astype(np.intp)
+        subsets[:, :-1] = prev[self._row[parents[via]].T, _drop_bit(masks, via)]
+        return subsets
+
     def lex_ranks(self) -> np.ndarray:
         """Each subgroup's position in the lexicographic order of all
         itemsets by item ids (the global subgroup first); ``arange`` for a
@@ -260,6 +304,12 @@ def _length_tables(itemsets: Sequence[Sequence[int]]) -> list[tuple[np.ndarray, 
         items = np.fromiter(flat, dtype=np.intp, count=k * len(idx)).reshape(-1, k)
         tables.append((idx, items))
     return tables
+
+
+def _drop_bit(masks: np.ndarray, i) -> np.ndarray:
+    """``masks`` (bit i unset) as masks over the items left when item i is
+    dropped; ``i`` is one position or one per mask."""
+    return masks & ((1 << i) - 1) | (masks >> (i + 1)) << i
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:

@@ -239,27 +239,29 @@ def test_criterion_7_shapley_efficiency(injection_run):
 
 def test_criterion_8_pruning_soundness(injection_run):
     extras = injection_run["extras"]
-    ranked = rank(extras.final_report, extras.sgcat)
+    rep, sgcat = extras.final_report, extras.sgcat
+    order = rank(rep, sgcat)
 
-    identity = redundancy_prune(ranked, 0.0)
-    identity_ok = {e.subgroup.index for e in identity} == {e.subgroup.index for e in ranked}
+    identity = redundancy_prune(order, rep, sgcat, 0.0)
+    identity_ok = set(identity.tolist()) == set(order.tolist())
 
     threshold = 5.0
-    pruned = redundancy_prune(ranked, threshold)
-    kept = {frozenset(e.subgroup.item_ids): e.t for e in pruned}
+    pruned = redundancy_prune(order, rep, sgcat, threshold)
+    t = rep.t_values.tolist()
+    kept = {frozenset(items): t[j] for j, items in zip(pruned.tolist(), sgcat.items_of(pruned))}
     violations = 0
-    for e in ranked:
-        items = frozenset(e.subgroup.item_ids)
+    for j, items in zip(order.tolist(), sgcat.items_of(order)):
+        items = frozenset(items)
         if items in kept:
             continue
-        if not any(k < items and abs(t - e.t) < threshold for k, t in kept.items()):
+        if not any(k < items and abs(kt - t[j]) < threshold for k, kt in kept.items()):
             violations += 1
     ok = violations == 0 and identity_ok
     report(
         8,
         "redundancy pruning soundness",
         ok,
-        f"{len(ranked)} -> {len(pruned)} subgroups, {violations} violations, "
+        f"{len(order)} -> {len(pruned)} subgroups, {violations} violations, "
         f"identity at 0: {identity_ok}",
     )
     assert violations == 0

@@ -16,6 +16,7 @@ from driftscope import catalog, cli, evaluation
 from driftscope.catalog import DataError, ItemCatalog
 from driftscope.cli import _csv_text, _parse_subgroup, main
 from driftscope.datasets import census_sample
+from driftscope.mining import SubgroupCatalog
 from driftscope.streams import ConceptStreamConfig, gen_concept_stream
 
 
@@ -617,6 +618,39 @@ def test_report_shapley_on_catalog_missing_a_subset_exits_two(tmp_path, caplog):
         # the run fails before its first write
         for name in ("r.md", "r.attribution.csv", "r.md.manifest.json"):
             assert not (tmp_path / name).exists(), (flags, name)
+
+
+def test_report_builds_each_lattice_level_once_and_monitor_none(tmp_path, monkeypatch):
+    built = []
+    build = SubgroupCatalog._lattice_level
+    monkeypatch.setattr(SubgroupCatalog, "_lattice_level", lambda self, k: built.append(k) or build(self, k))
+    _, catalog_path, reports_dir = _mined_and_monitored(tmp_path)
+    assert built == []
+    args = ["report", "--reports", reports_dir, "--catalog", catalog_path, "--prune-t", "5", "--shapley"]
+    assert run_cli(*args, "--out", tmp_path / "r.md") == 0
+    # pruning and Shapley read both lengths of the --max-len 2 catalog
+    assert built == [1, 2]
+
+
+@pytest.mark.parametrize("command", ["mine", "monitor", "eval", "inject", "bench"])
+def test_a_directory_as_input_exits_two_naming_it(tmp_path, caplog, capsys, command):
+    _, catalog_path, _ = _mined_and_monitored(tmp_path)
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    args = {
+        "mine": ["--input", folder, "--min-support", "0.1", "--out", tmp_path / "c.json"],
+        "monitor": ["--catalog", catalog_path, "--input", folder, "--out", tmp_path / "again"],
+        "eval": ["--suite", "inject", "--data", folder, "--n-exp", "1", "--out", tmp_path / "e.csv"],
+        "inject": [
+            "--input", folder, "--catalog", catalog_path, "--subgroup", "color=red", "--p-max", "0.5",
+            "--out", tmp_path / "injected.csv", "--mask", tmp_path / "mask.csv",
+        ],
+        "bench": ["--detector", "ddm", "--input", folder],
+    }[command]
+    capsys.readouterr()
+    assert run_cli(command, *args) == 2
+    assert f"{folder}: Is a directory" in caplog.text
+    assert "Traceback" not in caplog.text + capsys.readouterr().err
 
 
 # what a DataError about each JSON file the CLI reads starts with, before the path

@@ -8,9 +8,7 @@ import pytest
 
 from driftscope.detector import DriftReport
 from driftscope.explain import (
-    RankedEntry,
     _coalitions,
-    _subset_index,
     rank,
     redundancy_prune,
     shapley_global,
@@ -45,52 +43,53 @@ def report_with(catalog, t_by_items, delta_by_items=None):
         delta_h=delta,
         mu_ref=np.full(n, 0.9),
         mu_cur=np.full(n, 0.9) - mu_gap,
-        nu_ref=np.full(n, 1e-4),
-        nu_cur=np.full(n, 1e-4),
         t_values=t,
         drifted=t > 5.0,
     )
+
+
+def itemsets_of(cat, order):
+    """The item ids of the subgroups of ``order``, as tuples in its order."""
+    return [tuple(items) for items in cat.items_of(order)]
 
 
 class TestRank:
     def test_preserves_descending_t(self):
         cat = catalog_from_itemsets([(0,), (1,), (2,), (3,)], 4)
         ts = {(0,): 43.8, (1,): 43.2, (2,): 43.1, (3,): 42.9}
-        ranked = rank(report_with(cat, ts), cat)
-        got = [e.t for e in ranked]
-        assert got[:4] == [43.8, 43.2, 43.1, 42.9]
+        rep = report_with(cat, ts)
+        assert rep.t_values[rank(rep, cat)][:4].tolist() == [43.8, 43.2, 43.1, 42.9]
 
     def test_tie_break_lexicographic(self):
         cat = catalog_from_itemsets([(2,), (0, 1), (1,)], 3)
         ts = {(2,): 7.0, (0, 1): 7.0, (1,): 7.0}
-        ranked = rank(report_with(cat, ts), cat)
-        assert [e.subgroup.item_ids for e in ranked.entries[:3]] == [(0, 1), (1,), (2,)]
+        order = rank(report_with(cat, ts), cat)
+        assert itemsets_of(cat, order[:3]) == [(0, 1), (1,), (2,)]
 
     def test_tie_break_magnitude_of_delta_first(self):
         cat = catalog_from_itemsets([(0,), (1,)], 2)
         ts = {(0,): 7.0, (1,): 7.0}
         deltas = {(0,): 0.1, (1,): 0.4}
-        ranked = rank(report_with(cat, ts, deltas), cat)
-        assert ranked.entries[0].subgroup.item_ids == (1,)
+        order = rank(report_with(cat, ts, deltas), cat)
+        assert itemsets_of(cat, order[:1]) == [(1,)]
 
-    def test_top_k_truncates_and_overflow_ok(self):
+    def test_orders_every_subgroup_once(self):
         cat = catalog_from_itemsets([(0,), (1,)], 2)
-        ranked = rank(report_with(cat, {(0,): 3.0}), cat, top_k=2)
-        assert len(ranked) == 2
-        ranked_all = rank(report_with(cat, {(0,): 3.0}), cat, top_k=99)
-        assert len(ranked_all) == len(cat)
+        order = rank(report_with(cat, {(0,): 3.0}), cat)
+        assert sorted(order.tolist()) == list(range(len(cat)))
 
 
 def ranked_with(t_by_items, n_items):
-    """The ranking of exactly the itemsets of ``t_by_items`` over a catalog
-    closed under subsets: the subsets not listed (the global subgroup among
-    them) get t = 0, below every listed t, so they rank last and ``top_k``
-    cuts them."""
+    """``(order, report, catalog)``: the ranking of exactly the itemsets of
+    ``t_by_items`` over a catalog closed under subsets. The subsets not
+    listed (the global subgroup among them) get t = 0, below every listed t,
+    so they rank last and the order is cut before them."""
     closed = {
         sub for items in t_by_items for r in range(1, len(items) + 1) for sub in itertools.combinations(items, r)
     }
     cat = catalog_from_itemsets(closed, n_items)
-    return rank(report_with(cat, t_by_items), cat, top_k=len(t_by_items))
+    rep = report_with(cat, t_by_items)
+    return rank(rep, cat)[: len(t_by_items)], rep, cat
 
 
 def missing_parents(cat, max_len=None):
@@ -113,27 +112,27 @@ def named_itemset(error):
 
 class TestRedundancyPrune:
     def test_threshold_zero_is_identity(self):
-        ranked = ranked_with({(0,): 10.0, (0, 1): 10.0, (1,): 4.0}, 2)
-        pruned = redundancy_prune(ranked, 0.0)
-        assert set(e.subgroup.item_ids for e in pruned) == {(0,), (0, 1), (1,)}
+        order, rep, cat = ranked_with({(0,): 10.0, (0, 1): 10.0, (1,): 4.0}, 2)
+        pruned = redundancy_prune(order, rep, cat, 0.0)
+        assert set(itemsets_of(cat, pruned)) == {(0,), (0, 1), (1,)}
 
     def test_child_within_threshold_dropped(self):
-        ranked = ranked_with({(0, 1): 12.0, (0,): 10.0}, 2)
-        pruned = redundancy_prune(ranked, 5.0)
-        assert [e.subgroup.item_ids for e in pruned] == [(0,)]
+        order, rep, cat = ranked_with({(0, 1): 12.0, (0,): 10.0}, 2)
+        pruned = redundancy_prune(order, rep, cat, 5.0)
+        assert itemsets_of(cat, pruned) == [(0,)]
 
     def test_child_outside_threshold_kept(self):
-        ranked = ranked_with({(0, 1): 20.0, (0,): 10.0}, 2)
-        pruned = redundancy_prune(ranked, 5.0)
-        assert {e.subgroup.item_ids for e in pruned} == {(0,), (0, 1)}
+        order, rep, cat = ranked_with({(0, 1): 20.0, (0,): 10.0}, 2)
+        pruned = redundancy_prune(order, rep, cat, 5.0)
+        assert set(itemsets_of(cat, pruned)) == {(0,), (0, 1)}
 
     def test_chain_collapses_onto_most_general(self):
-        ranked = ranked_with({(0, 1, 2): 18.0, (0, 1): 14.0, (0,): 10.0}, 3)
-        pruned = redundancy_prune(ranked, 5.0)
+        order, rep, cat = ranked_with({(0, 1, 2): 18.0, (0, 1): 14.0, (0,): 10.0}, 3)
+        pruned = redundancy_prune(order, rep, cat, 5.0)
         # (0,1) is within 5 of (0,); (0,1,2) is within 5 of surviving... only
         # (0,) survives the 14-10 comparison; 18 vs 10 is 8 > 5, so (0,1,2)
         # must survive because no *surviving* subset is within 5
-        assert {e.subgroup.item_ids for e in pruned} == {(0,), (0, 1, 2)}
+        assert set(itemsets_of(cat, pruned)) == {(0,), (0, 1, 2)}
 
     def test_soundness_on_random_reports(self):
         rng = np.random.default_rng(23)
@@ -150,66 +149,52 @@ class TestRedundancyPrune:
                 for r in range(len(items)):
                     for sub in itertools.combinations(items, r):
                         closed.add(sub)
-            ranked = ranked_with({items: float(rng.uniform(0, 30)) for items in sorted(closed)}, 6)
-            entries = ranked.entries
+            order, rep, cat = ranked_with({items: float(rng.uniform(0, 30)) for items in sorted(closed)}, 6)
             threshold = float(rng.uniform(1, 10))
-            pruned = redundancy_prune(ranked, threshold)
-            kept = {e.subgroup.item_ids: e.t for e in pruned}
-            for e in entries:
-                if e.subgroup.item_ids in kept:
+            pruned = redundancy_prune(order, rep, cat, threshold)
+            kept = dict(zip(itemsets_of(cat, pruned), rep.t_values[pruned].tolist()))
+            for items, t in zip(itemsets_of(cat, order), rep.t_values[order].tolist()):
+                if items in kept:
                     continue
                 has_close_ancestor = any(
-                    set(k) < set(e.subgroup.item_ids) and abs(t - e.t) < threshold
-                    for k, t in kept.items()
+                    set(k) < set(items) and abs(kt - t) < threshold for k, kt in kept.items()
                 )
-                assert has_close_ancestor, (
-                    f"pruned {e.subgroup.item_ids} lacks a surviving ancestor "
-                    f"within {threshold}"
-                )
+                assert has_close_ancestor, f"pruned {items} lacks a surviving ancestor within {threshold}"
 
     def test_converges_to_unpruned_as_threshold_shrinks(self):
         rng = np.random.default_rng(4)
         itemsets = [(0,), (1,), (0, 1), (0, 2), (0, 1, 2)]
-        ranked = ranked_with({items: float(rng.uniform(0, 30)) for items in itemsets}, 3)
-        assert len(redundancy_prune(ranked, 1e-12)) == len(itemsets)
+        order, rep, cat = ranked_with({items: float(rng.uniform(0, 30)) for items in itemsets}, 3)
+        assert len(redundancy_prune(order, rep, cat, 1e-12)) == len(itemsets)
 
 
-# The per-entry ranking and survivor loop that rank and redundancy_prune
+# The per-subgroup ranking and survivor loop that rank and redundancy_prune
 # replace, kept as their oracle.
 
 
-def _sort_key(e: RankedEntry):
-    mag = abs(e.delta_h) if e.delta_h is not None else -1.0
-    return (-e.t, -mag, e.subgroup.item_ids)
+def _sort_key(report, catalog, j):
+    d = report.delta_h[j]
+    mag = -1.0 if np.isnan(d) else abs(float(d))
+    return (-float(report.t_values[j]), -mag, catalog.subgroup(j).item_ids)
 
 
 def oracle_rank(report, catalog, top_k=None):
-    entries = []
-    for sg in catalog.subgroups:
-        d = report.delta_h[sg.index]
-        entries.append(
-            RankedEntry(
-                subgroup=sg,
-                t=float(report.t_values[sg.index]),
-                delta_h=None if np.isnan(d) else float(d),
-            )
-        )
-    entries.sort(key=_sort_key)
-    return entries[:top_k]
+    return sorted(range(len(catalog)), key=lambda j: _sort_key(report, catalog, j))[:top_k]
 
 
-def oracle_prune(entries, t_threshold):
-    order = sorted(entries, key=lambda e: (len(e.subgroup.item_ids),) + _sort_key(e))
+def oracle_prune(order, report, catalog, t_threshold):
+    by_length = sorted(order, key=lambda j: (len(catalog.subgroup(j)),) + _sort_key(report, catalog, j))
     survivors = []
-    for e in order:
-        items = frozenset(e.subgroup.item_ids)
+    for j in by_length:
+        items = frozenset(catalog.subgroup(j).item_ids)
+        t = float(report.t_values[j])
         pruned = any(
-            s_items < items and abs(s_t - e.t) < t_threshold
+            s_items < items and abs(s_t - t) < t_threshold
             for s_items, s_t, _ in survivors
         )
         if not pruned:
-            survivors.append((items, e.t, e))
-    return sorted((e for _, _, e in survivors), key=_sort_key)
+            survivors.append((items, t, j))
+    return sorted((j for _, _, j in survivors), key=lambda j: _sort_key(report, catalog, j))
 
 
 def random_catalog(rng, closed):
@@ -251,21 +236,19 @@ class TestExplainOracle:
             rep = random_report(rng, cat)
             top_k = None if trial % 3 else int(rng.integers(1, len(cat) + 2))
             want = oracle_rank(rep, cat, top_k)
-            ranked = rank(rep, cat, top_k)
-            assert list(ranked.entries) == want, f"trial {trial}"
-            assert ranked.head(3) == tuple(want[:3])
+            order = rank(rep, cat)[:top_k]
+            assert order.tolist() == want, f"trial {trial}"
             missing = missing_parents(cat)
             if missing:  # a non-closed trial: pruning names a missing subset
                 with pytest.raises(ValueError) as err:
-                    redundancy_prune(ranked, 1.0)
+                    redundancy_prune(order, rep, cat, 1.0)
                 assert named_itemset(err.value) in missing, f"trial {trial}"
                 continue
             for threshold in (0.0, 0.3, 2.0, 5.0, 1e9):
-                got = [e.subgroup.index for e in redundancy_prune(ranked, threshold)]
-                expect = [e.subgroup.index for e in oracle_prune(want, threshold)]
-                assert got == expect, f"trial {trial} threshold {threshold}"
+                got = redundancy_prune(order, rep, cat, threshold).tolist()
+                assert got == oracle_prune(want, rep, cat, threshold), f"trial {trial} threshold {threshold}"
 
-    def test_subset_index_matches_per_mask_lookups(self):
+    def test_lattice_matches_per_mask_lookups(self):
         rng = np.random.default_rng(62)
         # every subset of 10 items, then with some missing: masks past 8 bits
         every = [c for r in range(1, 11) for c in itertools.combinations(range(10), r)]
@@ -276,14 +259,27 @@ class TestExplainOracle:
         for trial in range(62):
             cat = long_ones[trial - 60] if trial >= 60 else random_catalog(rng, closed=trial % 2 == 0)
             max_len = None if trial % 3 or trial >= 60 else int(rng.integers(1, 4))
+
+            def levels():
+                """Each level up to ``max_len``, read as a consumer that
+                stops early reads them (Shapley stops past MAX_EXACT_ITEMS)."""
+                for idx, items in cat.length_tables:
+                    k = items.shape[1]
+                    if max_len is not None and k > max_len:
+                        break
+                    yield idx, items, cat.lattice(k)
+
             missing = missing_parents(cat, max_len)
             if missing:  # a non-closed trial
                 with pytest.raises(ValueError) as err:
-                    list(_subset_index(cat, max_len))
-                assert named_itemset(err.value) in missing, f"trial {trial}"
+                    list(levels())
+                named = named_itemset(err.value)
+                assert named in missing, f"trial {trial}"
+                # raised at the shortest length that misses a subset
+                assert len(named) == min(map(len, missing)), f"trial {trial}"
                 continue
             lengths = []
-            for idx, items, subsets in _subset_index(cat, max_len):
+            for idx, items, subsets in levels():
                 k = items.shape[1]
                 lengths.append(k)
                 member = _coalitions(k)
@@ -294,6 +290,18 @@ class TestExplainOracle:
                 np.testing.assert_array_equal(subsets[:, -1], idx)
             expect = [items.shape[1] for _, items in cat.length_tables]
             assert lengths == [k for k in expect if max_len is None or k <= max_len]
+            # a consumer that stops early leaves the longer levels unbuilt
+            assert sorted(cat._lattice) == lengths, f"trial {trial}"
+
+    def test_a_level_is_built_with_the_shorter_levels_it_reads_and_kept(self):
+        itemsets = [c for r in range(1, 5) for c in itertools.combinations(range(5), r)]
+        cat = catalog_from_itemsets(itemsets, 5)
+        top = cat.lattice(3)
+        assert sorted(cat._lattice) == [1, 2, 3]
+        assert cat.lattice(3) is top
+        fresh = catalog_from_itemsets(itemsets, 5)
+        for k in (1, 2, 3):
+            np.testing.assert_array_equal(cat.lattice(k), fresh.lattice(k))
 
     def test_lex_ranks_order_itemsets(self):
         rng = np.random.default_rng(63)

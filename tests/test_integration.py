@@ -79,8 +79,8 @@ def test_injected_subgroup_is_detected_and_ranked_first():
     assert drift_seen_at is not None and drift_seen_at > 5, "drift must follow warmup"
 
     final = score_windows(monitor.reference_stats, monitor.current_stats(), tau_t=5.0)
-    ranked = redundancy_prune(rank(final, sgcat), t_threshold=5.0)
-    top = ranked.entries[0].subgroup.item_ids
+    pruned = redundancy_prune(rank(final, sgcat), final, sgcat, t_threshold=5.0)
+    top = sgcat.subgroup(int(pruned[0])).item_ids
     assert set(target) <= set(top) or set(top) <= set(target), (
         f"top-ranked subgroup {top} unrelated to injected target {target}"
     )
