@@ -69,6 +69,13 @@ def _unit_interval(value: str) -> float:
     return x
 
 
+def _open_unit_interval(value: str) -> float:
+    x = float(value)
+    if not 0.0 < x < 1.0:
+        raise argparse.ArgumentTypeError(f"expected a value in (0, 1), got {value}")
+    return x
+
+
 def _positive_int(value: str) -> int:
     x = int(value)
     if x < 1:
@@ -486,11 +493,7 @@ def _cmd_eval(args) -> int:
             alpha = np.ones(hi - lo, dtype=np.int64)  # timing only; outcomes irrelevant
             alpha[: (hi - lo) // 5] = 0
             batches.append(EncodedBatch(P[lo:hi], alpha, 1 - alpha, batch_id=b))
-        timing = timing_bench(
-            sgcat,
-            batches,
-            detector_kinds=kinds,
-        )
+        timing = timing_bench(sgcat, batches, detector_kinds=kinds, window=args.window)
         for method, vals in timing.items():
             out_rows.append({"suite": "timing", "dataset": source, "method": method, **vals})
     else:
@@ -644,7 +647,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--metric", choices=["accuracy", "false_positive_rate", "explicit"], default="accuracy")
     p.add_argument("--min-samples", type=_positive_int)
-    p.add_argument("--delta", type=float)
+    p.add_argument("--delta", type=_open_unit_interval)
     p.add_argument("--window-size", type=_positive_int)
     p.set_defaults(func=_cmd_bench)
 

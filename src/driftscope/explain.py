@@ -3,10 +3,10 @@
 Subgroups are ranked by the significance statistic t; a ranking is an array
 of dense indices. Redundancy pruning collapses chains of near-duplicate
 refinements onto their most general surviving ancestors. Shapley values
-attribute a subgroup's performance divergence to its items exactly: the
-values of all 2^k item coalitions times one (2^k x k) weight matrix
-(itemsets are short, so this is cheap). Pruning and attribution read the
-catalog's subset lattice (:meth:`SubgroupCatalog.lattice`), which the
+attribute a subgroup's drift value (:func:`drift_values`) to its items
+exactly: the values of all 2^k item coalitions times one (2^k x k) weight
+matrix (itemsets are short, so this is cheap). Pruning and attribution read
+the catalog's subset lattice (:meth:`SubgroupCatalog.lattice`), which the
 catalog builds once and keeps; it needs a catalog closed under subsets, as
 ``mine`` writes it, and a missing subset is a ValueError.
 """
@@ -15,21 +15,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
 from .detector import DriftReport
-from .mining import Subgroup, SubgroupCatalog
-from .sgmetrics import SubgroupStats
+from .mining import SubgroupCatalog
 
 __all__ = [
     "ItemAttribution",
+    "drift_values",
     "rank",
     "redundancy_prune",
     "shapley_local",
     "shapley_global",
-    "make_drift_value_fn",
 ]
 
 MAX_EXACT_ITEMS = 12
@@ -38,11 +37,12 @@ MAX_EXACT_ITEMS = 12
 def rank(report: DriftReport, catalog: SubgroupCatalog) -> np.ndarray:
     """The dense indices of all subgroups in order of drift significance:
     t descending, then |delta_h| descending (an undefined delta_h last),
-    then item ids ascending."""
+    then dense index ascending, which for a mined catalog is item ids
+    ascending."""
     if report.warming_up or report.n_subgroups != len(catalog):
         raise ValueError("ranking requires a scored (non-warming) report for this catalog")
     mag = np.where(np.isnan(report.delta_h), -1.0, np.abs(report.delta_h))
-    return np.lexsort((catalog.lex_ranks(), -mag, -report.t_values))
+    return np.lexsort((-mag, -report.t_values))
 
 
 def redundancy_prune(
@@ -99,42 +99,52 @@ def _shapley_weights(k: int) -> np.ndarray:
     return np.where(member, w[size - 1][:, None], -w[size][:, None])
 
 
-def shapley_local(
-    subgroup: Subgroup | Sequence[int],
-    value_fn: Callable[[frozenset[int]], float],
-) -> ItemAttribution:
-    """Exact Shapley attribution of a subgroup's value to its items.
+def drift_values(report: DriftReport) -> np.ndarray:
+    """The drift value of each subgroup, which Shapley attribution splits
+    over its items: delta_h, or the posterior-mean gap mu_ref - mu_cur where
+    h is undefined in either window."""
+    return np.where(np.isnan(report.delta_h), report.mu_ref - report.mu_cur, report.delta_h)
+
+
+def _check_sizes(report: DriftReport, catalog: SubgroupCatalog) -> None:
+    if len(report.delta_h) != len(catalog):
+        raise ValueError(f"report has {len(report.delta_h)} subgroups, catalog has {len(catalog)}")
+
+
+def shapley_local(j: int, report: DriftReport, catalog: SubgroupCatalog) -> ItemAttribution:
+    """Exact Shapley attribution of subgroup j's drift value to its items.
 
     For each item a of S, phi(a) is the coalition-weighted average of the
-    marginal change v(T + {a}) - v(T) over all T inside S without a. Computed
-    from the values of all 2^|S| coalitions, so |S| must not exceed
-    MAX_EXACT_ITEMS. Satisfies efficiency: sum(phi) = v(S) - v(empty).
+    marginal change v(T + {a}) - v(T) over all T inside S without a, where v
+    is :func:`drift_values`. The coalitions are the subsets of S, subgroup
+    j's row of the catalog's subset lattice (:meth:`SubgroupCatalog.subsets`),
+    so |S| must not exceed MAX_EXACT_ITEMS; that is checked before any
+    lattice level is built. Satisfies efficiency: sum(phi) = v(S) - v(empty).
+    The global subgroup gets an empty attribution.
     """
-    items = tuple(subgroup.item_ids) if isinstance(subgroup, Subgroup) else tuple(subgroup)
-    n = len(items)
-    if n > MAX_EXACT_ITEMS:
+    _check_sizes(report, catalog)
+    items = catalog.items_of([j])[0]
+    k = len(items)
+    if k > MAX_EXACT_ITEMS:
         raise ValueError(
             f"exact Shapley enumeration supports at most {MAX_EXACT_ITEMS} items, "
-            f"got {n}; use a sampling estimator for longer subgroups"
+            f"got {k}; use a sampling estimator for longer subgroups"
         )
-    coalitions = (frozenset(it for it, m in zip(items, row) if m) for row in _coalitions(n))
-    phi = np.array([float(value_fn(c)) for c in coalitions]) @ _shapley_weights(n)
+    phi = drift_values(report)[catalog.subsets(j)] @ _shapley_weights(k)
     return ItemAttribution(values={item: float(p) for item, p in zip(items, phi)})
 
 
 def shapley_global(report: DriftReport, catalog: SubgroupCatalog) -> ItemAttribution:
     """Average per-item drift contribution across all subgroups containing it.
 
-    Each subgroup's divergence is attributed to its items as in
-    :func:`shapley_local`, with coalition values from the report: delta_h, or
-    the posterior-mean gap where h is undefined. Every subset of a frequent
-    itemset is frequent, so the coalitions of all length-k subgroups are
-    level k of the catalog's subset lattice; subgroups of more than
-    MAX_EXACT_ITEMS items are left out. Items in no subgroup are absent.
+    Each item's value is the mean of its :func:`shapley_local` values over
+    the subgroups that hold it, computed a lattice level at a time: the
+    coalitions of all length-k subgroups are level k of the catalog's subset
+    lattice. Subgroups of more than MAX_EXACT_ITEMS items are left out.
+    Items in no subgroup are absent.
     """
-    if len(report.delta_h) != len(catalog):
-        raise ValueError(f"report has {len(report.delta_h)} subgroups, catalog has {len(catalog)}")
-    v = np.where(np.isnan(report.delta_h), report.mu_ref - report.mu_cur, report.delta_h)
+    _check_sizes(report, catalog)
+    v = drift_values(report)
     sums = np.zeros(catalog.n_items)
     counts = np.zeros(catalog.n_items, dtype=np.int64)
     for _, items in catalog.length_tables:
@@ -144,33 +154,3 @@ def shapley_global(report: DriftReport, catalog: SubgroupCatalog) -> ItemAttribu
         np.add.at(sums, items, v[catalog.lattice(k)] @ _shapley_weights(k))
         np.add.at(counts, items, 1)
     return ItemAttribution({int(i): float(sums[i] / counts[i]) for i in np.flatnonzero(counts)})
-
-
-def make_drift_value_fn(
-    catalog: SubgroupCatalog,
-    ref_stats: SubgroupStats,
-    cur_stats: SubgroupStats,
-) -> Callable[[frozenset[int]], float]:
-    """Coalition value function over (reference, current) window counts.
-
-    Each itemset reads its window counts through the catalog index, so an
-    itemset that was not mined is a KeyError. Value is h_ref - h_cur, or the
-    posterior-mean gap when h is undefined.
-    """
-    cache: dict[frozenset[int], float] = {}
-
-    def v(itemset: frozenset[int]) -> float:
-        if itemset not in cache:
-            j = catalog.index_of(itemset)
-            if j is None:
-                raise KeyError(f"itemset {sorted(itemset)} is not mined")
-            a_r, b_r, a_c, b_c = (
-                int(c[j]) for s in (ref_stats, cur_stats) for c in (s.alpha_counts, s.beta_counts)
-            )
-            if a_r + b_r > 0 and a_c + b_c > 0:
-                cache[itemset] = a_r / (a_r + b_r) - a_c / (a_c + b_c)
-            else:
-                cache[itemset] = (a_r + 1) / (a_r + b_r + 2) - (a_c + 1) / (a_c + b_c + 2)
-        return cache[itemset]
-
-    return v

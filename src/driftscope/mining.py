@@ -9,7 +9,8 @@ items, so that batch membership is the AND of packed item bitmaps (the same
 bitmaps the miner counts with). The same tables, keyed by each row's item
 ids, are the catalog's only itemset index: lookups of many itemsets of one
 length are one sorted search. The catalog's subset lattice, which pruning
-and Shapley attribution read, is built from them one length at a time.
+and Shapley attribution read (a level at a time, or one subgroup's row), is
+built from them one length at a time.
 """
 
 from __future__ import annotations
@@ -199,11 +200,6 @@ class SubgroupCatalog:
         pos = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
         return np.where(keys[pos] == wanted, idx[pos], -1)
 
-    def index_of(self, item_ids) -> int | None:
-        """Dense index of an itemset, or None if it was not mined."""
-        j = int(self.indices_of([sorted(set(item_ids))])[0])
-        return None if j < 0 else j
-
     def lattice(self, k: int) -> np.ndarray:
         """Level k of the subset lattice: an ``(n_k, 2^k)`` array whose entry
         ``[r, mask]`` is the dense index of the subset of row r of the length-k
@@ -245,15 +241,12 @@ class SubgroupCatalog:
         subsets[:, :-1] = prev[self._row[parents[via]].T, _drop_bit(masks, via)]
         return subsets
 
-    def lex_ranks(self) -> np.ndarray:
-        """Each subgroup's position in the lexicographic order of all
-        itemsets by item ids (the global subgroup first); ``arange`` for a
-        mined catalog, whose dense order is that order."""
-        ranks = np.zeros(len(self), dtype=np.intp)
-        if self.length_tables:
-            idx = np.concatenate([idx for idx, _ in self.length_tables])
-            ranks[idx] = _lex_ranks([items for _, items in self.length_tables]) + 1
-        return ranks
+    def subsets(self, j: int) -> np.ndarray:
+        """The dense indices of every subset of subgroup j, in the mask order
+        of :meth:`lattice`: its row of ``lattice(k)``, or ``[0]`` for the
+        global subgroup."""
+        k = int(self._length[j])
+        return self.lattice(k)[self._row[j]] if k else np.zeros(1, dtype=np.intp)
 
     def supports(self) -> np.ndarray:
         """The support of each subgroup, in dense order (read-only)."""
@@ -434,7 +427,7 @@ def _catalog_of_levels(levels, n_rows: int, n_items: int, config: MiningConfig) 
     total = sum(len(sets) for sets, _ in levels)
     count = np.empty(total + 1, dtype=np.int64)
     count[0] = n_rows
-    dense = _lex_ranks([sets for sets, _ in levels]) + 1
+    dense = _lexicographic_ranks([sets for sets, _ in levels]) + 1
     offsets = np.cumsum([0] + [len(sets) for sets, _ in levels])
     tables = [(dense[lo : lo + len(sets)], sets) for (sets, _), lo in zip(levels, offsets)]
     for (idx, _), (_, c) in zip(tables, levels):
@@ -442,7 +435,7 @@ def _catalog_of_levels(levels, n_rows: int, n_items: int, config: MiningConfig) 
     return SubgroupCatalog.from_tables(tables, count / n_rows, count, n_items, config)
 
 
-def _lex_ranks(sets: Sequence[np.ndarray]) -> np.ndarray:
+def _lexicographic_ranks(sets: Sequence[np.ndarray]) -> np.ndarray:
     """The position of each row of the ``(n_k, k)`` arrays ``sets`` (taken
     in turn) in the lexicographic order of all of them: one ``lexsort`` over
     the rows padded with -1, so that a prefix sorts before its extensions."""

@@ -6,7 +6,9 @@ that encoded every record on its own, of the report serializer that
 built one dict per retained subgroup, of the KSWIN window that was a deque
 copied into an array on every row, and of the KSWIN and chi-squared window
 tests that took their p-values from scipy, kept as test oracles; also the
-exhaustive frequent-itemset miner that ``mine_frequent`` is checked against.
+exhaustive frequent-itemset miner that ``mine_frequent`` is checked against,
+and the coalition value function that recounted each itemset's drift value
+from the window counts, which ``explain.drift_values`` is checked against.
 
 Each is the earlier program code, unchanged but for returning plain values
 (and, for the concept experiment, slicing its batches from the one stream
@@ -18,7 +20,7 @@ import warnings
 from collections import deque
 from itertools import combinations
 from types import SimpleNamespace
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -46,8 +48,8 @@ from driftscope.catalog import (
 from driftscope.cli import _csv_text, _load_artifact, _parse_subgroup
 from driftscope.datasets import ADULT_COLUMNS
 from driftscope.detector import MonitorState, WindowConfig, step
-from driftscope.mining import MiningConfig, mine_frequent
-from driftscope.sgmetrics import EncodedBatch, aggregate, build_point_matrix, membership
+from driftscope.mining import MiningConfig, SubgroupCatalog, mine_frequent
+from driftscope.sgmetrics import EncodedBatch, SubgroupStats, aggregate, build_point_matrix, membership
 from driftscope.streams import (
     ConceptStreamConfig,
     DriftSchedule,
@@ -584,3 +586,33 @@ def brute_force_frequent(
             if c / n >= min_support:
                 out[tuple(combo)] = c
     return out
+
+
+def make_drift_value_fn(
+    catalog: SubgroupCatalog,
+    ref_stats: SubgroupStats,
+    cur_stats: SubgroupStats,
+) -> Callable[[frozenset[int]], float]:
+    """Coalition value function over (reference, current) window counts.
+
+    Each itemset reads its window counts through the catalog index, so an
+    itemset that was not mined is a KeyError. Value is h_ref - h_cur, or the
+    posterior-mean gap when h is undefined.
+    """
+    cache: dict[frozenset[int], float] = {}
+
+    def v(itemset: frozenset[int]) -> float:
+        if itemset not in cache:
+            j = int(catalog.indices_of([sorted(itemset)])[0])
+            if j < 0:
+                raise KeyError(f"itemset {sorted(itemset)} is not mined")
+            a_r, b_r, a_c, b_c = (
+                int(c[j]) for s in (ref_stats, cur_stats) for c in (s.alpha_counts, s.beta_counts)
+            )
+            if a_r + b_r > 0 and a_c + b_c > 0:
+                cache[itemset] = a_r / (a_r + b_r) - a_c / (a_c + b_c)
+            else:
+                cache[itemset] = (a_r + 1) / (a_r + b_r + 2) - (a_c + 1) / (a_c + b_c + 2)
+        return cache[itemset]
+
+    return v

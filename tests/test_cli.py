@@ -970,6 +970,7 @@ def test_eval_rejects_an_unknown_baseline_before_any_work(tmp_path, caplog, monk
         ("eval", "--suite", "adult-inject", "invalid choice: 'adult-inject'"),
         ("gen", "--concepts", "a,b", "expected two comma-separated integers, e.g. 0,2, got a,b"),
         ("gen", "--concepts", "0,1,2", "expected two comma-separated integers, e.g. 0,2, got 0,1,2"),
+        *(("bench", "--delta", v, f"expected a value in (0, 1), got {v}") for v in ("0", "-1", "1", "nan", "inf")),
     ],
 )
 def test_flag_value_is_a_usage_error_before_any_work(tmp_path, capsys, monkeypatch, command, flag, value, message):
@@ -983,6 +984,7 @@ def test_flag_value_is_a_usage_error_before_any_work(tmp_path, capsys, monkeypat
     args = {
         "eval": ["eval", "--suite", "inject", "--data", "surrogate", "--rows", "4000", "--out", out],
         "gen": ["gen", "--dataset", "sea", "--out", out],
+        "bench": ["bench", "--detector", "adwin", "--input", out],
     }[command]
     assert run_cli(*args, flag, value) == 1
     assert f"driftscope {command}: error: argument {flag}: {message}" in capsys.readouterr().err
@@ -1000,6 +1002,30 @@ def test_bench_rejects_a_flag_its_detector_does_not_take(tmp_path, capsys, flag,
     captured = capsys.readouterr()
     assert f"driftscope bench: error: {flag} does not apply to --detector {detector}" in captured.err
     assert captured.out == ""
+
+
+def test_bench_delta_inside_zero_one_runs(tmp_path, capsys):
+    src = tmp_path / "data.csv"
+    write_sample_csv(src, n=100)
+    assert run_cli("bench", "--detector", "adwin", "--delta", "0.002", "--input", src) == 0
+    assert json.loads(capsys.readouterr().out)["params"] == {"delta": 0.002}
+
+
+def test_eval_timing_suite_passes_its_window(tmp_path, monkeypatch):
+    windows = []
+
+    def record(sgcat, batches, detector_kinds, window=5, **kwargs):
+        windows.append(window)
+        return {"driftscope": {"ms_per_batch": 1.0}}
+
+    monkeypatch.setattr(evaluation, "timing_bench", record)
+    out = tmp_path / "timing.csv"
+    code = run_cli(
+        "eval", "--suite", "timing", "--data", "surrogate", "--min-support", "0.2",
+        "--rows", "4000", "--window", "3", "--out", out,
+    )
+    assert code == 0
+    assert windows == [3]
 
 
 def test_eval_timing_suite_small(tmp_path):

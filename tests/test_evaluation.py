@@ -346,7 +346,7 @@ class TestExperimentSmoke:
         ]
         assert excluded
         assert not extras.relevance[excluded].any()
-        assert extras.relevance[extras.sgcat.index_of(target)] > 0
+        assert extras.relevance[extras.sgcat.indices_of([sorted(target)])[0]] > 0
 
     def test_injection_deterministic(self, small_rows):
         cols = ColumnData(small_rows)

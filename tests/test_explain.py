@@ -6,15 +6,18 @@ import re
 import numpy as np
 import pytest
 
-from driftscope.detector import DriftReport
+from driftscope.detector import DriftReport, score_windows
 from driftscope.explain import (
     _coalitions,
+    drift_values,
     rank,
     redundancy_prune,
     shapley_global,
     shapley_local,
 )
 from driftscope.mining import MiningConfig, Subgroup, SubgroupCatalog
+from driftscope.sgmetrics import EncodedBatch, SubgroupStats, aggregate, build_point_matrix, membership
+from rowpath import make_drift_value_fn
 
 
 def catalog_from_itemsets(itemsets, n_items):
@@ -175,7 +178,7 @@ class TestRedundancyPrune:
 def _sort_key(report, catalog, j):
     d = report.delta_h[j]
     mag = -1.0 if np.isnan(d) else abs(float(d))
-    return (-float(report.t_values[j]), -mag, catalog.subgroup(j).item_ids)
+    return (-float(report.t_values[j]), -mag, j)
 
 
 def oracle_rank(report, catalog, top_k=None):
@@ -303,58 +306,48 @@ class TestExplainOracle:
         for k in (1, 2, 3):
             np.testing.assert_array_equal(cat.lattice(k), fresh.lattice(k))
 
-    def test_lex_ranks_order_itemsets(self):
-        rng = np.random.default_rng(63)
-        for _ in range(20):
-            cat = random_catalog(rng, closed=False)
-            lex = cat.lex_ranks()
-            by_items = sorted(range(len(cat)), key=lambda j: cat.subgroup(j).item_ids)
-            assert lex[by_items].tolist() == list(range(len(cat)))
+
+def local_shapley(items, value, n_items):
+    """``shapley_local`` of ``items`` with coalition values ``value`` (sorted
+    item tuple -> float), given as delta_h on the catalog of every subset of
+    ``items``."""
+    items = tuple(sorted(items))
+    closed = [sub for r in range(1, len(items) + 1) for sub in itertools.combinations(items, r)]
+    cat = catalog_from_itemsets(closed, n_items)
+    rep = report_with(cat, {}, value)
+    return shapley_local(int(cat.indices_of([items])[0]), rep, cat)
 
 
 class TestShapleyLocal:
     def test_single_item(self):
-        v = {frozenset(): 0.1, frozenset({7}): 0.5}
-        phi = shapley_local([7], lambda s: v[s])
+        v = {(): 0.1, (7,): 0.5}
+        phi = local_shapley([7], v, 8)
         assert abs(phi.values[7] - 0.4) <= 1e-15
 
     def test_symmetric_two_items(self):
-        vals = {
-            frozenset(): 0.0,
-            frozenset({0}): -0.2,
-            frozenset({1}): -0.2,
-            frozenset({0, 1}): -0.6,
-        }
-        phi = shapley_local([0, 1], lambda s: vals[s])
+        vals = {(): 0.0, (0,): -0.2, (1,): -0.2, (0, 1): -0.6}
+        phi = local_shapley([0, 1], vals, 2)
         assert abs(phi.values[0] + 0.3) <= 1e-15
         assert abs(phi.values[1] + 0.3) <= 1e-15
 
     def test_efficiency_random_four_items(self):
         rng = np.random.default_rng(100)
         for _ in range(20):
-            table = {
-                frozenset(s): float(rng.normal())
-                for r in range(5)
-                for s in itertools.combinations(range(4), r)
-            }
-            phi = shapley_local([0, 1, 2, 3], lambda s: table[s])
+            table = {s: float(rng.normal()) for r in range(5) for s in itertools.combinations(range(4), r)}
+            phi = local_shapley([0, 1, 2, 3], table, 4)
             total = sum(phi.values.values())
-            expect = table[frozenset({0, 1, 2, 3})] - table[frozenset()]
+            expect = table[(0, 1, 2, 3)] - table[()]
             assert abs(total - expect) <= 1e-12
 
     def test_null_player_gets_zero(self):
-        def v(s):
-            return 1.0 if 0 in s else 0.0  # item 9 never matters
-
-        phi = shapley_local([0, 9], v)
+        v = {(): 0.0, (0,): 1.0, (9,): 0.0, (0, 9): 1.0}  # item 9 never matters
+        phi = local_shapley([0, 9], v, 10)
         assert phi.values[9] == 0.0
         assert abs(phi.values[0] - 1.0) <= 1e-15
 
     def test_symmetry_interchangeable_items(self):
-        def v(s):
-            return float(len(s & {3, 5}) >= 1)
-
-        phi = shapley_local([3, 5], v)
+        v = {(): 0.0, (3,): 1.0, (5,): 1.0, (3, 5): 1.0}
+        phi = local_shapley([3, 5], v, 6)
         assert abs(phi.values[3] - phi.values[5]) <= 1e-15
 
     def test_matches_permutation_shapley(self):
@@ -366,15 +359,18 @@ class TestShapleyLocal:
                 for r in range(n + 1)
                 for sub in itertools.combinations(items, r)
             }
-            phi = shapley_local(items, lambda s: value[tuple(sorted(s))])
+            phi = local_shapley(items, value, 50)
             want = _permutation_shapley(items, value)
             assert phi.values.keys() == want.keys()
             for item in items:
                 assert abs(phi.values[item] - want[item]) <= 1e-12
 
     def test_too_many_items_rejected(self):
+        # only the global subgroup and the 13-itemset: the check comes first
+        cat = catalog_from_itemsets([tuple(range(13))], 13)
         with pytest.raises(ValueError, match="sampling"):
-            shapley_local(list(range(13)), lambda s: 0.0)
+            shapley_local(1, report_with(cat, {}), cat)
+        assert not cat._lattice
 
 
 class TestShapleyGlobal:
@@ -419,6 +415,23 @@ class TestShapleyGlobal:
         rep = report_with(catalog_from_itemsets([(0,)], 2), {(0,): 1.0})
         with pytest.raises(ValueError, match="report has 2 subgroups, catalog has 3"):
             shapley_global(rep, cat)
+        with pytest.raises(ValueError, match="report has 2 subgroups, catalog has 3"):
+            shapley_local(1, rep, cat)
+
+    def test_is_the_per_item_mean_of_shapley_local(self):
+        rng = np.random.default_rng(32)
+        for trial in range(40):
+            cat = random_catalog(rng, closed=True)
+            rep = random_report(rng, cat)
+            rep.mu_cur[:] = rep.mu_ref - rng.normal(size=len(cat))
+            local = {}
+            for j in range(len(cat)):
+                for item, phi in shapley_local(j, rep, cat).values.items():
+                    local.setdefault(item, []).append(phi)
+            got = shapley_global(rep, cat).values
+            assert sorted(got) == sorted(local), f"trial {trial}"
+            for item, phis in local.items():
+                assert abs(got[item] - np.mean(phis)) <= 1e-12, f"trial {trial} item {item}"
 
     def test_matches_mean_of_permutation_shapley_on_random_catalogs(self):
         rng = np.random.default_rng(31)
@@ -465,47 +478,33 @@ def _permutation_shapley(items, value):
     return {item: total / len(orders) for item, total in phi.items()}
 
 
-class TestDriftValueFn:
-    def _windows(self, cat, n_items):
-        import numpy as np
+def random_stats(rng, cat, n_items):
+    """The counts of a random window of 0 to 30 rows over ``cat``; some rows
+    have no outcome, so some subgroups or whole windows have no outcome."""
+    n = int(rng.integers(0, 31))
+    ids = [tuple(np.flatnonzero(rng.random(n_items) < 0.5).tolist()) for _ in range(n)]
+    outcome = rng.integers(0, 3, size=n)  # 0: alpha, 1: beta, 2: neither
+    alpha, beta = (outcome == 0).astype(np.int64), (outcome == 1).astype(np.int64)
+    batch = EncodedBatch(build_point_matrix(ids, n_items), alpha, beta)
+    return aggregate(batch, membership(batch, cat))
 
-        from driftscope.explain import make_drift_value_fn
-        from driftscope.sgmetrics import EncodedBatch, aggregate, build_point_matrix, membership
 
+class TestDriftValues:
+    def test_equals_the_count_based_oracle_bit_for_bit(self):
         rng = np.random.default_rng(0)
-        stats = {}
-        for name, p_correct in (("ref", 0.9), ("cur", 0.6)):
-            ids, alpha = [], []
-            for _ in range(300):
-                ids.append(tuple(np.flatnonzero(rng.random(n_items) < 0.5).tolist()))
-                alpha.append(int(rng.random() < p_correct))
-            alpha = np.array(alpha, dtype=np.int64)
-            batch = EncodedBatch(build_point_matrix(ids, n_items), alpha, 1 - alpha)
-            stats[name] = aggregate(batch, membership(batch, cat))
-        return make_drift_value_fn(cat, stats["ref"], stats["cur"]), stats
-
-    def test_cached_path_matches_stats(self):
-        cat = catalog_from_itemsets([(0,), (1,), (0, 1)], 3)
-        v, stats = self._windows(cat, 3)
-        j = cat.index_of((0, 1))
-        ar, br = stats["ref"].alpha_counts[j], stats["ref"].beta_counts[j]
-        ac, bc = stats["cur"].alpha_counts[j], stats["cur"].beta_counts[j]
-        want = ar / (ar + br) - ac / (ac + bc)
-        assert v(frozenset({0, 1})) == pytest.approx(want)
-
-    def test_unmined_itemset_raises_key_error(self):
-        cat = catalog_from_itemsets([(0,)], 3)
-        v, _ = self._windows(cat, 3)
-        with pytest.raises(KeyError, match=r"itemset \[0, 2\] is not mined"):
-            v(frozenset({0, 2}))
+        empty_sides = 0
+        for trial in range(240):
+            cat = random_catalog(rng, closed=trial % 2 == 0)
+            ref, cur = random_stats(rng, cat, cat.n_items), random_stats(rng, cat, cat.n_items)
+            v = make_drift_value_fn(cat, ref, cur)
+            want = np.array([v(frozenset(items)) for items in cat.items_of(np.arange(len(cat)))])
+            got = drift_values(score_windows(ref, cur))
+            assert got.tobytes() == want.tobytes(), f"trial {trial}"
+            empty_sides += int(((ref.alpha_counts + ref.beta_counts) == 0).any())
+            empty_sides += int(((cur.alpha_counts + cur.beta_counts) == 0).any())
+        assert empty_sides >= 100
 
     def test_undefined_h_falls_back_to_the_posterior_mean_gap(self):
-        from driftscope.explain import make_drift_value_fn
-        from driftscope.sgmetrics import SubgroupStats
-
-        cat = catalog_from_itemsets([(0,)], 1)
         ref = SubgroupStats(np.array([8, 3]), np.array([2, 1]), 10)
         cur = SubgroupStats(np.array([5, 0]), np.array([5, 0]), 10)  # {0} has no outcome in cur
-        v = make_drift_value_fn(cat, ref, cur)
-        assert v(frozenset()) == pytest.approx(0.8 - 0.5)
-        assert v(frozenset({0})) == pytest.approx(4 / 6 - 1 / 2)
+        assert drift_values(score_windows(ref, cur)) == pytest.approx([0.8 - 0.5, 4 / 6 - 1 / 2])

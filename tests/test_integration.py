@@ -13,10 +13,11 @@ import pytest
 
 from driftscope.catalog import ColumnData, build_catalog
 from driftscope.detector import MonitorState, WindowConfig, score_windows, step
-from driftscope.explain import make_drift_value_fn, rank, redundancy_prune, shapley_local
+from driftscope.explain import rank, redundancy_prune, shapley_local
 from driftscope.mining import MiningConfig, mine_frequent
 from driftscope.sgmetrics import EncodedBatch, aggregate, build_point_matrix, membership, merge
 from driftscope.streams import DriftSchedule, _even_bounds, _inject_flips_columns, _target_cover
+from rowpath import make_drift_value_fn
 
 
 def make_rows(n, rng):
@@ -44,7 +45,8 @@ def test_injected_subgroup_is_detected_and_ranked_first():
 
     target = (catalog.id_of("city", "south"), catalog.id_of("plan", "basic"))
     target = tuple(sorted(target))
-    assert sgcat.index_of(target) is not None
+    target_index = int(sgcat.indices_of([target])[0])
+    assert target_index >= 0
 
     # 15 batches of 200; labels flip inside the target subgroup from batch 6
     stream = [make_rows(200, rng) for _ in range(15)]
@@ -86,9 +88,10 @@ def test_injected_subgroup_is_detected_and_ranked_first():
     )
 
     # attribution: both target items contribute, and the drift they explain
-    # together equals the subgroup's divergence (efficiency)
+    # together equals the subgroup's divergence (efficiency), recounted from
+    # the window counts
     value_fn = make_drift_value_fn(sgcat, monitor.reference_stats, monitor.current_stats())
-    phi = shapley_local(target, value_fn)
+    phi = shapley_local(target_index, final, sgcat)
     total = sum(phi.values.values())
     assert abs(total - (value_fn(frozenset(target)) - value_fn(frozenset()))) < 1e-12
     assert value_fn(frozenset(target)) > 0.3  # large accuracy divergence

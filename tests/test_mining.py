@@ -92,13 +92,14 @@ def test_structural_attribute_exclusion_equals_support_filter():
     ]
 
 
-def test_catalog_round_trip_and_index_of():
+def test_catalog_round_trip_and_indices_of():
     tx = [(0, 1), (0, 1), (0, 2), (1,)]
     cat = _mine(tx, 0.5, 2)
     clone = SubgroupCatalog.from_dict(json.loads(json.dumps(cat.to_dict())))
     assert [sg.item_ids for sg in clone.subgroups] == [sg.item_ids for sg in cat.subgroups]
-    assert clone.index_of((1, 0)) == cat.index_of((0, 1))
-    assert clone.index_of((5,)) is None
+    j = cat.indices_of([(0, 1)])[0]
+    assert j >= 0 and clone.indices_of([(0, 1)])[0] == j
+    assert clone.indices_of([(5,)])[0] == -1
 
 
 def _catalog(itemsets, n_items):
@@ -155,10 +156,6 @@ def test_indices_of_matches_brute_force_dict():
             rows = [q for q in queries if len(q) == k]
             got = cat.indices_of(np.array(rows, dtype=np.int64).reshape(len(rows), k))
             assert got.tolist() == [truth.get(q, -1) for q in rows], f"trial {trial} k={k}"
-        for q in queries:
-            shuffled = list(q)
-            rng.shuffle(shuffled)
-            assert cat.index_of(shuffled) == truth.get(q), f"trial {trial} {q}"
 
 
 def test_length_tables_cover_each_subgroup_once():
@@ -241,8 +238,8 @@ def test_array_miner_edge_cases_match_loop_miner():
     # a count exactly at min_support * n is frequent: 3 of 20 rows at 0.15
     tx = [(0, 1, 2)] * 3 + [(0,), (1,), (2,)] * 5 + [()] * 2
     cat = _check_against_loop(build_point_matrix(tx, 3), MiningConfig(0.15, 3))
-    assert cat.index_of((0, 1, 2)) is not None
-    assert _check_against_loop(build_point_matrix(tx, 3), MiningConfig(0.16, 3)).index_of((0, 1)) is None
+    assert cat.indices_of([(0, 1, 2)])[0] >= 0
+    assert _check_against_loop(build_point_matrix(tx, 3), MiningConfig(0.16, 3)).indices_of([(0, 1)])[0] == -1
     # no frequent item: only the global subgroup
     _, P = _random_points(rng, 50, 6, 0.05)
     cat = _check_against_loop(P, MiningConfig(0.9, 4))

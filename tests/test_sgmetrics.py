@@ -243,7 +243,7 @@ class TestAggregate:
         batch = make_batch([(0,)] * 4, [1, 1, 1, 0], [0, 0, 0, 1], n_items=1)
         M = membership(batch, catalog)
         stats = aggregate(batch, M)
-        j = catalog.index_of((0,))
+        j = catalog.indices_of([(0,)])[0]
         assert stats.alpha_counts[j] == 3
         assert stats.beta_counts[j] == 1
 
@@ -251,7 +251,7 @@ class TestAggregate:
         catalog = make_catalog([(0,), (1,)], n_items=2)
         batch = make_batch([(0,)] * 3, [1, 0, 1], [0, 1, 0], n_items=2)
         stats = aggregate(batch, membership(batch, catalog))
-        j = catalog.index_of((1,))
+        j = catalog.indices_of([(1,)])[0]
         assert stats.alpha_counts[j] == 0 and stats.beta_counts[j] == 0
 
     def test_global_equals_column_sums(self):
