@@ -185,8 +185,9 @@ def _text(raw: object) -> str | None:
 class ItemCatalog:
     """Immutable bidirectional map between attribute=value items and dense ids.
 
-    Build with :func:`build_catalog`; after that the catalog never changes, so
-    any number of workers may encode concurrently.
+    ``items`` lists the items in id order (item i has id i), so an id is read
+    as a position. Build with :func:`build_catalog`; after that the catalog
+    never changes, so any number of workers may encode concurrently.
     """
 
     def __init__(self, items: Sequence[Item], discretizers: Mapping[str, _Discretizer]):
@@ -197,8 +198,11 @@ class ItemCatalog:
         }
         if len(self._by_key) != len(self.items):
             raise ValueError("duplicate (attribute, value) pair in catalog")
-        if sorted(it.id for it in self.items) != list(range(len(self.items))):
-            raise ValueError("item ids must be a bijection onto 0..n_items-1")
+        misplaced = next((i for i, it in enumerate(self.items) if it.id != i), None)
+        if misplaced is not None:
+            raise ValueError(
+                f"item {misplaced} has id {self.items[misplaced].id}; items must be listed in id order"
+            )
         # per attribute, the value -> item id dict of a categorical one, or a
         # quantile one's (lo, hi, edges, item id of each bin or None); an
         # outcome or batch column is _RESERVED, whatever the discretizers say.
@@ -228,10 +232,7 @@ class ItemCatalog:
 
     def item_attributes(self) -> list[str]:
         """Attribute name of each item, indexed by item id."""
-        out = [""] * self.n_items
-        for it in self.items:
-            out[it.id] = it.attribute
-        return out
+        return [it.attribute for it in self.items]
 
     def id_of(self, attribute: str, value: str) -> int | None:
         return self._by_key.get((attribute, value))
@@ -519,8 +520,7 @@ class ColumnData:
                     self.numeric[a] = np.array(col, dtype=np.float64)  # None -> NaN
                     continue
                 col = _factorize(col)
-            text = ["" if v is None else (v if isinstance(v, str) else str(v)).strip() for v in col.values]
-            text = ["" if t in MISSING_VALUES else t for t in text]
+            text = ["" if t is None else t for t in map(_text, col.values)]
             numbers = None if a in categorical else _floats(text)
             if numbers is not None:
                 self.numeric[a] = numbers[col.codes]
@@ -640,9 +640,10 @@ class ColumnData:
 _BIT_TEXTS = {"0": 0, "1": 1}
 
 
-def _bit(row: Mapping[str, object], col: str, row_num: int) -> int:
-    """The 0/1 outcome indicator in column ``col`` of a row."""
-    value = row.get(col)
+def _bit(value: object, col: str, row_num: int) -> int:
+    """The 0/1 outcome indicator ``value``, read from column ``col`` of row
+    ``row_num`` (None when the row lacks it): a value whose
+    ``float(str(value))`` is 0 or 1."""
     try:
         return _BIT_TEXTS[value]  # type: ignore[index]
     except (KeyError, TypeError):  # any other value, or an unhashable one
@@ -674,11 +675,11 @@ class MetricSpec:
 
     def outcome(self, row: Mapping[str, object], row_num: int) -> tuple[int, int]:
         if self.kind == "explicit":
-            a, b = _bit(row, "alpha", row_num), _bit(row, "beta", row_num)
+            a, b = _bit(row.get("alpha"), "alpha", row_num), _bit(row.get("beta"), "beta", row_num)
             if a + b > 1:
                 raise DataError(f"row {row_num}: alpha + beta > 1")
             return a, b
-        y, y_hat = _bit(row, "y", row_num), _bit(row, "y_hat", row_num)
+        y, y_hat = _bit(row.get("y"), "y", row_num), _bit(row.get("y_hat"), "y_hat", row_num)
         if self.kind == "accuracy":
             return (1, 0) if y == y_hat else (0, 1)
         if self.kind == "false_positive_rate":

@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -26,6 +27,7 @@ from .catalog import (
     DataError,
     ItemCatalog,
     MetricSpec,
+    _bit,
     _is_jsonl,
     atomic_open,
     build_catalog,  # not called here; perfbench/instrument.py traces cli.build_catalog
@@ -80,6 +82,20 @@ def _positive_int(value: str) -> int:
     x = int(value)
     if x < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
+    return x
+
+
+def _non_negative_int(value: str) -> int:
+    x = int(value)
+    if x < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value}")
+    return x
+
+
+def _finite_non_negative(value: str) -> float:
+    x = float(value)
+    if not 0.0 <= x < math.inf:  # NaN fails both tests
+        raise argparse.ArgumentTypeError(f"expected a finite value >= 0, got {value}")
     return x
 
 
@@ -254,9 +270,8 @@ def _cmd_monitor(args) -> int:
         lines.append(writer.line(report))
         if args.format == "csv" and not report.warming_up:
             rows = json.loads(lines[-1])["subgroups"]
-            for row in rows:
-                if row["items"] != "(global)":
-                    row["items"] = ",".join(catalog.label_of(int(i)) for i in row["items"].split(","))
+            for row, sg in zip(rows, sgcat.subgroups_at([row["subgroup_id"] for row in rows])):
+                row["items"] = sg.label(catalog)
             _atomic_write(out_dir / f"batch_{b + 1:04d}.csv", _csv_text(rows, csv_columns))
         if report.global_drift:
             log.info("batch %d: drift (max t = %.2f)", b + 1, report.max_t())
@@ -328,23 +343,14 @@ def _parse_subgroup(spec: str, attributes) -> list[str]:
 
 
 def _binary_labels(labels: Column) -> np.ndarray:
-    """The label column ``y`` as 0/1 ints, parsed once per distinct value; a
-    DataError names the first row whose label is not an integer, or not 0
-    or 1."""
-    y = []
-    for code, v in enumerate(labels.values):
-        try:
-            label = float(str(v))
-        except ValueError:
-            label = np.nan
-        if not (label.is_integer() and label in (0.0, 1.0)):
-            # values are in first-seen order, so this one's first row is the first bad row
-            row = int(np.argmax(labels.codes == code)) + 1
-            if not label.is_integer():
-                raise DataError(f"row {row}: no integer label in column 'y' (got {v!r})")
-            raise DataError(f"row {row}: label flipping requires binary labels, got y={v!r}")
-        y.append(int(label))
-    return np.array(y, dtype=np.int64)[labels.codes]
+    """The label column ``y`` as 0/1 ints, read by the outcome rule once per
+    distinct value at its first row; values are in first-seen order, so the
+    DataError of the first value that is not 0 or 1 names the first such row."""
+    codes, first = np.unique(labels.codes, return_index=True)
+    y = np.zeros(len(labels.values), dtype=np.int64)
+    for code, row in zip(codes.tolist(), first.tolist()):
+        y[code] = _bit(labels.values[code], "y", row + 1)
+    return y[labels.codes]
 
 
 def _cmd_inject(args) -> int:
@@ -607,7 +613,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=_positive_int, default=5)
     p.add_argument("--tau-t", type=float, default=5.0)
     p.add_argument("--batch-size", type=_positive_int, default=200)
-    p.add_argument("--min-count", type=int, default=0)
+    p.add_argument("--min-count", type=_non_negative_int, default=0)
     p.add_argument("--top-k", type=_positive_int, default=100)
     p.add_argument("--metric", choices=["accuracy", "false_positive_rate", "explicit"], default="accuracy")
     p.add_argument("--format", choices=["jsonl", "csv"], default="jsonl")
@@ -623,7 +629,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train-size", type=_positive_int, default=5000)
     p.add_argument("--n-batches", type=_positive_int, default=50)
     p.add_argument("--batch-size", type=_positive_int, default=200)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--train-out")
     p.set_defaults(func=_cmd_gen)
@@ -633,11 +639,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--catalog", required=True)
     p.add_argument("--subgroup", required=True, help='e.g. "sex=Female,workclass=Private"')
     p.add_argument("--p-max", type=_unit_interval, required=True)
-    p.add_argument("--normal", type=int, default=10)
-    p.add_argument("--transition", type=int, default=10)
-    p.add_argument("--drift", type=int, default=10)
+    p.add_argument("--normal", type=_non_negative_int, default=10)
+    p.add_argument("--transition", type=_non_negative_int, default=10)
+    p.add_argument("--drift", type=_non_negative_int, default=10)
     p.add_argument("--ramp", choices=["linear", "sigmoid"], default="linear")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--mask", required=True)
     p.set_defaults(func=_cmd_inject)
@@ -662,7 +668,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="surrogate dataset size (ignored for file data)")
     p.add_argument("--window", type=_positive_int, default=5)
     p.add_argument("--baselines", help="comma-separated detector kinds")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--threads", type=_positive_int, default=1)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_eval)
@@ -670,7 +676,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="rank, prune, and export drifting subgroups")
     p.add_argument("--reports", required=True, help="reports dir or reports.jsonl path")
     p.add_argument("--catalog", required=True)
-    p.add_argument("--prune-t", type=float, default=0.0)
+    p.add_argument("--prune-t", type=_finite_non_negative, default=0.0)
     p.add_argument("--top", type=_positive_int, default=20)
     p.add_argument("--format", choices=["csv", "md"], default="md")
     p.add_argument("--shapley", action="store_true",

@@ -166,8 +166,8 @@ class ReportWriter:
         if new:
             supports = self.catalog.supports()[new].tolist()
             for j, items, s in zip(new, self.catalog.items_of(new), supports):
-                # the label is digits and commas or "(global)", as Subgroup.label(),
-                # so json.dumps escapes nothing in it
+                # the label is digits and commas or "(global)", so json.dumps
+                # escapes nothing in it
                 label = ",".join(map(str, items)) or "(global)"
                 fixed[j] = json.dumps({"items": label, "subgroup_id": j, "support": s}, sort_keys=True)[1:-1]
         return [fixed[j] for j in indices]

@@ -49,15 +49,10 @@ class Subgroup:
     count: int
     index: int
 
-    def __len__(self) -> int:
-        return len(self.item_ids)
-
-    def label(self, catalog=None) -> str:
-        if not self.item_ids:
-            return "(global)"
-        if catalog is None:
-            return ",".join(str(i) for i in self.item_ids)
-        return ",".join(catalog.label_of(i) for i in self.item_ids)
+    def label(self, catalog) -> str:
+        """The subgroup's items as ``catalog`` labels them, comma-joined, or
+        "(global)"."""
+        return ",".join(map(catalog.label_of, self.item_ids)) or "(global)"
 
 
 class SubgroupCatalog:
@@ -75,44 +70,21 @@ class SubgroupCatalog:
 
     def __init__(
         self,
-        subgroups: Sequence[Subgroup],
-        n_items: int,
-        config: MiningConfig,
-    ):
-        subgroups = tuple(subgroups)
-        self._set_tables(
-            _length_tables([sg.item_ids for sg in subgroups]),
-            np.array([sg.support for sg in subgroups], dtype=np.float64),
-            np.array([sg.count for sg in subgroups], dtype=np.int64),
-            n_items,
-            config,
-        )
-        self._subgroups = subgroups
-
-    @classmethod
-    def from_tables(
-        cls,
         tables: Sequence[tuple[np.ndarray, np.ndarray]],
         support: np.ndarray,
         count: np.ndarray,
         n_items: int,
         config: MiningConfig,
-    ) -> "SubgroupCatalog":
+    ):
         """The catalog of ``len(support)`` subgroups given as per-length
         ``(indices, items)`` tables (lengths ascending, rows in any order),
         where index 0 is the global subgroup and every other index occurs in
         exactly one table; ``support`` and ``count`` are indexed densely."""
-        cat = cls.__new__(cls)
-        cat._set_tables(tables, support, count, n_items, config)
-        return cat
-
-    def _set_tables(self, tables, support, count, n_items: int, config: MiningConfig) -> None:
         self.n_items = n_items
         self.config = config
         self._support = np.array(support, dtype=np.float64)
         self._support.flags.writeable = False
         self._count = np.asarray(count, dtype=np.int64)
-        self._subgroups: tuple[Subgroup, ...] | None = None
         # per dense index: itemset length and row in that length's table
         self._length = np.zeros(len(self._support), dtype=np.intp)
         self._row = np.zeros(len(self._support), dtype=np.intp)
@@ -151,10 +123,8 @@ class SubgroupCatalog:
 
     @property
     def subgroups(self) -> tuple[Subgroup, ...]:
-        """Every subgroup in dense order, built on first use."""
-        if self._subgroups is None:
-            self._subgroups = tuple(self.subgroups_at(np.arange(len(self))))
-        return self._subgroups
+        """Every subgroup in dense order, built on each call."""
+        return tuple(self.subgroups_at(np.arange(len(self))))
 
     def subgroup(self, j: int) -> Subgroup:
         """Subgroup ``j``, read from the tables without building the others."""
@@ -164,8 +134,6 @@ class SubgroupCatalog:
         """The subgroups at ``indices``, read from the tables (one gather per
         itemset length) without building the others."""
         indices = np.asarray(indices, dtype=np.intp)
-        if self._subgroups is not None:
-            return [self._subgroups[j] for j in indices.tolist()]
         return [
             Subgroup(tuple(items), s, c, j)
             for j, items, s, c in zip(
@@ -271,7 +239,7 @@ class SubgroupCatalog:
         config = MiningConfig(min_support=float(d["min_support"]), max_len=int(d["max_len"]))
         entries = d["subgroups"]
         n = len(entries)
-        return cls.from_tables(
+        return cls(
             _length_tables([e["items"] for e in entries]),
             np.fromiter((e["support"] for e in entries), dtype=np.float64, count=n),
             np.fromiter((e["count"] for e in entries), dtype=np.int64, count=n),
@@ -432,7 +400,7 @@ def _catalog_of_levels(levels, n_rows: int, n_items: int, config: MiningConfig) 
     tables = [(dense[lo : lo + len(sets)], sets) for (sets, _), lo in zip(levels, offsets)]
     for (idx, _), (_, c) in zip(tables, levels):
         count[idx] = c
-    return SubgroupCatalog.from_tables(tables, count / n_rows, count, n_items, config)
+    return SubgroupCatalog(tables, count / n_rows, count, n_items, config)
 
 
 def _lexicographic_ranks(sets: Sequence[np.ndarray]) -> np.ndarray:

@@ -489,7 +489,7 @@ def report_rows(report, catalog, indices=None):
         out.append(
             {
                 "subgroup_id": j,
-                "items": ",".join(map(str, items)) or "(global)",  # as Subgroup.label()
+                "items": ",".join(map(str, items)) or "(global)",
                 "support": s,
                 "h_ref": h_ref,
                 "h_cur": h_cur,

@@ -25,7 +25,7 @@ from driftscope.evaluation import (
     timing_bench,
 )
 from driftscope.explain import rank, redundancy_prune, shapley_local
-from driftscope.mining import MiningConfig, Subgroup, SubgroupCatalog, mine_frequent
+from driftscope.mining import MiningConfig, SubgroupCatalog, mine_frequent
 from driftscope.sgmetrics import EncodedBatch, build_point_matrix, membership
 from driftscope.streams import fit_tree
 from rowpath import brute_force_frequent, make_drift_value_fn
@@ -86,10 +86,12 @@ def test_criterion_1_membership_oracle():
     while len(itemsets) < n_subgroups:
         size = int(rng.integers(1, 5))
         itemsets.add(tuple(sorted(rng.choice(n_items, size, replace=False).tolist())))
-    subgroups = [Subgroup((), 1.0, n_instances, 0)]
-    for k, items in enumerate(sorted(itemsets), start=1):
-        subgroups.append(Subgroup(items, 0.5, 1, k))
-    catalog = SubgroupCatalog(subgroups, n_items, MiningConfig(0.01, 7))
+    subgroups = [{"items": [], "support": 1.0, "count": n_instances}]
+    for items in sorted(itemsets):
+        subgroups.append({"items": list(items), "support": 0.5, "count": 1})
+    catalog = SubgroupCatalog.from_dict(
+        {"n_items": n_items, "min_support": 0.01, "max_len": 7, "subgroups": subgroups}
+    )
     instances = [
         tuple(np.flatnonzero(rng.random(n_items) < 0.3).tolist()) for _ in range(n_instances)
     ]

@@ -125,6 +125,13 @@ def test_catalog_json_round_trip():
         assert cat.encode(rec) == clone.encode(rec)
 
 
+def test_items_must_be_listed_in_id_order():
+    # label_of reads an item by its position, so a position must be its id
+    cat = build_catalog([{"g": ["m", "f"][i % 2]} for i in range(10)])
+    with pytest.raises(ValueError, match="item 0 has id 1; items must be listed in id order"):
+        ItemCatalog(cat.items[::-1], cat.discretizers)
+
+
 class TestIngestOutcomes:
     """Outcome rules of :class:`MetricSpec`, and ``monitor``'s ingest of a file."""
 

@@ -269,9 +269,9 @@ def test_bad_subgroup_item_exits_two(tmp_path):
 
 @pytest.mark.parametrize(
     "labels, message",
-    [(None, "row 1: no integer label in column 'y' (got None)"),
-     (["1", "0", "yes"], "row 3: no integer label in column 'y' (got 'yes')"),
-     (["1", "1e300", "yes"], "row 2: label flipping requires binary labels, got y='1e300'")],
+    [(None, "row 1: column 'y' is not a 0/1 value"),
+     (["1", "0", "yes"], "row 3: column 'y' is not a 0/1 value"),
+     (["1", "1e300", "yes"], "row 2: column 'y' must be 0 or 1, got '1e300'")],
 )
 def test_inject_needs_an_integer_label_column(tmp_path, caplog, labels, message):
     rng = np.random.default_rng(4)
@@ -399,8 +399,8 @@ def test_inject_of_typed_jsonl_labels_in_blocks_matches_the_record_path(tmp_path
 
 @pytest.mark.parametrize(
     "label, message",
-    [("yes", "row 8: no integer label in column 'y' (got 'yes')"),
-     (2, "row 8: label flipping requires binary labels, got y=2")],
+    [("yes", "row 8: column 'y' is not a 0/1 value"),
+     (2, "row 8: column 'y' must be 0 or 1, got 2")],
 )
 def test_inject_names_a_bad_label_in_a_later_block_by_its_row(tmp_path, caplog, monkeypatch, label, message):
     monkeypatch.setattr(catalog, "BLOCK", 3)
@@ -726,6 +726,38 @@ def test_a_malformed_json_file_exits_two_naming_the_file(tmp_path, caplog, capsy
     assert "Traceback" not in caplog.text + capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["report", "monitor", "inject"])
+def test_an_artifact_listing_items_out_of_id_order_exits_two_naming_the_file(tmp_path, caplog, capsys, command):
+    # ids intact, positions reversed: labels read by position would name the wrong items
+    src, catalog_path, reports_dir = _mined_and_monitored(tmp_path)
+    artifact = json.loads(catalog_path.read_text())
+    items = artifact["item_catalog"]["items"]
+    items.reverse()
+    catalog_path.write_text(json.dumps(artifact))
+    out, mask = tmp_path / "out", tmp_path / "mask.csv"
+    args = {
+        "report": ["--reports", reports_dir, "--catalog", catalog_path, "--out", out],
+        "monitor": ["--catalog", catalog_path, "--input", src, "--format", "csv", "--out", out],
+        "inject": [
+            "--input", src, "--catalog", catalog_path, "--subgroup", "color=red", "--p-max", "0.5",
+            "--out", out, "--mask", mask,
+        ],
+    }[command]
+    assert run_cli(command, *args) == 2
+    message = f"item 0 has id {len(items) - 1}; items must be listed in id order"
+    assert f"catalog artifact {catalog_path}: malformed: {message}" in caplog.text
+    assert "Traceback" not in caplog.text + capsys.readouterr().err
+    assert not out.exists() and not mask.exists()
+
+
+@pytest.mark.parametrize("prune_t", ["0", "2.5"])
+def test_report_prune_t_takes_a_finite_value_from_zero(tmp_path, prune_t):
+    _, catalog_path, reports_dir = _mined_and_monitored(tmp_path)
+    out = tmp_path / "r.md"
+    assert run_cli("report", "--reports", reports_dir, "--catalog", catalog_path, "--prune-t", prune_t, "--out", out) == 0
+    assert json.loads((tmp_path / "r.md.manifest.json").read_text())["config"]["prune_t"] == float(prune_t)
+
+
 def test_report_state_for_another_catalog_exits_two(tmp_path, caplog):
     _, catalog_path, reports_dir = _mined_and_monitored(tmp_path)
     _edit_artifact(catalog_path, lambda sgs: sgs.pop())
@@ -971,13 +1003,18 @@ def test_eval_rejects_an_unknown_baseline_before_any_work(tmp_path, caplog, monk
         ("gen", "--concepts", "a,b", "expected two comma-separated integers, e.g. 0,2, got a,b"),
         ("gen", "--concepts", "0,1,2", "expected two comma-separated integers, e.g. 0,2, got 0,1,2"),
         *(("bench", "--delta", v, f"expected a value in (0, 1), got {v}") for v in ("0", "-1", "1", "nan", "inf")),
+        *(("report", "--prune-t", v, f"expected a finite value >= 0, got {v}") for v in ("nan", "-1", "inf", "-inf")),
+        *((c, "--seed", "-1", "expected a non-negative integer, got -1") for c in ("gen", "inject", "eval")),
+        *(("inject", f, "-1", "expected a non-negative integer, got -1") for f in ("--normal", "--transition", "--drift")),
+        ("monitor", "--min-count", "-3", "expected a non-negative integer, got -3"),
     ],
 )
 def test_flag_value_is_a_usage_error_before_any_work(tmp_path, capsys, monkeypatch, command, flag, value, message):
     def never(*args, **kwargs):
         raise AssertionError("work started before the flags were checked")
 
-    monkeypatch.setattr(cli, "resolve_tabular", never)
+    for name in ("resolve_tabular", "_load_artifact", "read_columns"):
+        monkeypatch.setattr(cli, name, never)
     for name in ("run_injection_suite", "run_concept_suite", "timing_bench"):
         monkeypatch.setattr(evaluation, name, never)
     out = tmp_path / "out.csv"
@@ -985,8 +1022,15 @@ def test_flag_value_is_a_usage_error_before_any_work(tmp_path, capsys, monkeypat
         "eval": ["eval", "--suite", "inject", "--data", "surrogate", "--rows", "4000", "--out", out],
         "gen": ["gen", "--dataset", "sea", "--out", out],
         "bench": ["bench", "--detector", "adwin", "--input", out],
+        "report": ["report", "--reports", out, "--catalog", out, "--out", out],
+        "inject": [
+            "inject", "--input", out, "--catalog", out, "--subgroup", "a=b", "--p-max", "0.5",
+            "--out", out, "--mask", out,
+        ],
+        "monitor": ["monitor", "--catalog", out, "--input", out, "--out", out],
     }[command]
-    assert run_cli(*args, flag, value) == 1
+    # one argument, so that a value such as -inf is not read as a flag
+    assert run_cli(*args, f"{flag}={value}") == 1
     assert f"driftscope {command}: error: argument {flag}: {message}" in capsys.readouterr().err
     assert not out.exists()
 

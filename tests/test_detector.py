@@ -18,7 +18,7 @@ from driftscope.detector import (
     welch_t,
 )
 from driftscope.catalog import DataError
-from driftscope.mining import MiningConfig, Subgroup, SubgroupCatalog
+from driftscope.mining import SubgroupCatalog
 from driftscope.sgmetrics import SubgroupStats, merge
 
 
@@ -101,10 +101,10 @@ class TestScoreWindows:
 
 
 def tiny_catalog(n_extra=1):
-    sgs = [Subgroup((), 1.0, 10, 0)]
+    sgs = [{"items": [], "support": 1.0, "count": 10}]
     for k in range(n_extra):
-        sgs.append(Subgroup((k,), 0.5, 5, k + 1))
-    return SubgroupCatalog(sgs, n_extra, MiningConfig(0.01, 3))
+        sgs.append({"items": [k], "support": 0.5, "count": 5})
+    return SubgroupCatalog.from_dict({"n_items": n_extra, "min_support": 0.01, "max_len": 3, "subgroups": sgs})
 
 
 def stats_of(pairs):
@@ -374,8 +374,8 @@ def _writer_catalog(n_items=6, seed=3):
     rng = np.random.default_rng(seed)
     sets = [(), *((i,) for i in range(n_items)), *combinations(range(n_items), 2)]
     supports = [1.0, *rng.random(len(sets) - 1).tolist()]
-    sgs = [Subgroup(s, sup, int(sup * 1000), j) for j, (s, sup) in enumerate(zip(sets, supports))]
-    return SubgroupCatalog(sgs, n_items, MiningConfig(0.01, 2))
+    sgs = [{"items": list(s), "support": sup, "count": int(sup * 1000)} for s, sup in zip(sets, supports)]
+    return SubgroupCatalog.from_dict({"n_items": n_items, "min_support": 0.01, "max_len": 2, "subgroups": sgs})
 
 
 def _random_report(rng, n, batch_id):

@@ -15,16 +15,16 @@ from driftscope.explain import (
     shapley_global,
     shapley_local,
 )
-from driftscope.mining import MiningConfig, Subgroup, SubgroupCatalog
+from driftscope.mining import SubgroupCatalog
 from driftscope.sgmetrics import EncodedBatch, SubgroupStats, aggregate, build_point_matrix, membership
 from rowpath import make_drift_value_fn
 
 
 def catalog_from_itemsets(itemsets, n_items):
-    sgs = [Subgroup((), 1.0, 10, 0)]
-    for k, items in enumerate(sorted(itemsets), start=1):
-        sgs.append(Subgroup(tuple(sorted(items)), 0.5, 5, k))
-    return SubgroupCatalog(sgs, n_items, MiningConfig(0.01, 7))
+    sgs = [{"items": [], "support": 1.0, "count": 10}]
+    for items in sorted(itemsets):
+        sgs.append({"items": sorted(items), "support": 0.5, "count": 5})
+    return SubgroupCatalog.from_dict({"n_items": n_items, "min_support": 0.01, "max_len": 7, "subgroups": sgs})
 
 
 def report_with(catalog, t_by_items, delta_by_items=None):
@@ -186,7 +186,7 @@ def oracle_rank(report, catalog, top_k=None):
 
 
 def oracle_prune(order, report, catalog, t_threshold):
-    by_length = sorted(order, key=lambda j: (len(catalog.subgroup(j)),) + _sort_key(report, catalog, j))
+    by_length = sorted(order, key=lambda j: (len(catalog.subgroup(j).item_ids),) + _sort_key(report, catalog, j))
     survivors = []
     for j in by_length:
         items = frozenset(catalog.subgroup(j).item_ids)
@@ -216,10 +216,9 @@ def random_catalog(rng, closed):
             )
     itemsets = sorted(itemsets)
     rng.shuffle(itemsets)
-    sgs = [Subgroup((), 1.0, 10, 0)] + [
-        Subgroup(items, 0.5, 5, j) for j, items in enumerate(itemsets, start=1)
-    ]
-    return SubgroupCatalog(sgs, n_items, MiningConfig(0.01, 7))
+    sgs = [{"items": [], "support": 1.0, "count": 10}]
+    sgs += [{"items": list(items), "support": 0.5, "count": 5} for items in itemsets]
+    return SubgroupCatalog.from_dict({"n_items": n_items, "min_support": 0.01, "max_len": 7, "subgroups": sgs})
 
 
 def random_report(rng, cat):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from driftscope.mining import MiningConfig, Subgroup, SubgroupCatalog, mine_frequent
+from driftscope.mining import MiningConfig, SubgroupCatalog, mine_frequent
 from driftscope.sgmetrics import build_point_matrix
 from rowpath import brute_force_frequent
 
@@ -103,9 +103,9 @@ def test_catalog_round_trip_and_indices_of():
 
 
 def _catalog(itemsets, n_items):
-    sgs = [Subgroup((), 1.0, 10, 0)]
-    sgs += [Subgroup(tuple(items), 0.5, 5, j) for j, items in enumerate(itemsets, start=1)]
-    return SubgroupCatalog(sgs, n_items, MiningConfig(0.01, 7))
+    sgs = [{"items": [], "support": 1.0, "count": 10}]
+    sgs += [{"items": list(items), "support": 0.5, "count": 5} for items in itemsets]
+    return SubgroupCatalog.from_dict({"n_items": n_items, "min_support": 0.01, "max_len": 7, "subgroups": sgs})
 
 
 class TestCatalogValidation:
@@ -263,9 +263,6 @@ def test_catalog_round_trip_keeps_tables_supports_and_counts():
         assert np.array_equal(i1, i2) and np.array_equal(t1, t2)
     assert np.array_equal(clone.supports(), cat.supports())
     assert [sg.count for sg in clone.subgroups] == [sg.count for sg in cat.subgroups]
-    # the object constructor agrees with the array one, and one subgroup read
-    # from the tables equals the one of the full list
-    rebuilt = SubgroupCatalog(cat.subgroups, cat.n_items, cat.config)
-    assert rebuilt.to_dict() == cat.to_dict()
+    # one subgroup read from the tables equals the one of the full list
     fresh = SubgroupCatalog.from_dict(cat.to_dict())
     assert [fresh.subgroup(j) for j in range(len(fresh))] == list(cat.subgroups)

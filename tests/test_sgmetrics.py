@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftscope.mining import MiningConfig, Subgroup, SubgroupCatalog
+from driftscope.mining import SubgroupCatalog
 from driftscope.sgmetrics import (
     EncodedBatch,
     SubgroupStats,
@@ -16,10 +16,10 @@ from driftscope.sgmetrics import (
 
 
 def make_catalog(itemsets, n_items):
-    sgs = [Subgroup((), 1.0, 1, 0)]
-    for k, items in enumerate(sorted(itemsets), start=1):
-        sgs.append(Subgroup(tuple(sorted(items)), 0.5, 1, k))
-    return SubgroupCatalog(sgs, n_items, MiningConfig(0.01, 7))
+    sgs = [{"items": [], "support": 1.0, "count": 1}]
+    for items in sorted(itemsets):
+        sgs.append({"items": sorted(items), "support": 0.5, "count": 1})
+    return SubgroupCatalog.from_dict({"n_items": n_items, "min_support": 0.01, "max_len": 7, "subgroups": sgs})
 
 
 def make_batch(instance_itemsets, alpha, beta, n_items):
