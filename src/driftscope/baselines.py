@@ -19,7 +19,7 @@ Implemented from the original publications:
     with the exact equal-size p-value of Gnedenko & Korolyuk (1951).
   - Chi-squared / Fisher's Exact Test: 2x2 contingency (correct/incorrect x
     reference/current window); chi2 falls back to FET when any expected cell
-    is below 5.
+    is below 5. Both test the integer counts exactly.
 """
 
 from __future__ import annotations
@@ -53,8 +53,6 @@ __all__ = [
 NO_DRIFT = "no_drift"
 WARNING = "warning"
 DRIFT = "drift"
-
-DETECTOR_KINDS = ("ddm", "hddm_a", "page_hinkley", "adwin", "kswin", "chi2", "fet")
 
 
 class BaselineDetector:
@@ -364,26 +362,18 @@ def ks_two_sample(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]
     return h / n, min(max(2.0 * p, 0.0), 1.0)
 
 
-def expected_table(table: Sequence[Sequence[float]]) -> np.ndarray:
-    """Expected cell counts of a contingency table under independence."""
-    obs = np.asarray(table, dtype=np.float64)
-    row = obs.sum(axis=1, keepdims=True)
-    col = obs.sum(axis=0, keepdims=True)
-    return row @ col / obs.sum()
+def chi2_statistic(table: Sequence[Sequence[int]]) -> float:
+    """Pearson chi-squared statistic of the 2x2 table [[a, b], [c, d]]:
+    n (ad - bc)^2 / (r1 r2 c1 c2), exact in integers up to its one division.
 
-
-def chi2_statistic(table: Sequence[Sequence[float]]) -> tuple[float, np.ndarray]:
-    """Pearson chi-squared statistic sum((O-E)^2 / E) and the expected table.
-
-    Requires strictly positive expected cells; windows with an empty margin
-    must be routed to the exact test instead.
+    Undefined when a margin is empty; such windows must be routed to the
+    exact test instead.
     """
-    obs = np.asarray(table, dtype=np.float64)
-    expected = expected_table(table)
-    if (expected <= 0).any():
+    (a, b), (c, d) = table
+    margins = (a + b) * (c + d) * (a + c) * (b + d)
+    if margins == 0:
         raise ValueError("chi-squared statistic undefined for empty-margin tables")
-    stat = float(((obs - expected) ** 2 / expected).sum())
-    return stat, expected
+    return (a + b + c + d) * (a * d - b * c) ** 2 / margins
 
 
 def chi2_p_value(stat: float) -> float:
@@ -395,34 +385,23 @@ def chi2_p_value(stat: float) -> float:
 def fisher_exact_two_sided(a: int, b: int, c: int, d: int) -> float:
     """Two-sided Fisher exact p-value for the table [[a, b], [c, d]].
 
-    Sums the hypergeometric probabilities of all tables with the same margins
-    that are no more likely than the observed one (log-gamma evaluation; the
-    tests check it against exact integer enumeration).
+    The table with top-left cell x and the same margins weighs
+    C(c1, x) C(n - c1, r1 - x); each weight follows from the last by an
+    exact integer recurrence. The p-value is the sum of the weights no
+    larger than the observed table's, over their total C(n, r1), with one
+    correctly rounded division.
     """
     n = a + b + c + d
     r1 = a + b
     c1 = a + c
     lo = max(0, r1 + c1 - n)
-    hi = min(r1, c1)
-
-    def log_p(x: int) -> float:
-        return (
-            math.lgamma(r1 + 1)
-            - math.lgamma(x + 1)
-            - math.lgamma(r1 - x + 1)
-            + math.lgamma(n - r1 + 1)
-            - math.lgamma(c1 - x + 1)
-            - math.lgamma(n - r1 - c1 + x + 1)
-            - (math.lgamma(n + 1) - math.lgamma(c1 + 1) - math.lgamma(n - c1 + 1))
-        )
-
-    log_obs = log_p(a)
-    total = 0.0
-    for x in range(lo, hi + 1):
-        lp = log_p(x)
-        if lp <= log_obs + 1e-7:  # tolerance for ties in floating point
-            total += math.exp(lp)
-    return min(total, 1.0)
+    w = math.comb(c1, lo) * math.comb(n - c1, r1 - lo)
+    weights = [w]
+    for x in range(lo, min(r1, c1)):
+        w = w * (c1 - x) * (r1 - x) // ((x + 1) * (n - c1 - r1 + x + 1))
+        weights.append(w)
+    w_obs = weights[a - lo]
+    return sum(w for w in weights if w <= w_obs) / math.comb(n, r1)
 
 
 class _ContingencyWindow(BaselineDetector):
@@ -466,27 +445,30 @@ class FETWindow(_ContingencyWindow):
 
 class Chi2Window(_ContingencyWindow):
     """Chi-squared independence test; falls back to FET when any expected
-    cell count is below 5 (the chi-squared approximation is unreliable there)."""
+    cell count r_i c_j / n is below 5 (the chi-squared approximation is
+    unreliable there), tested in integers as min(r) min(c) < 5 n."""
 
     def _test(self, ref, cur) -> float:
-        table = [[ref[0], ref[1]], [cur[0], cur[1]]]
-        if (expected_table(table) < 5.0).any():
-            return fisher_exact_two_sided(ref[0], ref[1], cur[0], cur[1])
-        stat, _ = chi2_statistic(table)
-        return chi2_p_value(stat)
+        (a, b), (c, d) = ref, cur
+        if min(a + b, c + d) * min(a + c, b + d) < 5 * (a + b + c + d):
+            return fisher_exact_two_sided(a, b, c, d)
+        return chi2_p_value(chi2_statistic((ref, cur)))
+
+
+_DETECTORS = {
+    "ddm": DDM,
+    "hddm_a": HDDMA,
+    "page_hinkley": PageHinkley,
+    "adwin": ADWIN,
+    "kswin": KSWIN,
+    "chi2": Chi2Window,
+    "fet": FETWindow,
+}
+DETECTOR_KINDS = tuple(_DETECTORS)
 
 
 def make_detector(kind: str, **hyperparams) -> BaselineDetector:
     """Construct a detector by kind name with its hyperparameters."""
-    classes = {
-        "ddm": DDM,
-        "hddm_a": HDDMA,
-        "page_hinkley": PageHinkley,
-        "adwin": ADWIN,
-        "kswin": KSWIN,
-        "chi2": Chi2Window,
-        "fet": FETWindow,
-    }
-    if kind not in classes:
+    if kind not in _DETECTORS:
         raise ValueError(f"unknown detector kind {kind!r}, expected one of {DETECTOR_KINDS}")
-    return classes[kind](**hyperparams)
+    return _DETECTORS[kind](**hyperparams)

@@ -611,7 +611,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--catalog", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--window", type=_positive_int, default=5)
-    p.add_argument("--tau-t", type=float, default=5.0)
+    p.add_argument("--tau-t", type=_finite_non_negative, default=5.0)
     p.add_argument("--batch-size", type=_positive_int, default=200)
     p.add_argument("--min-count", type=_non_negative_int, default=0)
     p.add_argument("--top-k", type=_positive_int, default=100)

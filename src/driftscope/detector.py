@@ -46,24 +46,23 @@ DEFAULT_TAU_T = 5.0
 def beta_posterior(alpha_count, beta_count):
     """Mean and variance of the Beta(alpha+1, beta+1) posterior.
 
-    Accepts scalars or numpy arrays. With zero counts this is the uniform
-    prior: mean 1/2, variance 1/12.
+    Accepts scalars (giving numpy float64 scalars) or numpy arrays. With zero
+    counts this is the uniform prior: mean 1/2, variance 1/12.
     """
     a = np.asarray(alpha_count, dtype=np.float64)
     b = np.asarray(beta_count, dtype=np.float64)
     n2 = a + b + 2.0
     mu = (a + 1.0) / n2
     nu = (a + 1.0) * (b + 1.0) / (n2 * n2 * (a + b + 3.0))
-    if np.isscalar(alpha_count) or np.ndim(alpha_count) == 0:
-        return float(mu), float(nu)
     return mu, nu
 
 
-def welch_t(ref: tuple[float, float], cur: tuple[float, float]) -> float:
-    """Welch statistic between two (mean, variance) posterior summaries."""
+def welch_t(ref, cur):
+    """Welch statistic between two (mean, variance) posterior summaries,
+    scalars or arrays of one shape."""
     mu_r, nu_r = ref
     mu_c, nu_c = cur
-    return abs(mu_r - mu_c) / float(np.sqrt(nu_r + nu_c))
+    return np.abs(mu_r - mu_c) / np.sqrt(nu_r + nu_c)
 
 
 @dataclass(frozen=True)
@@ -298,7 +297,7 @@ def score_windows(
     """Score a (reference, current) window pair over every subgroup."""
     mu_r, nu_r = beta_posterior(ref.alpha_counts, ref.beta_counts)
     mu_c, nu_c = beta_posterior(cur.alpha_counts, cur.beta_counts)
-    t = np.abs(mu_r - mu_c) / np.sqrt(nu_r + nu_c)
+    t = welch_t((mu_r, nu_r), (mu_c, nu_c))
 
     h_r = performance_vector(ref)
     h_c = performance_vector(cur)

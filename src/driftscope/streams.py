@@ -261,18 +261,6 @@ def concept_disagreement(generator: str, a: int, b: int, n: int = 4000, seed: in
 def _draw(generator: str, concepts: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Sample features and concept-dependent labels for a vector of concepts."""
     n = len(concepts)
-    if generator == "agrawal":
-        X = _agrawal_features(n, rng)
-        y = np.ones(n, dtype=np.int64)
-        for func in np.unique(concepts):
-            m = concepts == func
-            y[m] = concept_labels(generator, X[m], int(func))
-        return X, y
-    if generator == "sea":
-        X = 10.0 * rng.random((n, 3))
-        theta = np.array(SEA_THRESHOLDS)[concepts]
-        y = (X[:, 0] + X[:, 1] <= theta).astype(np.int64)
-        return X, y
     if generator == "led":
         digits = rng.integers(0, 10, n)
         segs = LED_PATTERNS[digits]
@@ -284,14 +272,19 @@ def _draw(generator: str, concepts: np.ndarray, rng: np.random.Generator) -> tup
             for i in range(int(k)):
                 X[np.ix_(m, [i, 7 + i])] = X[np.ix_(m, [7 + i, i])]
         return X, digits.astype(np.int64)
-    if generator == "hyperplane":
+    if generator == "agrawal":
+        X = _agrawal_features(n, rng)
+    elif generator == "sea":
+        X = 10.0 * rng.random((n, 3))
+    elif generator == "hyperplane":
         X = rng.random((n, 10))
-        y = np.zeros(n, dtype=np.int64)
-        for c in np.unique(concepts):
-            m = concepts == c
-            y[m] = concept_labels(generator, X[m], int(c))
-        return X, y
-    raise ValueError(f"unknown generator {generator!r}")
+    else:
+        raise ValueError(f"unknown generator {generator!r}")
+    y = np.empty(n, dtype=np.int64)
+    for c in np.unique(concepts):
+        m = concepts == c
+        y[m] = concept_labels(generator, X[m], int(c))
+    return X, y
 
 
 def _apply_label_noise(y: np.ndarray, noise: float, n_classes: int, rng: np.random.Generator) -> np.ndarray:

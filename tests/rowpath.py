@@ -4,15 +4,16 @@ experiment that encoded each batch through dict rows, of the tree fit
 that re-sorted every feature at every node, of the label-flip injection
 that encoded every record on its own, of the report serializer that
 built one dict per retained subgroup, of the KSWIN window that was a deque
-copied into an array on every row, and of the KSWIN and chi-squared window
-tests that took their p-values from scipy, kept as test oracles; also the
-exhaustive frequent-itemset miner that ``mine_frequent`` is checked against,
-and the coalition value function that recounted each itemset's drift value
-from the window counts, which ``explain.drift_values`` is checked against.
+copied into an array on every row, and of the KSWIN window test that took
+its p-value from scipy, kept as test oracles; also the exhaustive
+frequent-itemset miner that ``mine_frequent`` is checked against, the
+coalition value function that recounted each itemset's drift value from the
+window counts, which ``explain.drift_values`` is checked against, and a
+chi-squared window that decides by scipy's own contingency tests.
 
-Each is the earlier program code, unchanged but for returning plain values
-(and, for the concept experiment, slicing its batches from the one stream
-table that the generator now returns).
+Each but the last is the earlier program code, unchanged but for returning
+plain values (and, for the concept experiment, slicing its batches from the
+one stream table that the generator now returns).
 """
 
 import json
@@ -30,9 +31,6 @@ from driftscope.baselines import (
     KSWIN,
     NO_DRIFT,
     Chi2Window,
-    chi2_statistic,
-    expected_table,
-    fisher_exact_two_sided,
     ks_two_sample,
     make_detector,
 )
@@ -553,16 +551,18 @@ class ScipyKSWIN(DequeKSWIN):
 
 
 class ScipyChi2Window(Chi2Window):
-    """``Chi2Window`` with the p-value of scipy's ``chi2.sf``."""
+    """``Chi2Window`` with scipy's p-values: ``chi2_contingency`` without
+    continuity correction, or ``fisher_exact`` when scipy's expected table
+    has a cell below 5."""
 
     def _test(self, ref, cur) -> float:
-        table = [[ref[0], ref[1]], [cur[0], cur[1]]]
-        if (expected_table(table) < 5.0).any():
-            return fisher_exact_two_sided(ref[0], ref[1], cur[0], cur[1])
-        stat, _ = chi2_statistic(table)
-        from scipy.stats import chi2
+        from scipy.stats import chi2_contingency, fisher_exact
+        from scipy.stats.contingency import expected_freq
 
-        return float(chi2.sf(stat, df=1))
+        table = [list(ref), list(cur)]
+        if (expected_freq(table) < 5.0).any():
+            return float(fisher_exact(table).pvalue)
+        return float(chi2_contingency(table, correction=False).pvalue)
 
 
 def brute_force_frequent(

@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 from math import comb
 
 import numpy as np
@@ -36,18 +37,20 @@ def window(det, correct, wrong):
 
 
 def exact_fisher_oracle(a, b, c, d):
-    """Two-sided FET by exact integer enumeration (small tables only)."""
-    n = a + b + c + d
-    r1, c1 = a + b, a + c
-    denom = comb(n, c1)
+    """Two-sided FET by exact rational enumeration, in the row-conditioned
+    form C(r1, x) C(r2, c1 - x) / C(n, c1), rounded to a float once."""
+    r1, r2, c1 = a + b, c + d, a + c
 
     def pmf(x):
-        if x < 0 or x > r1 or c1 - x < 0 or c1 - x > n - r1:
-            return 0.0
-        return comb(r1, x) * comb(n - r1, c1 - x) / denom
+        return Fraction(comb(r1, x) * comb(r2, c1 - x), comb(r1 + r2, c1))
 
     obs = pmf(a)
-    return sum(pmf(x) for x in range(0, min(r1, c1) + 1) if pmf(x) <= obs * (1 + 1e-9))
+    tables = range(max(0, c1 - r2), min(r1, c1) + 1)
+    return float(sum(p for p in map(pmf, tables) if p <= obs))
+
+
+# window-1000 margins: error rates 0.1, 0.25 and 0.5 in both windows
+WINDOW_1000_TABLES = [(900, 100, 900, 100), (750, 250, 750, 250), (500, 500, 500, 500)]
 
 
 class TestDDM:
@@ -285,10 +288,24 @@ class TestChi2:
 
     def test_textbook_statistic(self):
         # [[30,10],[20,20]]: expected [[25,15],[25,15]]
-        stat, expected = chi2_statistic([[30, 10], [20, 20]])
-        assert np.allclose(expected, [[25, 15], [25, 15]])
+        stat = chi2_statistic([[30, 10], [20, 20]])
         want = (25 / 25) + (25 / 15) + (25 / 25) + (25 / 15)
         assert stat == pytest.approx(want)
+
+    def test_empty_margin_has_no_statistic(self):
+        with pytest.raises(ValueError, match="empty-margin"):
+            chi2_statistic([[10, 0], [10, 0]])
+
+    def test_fallback_starts_below_an_expected_cell_of_5(self):
+        det = Chi2Window(window_size=20)
+        # 10 wrong outcomes in all: the smallest expected cell is 20 * 10 / 40 = 5
+        ref, cur = (17, 3), (13, 7)
+        assert det._test(ref, cur) == chi2_p_value(chi2_statistic([ref, cur]))
+        assert det._test(ref, cur) != fisher_exact_two_sided(*ref, *cur)
+        # 9 wrong outcomes: 4.5
+        ref, cur = (17, 3), (14, 6)
+        assert det._test(ref, cur) == fisher_exact_two_sided(*ref, *cur)
+        assert det._test(ref, cur) != chi2_p_value(chi2_statistic([ref, cur]))
 
     def test_detects_on_windowed_counts(self):
         det = Chi2Window(window_size=100, p_value=0.01)
@@ -318,20 +335,19 @@ class TestFET:
     def test_spec_example_50_0_vs_25_25(self):
         p = fisher_exact_two_sided(50, 0, 25, 25)
         assert p < 0.01
-        assert p == pytest.approx(exact_fisher_oracle(50, 0, 25, 25), rel=1e-9)
+        assert p == exact_fisher_oracle(50, 0, 25, 25)
 
     def test_matches_exact_enumeration_on_random_tables(self):
         rng = np.random.default_rng(12)
-        for _ in range(200):
-            a, b, c, d = (int(x) for x in rng.integers(0, 50, 4))
+        tables = [tuple(int(x) for x in rng.integers(0, 50, 4)) for _ in range(200)]
+        for a, b, c, d in tables + WINDOW_1000_TABLES:
             if a + b == 0 or c + d == 0 or a + c == 0 or b + d == 0:
                 continue
-            got = fisher_exact_two_sided(a, b, c, d)
-            want = exact_fisher_oracle(a, b, c, d)
-            assert got == pytest.approx(want, rel=1e-7), (a, b, c, d)
+            assert fisher_exact_two_sided(a, b, c, d) == exact_fisher_oracle(a, b, c, d), (a, b, c, d)
 
     def test_balanced_table_p_is_one(self):
-        assert fisher_exact_two_sided(20, 20, 20, 20) == pytest.approx(1.0)
+        assert fisher_exact_two_sided(20, 20, 20, 20) == 1.0
+        assert fisher_exact_two_sided(500, 500, 500, 500) == 1.0
 
     def test_windowed_detector(self):
         det = FETWindow(window_size=50, p_value=0.01)

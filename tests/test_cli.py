@@ -520,18 +520,6 @@ def _mined_and_monitored(tmp_path):
     return src, catalog_path, reports_dir
 
 
-def test_monitor_rejects_an_infinite_tau_t(tmp_path, caplog):
-    src = tmp_path / "data.csv"
-    write_sample_csv(src, n=200)
-    catalog_path = tmp_path / "catalog.json"
-    assert run_cli("mine", "--input", src, "--min-support", "0.1", "--out", catalog_path) == 0
-    for tau_t in ("inf", "-inf"):
-        out = tmp_path / f"reports{tau_t}"
-        assert run_cli("monitor", "--catalog", catalog_path, "--input", src, f"--tau-t={tau_t}", "--out", out) == 2
-        assert f"tau_t must be finite, got {tau_t}" in caplog.text
-        assert not (out / "reports.jsonl").exists()
-
-
 def test_eval_results_do_not_depend_on_where_the_data_file_lies(tmp_path):
     rows = census_sample(n=3000, seed=4)
     texts = []
@@ -1007,6 +995,7 @@ def test_eval_rejects_an_unknown_baseline_before_any_work(tmp_path, caplog, monk
         *((c, "--seed", "-1", "expected a non-negative integer, got -1") for c in ("gen", "inject", "eval")),
         *(("inject", f, "-1", "expected a non-negative integer, got -1") for f in ("--normal", "--transition", "--drift")),
         ("monitor", "--min-count", "-3", "expected a non-negative integer, got -3"),
+        *(("monitor", "--tau-t", v, f"expected a finite value >= 0, got {v}") for v in ("-3", "nan", "inf", "-inf")),
     ],
 )
 def test_flag_value_is_a_usage_error_before_any_work(tmp_path, capsys, monkeypatch, command, flag, value, message):
