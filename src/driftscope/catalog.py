@@ -567,8 +567,12 @@ class ColumnData:
         ``bins`` bins. Without ``binning``, equal to
         ``build_catalog(self.records(train_idx), binning_config={a:
         "categorical" for a in self.codes}, default_bins=bins)`` (covered by
-        an equivalence test)."""
+        an equivalence test). A rule for a column that is no attribute of the
+        table (an outcome or batch column among them) is a ValueError."""
         binning = binning or {}
+        unknown = [a for a in binning if a not in self.numeric and a not in self.codes]
+        if unknown:
+            raise ValueError(f"binning rule for {unknown[0]!r}, which is not an attribute of the table")
 
         def columns():
             for a in self.attrs:
@@ -672,6 +676,13 @@ class MetricSpec:
 
     def required_columns(self) -> tuple[str, ...]:
         return ("alpha", "beta") if self.kind == "explicit" else ("y", "y_hat")
+
+    def check_columns(self, row: Mapping[str, object]) -> None:
+        """Raise a DataError naming each required column that ``row``, a
+        file's first row, lacks; later rows are not checked."""
+        missing = [c for c in self.required_columns() if c not in row]
+        if missing:
+            raise DataError(f"missing required column(s): {', '.join(missing)}")
 
     def outcome(self, row: Mapping[str, object], row_num: int) -> tuple[int, int]:
         if self.kind == "explicit":

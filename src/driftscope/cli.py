@@ -110,6 +110,18 @@ def _fractions(value: str) -> str:
     return value
 
 
+def _binning_rule(value: str) -> str:
+    """ATTR=categorical or ATTR=quantile:K, K a positive integer."""
+    attr, _, rule = value.partition("=")
+    kind, _, k = rule.partition(":")
+    try:
+        if attr and (rule == "categorical" or kind == "quantile" and int(k) >= 1):
+            return value
+    except ValueError:  # K is no integer
+        pass
+    raise argparse.ArgumentTypeError(f"expected ATTR=categorical or ATTR=quantile:K with K >= 1, got {value}")
+
+
 def _index_pair(value: str) -> str:
     """Two comma-separated integers."""
     try:
@@ -165,14 +177,7 @@ def _cmd_mine(args) -> int:
     binning = {}
     for spec in args.binning or []:
         attr, _, rule = spec.partition("=")
-        if not rule:
-            raise DataError(f"bad --binning entry {spec!r}, expected attr=categorical|quantile:K")
-        if rule == "categorical":
-            binning[attr] = "categorical"
-        elif rule.startswith("quantile:"):
-            binning[attr] = ("quantile", int(rule.split(":", 1)[1]))
-        else:
-            raise DataError(f"unknown binning rule {rule!r}")
+        binning[attr] = "categorical" if rule == "categorical" else ("quantile", int(rule.partition(":")[2]))
     categorical = frozenset(a for a, rule in binning.items() if rule == "categorical")
     table = ColumnData.from_columns(read_columns(args.input), categorical=categorical)
     if not table.n:
@@ -220,9 +225,7 @@ def _batched_records(path, catalog, spec, batch_size):
     skipped_values = 0
     for i, row in enumerate(read_rows(path), start=1):
         if i == 1:
-            missing = [c for c in spec.required_columns() if c not in row]
-            if missing:
-                raise DataError(f"missing required column(s): {', '.join(missing)}")
+            spec.check_columns(row)
         outcomes.append(spec.outcome(row, i))
         ids, skipped = catalog.encode_with_stats(row)
         skipped_values += skipped
@@ -425,6 +428,8 @@ def _cmd_bench(args) -> int:
     spec = MetricSpec(kind=args.metric)
     drifts = []
     for i, row in enumerate(read_rows(args.input), start=1):
+        if i == 1:
+            spec.check_columns(row)
         _, beta = spec.outcome(row, i)
         if det.update(beta) == "drift":
             drifts.append(i)
@@ -434,7 +439,6 @@ def _cmd_bench(args) -> int:
 
 def _cmd_eval(args) -> int:
     from .evaluation import run_concept_suite, run_injection_suite, summarize_suite, timing_bench
-    from .streams import _even_bounds
 
     if args.baselines:
         kinds = tuple(args.baselines.split(","))
@@ -484,22 +488,7 @@ def _cmd_eval(args) -> int:
             out_rows.append(row)
     elif args.suite == "timing":
         cols, source = resolve_tabular(args.data, n=args.rows)
-        rng = np.random.default_rng(args.seed)
-        perm = rng.permutation(cols.n)
-        train_idx, test_idx = perm[: cols.n // 2], perm[cols.n // 2 :]
-        catalog = cols.build_catalog(train_idx)
-        sgcat = mine_frequent(
-            cols.point_matrix(train_idx, catalog),
-            MiningConfig(min_support=args.min_support, max_len=3),
-            item_attrs=catalog.item_attributes(),
-        )
-        P = cols.point_matrix(test_idx, catalog)
-        batches = []
-        for b, (lo, hi) in enumerate(_even_bounds(len(test_idx), 30), start=1):
-            alpha = np.ones(hi - lo, dtype=np.int64)  # timing only; outcomes irrelevant
-            alpha[: (hi - lo) // 5] = 0
-            batches.append(EncodedBatch(P[lo:hi], alpha, 1 - alpha, batch_id=b))
-        timing = timing_bench(sgcat, batches, detector_kinds=kinds, window=args.window)
+        timing = timing_bench(cols, args.min_support, args.seed, detector_kinds=kinds, window=args.window)
         for method, vals in timing.items():
             out_rows.append({"suite": "timing", "dataset": source, "method": method, **vals})
     else:
@@ -603,7 +592,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-support", type=_fraction, default=None)
     p.add_argument("--max-len", type=_positive_int, default=7)
     p.add_argument("--bins", type=_positive_int, default=4)
-    p.add_argument("--binning", action="append", metavar="ATTR=RULE")
+    p.add_argument("--binning", type=_binning_rule, action="append", metavar="ATTR=RULE")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_mine)
 
@@ -716,25 +705,33 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> None
             raise DataError(f"no flag takes {', '.join(map(repr, unknown))}")
         return defaults
 
-    defaults = read_json(config, "--config", build)
-    for p, actions in zip(parsers, flags):
+    def text(action: argparse.Action, value):
         # argparse runs a flag's type over a string default of the command
         # that runs, so a typed value passes the flag's own check, and fails
-        # with its message and exit code
-        p.set_defaults(**{
-            k: v if actions[k].type is None else str(v) for k, v in defaults.items() if k in actions
-        })
+        # with its message and exit code; _check_choices checks each entry
+        # of a repeatable flag's list
+        if isinstance(action, argparse._AppendAction):
+            return [str(v) for v in (value if isinstance(value, list) else [value])]
+        return value if action.type is None else str(value)
+
+    defaults = read_json(config, "--config", build)
+    for p, actions in zip(parsers, flags):
+        p.set_defaults(**{k: text(actions[k], v) for k, v in defaults.items() if k in actions})
 
 
 def _check_choices(command: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    """Hold each value to its flag's choices; argparse checks only the values
-    given as flags, so this catches a --config value."""
+    """Hold each value to its flag's choices, and each entry of a repeatable
+    flag to its type; argparse checks only the values given as flags, so
+    this catches a --config value."""
     for action in command._actions:
-        if action.choices is not None:
-            try:
+        try:
+            if action.choices is not None:
                 command._check_value(action, getattr(args, action.dest))
-            except argparse.ArgumentError as exc:
-                command.error(str(exc))
+            if isinstance(action, argparse._AppendAction) and action.type is not None:
+                for entry in getattr(args, action.dest) or ():
+                    command._get_value(action, entry)
+        except argparse.ArgumentError as exc:
+            command.error(str(exc))
 
 
 def main(argv: list[str] | None = None) -> int:

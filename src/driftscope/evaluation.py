@@ -492,57 +492,63 @@ def run_concept_suite(
 
 
 def timing_bench(
-    sgcat: SubgroupCatalog,
-    batches: Sequence[EncodedBatch],
+    cols: ColumnData,
+    min_support: float = 0.05,
+    seed: int = 0,
     detector_kinds: Sequence[str] = ("ddm",),
     detector_params: Mapping[str, Mapping] | None = None,
     reps: int = 5,
     window: int = 5,
     tau_t: float = 5.0,
 ) -> dict[str, dict[str, float]]:
-    """Median per-batch wall time: the bitmap pipeline vs one detector/subgroup.
-
-    Both sides start from the same encoded batches. The bitmap pipeline is
-    timed over bitmap membership + count aggregation + detection. Each
-    per-subgroup baseline is timed over its own full pipeline: selecting the
-    subgroup's member instances (direct subset checks, the way per-subgroup
-    detectors are run without shared membership) and updating that
-    subgroup's detector per member error. Medians over ``reps`` repetitions,
-    plus the same figure normalized by sample count.
+    """Median wall time per batch and per sample of the bitmap pipeline and
+    of one detector per subgroup, and the subgroup count, after an untimed
+    set-up: a seeded 50/50 split of ``cols``; the catalog, the subgroups
+    mined at ``min_support`` (up to length 3) and a depth-8 tree from the
+    first half; the second half's point matrix in 30 even batches, with the
+    tree's correct/incorrect outcomes as alpha/beta. The pipeline is timed
+    over the experiments' batch loop (:func:`_monitor_batches`), after one
+    warm-up batch; each baseline over selecting its subgroup's members by
+    direct subset checks (per-subgroup detectors share no membership) and
+    updating its detector per member error.
     """
-    detector_params = dict(detector_params or {})
-    n_samples = sum(b.n_instances for b in batches)
+    perm = np.random.default_rng(seed).permutation(cols.n)
+    train_idx, test_idx = perm[: cols.n // 2], perm[cols.n // 2 :]
+    catalog = cols.build_catalog(train_idx)
+    sgcat = mine_frequent(
+        cols.point_matrix(train_idx, catalog),
+        MiningConfig(min_support, max_len=3),
+        item_attrs=catalog.item_attributes(),
+    )
+    X = cols.feature_matrix()
+    model = fit_tree(X[train_idx], cols.y[train_idx], max_depth=8)
+    alpha = (cols.y[test_idx] == model.predict(X[test_idx])).astype(np.int64)
+    beta = 1 - alpha
+    P = cols.point_matrix(test_idx, catalog)
+    bounds = _even_bounds(len(test_idx), 30)
 
-    pipeline_times = []
+    config = WindowConfig(window, tau_t)
+    next(_monitor_batches(MonitorState(len(sgcat), config), sgcat, P, alpha, beta, bounds))  # warm-up batch
+    times: dict[str, list[float]] = {"driftscope": []}
     for _ in range(max(reps, 1)):
-        monitor = MonitorState(n_subgroups=len(sgcat), config=WindowConfig(window, tau_t))
+        monitor = MonitorState(len(sgcat), config)
         t0 = time.perf_counter()
-        for batch in batches:
-            M = membership(batch, sgcat)
-            stats = aggregate(batch, M)
-            step(monitor, stats)
-        pipeline_times.append((time.perf_counter() - t0) / len(batches))
-
-    out = {
-        "driftscope": {
-            "seconds_per_batch": float(np.median(pipeline_times)),
-            "seconds_per_sample": float(np.median(pipeline_times)) * len(batches) / n_samples,
-        }
-    }
+        for _ in _monitor_batches(monitor, sgcat, P, alpha, beta, bounds):
+            pass
+        times["driftscope"].append(time.perf_counter() - t0)
 
     # shared, untimed representation prep for the baselines (mirrors the
-    # untimed EncodedBatch construction on the bitmap side)
-    prepared = []
-    for batch in batches:
-        instance_items = [
-            frozenset(np.flatnonzero(row).tolist()) for row in batch.point_matrix.toarray()
-        ]
-        prepared.append((instance_items, [int(e) for e in batch.beta_vec]))
+    # untimed point matrix on the bitmap side)
+    dense = P.toarray()
+    prepared = [
+        ([frozenset(np.flatnonzero(row).tolist()) for row in dense[lo:hi]], beta[lo:hi].tolist())
+        for lo, hi in bounds
+    ]
     subgroup_sets = [frozenset(sg.item_ids) for sg in sgcat.subgroups]
 
     for kind in detector_kinds:
-        params = detector_params.get(kind, {})
-        times = []
+        params = (detector_params or {}).get(kind, {})
+        times[kind] = []
         for _ in range(max(reps, 1)):
             detectors = [make_detector(kind, **params) for _ in range(len(sgcat))]
             t0 = time.perf_counter()
@@ -556,12 +562,15 @@ def timing_bench(
                     for iset, e in zip(instance_items, errs):
                         if items <= iset:
                             update(e)
-            times.append((time.perf_counter() - t0) / len(batches))
-        out[kind] = {
-            "seconds_per_batch": float(np.median(times)),
-            "seconds_per_sample": float(np.median(times)) * len(batches) / n_samples,
+            times[kind].append(time.perf_counter() - t0)
+    return {
+        method: {
+            "seconds_per_batch": float(np.median(t)) / len(bounds),
+            "seconds_per_sample": float(np.median(t)) / len(test_idx),
+            "n_subgroups": len(sgcat),
         }
-    return out
+        for method, t in times.items()
+    }
 
 
 # ---------------------------------------------------------------------------

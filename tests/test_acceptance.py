@@ -27,7 +27,6 @@ from driftscope.evaluation import (
 from driftscope.explain import rank, redundancy_prune, shapley_local
 from driftscope.mining import MiningConfig, SubgroupCatalog, mine_frequent
 from driftscope.sgmetrics import EncodedBatch, build_point_matrix, membership
-from driftscope.streams import fit_tree
 from rowpath import brute_force_frequent, make_drift_value_fn
 
 SEED = 0
@@ -272,35 +271,9 @@ def test_criterion_8_pruning_soundness(injection_run):
 
 
 def test_criterion_9_timing(injection_run):
-    cols = injection_run["cols"]
-    rng = np.random.default_rng(SEED)
-    perm = rng.permutation(cols.n)
-    tr, te = perm[: cols.n // 2], perm[cols.n // 2 :]
-    catalog = cols.build_catalog(tr)
-    sgcat = mine_frequent(
-        cols.point_matrix(tr, catalog),
-        MiningConfig(0.05, max_len=3),
-        item_attrs=catalog.item_attributes(),
-    )
-    X = cols.feature_matrix()
-    model = fit_tree(X[tr], cols.y[tr], max_depth=8)
-    y_hat = model.predict(X[te])
-    alpha = (cols.y[te] == y_hat).astype(np.int64)
-    P = cols.point_matrix(te, catalog)
-    bounds = np.linspace(0, len(te), 31).astype(int)
-    batches = [
-        EncodedBatch(
-            P[bounds[b] : bounds[b + 1]],
-            alpha[bounds[b] : bounds[b + 1]],
-            1 - alpha[bounds[b] : bounds[b + 1]],
-            batch_id=b + 1,
-        )
-        for b in range(30)
-    ]
-    membership(batches[0], sgcat)  # warm-up call outside the timer
     t0 = time.perf_counter()
     timing = timing_bench(
-        sgcat, batches, detector_kinds=("ddm",),
+        injection_run["cols"], 0.05, seed=SEED, detector_kinds=("ddm",),
         detector_params={"ddm": {"min_samples": 4000}}, reps=5,
     )
     elapsed = time.perf_counter() - t0
@@ -310,7 +283,7 @@ def test_criterion_9_timing(injection_run):
         9,
         "sparse pipeline vs per-subgroup DDM",
         ok,
-        f"{ratio:.1f}x over {len(sgcat)} subgroups "
+        f"{ratio:.1f}x over {timing['driftscope']['n_subgroups']} subgroups "
         f"({timing['driftscope']['seconds_per_batch'] * 1e3:.1f} vs "
         f"{timing['ddm']['seconds_per_batch'] * 1e3:.1f} ms/batch) on "
         f"{injection_run['source']}, bench {elapsed:.0f}s",

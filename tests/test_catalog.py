@@ -199,6 +199,14 @@ class TestIngestOutcomes:
         assert self._monitor(tmp_path, artifact, "data.csv", "g,y\nm,1\n") == 2
         assert "missing required column(s): y_hat" in caplog.text
 
+    @pytest.mark.parametrize("metric,missing", [("accuracy", "y_hat"), ("explicit", "alpha, beta")])
+    def test_bench_missing_column_error(self, tmp_path, caplog, metric, missing):
+        data = tmp_path / "data.csv"
+        data.write_text("g,y\nm,1\n")
+        args = ["bench", "--detector", "fet", "--window-size", "100", "--metric", metric, "--input", str(data)]
+        assert main(args) == 2
+        assert f"missing required column(s): {missing}" in caplog.text
+
     def test_jsonl_input_and_skip_stats(self, tmp_path, artifact, caplog):
         caplog.set_level(logging.INFO, logger="driftscope")
         lines = [

@@ -15,7 +15,7 @@ import rowpath
 from driftscope import catalog, cli, evaluation
 from driftscope.catalog import DataError, ItemCatalog
 from driftscope.cli import _csv_text, _parse_subgroup, main
-from driftscope.datasets import census_sample
+from driftscope.datasets import census_sample, resolve_tabular
 from driftscope.mining import SubgroupCatalog
 from driftscope.streams import ConceptStreamConfig, gen_concept_stream
 
@@ -815,6 +815,11 @@ def test_config_file_supplies_defaults_but_flags_win(tmp_path):
         ("monitor", {"top-k": 0}, "argument --top-k: expected a positive integer, got 0"),
         ("mine", {"max-len": 2.5, "min-support": 0.2}, "argument --max-len: invalid _positive_int value: '2.5'"),
         ("monitor", {"format": "md"}, "argument --format: invalid choice: 'md'"),
+        (
+            "mine",
+            {"binning": ["x=categorical", "x=quantile:0"], "min-support": 0.2},
+            "argument --binning: expected ATTR=categorical or ATTR=quantile:K with K >= 1, got x=quantile:0",
+        ),
     ],
 )
 def test_config_value_fails_like_its_flag(tmp_path, capsys, command, config, message):
@@ -996,6 +1001,10 @@ def test_eval_rejects_an_unknown_baseline_before_any_work(tmp_path, caplog, monk
         *(("inject", f, "-1", "expected a non-negative integer, got -1") for f in ("--normal", "--transition", "--drift")),
         ("monitor", "--min-count", "-3", "expected a non-negative integer, got -3"),
         *(("monitor", "--tau-t", v, f"expected a finite value >= 0, got {v}") for v in ("-3", "nan", "inf", "-inf")),
+        *(
+            ("mine", "--binning", v, f"expected ATTR=categorical or ATTR=quantile:K with K >= 1, got {v}")
+            for v in ("att1=quantile:abc", "att1=quantile:0", "att1=Categorical", "att1", "=categorical")
+        ),
     ],
 )
 def test_flag_value_is_a_usage_error_before_any_work(tmp_path, capsys, monkeypatch, command, flag, value, message):
@@ -1017,6 +1026,7 @@ def test_flag_value_is_a_usage_error_before_any_work(tmp_path, capsys, monkeypat
             "--out", out, "--mask", out,
         ],
         "monitor": ["monitor", "--catalog", out, "--input", out, "--out", out],
+        "mine": ["mine", "--input", out, "--min-support", "0.1", "--out", out],
     }[command]
     # one argument, so that a value such as -inf is not read as a flag
     assert run_cli(*args, f"{flag}={value}") == 1
@@ -1047,7 +1057,7 @@ def test_bench_delta_inside_zero_one_runs(tmp_path, capsys):
 def test_eval_timing_suite_passes_its_window(tmp_path, monkeypatch):
     windows = []
 
-    def record(sgcat, batches, detector_kinds, window=5, **kwargs):
+    def record(cols, min_support, seed, detector_kinds, window=5, **kwargs):
         windows.append(window)
         return {"driftscope": {"ms_per_batch": 1.0}}
 
@@ -1071,6 +1081,9 @@ def test_eval_timing_suite_small(tmp_path):
     rows = list(csv.DictReader(open(out)))
     methods = {r["method"] for r in rows}
     assert {"driftscope", "ddm"} <= methods
+    cols, _ = resolve_tabular("surrogate", n=4000)
+    n_subgroups = evaluation.timing_bench(cols, 0.2, seed=0, detector_kinds=(), reps=1)["driftscope"]["n_subgroups"]
+    assert {r["n_subgroups"] for r in rows} == {str(n_subgroups)}
 
 
 def test_eval_inject_suite_small(tmp_path):
@@ -1174,6 +1187,19 @@ def test_mine_matches_the_row_path_without_a_label_and_with_binning_rules(tmp_pa
     assert json.loads(out.read_text()) == expected
 
 
+@pytest.mark.parametrize("binning", [["age=quantile:3", "sex=categorical"], "age=quantile:3"])
+def test_mine_binning_from_a_config_file_equals_the_flags(tmp_path, binning):
+    _census_csv(tmp_path / "ref.csv", 500, seed=8)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"binning": binning}))
+    entries = binning if isinstance(binning, list) else [binning]
+    flags = [f for spec in entries for f in ("--binning", spec)]
+    common = ["mine", "--input", tmp_path / "ref.csv", "--min-support", "0.05", "--max-len", "2"]
+    assert run_cli(*common, *flags, "--out", tmp_path / "flags.json") == 0
+    assert run_cli("--config", cfg, *common, "--out", tmp_path / "config.json") == 0
+    assert (tmp_path / "flags.json").read_bytes() == (tmp_path / "config.json").read_bytes()
+
+
 def test_mine_quantile_rule_over_text_exits_two(tmp_path, caplog):
     _census_csv(tmp_path / "ref.csv", 200, seed=8)
     code = run_cli(
@@ -1182,6 +1208,18 @@ def test_mine_quantile_rule_over_text_exits_two(tmp_path, caplog):
     )
     assert code == 2
     assert "'sex' has non-numeric values" in caplog.text
+
+
+@pytest.mark.parametrize("attr", ["nosuch", "y"])
+def test_mine_rejects_a_binning_rule_for_a_column_that_is_no_attribute(tmp_path, caplog, attr):
+    _census_csv(tmp_path / "ref.csv", 200, seed=8)
+    code = run_cli(
+        "mine", "--input", tmp_path / "ref.csv", "--min-support", "0.1",
+        "--binning", f"{attr}=categorical", "--out", tmp_path / "c.json",
+    )
+    assert code == 2
+    assert f"binning rule for {attr!r}, which is not an attribute of the table" in caplog.text
+    assert not (tmp_path / "c.json").exists()
 
 
 def test_mine_rejects_a_repeated_column_name(tmp_path, caplog):

@@ -20,7 +20,6 @@ from driftscope.evaluation import (
     youden_sweep,
 )
 from driftscope.mining import MiningConfig, mine_frequent
-from driftscope.sgmetrics import EncodedBatch, build_point_matrix
 from driftscope.streams import DriftSchedule
 from driftscope.datasets import census_sample
 
@@ -441,17 +440,21 @@ class TestExperimentCore:
         assert pooled_extras.sgcat.to_dict() == serial_extras.sgcat.to_dict()
 
 
-def test_timing_bench_shape():
-    rng = np.random.default_rng(2)
-    tx = [tuple(np.flatnonzero(rng.random(8) < 0.5).tolist()) for _ in range(300)]
-    P = build_point_matrix(tx, 8)
-    sgcat = mine_frequent(P, MiningConfig(0.1, max_len=2))
-    batches = []
-    for b in range(4):
-        alpha = rng.integers(0, 2, 75).astype(np.int64)
-        batches.append(EncodedBatch(P[b * 75 : (b + 1) * 75], alpha, 1 - alpha, batch_id=b))
-    out = timing_bench(sgcat, batches, detector_kinds=("ddm",), reps=2)
+def test_timing_bench_shape(rows):
+    out = timing_bench(ColumnData(rows), 0.1, detector_kinds=("ddm",), reps=2)
     assert set(out) == {"driftscope", "ddm"}
     for v in out.values():
         assert v["seconds_per_batch"] >= 0.0
         assert v["seconds_per_sample"] >= 0.0
+        assert v["n_subgroups"] == out["driftscope"]["n_subgroups"] > 1
+
+
+def test_timing_bench_mines_the_first_half_of_its_seeded_split(small_rows):
+    cols = ColumnData(small_rows)
+    out = timing_bench(cols, 0.05, seed=3, detector_kinds=(), reps=1)
+    train_idx = np.random.default_rng(3).permutation(cols.n)[: cols.n // 2]
+    catalog = cols.build_catalog(train_idx)
+    sgcat = mine_frequent(
+        cols.point_matrix(train_idx, catalog), MiningConfig(0.05, max_len=3), item_attrs=catalog.item_attributes()
+    )
+    assert out == {"driftscope": dict(out["driftscope"], n_subgroups=len(sgcat))}
