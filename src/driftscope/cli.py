@@ -49,7 +49,17 @@ log = logging.getLogger("driftscope")
 
 class _Parser(argparse.ArgumentParser):
     """argparse defaults to exit code 2 on usage errors; we reserve 2 for
-    data errors, so usage problems exit 1."""
+    data errors, so usage problems exit 1. ``config_tokens`` are a
+    ``--config`` file's values as flags, parsed before the arguments given,
+    so a flag on the command line wins."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.config_tokens: list[str] = []
+
+    def parse_known_args(self, args=None, namespace=None):
+        args = sys.argv[1:] if args is None else args
+        return super().parse_known_args([*self.config_tokens, *args], namespace)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -57,46 +67,27 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _fraction(value: str) -> float:
-    x = float(value)
-    if not 0.0 < x <= 1.0:
-        raise argparse.ArgumentTypeError(f"expected a fraction in (0, 1], got {value}")
-    return x
+def _ranged(name: str, cast, ok, expected: str):
+    """A flag type: ``cast`` the value, then hold it to ``ok``."""
+
+    def check(value: str):
+        x = cast(value)
+        if not ok(x):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {value}")
+        return x
+
+    check.__name__ = name  # argparse names it in "invalid <name> value"
+    return check
 
 
-def _unit_interval(value: str) -> float:
-    x = float(value)
-    if not 0.0 <= x <= 1.0:
-        raise argparse.ArgumentTypeError(f"expected a value in [0, 1], got {value}")
-    return x
-
-
-def _open_unit_interval(value: str) -> float:
-    x = float(value)
-    if not 0.0 < x < 1.0:
-        raise argparse.ArgumentTypeError(f"expected a value in (0, 1), got {value}")
-    return x
-
-
-def _positive_int(value: str) -> int:
-    x = int(value)
-    if x < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
-    return x
-
-
-def _non_negative_int(value: str) -> int:
-    x = int(value)
-    if x < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value}")
-    return x
-
-
-def _finite_non_negative(value: str) -> float:
-    x = float(value)
-    if not 0.0 <= x < math.inf:  # NaN fails both tests
-        raise argparse.ArgumentTypeError(f"expected a finite value >= 0, got {value}")
-    return x
+_fraction = _ranged("_fraction", float, lambda x: 0.0 < x <= 1.0, "a fraction in (0, 1]")
+_unit_interval = _ranged("_unit_interval", float, lambda x: 0.0 <= x <= 1.0, "a value in [0, 1]")
+_half_open_unit_interval = _ranged("_half_open_unit_interval", float, lambda x: 0.0 <= x < 1.0, "a value in [0, 1)")
+_open_unit_interval = _ranged("_open_unit_interval", float, lambda x: 0.0 < x < 1.0, "a value in (0, 1)")
+_positive_int = _ranged("_positive_int", int, lambda x: x >= 1, "a positive integer")
+_non_negative_int = _ranged("_non_negative_int", int, lambda x: x >= 0, "a non-negative integer")
+# NaN fails both tests
+_finite_non_negative = _ranged("_finite_non_negative", float, lambda x: 0.0 <= x < math.inf, "a finite value >= 0")
 
 
 # The list types below check a value and keep its text, which the manifest
@@ -120,6 +111,14 @@ def _binning_rule(value: str) -> str:
     except ValueError:  # K is no integer
         pass
     raise argparse.ArgumentTypeError(f"expected ATTR=categorical or ATTR=quantile:K with K >= 1, got {value}")
+
+
+def _detector_kinds(value: str) -> str:
+    """A comma-separated list of detector kinds; empty for the suite's default."""
+    for kind in value.split(",") if value else ():
+        if kind not in DETECTOR_KINDS:
+            raise argparse.ArgumentTypeError(f"unknown kind {kind!r}, expected one of {', '.join(DETECTOR_KINDS)}")
+    return value
 
 
 def _index_pair(value: str) -> str:
@@ -171,9 +170,6 @@ def _csv_text(rows: list[dict], columns: list[str]) -> str:
 
 
 def _cmd_mine(args) -> int:
-    if args.min_support is None:
-        print("driftscope mine: error: --min-support is required", file=sys.stderr)
-        return 1
     binning = {}
     for spec in args.binning or []:
         attr, _, rule = spec.partition("=")
@@ -427,12 +423,15 @@ def _cmd_bench(args) -> int:
     det = make_detector(args.detector, **params)
     spec = MetricSpec(kind=args.metric)
     drifts = []
+    i = 0
     for i, row in enumerate(read_rows(args.input), start=1):
         if i == 1:
             spec.check_columns(row)
         _, beta = spec.outcome(row, i)
         if det.update(beta) == "drift":
             drifts.append(i)
+    if not i:
+        raise DataError(f"{args.input}: no rows")
     print(json.dumps({"detector": args.detector, "params": params, "drift_points": drifts}))
     return 0
 
@@ -444,9 +443,6 @@ def _cmd_eval(args) -> int:
         kinds = tuple(args.baselines.split(","))
     else:
         kinds = ("ddm",) if args.suite in ("inject", "timing") else ()
-    for kind in kinds:
-        if kind not in DETECTOR_KINDS:
-            raise DataError(f"unknown --baselines kind {kind!r}, expected one of {', '.join(DETECTOR_KINDS)}")
     out_rows = []
     if args.suite == "inject":
         cols, source = resolve_tabular(args.data, n=args.rows)
@@ -582,14 +578,13 @@ def _cmd_report(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="driftscope", description=__doc__)
-    parser.add_argument("--config", help="JSON file with flag defaults")
+    parser.add_argument("--config", help="JSON file of flags, parsed before the command line's")
     parser.add_argument("--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("mine", help="build an item catalog and mine frequent subgroups")
     p.add_argument("--input", required=True)
-    # not argparse-required so a --config file can supply it
-    p.add_argument("--min-support", type=_fraction, default=None)
+    p.add_argument("--min-support", type=_fraction, required=True)
     p.add_argument("--max-len", type=_positive_int, default=7)
     p.add_argument("--bins", type=_positive_int, default=4)
     p.add_argument("--binning", type=_binning_rule, action="append", metavar="ATTR=RULE")
@@ -613,8 +608,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", choices=["agrawal", "sea", "led", "hyperplane"], required=True)
     p.add_argument("--concepts", type=_index_pair, default="0,1", help="two concept indices, e.g. 0,2")
     p.add_argument("--drift-center", type=int, default=5000)
-    p.add_argument("--drift-width", type=int, default=1000)
-    p.add_argument("--label-noise", type=_unit_interval, default=0.10)
+    p.add_argument("--drift-width", type=_non_negative_int, default=1000)
+    p.add_argument("--label-noise", type=_half_open_unit_interval, default=0.10)
     p.add_argument("--train-size", type=_positive_int, default=5000)
     p.add_argument("--n-batches", type=_positive_int, default=50)
     p.add_argument("--batch-size", type=_positive_int, default=200)
@@ -656,7 +651,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rows", type=_positive_int, default=48842,
                    help="surrogate dataset size (ignored for file data)")
     p.add_argument("--window", type=_positive_int, default=5)
-    p.add_argument("--baselines", help="comma-separated detector kinds")
+    p.add_argument("--baselines", type=_detector_kinds, help="comma-separated detector kinds")
     p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--threads", type=_positive_int, default=1)
     p.add_argument("--out")
@@ -681,16 +676,15 @@ def _commands(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentPar
 
 
 def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> None:
-    """Make the ``--config`` file's values the flag defaults of the parser
-    and of every subparser. A missing, unreadable or malformed file, or a
-    key that no flag defines, is a DataError."""
+    """Give the parser and every subparser the ``--config`` file's values as
+    flags, which each parses before its own arguments. A missing,
+    unreadable or malformed file, or a key that no flag defines, is a
+    DataError."""
     pre = _Parser(prog="driftscope", add_help=False)
     pre.add_argument("--config")
     config = pre.parse_known_args(argv)[0].config  # as the main parser reads it: --config=PATH too
     if config is None:
         return
-    # subcommands parse into a fresh namespace (argparse >= 3.7 semantics),
-    # so the file defaults must reach every subparser too
     parsers = [parser, *_commands(parser).values()]
     flags = [
         {a.dest: a for a in p._actions if a.option_strings and a.dest not in ("help", "config")} for p in parsers
@@ -699,39 +693,26 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> None
     def build(cfg):
         if not isinstance(cfg, dict):
             raise DataError("expected an object of flag defaults")
-        defaults = {k.replace("-", "_"): v for k, v in cfg.items()}
-        unknown = sorted(set(defaults).difference(*flags))
+        values = {k.replace("-", "_"): v for k, v in cfg.items()}
+        unknown = sorted(set(values).difference(*flags))
         if unknown:
             raise DataError(f"no flag takes {', '.join(map(repr, unknown))}")
-        return defaults
+        return values
 
-    def text(action: argparse.Action, value):
-        # argparse runs a flag's type over a string default of the command
-        # that runs, so a typed value passes the flag's own check, and fails
-        # with its message and exit code; _check_choices checks each entry
-        # of a repeatable flag's list
-        if isinstance(action, argparse._AppendAction):
-            return [str(v) for v in (value if isinstance(value, list) else [value])]
-        return value if action.type is None else str(value)
+    def tokens(action: argparse.Action, value) -> list[str]:
+        # the "=" form, so that a value such as -inf is not read as a flag
+        flag = action.option_strings[0]
+        if value is None:
+            return []
+        if action.nargs == 0 and isinstance(value, bool):  # a switch
+            return [flag] if value else []
+        if isinstance(action, argparse._AppendAction) and isinstance(value, list):
+            return [f"{flag}={v}" for v in value]
+        return [f"{flag}={value}"]
 
-    defaults = read_json(config, "--config", build)
+    values = read_json(config, "--config", build)
     for p, actions in zip(parsers, flags):
-        p.set_defaults(**{k: text(actions[k], v) for k, v in defaults.items() if k in actions})
-
-
-def _check_choices(command: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    """Hold each value to its flag's choices, and each entry of a repeatable
-    flag to its type; argparse checks only the values given as flags, so
-    this catches a --config value."""
-    for action in command._actions:
-        try:
-            if action.choices is not None:
-                command._check_value(action, getattr(args, action.dest))
-            if isinstance(action, argparse._AppendAction) and action.type is not None:
-                for entry in getattr(args, action.dest) or ():
-                    command._get_value(action, entry)
-        except argparse.ArgumentError as exc:
-            command.error(str(exc))
+        p.config_tokens = [t for k, v in values.items() if k in actions for t in tokens(actions[k], v)]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -740,7 +721,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _apply_config_file(parser, argv)
         args = parser.parse_args(argv)
-        _check_choices(_commands(parser)[args.command], args)
     except SystemExit as exc:
         return int(exc.code or 0)
     except DataError as exc:

@@ -13,6 +13,7 @@ import pytest
 import driftscope
 import rowpath
 from driftscope import catalog, cli, evaluation
+from driftscope.baselines import DETECTOR_KINDS
 from driftscope.catalog import DataError, ItemCatalog
 from driftscope.cli import _csv_text, _parse_subgroup, main
 from driftscope.datasets import census_sample, resolve_tabular
@@ -820,15 +821,17 @@ def test_config_file_supplies_defaults_but_flags_win(tmp_path):
             {"binning": ["x=categorical", "x=quantile:0"], "min-support": 0.2},
             "argument --binning: expected ATTR=categorical or ATTR=quantile:K with K >= 1, got x=quantile:0",
         ),
+        ("report", {"shapley": "yes"}, "argument --shapley: ignored explicit argument 'yes'"),
     ],
 )
 def test_config_value_fails_like_its_flag(tmp_path, capsys, command, config, message):
-    src, catalog_path, _ = _mined_and_monitored(tmp_path)
+    src, catalog_path, reports_dir = _mined_and_monitored(tmp_path)
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps(config))
     args = {
         "mine": ["--input", src, "--out", tmp_path / "c.json"],
         "monitor": ["--catalog", catalog_path, "--input", src, "--out", tmp_path / "mon"],
+        "report": ["--reports", reports_dir, "--catalog", catalog_path, "--out", tmp_path / "c.json"],
     }[command]
     capsys.readouterr()
     assert run_cli("--config", cfg, command, *args) == 1
@@ -844,6 +847,48 @@ def test_config_value_is_checked_only_by_the_command_that_runs(tmp_path):
     out = tmp_path / "r.md"
     assert run_cli("--config", cfg, "report", "--reports", reports_dir, "--catalog", catalog_path, "--out", out) == 0
     assert out.read_text().startswith("| subgroup_id |")
+
+
+def test_config_file_alone_supplies_required_flags(tmp_path):
+    src = tmp_path / "d.csv"
+    write_sample_csv(src, n=300)
+    out = tmp_path / "c.json"
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"input": str(src), "out": str(out), "min-support": 0.2}))
+    assert run_cli("--config", cfg, "mine") == 0
+    assert json.loads(out.read_text())["subgroup_catalog"]["min_support"] == 0.2
+
+
+@pytest.mark.parametrize("shapley", [False, True])
+def test_config_switch_takes_true_or_false(tmp_path, shapley):
+    _, catalog_path, reports_dir = _mined_and_monitored(tmp_path)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"shapley": shapley}))
+    out = tmp_path / "r.md"
+    assert run_cli("--config", cfg, "report", "--reports", reports_dir, "--catalog", catalog_path, "--out", out) == 0
+    assert (tmp_path / "r.attribution.csv").exists() == shapley
+
+
+def test_config_null_keeps_the_flag_default(tmp_path):
+    src = tmp_path / "d.csv"
+    write_sample_csv(src, n=300)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"max-len": None}))
+    out = tmp_path / "c.json"
+    assert run_cli("--config", cfg, "mine", "--input", src, "--min-support", "0.2", "--out", out) == 0
+    assert json.loads(out.read_text())["subgroup_catalog"]["max_len"] == 7
+
+
+def test_config_value_is_checked_even_when_a_flag_overrides_it(tmp_path, capsys):
+    src = tmp_path / "d.csv"
+    write_sample_csv(src, n=300)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"max-len": 0}))
+    out = tmp_path / "c.json"
+    capsys.readouterr()
+    assert run_cli("--config", cfg, "mine", "--input", src, "--min-support", "0.2", "--max-len", "2", "--out", out) == 1
+    assert "driftscope mine: error: argument --max-len: expected a positive integer, got 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -966,24 +1011,6 @@ print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
     assert "scipy" not in json.loads((tmp_path / "sea.csv.manifest.json").read_text())
 
 
-@pytest.mark.parametrize("suite", ["inject", "sea", "timing"])
-def test_eval_rejects_an_unknown_baseline_before_any_work(tmp_path, caplog, monkeypatch, suite):
-    def never(*args, **kwargs):
-        raise AssertionError("a suite started before the baseline kinds were checked")
-
-    monkeypatch.setattr(cli, "resolve_tabular", never)
-    for name in ("run_injection_suite", "run_concept_suite", "timing_bench"):
-        monkeypatch.setattr(evaluation, name, never)
-    out = tmp_path / "out.csv"
-    code = run_cli(
-        "eval", "--suite", suite, "--data", "surrogate", "--rows", "4000",
-        "--baselines", "kswin,foo", "--out", out,
-    )
-    assert code == 2
-    assert "unknown --baselines kind 'foo'" in caplog.text
-    assert not out.exists()
-
-
 @pytest.mark.parametrize(
     "command,flag,value,message",
     [
@@ -995,6 +1022,12 @@ def test_eval_rejects_an_unknown_baseline_before_any_work(tmp_path, caplog, monk
         ("eval", "--suite", "adult-inject", "invalid choice: 'adult-inject'"),
         ("gen", "--concepts", "a,b", "expected two comma-separated integers, e.g. 0,2, got a,b"),
         ("gen", "--concepts", "0,1,2", "expected two comma-separated integers, e.g. 0,2, got 0,1,2"),
+        *(("gen", "--label-noise", v, f"expected a value in [0, 1), got {v}") for v in ("1", "-0.1")),
+        ("gen", "--drift-width", "-5", "expected a non-negative integer, got -5"),
+        *(
+            (command, "--baselines", "kswin,foo", f"unknown kind 'foo', expected one of {', '.join(DETECTOR_KINDS)}")
+            for command in ("eval", "eval --suite sea", "eval --suite timing")
+        ),
         *(("bench", "--delta", v, f"expected a value in (0, 1), got {v}") for v in ("0", "-1", "1", "nan", "inf")),
         *(("report", "--prune-t", v, f"expected a finite value >= 0, got {v}") for v in ("nan", "-1", "inf", "-inf")),
         *((c, "--seed", "-1", "expected a non-negative integer, got -1") for c in ("gen", "inject", "eval")),
@@ -1018,6 +1051,8 @@ def test_flag_value_is_a_usage_error_before_any_work(tmp_path, capsys, monkeypat
     out = tmp_path / "out.csv"
     args = {
         "eval": ["eval", "--suite", "inject", "--data", "surrogate", "--rows", "4000", "--out", out],
+        "eval --suite sea": ["eval", "--suite", "sea", "--out", out],
+        "eval --suite timing": ["eval", "--suite", "timing", "--data", "surrogate", "--rows", "4000", "--out", out],
         "gen": ["gen", "--dataset", "sea", "--out", out],
         "bench": ["bench", "--detector", "adwin", "--input", out],
         "report": ["report", "--reports", out, "--catalog", out, "--out", out],
@@ -1030,7 +1065,7 @@ def test_flag_value_is_a_usage_error_before_any_work(tmp_path, capsys, monkeypat
     }[command]
     # one argument, so that a value such as -inf is not read as a flag
     assert run_cli(*args, f"{flag}={value}") == 1
-    assert f"driftscope {command}: error: argument {flag}: {message}" in capsys.readouterr().err
+    assert f"driftscope {args[0]}: error: argument {flag}: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -1045,6 +1080,15 @@ def test_bench_rejects_a_flag_its_detector_does_not_take(tmp_path, capsys, flag,
     captured = capsys.readouterr()
     assert f"driftscope bench: error: {flag} does not apply to --detector {detector}" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("name,text", [("header.csv", "att1\n"), ("empty.jsonl", "")])
+def test_bench_on_a_file_with_no_rows_exits_two(tmp_path, caplog, capsys, name, text):
+    src = tmp_path / name
+    src.write_text(text)
+    assert run_cli("bench", "--detector", "ddm", "--input", src) == 2
+    assert f"{src}: no rows" in caplog.text
+    assert capsys.readouterr().out == ""
 
 
 def test_bench_delta_inside_zero_one_runs(tmp_path, capsys):
