@@ -355,13 +355,12 @@ def _binary_labels(labels: Column) -> np.ndarray:
 def _cmd_inject(args) -> int:
     from .streams import DriftSchedule, _even_bounds, _inject_flips_columns, _target_cover
 
+    total = args.normal + args.transition + args.drift
+    if total < 1:
+        print("driftscope inject: error: --normal, --transition and --drift total 0 batches", file=sys.stderr)
+        return 1
     _csv_outputs(args, "out", "mask")
     catalog, _ = _load_artifact(args.catalog)
-    columns = read_columns(args.input)
-    categorical = frozenset(a for a, d in catalog.discretizers.items() if d.kind == "categorical")
-    table = ColumnData.from_columns(columns, categorical=categorical)
-    if not table.n:
-        raise DataError(f"{args.input}: no rows")
     item_ids = []
     for part in _parse_subgroup(args.subgroup, catalog.attributes):
         attr, _, value = part.partition("=")
@@ -369,6 +368,11 @@ def _cmd_inject(args) -> int:
         if item_id is None:
             raise DataError(f"subgroup item {part!r} not found in the catalog")
         item_ids.append(item_id)
+    columns = read_columns(args.input)
+    categorical = frozenset(a for a, d in catalog.discretizers.items() if d.kind == "categorical")
+    table = ColumnData.from_columns(columns, categorical=categorical)
+    if not table.n:
+        raise DataError(f"{args.input}: no rows")
     schedule = DriftSchedule(
         target_subgroup=tuple(sorted(item_ids)),
         p_max=args.p_max,
@@ -377,9 +381,6 @@ def _cmd_inject(args) -> int:
         drift_batches=args.drift,
         ramp=args.ramp,
     )
-    total = args.normal + args.transition + args.drift
-    if total < 1:
-        raise DataError("inject needs at least one batch")
     bounds = _even_bounds(table.n, total)
     labels = columns["y"] if "y" in columns else Column([None], np.zeros(table.n, dtype=np.intp))
     y = _binary_labels(labels)
@@ -436,6 +437,15 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+# eval's suites and the flags each reads, the only ones besides command,
+# suite, config, verbose and out that its manifest records
+_EVAL_SUITE_FLAGS = {
+    "inject": ("data", "rows", "supports", "n_exp", "window", "baselines", "seed", "threads"),
+    **dict.fromkeys(("agrawal", "sea", "led", "hyperplane"), ("n_exp", "window", "baselines", "seed", "threads")),
+    "timing": ("data", "rows", "min_support", "window", "baselines", "seed"),
+}
+
+
 def _cmd_eval(args) -> int:
     from .evaluation import run_concept_suite, run_injection_suite, summarize_suite, timing_bench
 
@@ -443,11 +453,12 @@ def _cmd_eval(args) -> int:
         kinds = tuple(args.baselines.split(","))
     else:
         kinds = ("ddm",) if args.suite in ("inject", "timing") else ()
-    out_rows = []
+    methods = ("driftscope", *kinds)
     if args.suite == "inject":
         cols, source = resolve_tabular(args.data, n=args.rows)
         log.info("injection suite on %s (%d rows)", source, cols.n)
         supports = [float(s) for s in args.supports.split(",")] if args.supports else [0.01, 0.05]
+        out_rows = []
         for k, support in enumerate(supports):
             # targets drawn from a narrow band around each requested support
             results, _ = run_injection_suite(
@@ -459,15 +470,16 @@ def _cmd_eval(args) -> int:
                 support_band=(0.8 * support, 1.25 * support),
                 window=args.window,
                 baseline_kinds=kinds,
-                baseline_params={"ddm": {"min_samples": 4000}},
             )
-            for method in ("driftscope", *kinds):
-                row = summarize_suite(results, method)
-                row["suite"] = args.suite
-                row["dataset"] = source
-                row["target_support"] = support
-                out_rows.append(row)
-    elif args.suite in ("agrawal", "sea", "led", "hyperplane"):
+            out_rows += [
+                dict(summarize_suite(results, m), suite=args.suite, dataset=source, target_support=support)
+                for m in methods
+            ]
+    elif args.suite == "timing":
+        cols, source = resolve_tabular(args.data, n=args.rows)
+        timing = timing_bench(cols, args.min_support, args.seed, detector_kinds=kinds, window=args.window)
+        out_rows = [{"suite": "timing", "dataset": source, "method": method, **vals} for method, vals in timing.items()]
+    else:
         results = run_concept_suite(
             args.suite,
             n_positive=args.n_exp,
@@ -477,24 +489,14 @@ def _cmd_eval(args) -> int:
             window=args.window,
             baseline_kinds=kinds,
         )
-        for method in ("driftscope", *kinds):
-            row = summarize_suite(results, method)
-            row["suite"] = args.suite
-            row["dataset"] = args.suite
-            out_rows.append(row)
-    elif args.suite == "timing":
-        cols, source = resolve_tabular(args.data, n=args.rows)
-        timing = timing_bench(cols, args.min_support, args.seed, detector_kinds=kinds, window=args.window)
-        for method, vals in timing.items():
-            out_rows.append({"suite": "timing", "dataset": source, "method": method, **vals})
-    else:
-        raise DataError(f"unknown suite {args.suite!r}")
+        out_rows = [dict(summarize_suite(results, m), suite=args.suite, dataset=args.suite) for m in methods]
 
     columns = sorted({k for r in out_rows for k in r})
     text = _csv_text(out_rows, columns)
     if args.out:
         _atomic_write(Path(args.out), text)
-        _write_manifest(Path(args.out), args)
+        read = {"command", "suite", "config", "verbose", "out", *_EVAL_SUITE_FLAGS[args.suite]}
+        _write_manifest(Path(args.out), argparse.Namespace(**{k: v for k, v in vars(args).items() if k in read}))
     else:
         print(text, end="")
     return 0
@@ -642,8 +644,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("eval", help="run an experiment suite and write a results table")
-    p.add_argument("--suite", required=True,
-                   choices=["inject", "agrawal", "sea", "led", "hyperplane", "timing"])
+    p.add_argument("--suite", required=True, choices=list(_EVAL_SUITE_FLAGS))
     p.add_argument("--data", default="surrogate", help="tabular CSV path or 'surrogate' (injection/timing suites)")
     p.add_argument("--supports", type=_fractions, help="comma-separated support band, e.g. 0.01,0.05")
     p.add_argument("--min-support", type=_fraction, default=0.05, help="mining support (timing suite)")

@@ -76,16 +76,17 @@ class WindowConfig:
     min_count: int = 0
 
     def __post_init__(self) -> None:
-        rules = (("window_batches", Integral, int), ("tau_t", Real, float), ("min_count", Integral, int))
-        for name, kind, cast in rules:
+        # the ranges of monitor's --window, --tau-t and --min-count
+        rules = (("window_batches", Integral, int, 1), ("tau_t", Real, float, 0), ("min_count", Integral, int, 0))
+        for name, kind, cast, least in rules:
             value = getattr(self, name)
             if not isinstance(value, kind) or isinstance(value, bool) or value != value:
                 raise ValueError(f"{name} must be {'a number' if cast is float else 'an integer'}, got {value!r}")
             if cast is float and not math.isfinite(value):  # JSON has no infinity
                 raise ValueError(f"{name} must be finite, got {value!r}")
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value!r}")
             object.__setattr__(self, name, cast(value))  # a plain Python number, as JSON holds it
-        if self.window_batches < 1:
-            raise ValueError("window_batches must be >= 1")
 
 
 @dataclass

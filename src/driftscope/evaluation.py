@@ -10,6 +10,10 @@ Two experiment families mirror the monitoring protocol end to end:
     default) where positives mix two concepts through a sigmoid and negatives
     stay on one concept.
 
+The injection experiments and the timing benchmark are the census suites:
+they run on a tabular (census) dataset through one set-up,
+:func:`_census_setup`, and one DDM setting, ``_CENSUS_BASELINES``.
+
 An experiment counts as detected when the monitor reports drift in at least
 one batch; suites always pair equal numbers of positive and negative runs so
 accuracy is meaningful. Ranking quality uses the true altered fraction per
@@ -60,6 +64,10 @@ __all__ = [
 
 _INJECT_SALT = 0x494E4A45
 _CONCEPT_SALT = 0x434F4E43
+
+# the DDM setting acceptance criterion 9 gates; the concept suites use each
+# detector's defaults
+_CENSUS_BASELINES: Mapping[str, Mapping] = {"ddm": {"min_samples": 4000}}
 
 
 @dataclass
@@ -198,11 +206,8 @@ def _monitor_batches(
         yield M, step(monitor, aggregate(batch, M))
 
 
-def _baselines_detected(
-    errors: np.ndarray, kinds: Sequence[str], params: Mapping[str, Mapping] | None
-) -> dict[str, bool]:
+def _baselines_detected(errors: np.ndarray, kinds: Sequence[str], params: Mapping[str, Mapping]) -> dict[str, bool]:
     """Whether each global baseline detector fires on the error stream."""
-    params = params or {}
     return {kind: DRIFT in make_detector(kind, **params.get(kind, {})).run(errors) for kind in kinds}
 
 
@@ -223,6 +228,22 @@ def _run_jobs(jobs: Sequence[Callable], threads: int) -> list:
 # ---------------------------------------------------------------------------
 
 
+def _census_setup(
+    cols: ColumnData, perm: np.ndarray, mining: MiningConfig, tree_depth: int, n_batches: int, X: np.ndarray
+) -> tuple[ItemCatalog, SubgroupCatalog, np.ndarray, np.ndarray, Membership, list[tuple[int, int]]]:
+    """The census protocol's set-up on the split ``perm``: the catalog, the
+    subgroups ``mining`` finds and a depth-``tree_depth`` tree on ``X``, all
+    from the first half; for the second half, its rows, the tree's
+    predictions, its point matrix and ``n_batches`` even batches."""
+    train_idx, test_idx = perm[: cols.n // 2], perm[cols.n // 2 :]
+    catalog = cols.build_catalog(train_idx)
+    sgcat = mine_frequent(cols.point_matrix(train_idx, catalog), mining, item_attrs=catalog.item_attributes())
+    model = fit_tree(X[train_idx], cols.y[train_idx], max_depth=tree_depth)
+    y_hat = model.predict(X[test_idx])
+    P_test = cols.point_matrix(test_idx, catalog)
+    return catalog, sgcat, test_idx, y_hat, P_test, _even_bounds(len(test_idx), n_batches)
+
+
 @dataclass
 class InjectionExtras:
     """Final-state artifacts of one injection run, for explanation checks."""
@@ -240,39 +261,24 @@ def run_injection_experiment(
     kind: str,
     seed: int,
     support_band: tuple[float, float] = (0.01, 0.05),
-    p_max: float = 0.8,
     mining: MiningConfig = MiningConfig(0.01, max_len=3),
-    bins: int = 4,
     window: int = 5,
-    tau_t: float = 5.0,
     tree_depth: int = 8,
     n_batches: int = 30,
     baseline_kinds: Sequence[str] = ("ddm",),
-    baseline_params: Mapping[str, Mapping] | None = None,
     n_random_rankings: int = 100,
     keep_state: bool = False,
     feature_matrix: np.ndarray | None = None,
 ) -> tuple[ExperimentResult, InjectionExtras | None]:
-    """One shuffled train/test split with optional targeted label flips."""
+    """One shuffled train/test split with optional targeted label flips
+    (probability up to 0.8) and the census baselines."""
     if kind not in ("positive", "negative"):
         raise ValueError("kind must be 'positive' or 'negative'")
-    ss = np.random.SeedSequence([_INJECT_SALT, seed])
-    rng = np.random.default_rng(ss)
-
-    perm = rng.permutation(cols.n)
-    half = cols.n // 2
-    train_idx, test_idx = perm[:half], perm[half:]
-
-    catalog = cols.build_catalog(train_idx, bins=bins)
-    P_train = cols.point_matrix(train_idx, catalog)
-    sgcat = mine_frequent(P_train, mining, item_attrs=catalog.item_attributes())
-
+    rng = np.random.default_rng(np.random.SeedSequence([_INJECT_SALT, seed]))
     X = cols.feature_matrix() if feature_matrix is None else feature_matrix
-    model = fit_tree(X[train_idx], cols.y[train_idx], max_depth=tree_depth)
-    y_hat = model.predict(X[test_idx])
-
-    P_test = cols.point_matrix(test_idx, catalog)
-    bounds = _even_bounds(len(test_idx), n_batches)
+    catalog, sgcat, test_idx, y_hat, P_test, bounds = _census_setup(
+        cols, rng.permutation(cols.n), mining, tree_depth, n_batches, X
+    )
     y_test = cols.y[test_idx].copy()
 
     target_support = None
@@ -288,14 +294,14 @@ def run_injection_experiment(
         target = sgcat.subgroup(int(band[int(rng.integers(len(band)))]))
         target_support = target.support
         target_items = target.item_ids
-        schedule = DriftSchedule(target_subgroup=target.item_ids, p_max=p_max)
+        schedule = DriftSchedule(target_subgroup=target.item_ids, p_max=0.8)
         cover = _target_cover(P_test, target.item_ids)
         y_test, mask = _inject_flips_columns(y_test, cover, bounds, schedule, seed)
 
     alpha = (y_test == y_hat).astype(np.int64)
     beta = 1 - alpha
 
-    monitor = MonitorState(n_subgroups=len(sgcat), config=WindowConfig(window, tau_t))
+    monitor = MonitorState(n_subgroups=len(sgcat), config=WindowConfig(window))
     # altered counts of the scored batches, as many as the current window
     # holds; a negative experiment alters no label, so it counts none
     altered_ring: deque[np.ndarray] = deque(maxlen=window)
@@ -318,7 +324,7 @@ def run_injection_experiment(
         seed=seed,
         target_support=target_support,
         target_items=target_items,
-        baseline_detected=_baselines_detected(beta, baseline_kinds, baseline_params),
+        baseline_detected=_baselines_detected(beta, baseline_kinds, _CENSUS_BASELINES),
     )
 
     extras = None
@@ -377,6 +383,7 @@ def run_injection_suite(
 # ---------------------------------------------------------------------------
 
 _CONCEPT_POOL = {"agrawal": 10, "sea": 4, "led": 8, "hyperplane": 8}
+_MIN_DISAGREEMENT = 0.10
 
 
 def run_concept_experiment(
@@ -384,22 +391,18 @@ def run_concept_experiment(
     kind: str,
     seed: int,
     mining: MiningConfig = MiningConfig(0.05, max_len=3),
-    bins: int = 4,
     window: int = 5,
-    tau_t: float = 5.0,
-    tree_depth: int = 5,
     train_size: int = 5000,
     n_batches: int = 50,
     batch_size: int = 200,
-    label_noise: float = 0.10,
     drift_center: int = 5000,
     drift_width: int = 1000,
     baseline_kinds: Sequence[str] = (),
-    baseline_params: Mapping[str, Mapping] | None = None,
     keep_reports: bool = False,
-    min_disagreement: float = 0.10,
 ) -> ExperimentResult:
-    """One synthetic stream experiment: drift (positive) or stationary."""
+    """One synthetic stream experiment: drift (positive) or stationary, with
+    the generator's default label noise, a depth-5 tree and each baseline at
+    its defaults."""
     if kind not in ("positive", "negative"):
         raise ValueError("kind must be 'positive' or 'negative'")
     rng = np.random.default_rng(np.random.SeedSequence([_CONCEPT_SALT, seed]))
@@ -407,17 +410,15 @@ def run_concept_experiment(
     concept_a = int(rng.integers(pool))
     if kind == "positive":
         # a positive experiment must contain a material drift: resample pairs
-        # until the concepts disagree on at least min_disagreement of labels
+        # until the concepts disagree on at least _MIN_DISAGREEMENT of labels
         for _ in range(200):
             concept_b = int(rng.integers(pool - 1))
             concept_b += concept_b >= concept_a
-            if concept_disagreement(generator, concept_a, concept_b, seed=seed) >= min_disagreement:
+            if concept_disagreement(generator, concept_a, concept_b, seed=seed) >= _MIN_DISAGREEMENT:
                 break
             concept_a = int(rng.integers(pool))
         else:
-            raise ValueError(
-                f"no {generator} concept pair reaches disagreement {min_disagreement}"
-            )
+            raise ValueError(f"no {generator} concept pair reaches disagreement {_MIN_DISAGREEMENT}")
     else:
         concept_b = concept_a
 
@@ -427,7 +428,6 @@ def run_concept_experiment(
         concept_b=concept_b,
         drift_center=drift_center,
         drift_width=drift_width,
-        label_noise=label_noise,
         train_size=train_size,
         n_batches=n_batches,
         batch_size=batch_size,
@@ -441,17 +441,17 @@ def run_concept_experiment(
     train_cols = ColumnData.from_columns(train.columns(), categorical=cat_attrs)
     stream_cols = ColumnData.from_columns(stream.columns(), categorical=cat_attrs)
     train_idx = np.arange(train_cols.n)
-    catalog = train_cols.build_catalog(train_idx, bins=bins)
+    catalog = train_cols.build_catalog(train_idx)
     P_train = train_cols.point_matrix(train_idx, catalog)
     sgcat = mine_frequent(P_train, mining, item_attrs=catalog.item_attributes())
 
-    model = fit_tree(train.X, train.y, max_depth=tree_depth)
+    model = fit_tree(train.X, train.y, max_depth=5)
     alpha = (stream.y == model.predict(stream.X)).astype(np.int64)
     beta = 1 - alpha
     P = stream_cols.point_matrix(np.arange(stream_cols.n), catalog)
     bounds = [(b * batch_size, (b + 1) * batch_size) for b in range(n_batches)]
 
-    monitor = MonitorState(n_subgroups=len(sgcat), config=WindowConfig(window, tau_t))
+    monitor = MonitorState(n_subgroups=len(sgcat), config=WindowConfig(window))
     batch_max_t: list[float] = []
     detected = False
     writer = ReportWriter(sgcat)
@@ -468,7 +468,7 @@ def run_concept_experiment(
         detected=detected,
         batch_max_t=batch_max_t,
         seed=seed,
-        baseline_detected=_baselines_detected(beta, baseline_kinds, baseline_params),
+        baseline_detected=_baselines_detected(beta, baseline_kinds, {}),
         report_jsonl="\n".join(report_lines) if keep_reports else None,
     )
 
@@ -496,38 +496,28 @@ def timing_bench(
     min_support: float = 0.05,
     seed: int = 0,
     detector_kinds: Sequence[str] = ("ddm",),
-    detector_params: Mapping[str, Mapping] | None = None,
     reps: int = 5,
     window: int = 5,
-    tau_t: float = 5.0,
 ) -> dict[str, dict[str, float]]:
     """Median wall time per batch and per sample of the bitmap pipeline and
     of one detector per subgroup, and the subgroup count, after an untimed
-    set-up: a seeded 50/50 split of ``cols``; the catalog, the subgroups
-    mined at ``min_support`` (up to length 3) and a depth-8 tree from the
-    first half; the second half's point matrix in 30 even batches, with the
-    tree's correct/incorrect outcomes as alpha/beta. The pipeline is timed
-    over the experiments' batch loop (:func:`_monitor_batches`), after one
-    warm-up batch; each baseline over selecting its subgroup's members by
-    direct subset checks (per-subgroup detectors share no membership) and
-    updating its detector per member error.
+    set-up: :func:`_census_setup` on a seeded permutation of ``cols``, with
+    the subgroups mined at ``min_support`` (up to length 3), a depth-8 tree
+    and 30 batches, the tree's correct/incorrect outcomes as alpha/beta.
+    The pipeline is timed over the experiments' batch loop
+    (:func:`_monitor_batches`), after one warm-up batch; each baseline, at
+    ``_CENSUS_BASELINES``, over selecting its subgroup's members by direct
+    subset checks (per-subgroup detectors share no membership) and updating
+    its detector per member error.
     """
     perm = np.random.default_rng(seed).permutation(cols.n)
-    train_idx, test_idx = perm[: cols.n // 2], perm[cols.n // 2 :]
-    catalog = cols.build_catalog(train_idx)
-    sgcat = mine_frequent(
-        cols.point_matrix(train_idx, catalog),
-        MiningConfig(min_support, max_len=3),
-        item_attrs=catalog.item_attributes(),
+    _, sgcat, test_idx, y_hat, P, bounds = _census_setup(
+        cols, perm, MiningConfig(min_support, max_len=3), 8, 30, cols.feature_matrix()
     )
-    X = cols.feature_matrix()
-    model = fit_tree(X[train_idx], cols.y[train_idx], max_depth=8)
-    alpha = (cols.y[test_idx] == model.predict(X[test_idx])).astype(np.int64)
+    alpha = (cols.y[test_idx] == y_hat).astype(np.int64)
     beta = 1 - alpha
-    P = cols.point_matrix(test_idx, catalog)
-    bounds = _even_bounds(len(test_idx), 30)
 
-    config = WindowConfig(window, tau_t)
+    config = WindowConfig(window)
     next(_monitor_batches(MonitorState(len(sgcat), config), sgcat, P, alpha, beta, bounds))  # warm-up batch
     times: dict[str, list[float]] = {"driftscope": []}
     for _ in range(max(reps, 1)):
@@ -547,7 +537,7 @@ def timing_bench(
     subgroup_sets = [frozenset(sg.item_ids) for sg in sgcat.subgroups]
 
     for kind in detector_kinds:
-        params = (detector_params or {}).get(kind, {})
+        params = _CENSUS_BASELINES.get(kind, {})
         times[kind] = []
         for _ in range(max(reps, 1)):
             detectors = [make_detector(kind, **params) for _ in range(len(sgcat))]

@@ -52,9 +52,7 @@ def injection_run():
         n_negative=20,
         seed=SEED,
         support_band=(0.01, 0.05),
-        p_max=0.8,
         baseline_kinds=("ddm",),
-        baseline_params={"ddm": {"min_samples": 4000}},
     )
     runtime = time.perf_counter() - t0
     assert extras is not None
@@ -273,8 +271,7 @@ def test_criterion_8_pruning_soundness(injection_run):
 def test_criterion_9_timing(injection_run):
     t0 = time.perf_counter()
     timing = timing_bench(
-        injection_run["cols"], 0.05, seed=SEED, detector_kinds=("ddm",),
-        detector_params={"ddm": {"min_samples": 4000}}, reps=5,
+        injection_run["cols"], 0.05, seed=SEED, detector_kinds=("ddm",), reps=5,
     )
     elapsed = time.perf_counter() - t0
     ratio = timing["ddm"]["seconds_per_batch"] / timing["driftscope"]["seconds_per_batch"]

@@ -1082,6 +1082,34 @@ def test_bench_rejects_a_flag_its_detector_does_not_take(tmp_path, capsys, flag,
     assert captured.out == ""
 
 
+def test_inject_of_no_batches_is_a_usage_error_before_any_work(tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("work started before the flags were checked")
+
+    for name in ("_load_artifact", "read_columns"):
+        monkeypatch.setattr(cli, name, never)
+    out = tmp_path / "out.csv"
+    code = run_cli(
+        "inject", "--input", out, "--catalog", out, "--subgroup", "a=b", "--p-max", "0.5",
+        "--normal", "0", "--transition", "0", "--drift", "0", "--out", out, "--mask", out,
+    )
+    assert code == 1
+    assert "driftscope inject: error: --normal, --transition and --drift total 0 batches" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_inject_names_a_missing_item_before_reading_its_input(tmp_path, caplog):
+    _, catalog_path, _ = _mined_and_monitored(tmp_path)
+    missing = tmp_path / "missing.csv"
+    code = run_cli(
+        "inject", "--input", missing, "--catalog", catalog_path, "--subgroup", "color=Nobody", "--p-max", "0.5",
+        "--out", tmp_path / "out.csv", "--mask", tmp_path / "mask.csv",
+    )
+    assert code == 2
+    assert "subgroup item 'color=Nobody' not found in the catalog" in caplog.text
+    assert str(missing) not in caplog.text
+
+
 @pytest.mark.parametrize("name,text", [("header.csv", "att1\n"), ("empty.jsonl", "")])
 def test_bench_on_a_file_with_no_rows_exits_two(tmp_path, caplog, capsys, name, text):
     src = tmp_path / name
@@ -1128,6 +1156,10 @@ def test_eval_timing_suite_small(tmp_path):
     cols, _ = resolve_tabular("surrogate", n=4000)
     n_subgroups = evaluation.timing_bench(cols, 0.2, seed=0, detector_kinds=(), reps=1)["driftscope"]["n_subgroups"]
     assert {r["n_subgroups"] for r in rows} == {str(n_subgroups)}
+    config = json.loads(out.with_suffix(".csv.manifest.json").read_text())["config"]
+    assert set(config) == {
+        "command", "suite", "config", "verbose", "out", "data", "rows", "min_support", "window", "baselines", "seed",
+    }
 
 
 def test_eval_inject_suite_small(tmp_path):
@@ -1391,8 +1423,10 @@ def test_report_has_no_tau_t_flag(tmp_path, capsys):
         (lambda d: d.pop("tau_t"), "no field 'tau_t'"),
         (lambda d: d.update(tau_t="five"), "tau_t must be a number"),
         (lambda d: d.update(tau_t=float("inf")), "tau_t must be finite, got inf"),
+        (lambda d: d.update(tau_t=-3), "tau_t must be >= 0, got -3"),
         (lambda d: d.pop("min_count"), "no field 'min_count'"),
         (lambda d: d.update(min_count="none"), "min_count must be an integer"),
+        (lambda d: d.update(min_count=-1), "min_count must be >= 0, got -1"),
     ],
 )
 def test_report_rejects_a_bad_state_naming_the_field(tmp_path, caplog, edit, message):

@@ -329,6 +329,8 @@ class TestReportAndState:
             ((2, float("nan")), "tau_t must be a number"),
             ((2, True), "tau_t must be a number"),
             ((2, 5.0, 1.0), "min_count must be an integer"),
+            ((2, -3.0), "tau_t must be >= 0, got -3.0"),
+            ((2, 5.0, -1), "min_count must be >= 0, got -1"),
         ):
             with pytest.raises(ValueError, match=message):
                 WindowConfig(*args)

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 import rowpath
 
+from driftscope import evaluation
+from driftscope.baselines import make_detector
 from driftscope.catalog import ItemCatalog, build_catalog
 from driftscope.evaluation import (
     ColumnData,
@@ -298,7 +300,6 @@ class TestExperimentSmoke:
             n_batches=15,
             tree_depth=5,
             baseline_kinds=("ddm",),
-            baseline_params={"ddm": {"min_samples": 500}},
             n_random_rankings=20,
             keep_state=True,
         )
@@ -458,3 +459,26 @@ def test_timing_bench_mines_the_first_half_of_its_seeded_split(small_rows):
         cols.point_matrix(train_idx, catalog), MiningConfig(0.05, max_len=3), item_attrs=catalog.item_attributes()
     )
     assert out == {"driftscope": dict(out["driftscope"], n_subgroups=len(sgcat))}
+
+
+def test_census_suites_share_one_ddm_setting(small_rows, monkeypatch):
+    # the injection and timing suites run DDM as acceptance criterion 9 gates
+    # it; the concept suites use its defaults
+    built = []
+
+    def recording(kind, **params):
+        built.append((kind, params))
+        return make_detector(kind, **params)
+
+    monkeypatch.setattr(evaluation, "make_detector", recording)
+    cols = ColumnData(small_rows)
+    timing_bench(cols, 0.05, detector_kinds=("ddm",), reps=1)
+    run_injection_experiment(
+        cols, "negative", seed=4, mining=MiningConfig(0.05, max_len=2), n_batches=15, tree_depth=4,
+        baseline_kinds=("ddm",),
+    )
+    assert len(built) > 2
+    assert all(b == ("ddm", {"min_samples": 4000}) for b in built)
+    built.clear()
+    run_concept_experiment("sea", "negative", seed=1, baseline_kinds=("ddm",), **_SMALL_CONCEPT)
+    assert built == [("ddm", {})]
