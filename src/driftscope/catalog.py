@@ -716,10 +716,7 @@ def _open_data(path: Path, **kwargs):
 
 
 def read_rows(path: str | Path) -> Iterator[dict[str, object]]:
-    """Stream rows from a CSV (RFC 4180, header row) or JSONL file.
-
-    A CSV header that names a column twice is a :class:`DataError`.
-    """
+    """Stream rows from a CSV (RFC 4180, header row, :func:`_csv_records`) or JSONL file."""
     path = Path(path)
     if _is_jsonl(path):
         with _open_data(path) as fh:
@@ -735,13 +732,8 @@ def read_rows(path: str | Path) -> Iterator[dict[str, object]]:
                     raise DataError(f"row {i}: expected a JSON object")
                 yield row
     else:
-        with _open_data(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = _csv_header(path, reader)
-            width = len(header)
-            for i, row in enumerate(filter(None, reader), start=1):
-                if len(row) != width:
-                    row = _fit_row(row, width, i)
+        with _csv_records(path) as (header, rows):
+            for row in rows:
                 yield dict(zip(header, row))
 
 
@@ -767,38 +759,34 @@ def read_columns(path: str | Path) -> dict[str, Column]:
                 factorizer.add([r.get(name) for r in block])
             n += len(block)
         return {name: factorizer.column() for name, factorizer in columns.items()}
+    with _csv_records(path) as (header, rows):
+        return dict(zip(header, _columns_of_rows(rows, len(header))))
+
+
+@contextmanager
+def _csv_records(path: Path) -> Iterator[tuple[list[str], Iterator[list]]]:
+    """The header and rows of the CSV file ``path`` under both readers' record
+    rule: no header name twice, blank lines skipped, and each other row (from
+    1) fitted to the header, short ones padded with None, long ones a DataError."""
     with _open_data(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = _csv_header(path, reader)
+        header = next(reader, None)
+        if header is None:
+            raise DataError(f"{path}: empty file, expected a header row")
+        repeated = [name for name, count in Counter(header).items() if count > 1]
+        if repeated:
+            raise DataError(f"{path}: column name(s) repeated in the header: {', '.join(map(repr, repeated))}")
         width = len(header)
-        rows = (
-            row if len(row) == width else _fit_row(row, width, i)
-            for i, row in enumerate(filter(None, reader), start=1)
-        )
-        return dict(zip(header, _columns_of_rows(rows, width)))
 
+        def rows() -> Iterator[list]:
+            for i, row in enumerate(filter(None, reader), start=1):
+                if len(row) != width:
+                    if len(row) > width:
+                        raise DataError(f"row {i}: more fields than header columns")
+                    row += [None] * (width - len(row))
+                yield row
 
-# The CSV record rule of both readers: the first row is the header, checked by
-# _csv_header; blank lines are skipped; every other row is fitted to the
-# header by _fit_row, numbered among the non-blank rows from 1.
-
-
-def _csv_header(path: Path, reader: Iterator[list[str]]) -> list[str]:
-    header = next(reader, None)
-    if header is None:
-        raise DataError(f"{path}: empty file, expected a header row")
-    repeated = [name for name, count in Counter(header).items() if count > 1]
-    if repeated:
-        raise DataError(f"{path}: column name(s) repeated in the header: {', '.join(map(repr, repeated))}")
-    return header
-
-
-def _fit_row(row: list, width: int, row_num: int) -> list:
-    """A CSV row of the header's ``width``: a short row padded with None; a
-    long one is a DataError."""
-    if len(row) > width:
-        raise DataError(f"row {row_num}: more fields than header columns")
-    return row + [None] * (width - len(row))
+        yield header, rows()
 
 
 @contextmanager

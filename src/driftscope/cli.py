@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import io
 import json
 import logging
@@ -175,9 +176,7 @@ def _cmd_mine(args) -> int:
         attr, _, rule = spec.partition("=")
         binning[attr] = "categorical" if rule == "categorical" else ("quantile", int(rule.partition(":")[2]))
     categorical = frozenset(a for a, rule in binning.items() if rule == "categorical")
-    table = ColumnData.from_columns(read_columns(args.input), categorical=categorical)
-    if not table.n:
-        raise DataError(f"{args.input}: no data rows")
+    _, table = _read_table(args.input, categorical)
     every_row = np.arange(table.n)
     catalog = table.build_catalog(every_row, args.bins, binning)
     sgcat = mine_frequent(
@@ -192,6 +191,20 @@ def _cmd_mine(args) -> int:
     _write_manifest(out, args)
     log.info("mined %d subgroups over %d items from %d rows", len(sgcat), catalog.n_items, table.n)
     return 0
+
+
+def _sha256(path) -> str:
+    """The hex SHA-256 of the file's bytes: a catalog artifact's fingerprint."""
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def _read_table(path, categorical: frozenset) -> tuple[dict[str, Column], ColumnData]:
+    """The columns of the data file ``path`` and their table, which may not be empty."""
+    columns = read_columns(path)
+    table = ColumnData.from_columns(columns, categorical=categorical)
+    if not table.n:
+        raise DataError(f"{path}: no rows")
+    return columns, table
 
 
 def _load_artifact(path: str) -> tuple[ItemCatalog, SubgroupCatalog]:
@@ -253,7 +266,7 @@ def _cmd_monitor(args) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    monitor = MonitorState(n_subgroups=len(sgcat), config=config)
+    monitor = MonitorState(n_subgroups=len(sgcat), config=config, catalog_sha256=_sha256(args.catalog))
     writer = ReportWriter(sgcat, args.top_k)
     lines = []
     csv_columns = ["subgroup_id", "items", "support", "h_ref", "h_cur", "delta_h", "t", "drifted"]
@@ -368,11 +381,8 @@ def _cmd_inject(args) -> int:
         if item_id is None:
             raise DataError(f"subgroup item {part!r} not found in the catalog")
         item_ids.append(item_id)
-    columns = read_columns(args.input)
     categorical = frozenset(a for a, d in catalog.discretizers.items() if d.kind == "categorical")
-    table = ColumnData.from_columns(columns, categorical=categorical)
-    if not table.n:
-        raise DataError(f"{args.input}: no rows")
+    columns, table = _read_table(args.input, categorical)
     schedule = DriftSchedule(
         target_subgroup=tuple(sorted(item_ids)),
         p_max=args.p_max,
@@ -518,6 +528,8 @@ def _cmd_report(args) -> int:
     state = MonitorState.load(state_path)
     if state.n_subgroups != len(sgcat):
         raise DataError(f"monitor state has {state.n_subgroups} subgroups, catalog has {len(sgcat)}")
+    if state.catalog_sha256 != _sha256(args.catalog):
+        raise DataError(f"{state_path} was written by a monitor run on another catalog than {args.catalog}")
     if not state.reference_frozen or not state.current_ring:
         raise DataError("monitoring never left the warming-up phase")
     full = state.score()

@@ -13,6 +13,7 @@ copy's path from DRIFTSCOPE_ADULT themselves and pass it on.
 
 from __future__ import annotations
 
+import csv
 from pathlib import Path
 
 import numpy as np
@@ -54,12 +55,18 @@ def _is_number(text: str) -> bool:
     return True
 
 
+def _record(line: str) -> list[str]:
+    """The fields of one CSV line; a quote left open ends with the line."""
+    return next(csv.reader((line,)))
+
+
 def load_adult(path: str | Path) -> ColumnData:
     """Load the Adult dataset from a CSV file (with or without a header).
 
-    Handles the classic ``adult.data`` layout (15 comma-separated fields, no
-    header; lines of another width are skipped) as well as headered exports.
-    A file has a header when its first field is neither a number nor a
+    Handles the classic ``adult.data`` layout (no header; each line one CSV
+    record of 15 fields, quoted or not; lines of another width are skipped) as
+    well as headered exports. A file has a header when the first field of its
+    first line is neither a number nor a
     missing-value token, as the age column of ``adult.data`` always is.
     Hyphens in column names are normalized to underscores and the income
     column becomes the label ``y`` (1 for >50K). ``?`` entries are missing.
@@ -67,7 +74,7 @@ def load_adult(path: str | Path) -> ColumnData:
     path = Path(path)
     with _open_data(path) as fh:
         first = fh.readline().strip()
-    first_field = first.split(",", 1)[0].strip()
+    first_field = next(iter(_record(first)), "").strip()
     has_header = not (first.startswith("|") or first_field in MISSING_VALUES or _is_number(first_field))
 
     def norm_label(v) -> int:
@@ -94,9 +101,9 @@ def load_adult(path: str | Path) -> ColumnData:
             raise ValueError("no income/label column found in header")
     else:
         width = len(ADULT_COLUMNS) + 1
-        with open(path, encoding="utf-8") as fh:
-            lines = (line.split(",") for line in map(str.strip, fh) if line and not line.startswith("|"))
-            *attributes, label = _columns_of_rows((parts for parts in lines if len(parts) == width), width)
+        with _open_data(path) as fh:
+            lines = (line for line in map(str.strip, fh) if line and not line.startswith("|"))
+            *attributes, label = _columns_of_rows((row for row in map(_record, lines) if len(row) == width), width)
         columns = dict(zip(ADULT_COLUMNS, attributes))
     if not len(label):
         raise ValueError(f"no data rows parsed from {path}")

@@ -210,7 +210,8 @@ class MonitorState:
 
     ``current_ring`` holds the most recent W batch stats. Until the reference
     is frozen those are the warm-up batches; at the W-th their merge becomes
-    ``reference_stats`` and the ring empties.
+    ``reference_stats`` and the ring empties. ``catalog_sha256`` fingerprints
+    the catalog artifact the stream is monitored under.
     """
 
     n_subgroups: int
@@ -218,6 +219,7 @@ class MonitorState:
     reference_stats: SubgroupStats | None = None
     current_ring: deque = field(init=False)
     batches_seen: int = 0
+    catalog_sha256: str | None = None
 
     def __post_init__(self) -> None:
         self.current_ring = deque(maxlen=self.config.window_batches)
@@ -236,7 +238,8 @@ class MonitorState:
 
     def to_dict(self) -> dict:
         return {
-            "version": 2,
+            "version": 3,
+            "catalog_sha256": self.catalog_sha256,
             "n_subgroups": self.n_subgroups,
             "window_batches": self.config.window_batches,
             "tau_t": self.config.tau_t,
@@ -251,12 +254,12 @@ class MonitorState:
         """The state ``to_dict`` wrote; :meth:`load` names the file in any error."""
         if not isinstance(d, Mapping):
             raise DataError("not a JSON object")
-        if d.get("version") != 2:
-            raise DataError(
-                f"unsupported version {d.get('version')!r}, expected 2; re-run `driftscope monitor` to write it"
-            )
+        version = d.get("version")
+        if version != 3 or "catalog_sha256" not in d:
+            why = f"unsupported version {version!r}, expected 3" if version != 3 else "no catalog_sha256"
+            raise DataError(f"{why}; re-run `driftscope monitor` to write it")
         config = WindowConfig(d["window_batches"], d["tau_t"], d["min_count"])
-        state = cls(n_subgroups=int(d["n_subgroups"]), config=config)
+        state = cls(n_subgroups=int(d["n_subgroups"]), config=config, catalog_sha256=d["catalog_sha256"])
         state.batches_seen = int(d["batches_seen"])
         if d["reference_stats"] is not None:
             state.reference_stats = SubgroupStats.from_dict(d["reference_stats"])

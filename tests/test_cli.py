@@ -580,7 +580,7 @@ def test_out_of_range_catalog_item_exits_two(tmp_path, caplog):
 
 
 def test_report_shapley_on_catalog_missing_a_subset_exits_two(tmp_path, caplog):
-    _, catalog_path, reports_dir = _mined_and_monitored(tmp_path)
+    src, catalog_path, reports_dir = _mined_and_monitored(tmp_path)
     # swap a singleton that mined pairs contain for an unmined pair: those
     # pairs lose a subset while the subgroup count stays the same
     subgroups = json.loads(catalog_path.read_text())["subgroup_catalog"]["subgroups"]
@@ -597,6 +597,11 @@ def test_report_shapley_on_catalog_missing_a_subset_exits_two(tmp_path, caplog):
         sgs[1:] = sorted(kept, key=lambda e: e["items"])
 
     _edit_artifact(catalog_path, edit)
+    # monitored on the edited catalog, so that the state's fingerprint matches it
+    assert run_cli(
+        "monitor", "--catalog", catalog_path, "--input", src, "--window", "2", "--batch-size", "100",
+        "--out", reports_dir,
+    ) == 0
     for flags in (["--shapley"], ["--prune-t", "2"]):
         caplog.clear()
         code = run_cli(
@@ -1311,7 +1316,21 @@ def test_mine_header_only_file_exits_two(tmp_path, caplog):
     src = tmp_path / "empty.csv"
     src.write_text("a,b,y\n")
     assert run_cli("mine", "--input", src, "--min-support", "0.1", "--out", tmp_path / "c.json") == 2
-    assert "no data rows" in caplog.text
+    assert f"{src}: no rows" in caplog.text
+
+
+def test_inject_header_only_file_exits_two_as_mine_does(tmp_path, caplog):
+    _, catalog_path, _ = _mined_and_monitored(tmp_path)
+    src = tmp_path / "empty.csv"
+    src.write_text("color,y,y_hat\n")
+    out, mask = tmp_path / "out.csv", tmp_path / "mask.csv"
+    code = run_cli(
+        "inject", "--input", src, "--catalog", catalog_path, "--subgroup", "color=red", "--p-max", "0.5",
+        "--out", out, "--mask", mask,
+    )
+    assert code == 2
+    assert f"{src}: no rows" in caplog.text
+    assert not out.exists() and not mask.exists()
 
 
 def test_monitor_reads_a_jsonl_array_or_object_value_as_its_text(tmp_path, caplog):
@@ -1402,6 +1421,23 @@ def test_report_flags_agree_with_the_run_it_reports_on(tmp_path):
     assert 0 < flagged["2", "60"] < flagged["1", "0"]
 
 
+def test_report_refuses_a_state_built_on_another_catalog_of_the_same_size(tmp_path, caplog):
+    _, catalog_path, reports_dir = _mined_and_monitored(tmp_path)
+    artifact = json.loads(catalog_path.read_text())
+    subgroups = artifact["subgroup_catalog"]["subgroups"]
+    subgroups[1], subgroups[2] = subgroups[2], subgroups[1]  # each row would carry the other's label
+    swapped = tmp_path / "swapped.json"
+    swapped.write_text(json.dumps(artifact))
+    before = sorted(tmp_path.rglob("*"))
+    out = tmp_path / "report.md"
+    assert run_cli("report", "--reports", reports_dir, "--catalog", swapped, "--shapley", "--out", out) == 2
+    assert f"{reports_dir / 'monitor_state.json'} was written by a monitor run on another catalog than {swapped}" in (
+        caplog.text
+    )
+    assert sorted(tmp_path.rglob("*")) == before
+    assert run_cli("report", "--reports", reports_dir, "--catalog", catalog_path, "--out", out) == 0
+
+
 def test_report_has_no_tau_t_flag(tmp_path, capsys):
     _, catalog_path, reports_dir = _mined_and_monitored(tmp_path)
     assert run_cli("report", "--reports", reports_dir, "--catalog", catalog_path, "--tau-t", "5") == 1
@@ -1411,7 +1447,8 @@ def test_report_has_no_tau_t_flag(tmp_path, capsys):
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (lambda d: d.update(version=1), "unsupported version 1, expected 2; re-run `driftscope monitor`"),
+        (lambda d: d.update(version=1), "unsupported version 1, expected 3; re-run `driftscope monitor`"),
+        (lambda d: d.pop("catalog_sha256"), "no catalog_sha256; re-run `driftscope monitor`"),
         (
             lambda d: d["current_ring"].append(d["current_ring"][0]),
             "current_ring holds 3 batches, more than 2 at window_batches 2 with reference_stats set",

@@ -58,6 +58,32 @@ def test_load_adult_headerless_format(tmp_path):
     assert rows[1]["y"] == 1
 
 
+_TAIL = ",83311,Bachelors,13,Married-civ-spouse,Exec-managerial,Husband,White,Male,0,0,13,United-States,>50K"
+
+
+@pytest.mark.parametrize(
+    "text, ages, workclasses",
+    [
+        # a quoted field holds a comma
+        (f'50,Self-emp-inc{_TAIL}\n39,"Self-emp, inc"{_TAIL}\n', [50, 39], ["Self-emp-inc", "Self-emp, inc"]),
+        # the header sniff reads the first line as a CSV record, as the rows are read
+        (f'"39",Self-emp-inc{_TAIL}\n50,Private{_TAIL}\n', [39, 50], ["Self-emp-inc", "Private"]),
+        # each line is one record: an open quote does not take in the lines after it
+        (
+            f'50,Private{_TAIL}\n39,"Self-emp, inc{_TAIL}\n40,Local-gov{_TAIL}\n41,State-gov{_TAIL}\n',
+            [50, 40, 41],
+            ["Private", "Local-gov", "State-gov"],
+        ),
+    ],
+    ids=["quoted-comma", "quoted-first-field", "unclosed-quote"],
+)
+def test_load_adult_headerless_reads_each_line_as_a_csv_record(tmp_path, text, ages, workclasses):
+    p = tmp_path / "adult.data"
+    p.write_text(text)
+    cols = load_adult(p)
+    assert [(r["age"], r["workclass"]) for r in cols.records(range(cols.n))] == list(zip(ages, workclasses))
+
+
 def test_load_adult_headered_format(tmp_path):
     p = tmp_path / "adult.csv"
     p.write_text(

@@ -257,8 +257,10 @@ class TestReportAndState:
         MonitorState.from_dict(good)
         for field, change in (
             ("version 1", lambda d: d.update(version=1)),
-            ("version 3", lambda d: d.update(version=3)),
+            ("version 2", lambda d: d.update(version=2)),
+            ("version 4", lambda d: d.update(version=4)),
             ("version", lambda d: d.pop("version")),
+            ("no catalog_sha256; re-run `driftscope monitor`", lambda d: d.pop("catalog_sha256")),
             ("length", lambda d: d.update(n_subgroups=3)),
             ("length", lambda d: d["current_ring"][0].update(alpha=[1], beta=[1])),
             ("length", lambda d: d["reference_stats"].update(alpha=[1, 2, 3], beta=[1, 2, 3])),
@@ -293,7 +295,7 @@ class TestReportAndState:
         step(mon, stats_of([(50, 0), (0, 0)]))
         step(mon, stats_of([(25, 25), (0, 20)]))
         d = json.loads(json.dumps(mon.to_dict()))
-        assert (d["version"], d["window_batches"], d["tau_t"], d["min_count"]) == (2, 1, 1.0, 5)
+        assert (d["version"], d["window_batches"], d["tau_t"], d["min_count"]) == (3, 1, 1.0, 5)
         rep = MonitorState.from_dict(d).score()
         assert rep.tau_t == 1.0 and rep.drifted.tolist() == [True, False]
         assert rep.batch_id == 2
