@@ -26,7 +26,7 @@ import numpy as np
 
 from .catalog import DataError, atomic_open, read_json
 from .mining import SubgroupCatalog
-from .sgmetrics import SubgroupStats, merge, performance_vector
+from .sgmetrics import SubgroupStats, _json_count, merge, performance_vector
 
 __all__ = [
     "WindowConfig",
@@ -259,17 +259,26 @@ class MonitorState:
             why = f"unsupported version {version!r}, expected 3" if version != 3 else "no catalog_sha256"
             raise DataError(f"{why}; re-run `driftscope monitor` to write it")
         config = WindowConfig(d["window_batches"], d["tau_t"], d["min_count"])
-        state = cls(n_subgroups=int(d["n_subgroups"]), config=config, catalog_sha256=d["catalog_sha256"])
-        state.batches_seen = int(d["batches_seen"])
+        n_subgroups = _json_count(d["n_subgroups"], "n_subgroups")
+        state = cls(n_subgroups=n_subgroups, config=config, catalog_sha256=d["catalog_sha256"])
+        state.batches_seen = _json_count(d["batches_seen"], "batches_seen")
         if d["reference_stats"] is not None:
-            state.reference_stats = SubgroupStats.from_dict(d["reference_stats"])
-        ring = [SubgroupStats.from_dict(s) for s in d["current_ring"]]
+            state.reference_stats = SubgroupStats.from_dict(d["reference_stats"], "reference_stats")
+        ring = [SubgroupStats.from_dict(s, f"current_ring[{i}]") for i, s in enumerate(d["current_ring"])]
         # the W-th warm-up batch freezes the reference and empties the ring
-        most = config.window_batches - (not state.reference_frozen)
+        w, reference = config.window_batches, "set" if state.reference_frozen else "null"
+        most = w - (not state.reference_frozen)
         if len(ring) > most:
             raise DataError(
                 f"current_ring holds {len(ring)} batches, more than {most} at window_batches "
-                f"{config.window_batches} with reference_stats {'set' if state.reference_frozen else 'null'}"
+                f"{w} with reference_stats {reference}"
+            )
+        # what step leaves: every batch while warming up, then the last W after the W-th
+        left = min(w, state.batches_seen - w) if state.reference_frozen else state.batches_seen
+        if len(ring) != left:
+            raise DataError(
+                f"batches_seen {state.batches_seen} does not match current_ring's {len(ring)} batches "
+                f"at window_batches {w} with reference_stats {reference}"
             )
         state.current_ring.extend(ring)
         parts = [*ring, state.reference_stats]

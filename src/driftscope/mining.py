@@ -5,8 +5,8 @@ instance bitmaps, see ``sgmetrics.build_point_matrix``) with an exact,
 level-wise Apriori that ANDs and popcounts those bitmaps. The empty itemset
 (the global subgroup, covering every instance) is always present at index
 0. The catalog keeps, per itemset length, the subgroup indices and their
-items, so that batch membership is the AND of packed item bitmaps (the same
-bitmaps the miner counts with). The same tables, keyed by each row's item
+items; batch membership builds each itemset's bitmap from its prefix's, by
+the miner's rule (``_joined``). The same tables, keyed by each row's item
 ids, are the catalog's only itemset index: lookups of many itemsets of one
 length are one sorted search. The catalog's subset lattice, which pruning
 and Shapley attribution read (a level at a time, or one subgroup's row), is
@@ -117,6 +117,7 @@ class SubgroupCatalog:
         )
         # per length k: the (n_k, 2^k) subset table, built by lattice(k) on first use
         self._lattice: dict[int, np.ndarray] = {}
+        self._plan: list[tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None
 
     def __len__(self) -> int:
         return len(self._support)
@@ -208,6 +209,21 @@ class SubgroupCatalog:
         via = np.bitwise_count((~masks & (masks + 1)) - 1).astype(np.intp)
         subsets[:, :-1] = prev[self._row[parents[via]].T, _drop_bit(masks, via)]
         return subsets
+
+    def counting_plan(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Per itemset length, shortest first, ``(indices, bases, rest)`` for
+        :func:`_joined`: the itemsets with their prefix as base and last item as
+        rest, then those whose prefix is not in the catalog (none in a mined
+        one) with the global subgroup 0 as base and all their items. Kept."""
+        if self._plan is None:
+            self._plan = []
+            for k in sorted(self._tables):
+                idx, items, _ = self._tables[k]
+                bases = self.indices_of(items[:, :-1])
+                whole = bases < 0
+                self._plan.append((idx[~whole], bases[~whole], items[~whole, -1:]))
+                self._plan.append((idx[whole], np.zeros(whole.sum(), dtype=np.intp), items[whole]))
+        return self._plan
 
     def subsets(self, j: int) -> np.ndarray:
         """The dense indices of every subset of subgroup j, in the mask order
@@ -311,10 +327,14 @@ def _prefix_pairs(sets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _joined(bits: np.ndarray, parents: np.ndarray, item_bits: np.ndarray, items: np.ndarray):
-    """``(start, bits[parents] & item_bits[items])`` over CHUNK rows at a time."""
+    """``(start, bitmaps)`` over CHUNK rows at a time, row r ``bits[parents[r]]``
+    ANDed with ``item_bits`` of each item in row r of the ``(n, m)`` ``items``:
+    the one rule, for the miner and for ``sgmetrics.membership``, that builds
+    an itemset's bitmap from its parent's (its prefix, or the global subgroup)."""
     for lo in range(0, len(parents), CHUNK):
         out = bits[parents[lo : lo + CHUNK]]
-        out &= item_bits[items[lo : lo + CHUNK]]
+        for column in items[lo : lo + CHUNK].T:
+            out &= item_bits[column]
         yield lo, out
 
 
@@ -373,7 +393,7 @@ def mine_frequent(
                 ok &= keys[pos] == wanted
             a, cand = a[ok], cand[ok]
         counts = np.empty(len(cand), dtype=np.int64)
-        for lo, joined in _joined(bits, a, item_bits, cand[:, -1]):
+        for lo, joined in _joined(bits, a, item_bits, cand[:, -1:]):
             counts[lo : lo + len(joined)] = np.bitwise_count(joined).sum(axis=1, dtype=np.int64)
         keep = counts / n_rows >= config.min_support
         sets, a = cand[keep], a[keep]
@@ -382,7 +402,7 @@ def mine_frequent(
             # ANDed again for the survivors only: keeping each chunk's
             # survivors and concatenating them held the level twice
             next_bits = np.empty((len(sets), bits.shape[1]), dtype=np.uint64)
-            for lo, joined in _joined(bits, a, item_bits, sets[:, -1]):
+            for lo, joined in _joined(bits, a, item_bits, sets[:, -1:]):
                 next_bits[lo : lo + len(joined)] = joined
             bits = next_bits
     return _catalog_of_levels(levels, n_rows, n_items, config)

@@ -2,8 +2,9 @@
 
 The hot path of the monitor: a batch of instances becomes its point matrix,
 one packed instance bitmap per item (the members of the one-item subgroup
-{j}); the members of every subgroup are exact set logic on those bitmaps (a
-subgroup's member bitmap is the AND of its items' bitmaps), and the
+{j}); the members of every subgroup are exact set logic on those bitmaps (its
+prefix's member bitmap ANDed with its last item's, as the miner counts, or
+the AND of all its items' if its prefix is not in the catalog), and the
 per-subgroup positive/negative outcome counts are popcounts of each member
 bitmap ANDed with the packed outcome vector. No instance-by-item or
 instance-by-subgroup matrix is built: the bitmaps (one bit per instance and
@@ -19,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .mining import SubgroupCatalog, _packed_rows
+from .mining import SubgroupCatalog, _joined, _packed_rows
 
 __all__ = [
     "EncodedBatch",
@@ -88,12 +89,28 @@ class SubgroupStats:
         }
 
     @classmethod
-    def from_dict(cls, d) -> "SubgroupStats":
-        return cls(
-            alpha_counts=np.asarray(d["alpha"], dtype=np.int64),
-            beta_counts=np.asarray(d["beta"], dtype=np.int64),
-            n_instances=int(d["n"]),
-        )
+    def from_dict(cls, d, name: str) -> "SubgroupStats":
+        """The counts ``to_dict`` wrote, checked as exact: integers >= 0 with
+        alpha + beta <= n per subgroup. A ValueError names the field as
+        ``name.alpha``, ``name.beta`` or ``name.n``."""
+        n = _json_count(d["n"], f"{name}.n")
+        alpha, beta = np.asarray(d["alpha"]), np.asarray(d["beta"])
+        for key, v in (("alpha", alpha), ("beta", beta)):
+            if v.ndim != 1 or v.dtype.kind != "i" or (v < 0).any():
+                raise ValueError(f"{name}.{key} must be a list of integers >= 0")
+        limit = min(n, np.iinfo(np.int64).max)  # alpha + beta would wrap past it
+        over = (alpha > limit) | (beta > limit - alpha)
+        if over.any():
+            raise ValueError(f"{name}: alpha + beta exceeds n {n} at subgroup {int(np.argmax(over))}")
+        return cls(alpha.astype(np.int64), beta.astype(np.int64), n)
+
+
+def _json_count(value, name: str) -> int:
+    """``value`` if it is a JSON integer >= 0 (not a boolean), else a
+    ValueError naming ``name``."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
+    return value
 
 
 def build_point_matrix(item_id_sets: Sequence[Sequence[int]], n_items: int) -> Membership:
@@ -165,11 +182,11 @@ class Membership:
 def membership(batch: EncodedBatch, catalog: SubgroupCatalog) -> Membership:
     """Packed member bitmaps of every subgroup of ``catalog`` in ``batch``.
 
-    Exact set logic: a subgroup's member bitmap is the AND of the batch
-    bitmaps of its items, formed for all subgroups of one itemset length at
-    once from the catalog's length tables. The global subgroup has no items
-    and holds every instance.
-    """
+    Exact set logic, by the miner's rule (``mining._joined``) over the
+    catalog's ``counting_plan``: a subgroup's member bitmap is its prefix's
+    ANDed with its last item's batch bitmap. One whose prefix is not in the
+    catalog ANDs all its items into the global subgroup's, which holds every
+    instance."""
     P = batch.point_matrix
     if P.shape[1] != catalog.n_items:
         raise ValueError(
@@ -179,11 +196,9 @@ def membership(batch: EncodedBatch, catalog: SubgroupCatalog) -> Membership:
     item_words = P.bits.view(np.uint64)
     words = np.empty((len(catalog), item_words.shape[1]), dtype=np.uint64)
     words[0] = _packed_rows(np.ones((1, n), dtype=bool)).view(np.uint64)
-    for idx, items in catalog.length_tables:
-        group_words = item_words[items[:, 0]]
-        for c in range(1, items.shape[1]):
-            group_words &= item_words[items[:, c]]
-        words[idx] = group_words
+    for idx, bases, rest in catalog.counting_plan():
+        for lo, joined in _joined(words, bases, item_words, rest):
+            words[idx[lo : lo + len(joined)]] = joined
     return Membership(bits=words.view(np.uint8), n_instances=n)
 
 

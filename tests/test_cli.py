@@ -1464,6 +1464,34 @@ def test_report_has_no_tau_t_flag(tmp_path, capsys):
         (lambda d: d.pop("min_count"), "no field 'min_count'"),
         (lambda d: d.update(min_count="none"), "min_count must be an integer"),
         (lambda d: d.update(min_count=-1), "min_count must be >= 0, got -1"),
+        *[
+            (lambda d, bad=bad: d["reference_stats"]["alpha"].__setitem__(0, bad), "reference_stats.alpha must be a list")
+            for bad in ("7", -100000, 1.7)
+        ],
+        (lambda d: d["current_ring"][1]["beta"].__setitem__(0, None), "current_ring[1].beta must be a list of integers"),
+        (lambda d: d["reference_stats"].update(n=3), "reference_stats: alpha + beta exceeds n 3 at subgroup 0"),
+        (lambda d: d["current_ring"][0].update(n="100"), "current_ring[0].n must be an integer >= 0, got '100'"),
+        (
+            # int64 alpha + beta would wrap to a negative sum
+            lambda d: d["reference_stats"].update(n=2**64, alpha=[2**63 - 1, *d["reference_stats"]["alpha"][1:]]),
+            f"reference_stats: alpha + beta exceeds n {2**64} at subgroup 0",
+        ),
+        (lambda d: d.update(batches_seen=-4), "batches_seen must be an integer >= 0, got -4"),
+        (lambda d: d.update(batches_seen=4.0), "batches_seen must be an integer >= 0, got 4.0"),
+        (lambda d: d.update(n_subgroups="20011"), "n_subgroups must be an integer >= 0, got '20011'"),
+        (lambda d: d.update(n_subgroups=True), "n_subgroups must be an integer >= 0, got True"),
+        (
+            lambda d: d.update(batches_seen=3),
+            "batches_seen 3 does not match current_ring's 2 batches at window_batches 2 with reference_stats set",
+        ),
+        (
+            lambda d: d.update(batches_seen=1),
+            "batches_seen 1 does not match current_ring's 2 batches at window_batches 2 with reference_stats set",
+        ),
+        (
+            lambda d: d.update(reference_stats=None, current_ring=d["current_ring"][:1]),
+            "batches_seen 4 does not match current_ring's 1 batches at window_batches 2 with reference_stats null",
+        ),
     ],
 )
 def test_report_rejects_a_bad_state_naming_the_field(tmp_path, caplog, edit, message):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from driftscope.mining import MiningConfig, SubgroupCatalog, mine_frequent
-from driftscope.sgmetrics import build_point_matrix
+from driftscope.sgmetrics import EncodedBatch, build_point_matrix, membership
 from rowpath import brute_force_frequent
 
 
@@ -49,6 +49,23 @@ def test_matches_brute_force_on_random_data():
             mined = {sg.item_ids: sg.count for sg in cat.subgroups if sg.item_ids}
             oracle = brute_force_frequent(tx, s, max_len=4)
             assert mined == oracle, f"trial {trial} s={s}"
+
+
+@pytest.mark.parametrize("max_len", [1, 2, 4])
+def test_membership_of_the_mined_rows_counts_what_the_miner_counted(max_len):
+    rng = np.random.default_rng(max_len)
+    for _ in range(4):
+        n_items, n = int(rng.integers(4, 12)), int(rng.integers(1, 300))
+        density = rng.uniform(0.2, 0.6)
+        tx = [tuple(np.flatnonzero(rng.random(n_items) < density).tolist()) for _ in range(n)]
+        P = build_point_matrix(tx, n_items)
+        cat = mine_frequent(P, MiningConfig(min_support=0.05, max_len=max_len))
+        assert len(cat) > 1
+        # a mined catalog holds every prefix: no itemset is built from the global subgroup
+        assert not any(len(idx) for idx, _, _ in cat.counting_plan()[1::2])
+        batch = EncodedBatch(P, np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64))
+        counts = membership(batch, cat).count(np.ones(n, dtype=np.int64))
+        assert counts.tolist() == [sg.count for sg in cat.subgroups]
 
 
 def test_anti_monotonicity_exhaustive():

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -185,6 +187,30 @@ class TestMembership:
         ]
         catalog = make_catalog(itemsets, n_items)
         batch = make_batch(instances, [1] * 200, [0] * 200, n_items)
+        M = membership(batch, catalog).toarray()
+        assert np.array_equal(M, naive_membership(instances, itemsets))
+
+    @pytest.mark.parametrize(
+        "itemsets, n_prefixless",
+        [
+            ([(0, 1), (0, 3)], 2),
+            # (0, 1, 2) lacks its prefix, and (0, 1, 2, 3) is built on it
+            ([(0,), (0, 1, 2), (0, 1, 2, 3), (2,), (2, 5), (2, 5, 7), (2, 5, 7, 9)], 1),
+            # 1,140 rows of one length, more than mining.CHUNK: without and with their prefixes
+            (list(combinations(range(20), 3)), 1140),
+            ([s for k in (1, 2, 3) for s in combinations(range(20), k)], 0),
+        ],
+        ids=["no prefixes", "a middle link removed", "3-subsets alone", "3-subsets and prefixes"],
+    )
+    def test_counting_plan_matches_naive_membership(self, itemsets, n_prefixless):
+        rng = np.random.default_rng(5)
+        n_items = 20
+        instances = [tuple(np.flatnonzero(rng.random(n_items) < 0.45).tolist()) for _ in range(150)]
+        catalog = make_catalog(itemsets, n_items)
+        plan = catalog.counting_plan()
+        # each length's second entry holds the itemsets whose prefix is not in the catalog
+        assert sum(len(idx) for idx, _, _ in plan[1::2]) == n_prefixless
+        batch = make_batch(instances, [1] * 150, [0] * 150, n_items)
         M = membership(batch, catalog).toarray()
         assert np.array_equal(M, naive_membership(instances, itemsets))
 
