@@ -16,6 +16,7 @@ import json
 import logging
 import math
 import sys
+from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
@@ -224,37 +225,44 @@ def _load_artifact(path: str) -> tuple[ItemCatalog, SubgroupCatalog]:
 # ---------------------------------------------------------------------------
 
 
-def _batched_records(path, catalog, spec, batch_size):
-    """The rows of ``path`` as batches of (item-id tuples, (n, 2) int64
-    alpha/beta rows), grouped by an explicit 'batch' column when present,
-    otherwise by fixed-size slices; also the row and skipped-value counts."""
-    item_sets: list = []
-    outcomes: list = []
-    batch_ids: list = []
-    skipped_values = 0
+def _labeled_rows(path, spec):
+    """The rows of the data file ``path`` as (row number from 1, row,
+    (alpha, beta) outcome under ``spec``). Row 1 must hold ``spec``'s
+    columns, and a file with no rows is a DataError."""
+    i = 0
     for i, row in enumerate(read_rows(path), start=1):
         if i == 1:
             spec.check_columns(row)
-        outcomes.append(spec.outcome(row, i))
+        yield i, row, spec.outcome(row, i)
+    if not i:
+        raise DataError(f"{path}: no rows")
+
+
+def _batched_records(path, catalog, spec, batch_size):
+    """The rows of ``path`` as batches of (item-id tuples, (n, 2) int64
+    alpha/beta rows); also the row and skipped-value counts. If row 1 has a
+    'batch' value, every row must have one, and the batches are its values
+    in (length, text) order; otherwise row i falls in slice
+    (i - 1) // ``batch_size``."""
+    groups = defaultdict(lambda: ([], []))
+    skipped_values = 0
+    for i, row, outcome in _labeled_rows(path, spec):
+        b = row.get("batch")
+        if i == 1:
+            by_column = b is not None
+        if not by_column:
+            key = (i - 1) // batch_size
+        elif b is None:
+            raise DataError(f"row {i}: no 'batch' value, but row 1 has one")
+        else:
+            key = (len(text := str(b)), text)
         ids, skipped = catalog.encode_with_stats(row)
         skipped_values += skipped
+        item_sets, outcomes = groups[key]
         item_sets.append(ids)
-        batch_ids.append(row.get("batch"))
-    if not item_sets:
-        raise DataError(f"{path}: no rows")
-    outcomes = np.array(outcomes, dtype=np.int64)
-    if all(b is not None for b in batch_ids):
-        groups: dict = {}
-        for i, b in enumerate(batch_ids):
-            groups.setdefault(str(b), []).append(i)
-        rows = [groups[k] for k in sorted(groups, key=lambda s: (len(s), s))]
-        batches = [([item_sets[i] for i in r], outcomes[r]) for r in rows]
-    else:
-        batches = [
-            (item_sets[lo : lo + batch_size], outcomes[lo : lo + batch_size])
-            for lo in range(0, len(item_sets), batch_size)
-        ]
-    return batches, len(item_sets), skipped_values
+        outcomes.append(outcome)
+    batches = [(sets, np.array(outs, dtype=np.int64)) for _, (sets, outs) in sorted(groups.items())]
+    return batches, i, skipped_values
 
 
 def _cmd_monitor(args) -> int:
@@ -433,16 +441,7 @@ def _cmd_bench(args) -> int:
         params[takers[args.detector]] = value
     det = make_detector(args.detector, **params)
     spec = MetricSpec(kind=args.metric)
-    drifts = []
-    i = 0
-    for i, row in enumerate(read_rows(args.input), start=1):
-        if i == 1:
-            spec.check_columns(row)
-        _, beta = spec.outcome(row, i)
-        if det.update(beta) == "drift":
-            drifts.append(i)
-    if not i:
-        raise DataError(f"{args.input}: no rows")
+    drifts = [i for i, _, (_, beta) in _labeled_rows(args.input, spec) if det.update(beta) == "drift"]
     print(json.dumps({"detector": args.detector, "params": params, "drift_points": drifts}))
     return 0
 

@@ -229,7 +229,7 @@ class MonitorState:
         return self.reference_stats is not None
 
     def current_stats(self) -> SubgroupStats:
-        return merge(list(self.current_ring), n_subgroups=self.n_subgroups)
+        return merge(list(self.current_ring))
 
     def score(self) -> DriftReport:
         """The frozen reference against the current window, under the run's rule."""

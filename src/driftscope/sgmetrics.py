@@ -73,14 +73,6 @@ class SubgroupStats:
     def n_subgroups(self) -> int:
         return len(self.alpha_counts)
 
-    @classmethod
-    def zeros(cls, n_subgroups: int) -> "SubgroupStats":
-        return cls(
-            alpha_counts=np.zeros(n_subgroups, dtype=np.int64),
-            beta_counts=np.zeros(n_subgroups, dtype=np.int64),
-            n_instances=0,
-        )
-
     def to_dict(self) -> dict:
         return {
             "alpha": self.alpha_counts.tolist(),
@@ -96,7 +88,8 @@ class SubgroupStats:
         n = _json_count(d["n"], f"{name}.n")
         alpha, beta = np.asarray(d["alpha"]), np.asarray(d["beta"])
         for key, v in (("alpha", alpha), ("beta", beta)):
-            if v.ndim != 1 or v.dtype.kind != "i" or (v < 0).any():
+            # a JSON true or false would pass the dtype test as 1 or 0
+            if v.ndim != 1 or v.dtype.kind != "i" or (v < 0).any() or not set(map(type, d[key])) <= {int}:
                 raise ValueError(f"{name}.{key} must be a list of integers >= 0")
         limit = min(n, np.iinfo(np.int64).max)  # alpha + beta would wrap past it
         over = (alpha > limit) | (beta > limit - alpha)
@@ -223,16 +216,11 @@ def performance_vector(stats: SubgroupStats) -> np.ndarray:
     return h
 
 
-def merge(stats_list: Sequence[SubgroupStats], n_subgroups: int | None = None) -> SubgroupStats:
-    """Elementwise sum of count vectors. Associative and commutative.
-
-    ``n_subgroups`` is only required for an empty list; otherwise every entry
-    must share the same subgroup count.
-    """
+def merge(stats_list: Sequence[SubgroupStats]) -> SubgroupStats:
+    """Elementwise sum of count vectors, which must share one subgroup
+    count. Associative and commutative; an empty list is a ValueError."""
     if not stats_list:
-        if n_subgroups is None:
-            raise ValueError("merging an empty list requires n_subgroups")
-        return SubgroupStats.zeros(n_subgroups)
+        raise ValueError("cannot merge an empty list of stats")
     size = stats_list[0].n_subgroups
     for s in stats_list[1:]:
         if s.n_subgroups != size:

@@ -255,6 +255,59 @@ def test_monitor_groups_rows_by_batch_column_in_length_then_text_order(tmp_path)
     assert state["reference_stats"] == counts(groups["1"] + groups["2"])
 
 
+def _mined_rows(tmp_path):
+    """A mined catalog and the rows of its source file, as dicts."""
+    src = tmp_path / "data.csv"
+    write_sample_csv(src, n=200)
+    catalog_path = tmp_path / "catalog.json"
+    assert run_cli("mine", "--input", src, "--min-support", "0.1", "--max-len", "2", "--out", catalog_path) == 0
+    return catalog_path, list(csv.DictReader(open(src)))
+
+
+def _write_jsonl(path, rows):
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+
+
+@pytest.mark.parametrize("form", ["csv short row", "jsonl null", "jsonl no key"])
+def test_monitor_refuses_a_later_row_without_the_batch_value_row_1_has(tmp_path, caplog, form):
+    catalog_path, rows = _mined_rows(tmp_path)
+    keyed = [dict(r, batch=i // 50 + 1) for i, r in enumerate(rows)]
+    if form == "csv short row":
+        stream = tmp_path / "stream.csv"
+        with open(stream, "w", newline="") as fh:
+            w = csv.writer(fh, lineterminator="\n")
+            w.writerow(list(keyed[0]))  # batch is the last column
+            w.writerows(list(r.values()) for r in keyed[:6])
+            w.writerow(list(keyed[6].values())[:-1])
+            w.writerows(list(r.values()) for r in keyed[7:])
+    else:
+        if form == "jsonl null":
+            keyed[6]["batch"] = None
+        else:
+            del keyed[6]["batch"]
+        stream = tmp_path / "stream.jsonl"
+        _write_jsonl(stream, keyed)
+    out = tmp_path / "out"
+    assert run_cli("monitor", "--catalog", catalog_path, "--input", stream, "--out", out) == 2
+    assert "row 7: no 'batch' value, but row 1 has one" in caplog.text
+    assert not out.exists()
+
+
+def test_monitor_cuts_by_batch_size_when_row_1_has_no_batch_value(tmp_path):
+    catalog_path, rows = _mined_rows(tmp_path)
+    # later rows carry batch keys that would order the rows otherwise
+    keyed = [r if i == 0 else dict(r, batch=-i) for i, r in enumerate(rows)]
+    for name, table in (("keyed", keyed), ("plain", rows)):
+        _write_jsonl(tmp_path / f"{name}.jsonl", table)
+        assert run_cli(
+            "monitor", "--catalog", catalog_path, "--input", tmp_path / f"{name}.jsonl", "--window", "2",
+            "--batch-size", "40", "--out", tmp_path / name,
+        ) == 0
+    reports = (tmp_path / "keyed" / "reports.jsonl").read_text()
+    assert len(reports.splitlines()) == 5
+    assert reports == (tmp_path / "plain" / "reports.jsonl").read_text()
+
+
 def test_bad_subgroup_item_exits_two(tmp_path):
     src = tmp_path / "data.csv"
     write_sample_csv(src, n=200)
@@ -1115,13 +1168,20 @@ def test_inject_names_a_missing_item_before_reading_its_input(tmp_path, caplog):
     assert str(missing) not in caplog.text
 
 
+@pytest.mark.parametrize("command", ["bench", "monitor"])
 @pytest.mark.parametrize("name,text", [("header.csv", "att1\n"), ("empty.jsonl", "")])
-def test_bench_on_a_file_with_no_rows_exits_two(tmp_path, caplog, capsys, name, text):
+def test_bench_on_a_file_with_no_rows_exits_two(tmp_path, caplog, capsys, name, text, command):
     src = tmp_path / name
     src.write_text(text)
-    assert run_cli("bench", "--detector", "ddm", "--input", src) == 2
+    if command == "bench":
+        args = ["bench", "--detector", "ddm", "--input", src]
+    else:
+        catalog_path, _ = _mined_rows(tmp_path)
+        args = ["monitor", "--catalog", catalog_path, "--input", src, "--out", tmp_path / "out"]
+    assert run_cli(*args) == 2
     assert f"{src}: no rows" in caplog.text
     assert capsys.readouterr().out == ""
+    assert not (tmp_path / "out").exists()
 
 
 def test_bench_delta_inside_zero_one_runs(tmp_path, capsys):
@@ -1468,7 +1528,11 @@ def test_report_has_no_tau_t_flag(tmp_path, capsys):
             (lambda d, bad=bad: d["reference_stats"]["alpha"].__setitem__(0, bad), "reference_stats.alpha must be a list")
             for bad in ("7", -100000, 1.7)
         ],
-        (lambda d: d["current_ring"][1]["beta"].__setitem__(0, None), "current_ring[1].beta must be a list of integers"),
+        *[
+            (lambda d, bad=bad: d["current_ring"][1]["beta"].__setitem__(0, bad),
+             "current_ring[1].beta must be a list of integers >= 0")
+            for bad in (None, True, False)
+        ],
         (lambda d: d["reference_stats"].update(n=3), "reference_stats: alpha + beta exceeds n 3 at subgroup 0"),
         (lambda d: d["current_ring"][0].update(n="100"), "current_ring[0].n must be an integer >= 0, got '100'"),
         (

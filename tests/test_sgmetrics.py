@@ -346,8 +346,6 @@ class TestPerformanceAndMerge:
         assert m.n_instances == 6
 
     def test_merge_empty(self):
-        m = merge([], n_subgroups=4)
-        assert m.alpha_counts.tolist() == [0, 0, 0, 0]
         with pytest.raises(ValueError):
             merge([])
 

@@ -3,13 +3,13 @@
 Each side runs its own, unchanged ``perfbench/run.py`` as a subprocess: the
 base revision from a ``git archive`` export in a temporary directory, and the
 head from this checkout's working tree. Per workload the sides alternate over
-K seeds at ``--trace 0`` (the seed-s pair runs base first when s is odd, head
-first when s is even), then each side runs once at ``--trace 1`` for the
-per-layer numbers. Every workload of ``BENCHMARK.json`` is recorded, each
-run for its ``run_seconds``. Run from anywhere inside the checkout:
+``PAIRS`` seeds at ``--trace 0`` (the seed-s pair runs base first when s is
+odd, head first when s is even), then each side runs once at ``--trace 1``
+for the per-layer numbers. Every workload of ``BENCHMARK.json`` is recorded,
+each run for its ``run_seconds``. Run from anywhere inside the checkout:
 
     python tools/record_bench.py --base HEAD            # the working tree against the last commit
-    python tools/record_bench.py --base HEAD~1 --pairs 6
+    python tools/record_bench.py --base HEAD~1
 
 A run whose result line is not ``"correct": true`` fails the recording, and
 no file is written for its workload. A traced time, size or detection delay
@@ -38,6 +38,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SCHEMA = 1
 SIDES = ("base", "head")
+PAIRS = 10  # alternated untraced pairs per workload
 
 # What each time, size and delay metric of a traced run is read from
 # (perfbench/workloads.py). The other per-layer metrics are counts, fractions
@@ -231,10 +232,7 @@ def main(argv: list[str] | None = None) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", default="HEAD", help="the revision to compare the working tree with")
-    parser.add_argument("--pairs", type=int, default=6, help="alternated untraced pairs per workload")
     args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
     declared = {m["name"]: m for m in bench["end_to_end"]}
     with tempfile.TemporaryDirectory(prefix="driftscope-base-") as tmp:
         roots = {"base": Path(tmp), "head": ROOT}
@@ -248,7 +246,7 @@ def main(argv: list[str] | None = None) -> int:
             },
         }
         for workload in (w["name"] for w in bench["workloads"]):
-            doc = record(workload, roots, revs, args.pairs, bench["run_seconds"], declared)
+            doc = record(workload, roots, revs, PAIRS, bench["run_seconds"], declared)
             path = ROOT / f"BENCH_{workload}.json"
             path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
             print(f"wrote {path}", file=sys.stderr)
