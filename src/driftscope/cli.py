@@ -278,12 +278,12 @@ def _cmd_monitor(args) -> int:
     writer = ReportWriter(sgcat, args.top_k)
     lines = []
     csv_columns = ["subgroup_id", "items", "support", "h_ref", "h_cur", "delta_h", "t", "drifted"]
-    for b, (item_sets, outcomes) in enumerate(batches):
+    for item_sets, outcomes in batches:
         batch = EncodedBatch(
             point_matrix=build_point_matrix(item_sets, catalog.n_items),
             alpha_vec=outcomes[:, 0],
             beta_vec=outcomes[:, 1],
-            batch_id=b + 1,
+            batch_id=monitor.batches_seen + 1,
         )
         M = membership(batch, sgcat)
         report = step(monitor, aggregate(batch, M))
@@ -292,9 +292,9 @@ def _cmd_monitor(args) -> int:
             rows = json.loads(lines[-1])["subgroups"]
             for row, sg in zip(rows, sgcat.subgroups_at([row["subgroup_id"] for row in rows])):
                 row["items"] = sg.label(catalog)
-            _atomic_write(out_dir / f"batch_{b + 1:04d}.csv", _csv_text(rows, csv_columns))
+            _atomic_write(out_dir / f"batch_{report.batch_id:04d}.csv", _csv_text(rows, csv_columns))
         if report.global_drift:
-            log.info("batch %d: drift (max t = %.2f)", b + 1, report.max_t())
+            log.info("batch %d: drift (max t = %.2f)", report.batch_id, report.max_t())
     _atomic_write(out_dir / "reports.jsonl", "\n".join(lines) + "\n")
     monitor.save(out_dir / "monitor_state.json")
     _write_manifest(out_dir, args)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from collections import deque
 from dataclasses import dataclass, field
 from numbers import Integral, Real
@@ -26,7 +27,7 @@ import numpy as np
 
 from .catalog import DataError, atomic_open, read_json
 from .mining import SubgroupCatalog
-from .sgmetrics import SubgroupStats, _json_count, merge, performance_vector
+from .sgmetrics import SubgroupStats, _json_count, performance_vector
 
 __all__ = [
     "WindowConfig",
@@ -41,6 +42,7 @@ __all__ = [
 ]
 
 DEFAULT_TAU_T = 5.0
+_NO_COUNTS = SubgroupStats(np.zeros((), np.int64), np.zeros((), np.int64), 0)  # the sum of no batches
 
 
 def beta_posterior(alpha_count, beta_count):
@@ -208,10 +210,10 @@ def _texts(values: list) -> list[str]:
 class MonitorState:
     """Single-writer state of one monitored stream under one window rule.
 
-    ``current_ring`` holds the most recent W batch stats. Until the reference
-    is frozen those are the warm-up batches; at the W-th their merge becomes
-    ``reference_stats`` and the ring empties. ``catalog_sha256`` fingerprints
-    the catalog artifact the stream is monitored under.
+    ``current_ring`` holds the most recent W batch stats, and :meth:`push`
+    keeps their sum. Until the reference is frozen those are the warm-up
+    batches; at the W-th their sum becomes ``reference_stats`` and the ring
+    empties. ``catalog_sha256`` fingerprints the stream's catalog artifact.
     """
 
     n_subgroups: int
@@ -220,6 +222,7 @@ class MonitorState:
     current_ring: deque = field(init=False)
     batches_seen: int = 0
     catalog_sha256: str | None = None
+    _window: SubgroupStats = field(default=_NO_COUNTS, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.current_ring = deque(maxlen=self.config.window_batches)
@@ -228,8 +231,27 @@ class MonitorState:
     def reference_frozen(self) -> bool:
         return self.reference_stats is not None
 
+    def push(self, batch: SubgroupStats) -> None:
+        """The one window update: the batch enters the ring and the exact int64 sum, a full ring's
+        oldest batch leaves both, and the W-th warm-up batch freezes the sum as the reference."""
+        if batch.n_subgroups != self.n_subgroups:
+            raise ValueError("batch stats subgroup count does not match the monitor")
+        ring, w = self.current_ring, self._window
+        gone = ring[0] if len(ring) == ring.maxlen else _NO_COUNTS
+        ring.append(batch)
+        self._window = SubgroupStats(  # a new sum: no stats handed out ever change
+            w.alpha_counts + batch.alpha_counts - gone.alpha_counts,
+            w.beta_counts + batch.beta_counts - gone.beta_counts,
+            w.n_instances + batch.n_instances - gone.n_instances,
+        )
+        if not self.reference_frozen and len(ring) == ring.maxlen:
+            self.reference_stats, self._window = self._window, _NO_COUNTS
+            ring.clear()
+
     def current_stats(self) -> SubgroupStats:
-        return merge(list(self.current_ring))
+        if not self.current_ring:
+            raise ValueError("the current window holds no batch")
+        return self._window
 
     def score(self) -> DriftReport:
         """The frozen reference against the current window, under the run's rule."""
@@ -258,9 +280,12 @@ class MonitorState:
         if version != 3 or "catalog_sha256" not in d:
             why = f"unsupported version {version!r}, expected 3" if version != 3 else "no catalog_sha256"
             raise DataError(f"{why}; re-run `driftscope monitor` to write it")
+        sha = d["catalog_sha256"]  # null in a state built by the library
+        if sha is not None and not (isinstance(sha, str) and re.fullmatch("[0-9a-f]{64}", sha)):
+            raise DataError(f"catalog_sha256 must be null or 64 lowercase hex digits, got {sha!r}")
         config = WindowConfig(d["window_batches"], d["tau_t"], d["min_count"])
         n_subgroups = _json_count(d["n_subgroups"], "n_subgroups")
-        state = cls(n_subgroups=n_subgroups, config=config, catalog_sha256=d["catalog_sha256"])
+        state = cls(n_subgroups=n_subgroups, config=config, catalog_sha256=sha)
         state.batches_seen = _json_count(d["batches_seen"], "batches_seen")
         if d["reference_stats"] is not None:
             state.reference_stats = SubgroupStats.from_dict(d["reference_stats"], "reference_stats")
@@ -280,11 +305,12 @@ class MonitorState:
                 f"batches_seen {state.batches_seen} does not match current_ring's {len(ring)} batches "
                 f"at window_batches {w} with reference_stats {reference}"
             )
-        state.current_ring.extend(ring)
         parts = [*ring, state.reference_stats]
         wrong = {s.n_subgroups for s in parts if s is not None} - {state.n_subgroups}
         if wrong:
             raise DataError(f"count vector length {min(wrong)} != n_subgroups {state.n_subgroups}")
+        for batch in ring:
+            state.push(batch)
         return state
 
     def save(self, path) -> None:
@@ -337,19 +363,14 @@ def score_windows(
 def step(monitor: MonitorState, batch_stats: SubgroupStats) -> DriftReport:
     """Advance the monitor by one batch and report drift.
 
-    The batch enters the ring. Until the reference is frozen the report is a
-    warming-up one (no statistics, no flags), and the W-th batch freezes the
-    ring's merge as the reference. After that, :meth:`MonitorState.score`.
+    The batch enters the window by :meth:`MonitorState.push`. Until the
+    reference is frozen the report is a warming-up one (no statistics, no
+    flags). After that, :meth:`MonitorState.score`.
     """
-    if batch_stats.n_subgroups != monitor.n_subgroups:
-        raise ValueError("batch stats subgroup count does not match the monitor")
+    monitor.push(batch_stats)
     monitor.batches_seen += 1
-    monitor.current_ring.append(batch_stats)
-    if monitor.reference_frozen:
+    if monitor.reference_frozen and monitor.current_ring:
         return monitor.score()
-    if len(monitor.current_ring) == monitor.config.window_batches:
-        monitor.reference_stats = merge(list(monitor.current_ring))
-        monitor.current_ring.clear()
     return DriftReport(
         batch_id=monitor.batches_seen, warming_up=True, global_drift=False, tau_t=monitor.config.tau_t
     )

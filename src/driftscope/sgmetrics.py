@@ -30,7 +30,6 @@ __all__ = [
     "membership",
     "aggregate",
     "performance_vector",
-    "merge",
 ]
 
 @dataclass(frozen=True)
@@ -214,19 +213,3 @@ def performance_vector(stats: SubgroupStats) -> np.ndarray:
     with np.errstate(invalid="ignore", divide="ignore"):
         h = np.where(tot > 0, a / np.where(tot > 0, tot, 1.0), np.nan)
     return h
-
-
-def merge(stats_list: Sequence[SubgroupStats]) -> SubgroupStats:
-    """Elementwise sum of count vectors, which must share one subgroup
-    count. Associative and commutative; an empty list is a ValueError."""
-    if not stats_list:
-        raise ValueError("cannot merge an empty list of stats")
-    size = stats_list[0].n_subgroups
-    for s in stats_list[1:]:
-        if s.n_subgroups != size:
-            raise ValueError("cannot merge stats with differing subgroup counts")
-    return SubgroupStats(
-        alpha_counts=np.sum([s.alpha_counts for s in stats_list], axis=0, dtype=np.int64),
-        beta_counts=np.sum([s.beta_counts for s in stats_list], axis=0, dtype=np.int64),
-        n_instances=sum(s.n_instances for s in stats_list),
-    )

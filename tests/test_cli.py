@@ -1509,6 +1509,11 @@ def test_report_has_no_tau_t_flag(tmp_path, capsys):
     [
         (lambda d: d.update(version=1), "unsupported version 1, expected 3; re-run `driftscope monitor`"),
         (lambda d: d.pop("catalog_sha256"), "no catalog_sha256; re-run `driftscope monitor`"),
+        *[
+            (lambda d, bad=bad: d.update(catalog_sha256=bad),
+             f"catalog_sha256 must be null or 64 lowercase hex digits, got {bad!r}")
+            for bad in (5, "abc", "A" * 64, "0" * 63, "0" * 64 + "\n", True, ["0" * 64])
+        ],
         (
             lambda d: d["current_ring"].append(d["current_ring"][0]),
             "current_ring holds 3 batches, more than 2 at window_batches 2 with reference_stats set",

@@ -19,7 +19,7 @@ from driftscope.detector import (
 )
 from driftscope.catalog import DataError
 from driftscope.mining import SubgroupCatalog
-from driftscope.sgmetrics import SubgroupStats, merge
+from driftscope.sgmetrics import SubgroupStats
 
 
 def exact_posterior(a: int, b: int) -> tuple[Fraction, Fraction]:
@@ -107,6 +107,31 @@ def tiny_catalog(n_extra=1):
     return SubgroupCatalog.from_dict({"n_items": n_extra, "min_support": 0.01, "max_len": 3, "subgroups": sgs})
 
 
+def summed(stats):
+    """The elementwise sum of the count vectors: the window's oracle."""
+    return SubgroupStats(
+        np.sum([s.alpha_counts for s in stats], axis=0, dtype=np.int64),
+        np.sum([s.beta_counts for s in stats], axis=0, dtype=np.int64),
+        sum(s.n_instances for s in stats),
+    )
+
+
+def random_stream(rng, n_batches, n_subgroups=3):
+    """Random count batches whose subgroup 0 holds every instance."""
+    batches = []
+    for _ in range(n_batches):
+        a, b = rng.integers(0, 30, n_subgroups), rng.integers(0, 30, n_subgroups)
+        a[0], b[0] = a.sum(), b.sum()
+        batches.append(SubgroupStats(a.astype(np.int64), b.astype(np.int64), int(a[0] + b[0])))
+    return batches
+
+
+def assert_same_stats(got, expect):
+    assert np.array_equal(got.alpha_counts, expect.alpha_counts)
+    assert np.array_equal(got.beta_counts, expect.beta_counts)
+    assert got.n_instances == expect.n_instances
+
+
 def stats_of(pairs):
     a = np.array([p[0] for p in pairs], dtype=np.int64)
     b = np.array([p[1] for p in pairs], dtype=np.int64)
@@ -146,7 +171,7 @@ class TestStep:
             step(mon, b)
         cur = stats_of([(10, 40), (5, 20), (2, 8)])
         rep = step(mon, cur)
-        ref_total = merge(batches)
+        ref_total = summed(batches)
         expected = welch_t(
             beta_posterior(int(ref_total.alpha_counts[0]), int(ref_total.beta_counts[0])),
             beta_posterior(int(cur.alpha_counts[0]), int(cur.beta_counts[0])),
@@ -169,10 +194,77 @@ class TestStep:
             # the first W batches freeze the reference; the ring holds the
             # last W batches once at least 2W have been seen
             if i >= 2 * W - 1:
-                expect = merge(history[-W:])
+                expect = summed(history[-W:])
                 got = mon.current_stats()
                 assert np.array_equal(got.alpha_counts, expect.alpha_counts)
                 assert np.array_equal(got.beta_counts, expect.beta_counts)
+
+    @pytest.mark.parametrize("W", [1, 2, 5])
+    def test_window_sum_is_the_ring_sum_after_every_step(self, W):
+        batches = random_stream(np.random.default_rng(W), 4 * W + 3)
+        copies = [(b.alpha_counts.copy(), b.beta_counts.copy()) for b in batches]
+        mon = MonitorState(n_subgroups=3, config=WindowConfig(W))
+        handed_out = []
+        for i, batch in enumerate(batches, start=1):
+            step(mon, batch)
+            # warm-up, the freeze at the W-th batch (an empty ring) and after it
+            assert mon.reference_frozen == (i >= W)
+            assert len(mon.current_ring) == (i if i < W else min(W, i - W))
+            if mon.current_ring:
+                got = mon.current_stats()
+                assert_same_stats(got, summed(list(mon.current_ring)))
+                handed_out.append((got, summed(list(mon.current_ring))))
+            else:
+                with pytest.raises(ValueError, match="no batch"):
+                    mon.current_stats()
+            if mon.reference_frozen:
+                assert_same_stats(mon.reference_stats, summed(batches[:W]))
+        # each update made a new sum: nothing handed out or pushed changed
+        for got, expect in handed_out:
+            assert_same_stats(got, expect)
+        for batch, (a, b) in zip(batches, copies):
+            assert np.array_equal(batch.alpha_counts, a) and np.array_equal(batch.beta_counts, b)
+
+    @pytest.mark.parametrize("W", [2, 5])
+    def test_reload_keeps_the_sums_and_scores_like_an_uninterrupted_run(self, W, tmp_path):
+        catalog = tiny_catalog(2)
+        batches = random_stream(np.random.default_rng(10 + W), 3 * W + 2)
+        rule = WindowConfig(W, tau_t=0.5)
+        whole = MonitorState(n_subgroups=3, config=rule)
+        expected = [step(whole, b).to_dict(catalog) for b in batches]
+        for cut in (W - 1, W, W + 1, 2 * W + 1):  # mid warm-up, at the freeze, after it
+            first = MonitorState(n_subgroups=3, config=rule)
+            for b in batches[:cut]:
+                step(first, b)
+            first.save(tmp_path / "state.json")
+            resumed = MonitorState.load(tmp_path / "state.json")
+            assert resumed.reference_frozen == first.reference_frozen
+            if first.reference_frozen:
+                assert_same_stats(resumed.reference_stats, first.reference_stats)
+            if first.current_ring:
+                assert_same_stats(resumed.current_stats(), first.current_stats())
+            else:
+                with pytest.raises(ValueError):
+                    resumed.current_stats()
+            got = [step(resumed, b).to_dict(catalog) for b in batches[cut:]]
+            assert got == expected[cut:], cut
+            assert_same_stats(resumed.current_stats(), whole.current_stats())
+
+    def test_current_stats_on_an_empty_ring_raises(self):
+        mon = MonitorState(n_subgroups=2, config=WindowConfig(1))
+        with pytest.raises(ValueError, match="no batch"):
+            mon.current_stats()
+        step(mon, stats_of([(8, 2), (4, 1)]))  # the W-th batch freezes the reference and empties the ring
+        with pytest.raises(ValueError, match="no batch"):
+            mon.current_stats()
+
+    def test_a_batch_of_another_length_is_refused_and_changes_nothing(self):
+        mon = MonitorState(n_subgroups=2, config=WindowConfig(2))
+        step(mon, stats_of([(8, 2), (4, 1)]))
+        with pytest.raises(ValueError, match="subgroup count does not match"):
+            step(mon, stats_of([(8, 2)]))
+        assert mon.batches_seen == 1 and len(mon.current_ring) == 1
+        assert_same_stats(mon.current_stats(), stats_of([(8, 2), (4, 1)]))
 
     def test_monotone_evidence_doubling_counts(self):
         rng = np.random.default_rng(8)

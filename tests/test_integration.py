@@ -15,7 +15,7 @@ from driftscope.catalog import ColumnData, build_catalog
 from driftscope.detector import MonitorState, WindowConfig, score_windows, step
 from driftscope.explain import rank, redundancy_prune, shapley_local
 from driftscope.mining import MiningConfig, mine_frequent
-from driftscope.sgmetrics import EncodedBatch, aggregate, build_point_matrix, membership, merge
+from driftscope.sgmetrics import EncodedBatch, SubgroupStats, aggregate, build_point_matrix, membership
 from driftscope.streams import DriftSchedule, _even_bounds, _inject_flips_columns, _target_cover
 from rowpath import make_drift_value_fn
 
@@ -107,8 +107,11 @@ def test_injected_subgroup_is_detected_and_ranked_first():
                 altered += bool(m)
     assert altered / member > 0.8  # saturates near p_max
 
-    # the sliding current window equals the merge of the last W batch stats
-    recomputed = merge(batch_stats[-5:])
+    # the sliding current window equals the sum of the last W batch stats
+    window = batch_stats[-5:]
+    recomputed = SubgroupStats(
+        sum(s.alpha_counts for s in window), sum(s.beta_counts for s in window), sum(s.n_instances for s in window)
+    )
     assert np.array_equal(monitor.current_stats().alpha_counts, recomputed.alpha_counts)
 
 

@@ -29,17 +29,23 @@ def _side(runs):
 
 
 BENCH = {
-    "schema": 1,
+    "schema": 2,
     "workload": "monitor-shallow",
     "base": {"commit": "a" * 40, "src_sha256": "b" * 64},
     "head": {"commit": "a" * 40, "uncommitted_changes": True, "src_sha256": "c" * 64},
     "machine": {"cpu_count": 2, "numba": False, "python": "3.11.7", "numpy": "2.4.6", "pythondontwritebytecode": False},
-    "protocol": {"pairs": 3, "seconds": 6, "seeds": [1, 2, 3], "first": "base on odd seeds, head on even seeds"},
+    "protocol": {
+        "pairs": 3, "seconds": 6, "seeds": [1, 2, 3], "first": "base on odd seeds, head on even seeds",
+        "bootstrap": {"resamples": 5000, "seed": 0, "level": 0.9},
+    },
     "end_to_end": {
         "monitor_rows_per_s": {
             "unit": "rows/s", "better": "higher", "bound": 0.25,
-            "base": _side([40000.0, 41000.0, 43000.0]), "head": _side([41000.0, 40500.0, 44000.0]),
-            "pairs": 3, "head_wins": 2,
+            "base": _side([40000.0, 40000.0, 50000.0]), "head": _side([44000.0, 40000.0, 45000.0]),
+            "pairs": 3, "head_wins": 1,
+            # each of the 3 ratios is a resample's median with probability >= 7/27,
+            # so the 5th and 95th percentiles of those medians are the extremes
+            "ratios": [1.1, 1.0, 0.9], "ratio_median": 1.0, "ratio_interval": [0.9, 1.1], "verdict": "within bound",
         },
     },
     "traced": {
@@ -74,7 +80,15 @@ def test_a_hand_written_bench_file_passes_the_schema(tmp_path):
         (lambda d: d["end_to_end"]["monitor_rows_per_s"]["base"]["runs"].pop(), "monitor_rows_per_s: base runs"),
         (lambda d: d["end_to_end"]["monitor_rows_per_s"]["head"].update(q1=1e9), "head quartiles out of order"),
         (lambda d: d["traced"]["base"]["metrics"]["catalog.build_catalog_s"].pop("source"), "null without a source"),
-        (lambda d: d.update(schema=2), "schema is not 1"),
+        (lambda d: d.update(schema=1), "schema is not 2"),
+        (lambda d: d["protocol"].update(bootstrap={"resamples": 1000, "seed": 0, "level": 0.9}), "protocol: bootstrap"),
+        (lambda d: d["end_to_end"]["monitor_rows_per_s"].pop("bound"), "monitor_rows_per_s: no bound"),
+        (lambda d: d["end_to_end"]["monitor_rows_per_s"].update(verdict="better"),
+         "monitor_rows_per_s: verdict does not follow from the runs"),
+        (lambda d: d["end_to_end"]["monitor_rows_per_s"].update(ratio_interval=[0.95, 1.1]),
+         "monitor_rows_per_s: ratio_interval does not follow"),
+        (lambda d: d["end_to_end"]["monitor_rows_per_s"]["head"]["runs"].__setitem__(1, 41000.0),
+         "monitor_rows_per_s: ratios does not follow"),
     ],
 )
 def test_the_schema_rejects_an_incomplete_file(edit, message):
@@ -130,6 +144,55 @@ def test_compare_counts_the_pairs_the_head_wins_in_the_declared_direction():
         declared,
     )
     assert got["monitor_rows_per_s"]["head_wins"] == 2 and got["setup_s"]["head_wins"] == 2
+    assert got["monitor_rows_per_s"]["ratios"] == [2.0, 0.5, 4 / 3, 1.0]
+    assert got["monitor_rows_per_s"]["ratio_median"] == pytest.approx(7 / 6)
+    assert got["setup_s"]["ratios"] == [0.5, 2.0, 0.9, 1.0] and got["setup_s"]["ratio_median"] == 0.95
     assert got["monitor_rows_per_s"]["pairs"] == 4
     base = got["monitor_rows_per_s"]["base"]
     assert (base["q1"], base["median"], base["q3"]) == (1.75, 2.5, 3.25)  # numpy's default percentiles
+
+
+@pytest.mark.parametrize(
+    "interval, better, expected",
+    [
+        ([1.01, 1.2], "higher", "better"),
+        ([0.8, 0.99], "lower", "better"),
+        ([0.75, 1.1], "higher", "within bound"),  # the worse end on the 25 % bound is inside it
+        ([0.9, 1.25], "lower", "within bound"),
+        ([1.0, 1.2], "higher", "within bound"),  # touching 1 is not better
+        ([0.74, 1.1], "higher", "unresolved"),
+        ([0.9, 1.26], "lower", "unresolved"),
+        ([0.5, 0.74], "higher", "beyond bound"),
+        ([1.26, 1.5], "lower", "beyond bound"),
+    ],
+)
+def test_the_verdict_reads_the_interval_against_the_bound(interval, better, expected):
+    assert record_bench.verdict(interval, better, 0.25) == expected
+
+
+@pytest.mark.parametrize(
+    "base, head, better, ratio, interval, expected",
+    [
+        # every pair reads the same ratio, so every resample's median is that ratio
+        ([2.0] * 10, [1.8] * 10, "lower", 0.9, [0.9, 0.9], "better"),
+        ([1.0] * 10, [1.3] * 10, "lower", 1.3, [1.3, 1.3], "beyond bound"),
+        ([100.0] * 10, [80.0] * 10, "higher", 0.8, [0.8, 0.8], "within bound"),
+        # five pairs at 0.7 and five at 1.0: a resample's median is 0.7 when it
+        # draws six or more of the 0.7s (probability 0.377), 1.0 when it draws
+        # four or fewer (0.377), so the 90 % interval spans [0.7, 1.0]
+        ([100.0] * 10, [70.0, 100.0] * 5, "higher", 0.85, [0.7, 1.0], "unresolved"),
+    ],
+)
+def test_paired_runs_give_their_known_ratios_interval_and_verdict(base, head, better, ratio, interval, expected):
+    got = record_bench.paired(base, head, better, 0.25)
+    assert got["ratios"] == pytest.approx([h / b for b, h in zip(base, head)])
+    assert got["ratio_median"] == pytest.approx(ratio)
+    assert got["ratio_interval"] == pytest.approx(interval)
+    assert got["verdict"] == expected
+
+
+def test_the_interval_is_reproducible_from_the_runs():
+    ratios = [0.93, 1.02, 0.97, 1.10, 0.99, 1.05, 0.96, 1.01, 0.98, 1.04]
+    lo, hi = record_bench.ratio_interval(ratios)
+    assert record_bench.ratio_interval(ratios) == [lo, hi]  # a fixed seed and resample count
+    assert min(ratios) <= lo <= sorted(ratios)[4] and sorted(ratios)[5] <= hi <= max(ratios)

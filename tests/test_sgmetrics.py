@@ -2,8 +2,6 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from driftscope.mining import SubgroupCatalog
 from driftscope.sgmetrics import (
@@ -12,7 +10,6 @@ from driftscope.sgmetrics import (
     aggregate,
     build_point_matrix,
     membership,
-    merge,
     performance_vector,
 )
 
@@ -323,7 +320,9 @@ class TestAggregate:
                 part = make_batch(instances[prev:c], alpha[prev:c], beta[prev:c], n_items)
                 parts.append(aggregate(part, membership(part, catalog)))
                 prev = c
-            merged = merge(parts)
+            merged = SubgroupStats(
+                sum(p.alpha_counts for p in parts), sum(p.beta_counts for p in parts), sum(p.n_instances for p in parts)
+            )
             assert np.array_equal(merged.alpha_counts, full.alpha_counts)
             assert np.array_equal(merged.beta_counts, full.beta_counts)
             assert merged.n_instances == full.n_instances
@@ -336,46 +335,3 @@ class TestPerformanceAndMerge:
         assert h[0] == 0.75
         assert np.isnan(h[1])
         assert h[2] == 1.0
-
-    def test_merge_example(self):
-        a = SubgroupStats(np.array([2]), np.array([1]), 3)
-        b = SubgroupStats(np.array([3]), np.array([0]), 3)
-        m = merge([a, b])
-        assert m.alpha_counts.tolist() == [5]
-        assert m.beta_counts.tolist() == [1]
-        assert m.n_instances == 6
-
-    def test_merge_empty(self):
-        with pytest.raises(ValueError):
-            merge([])
-
-    def test_merge_length_mismatch(self):
-        a = SubgroupStats(np.array([1]), np.array([0]), 1)
-        b = SubgroupStats(np.array([1, 2]), np.array([0, 0]), 2)
-        with pytest.raises(ValueError):
-            merge([a, b])
-
-    @given(
-        st.lists(
-            st.tuples(
-                st.lists(st.integers(0, 50), min_size=3, max_size=3),
-                st.lists(st.integers(0, 50), min_size=3, max_size=3),
-            ),
-            min_size=3,
-            max_size=3,
-        )
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_merge_associative_commutative(self, triples):
-        stats = [
-            SubgroupStats(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64), int(sum(a) + sum(b)))
-            for a, b in triples
-        ]
-        x, y, z = stats
-        left = merge([merge([x, y]), z])
-        right = merge([x, merge([y, z])])
-        shuffled = merge([z, x, y])
-        for other in (right, shuffled):
-            assert np.array_equal(left.alpha_counts, other.alpha_counts)
-            assert np.array_equal(left.beta_counts, other.beta_counts)
-            assert left.n_instances == other.n_instances

@@ -6,7 +6,10 @@ head from this checkout's working tree. Per workload the sides alternate over
 ``PAIRS`` seeds at ``--trace 0`` (the seed-s pair runs base first when s is
 odd, head first when s is even), then each side runs once at ``--trace 1``
 for the per-layer numbers. Every workload of ``BENCHMARK.json`` is recorded,
-each run for its ``run_seconds``. Run from anywhere inside the checkout:
+each run for its ``run_seconds``. Each end-to-end metric is also read as
+paired head/base ratios: their median, a percentile-bootstrap 90 % interval
+of that median (Kalibera & Jones, ISMM 2013) and a verdict against the
+metric's bound (``verdict``). Run from anywhere inside the checkout:
 
     python tools/record_bench.py --base HEAD            # the working tree against the last commit
     python tools/record_bench.py --base HEAD~1
@@ -35,10 +38,13 @@ import tarfile
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
-SCHEMA = 1
+SCHEMA = 2
 SIDES = ("base", "head")
 PAIRS = 10  # alternated untraced pairs per workload
+BOOTSTRAP = {"resamples": 5000, "seed": 0, "level": 0.9}  # of the median head/base ratio
 
 # What each time, size and delay metric of a traced run is read from
 # (perfbench/workloads.py). The other per-layer metrics are counts, fractions
@@ -93,13 +99,11 @@ def src_sha256(root: Path) -> str:
 
 
 def machine_facts() -> dict:
-    import numpy
-
     return {
         "cpu_count": os.cpu_count(),
         "numba": importlib.util.find_spec("numba") is not None,
         "python": platform.python_version(),
-        "numpy": numpy.__version__,
+        "numpy": np.__version__,
         "pythondontwritebytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
     }
 
@@ -142,6 +146,43 @@ def head_wins(base: list[float], head: list[float], better: str) -> int:
     return sum((h > b) if better == "higher" else (h < b) for b, h in zip(base, head))
 
 
+def ratio_interval(ratios: list[float]) -> list[float]:
+    """The percentile-bootstrap interval of the median ratio: the pairs are
+    resampled with replacement ``BOOTSTRAP["resamples"]`` times by numpy's
+    ``default_rng(BOOTSTRAP["seed"])``, and the interval spans the central
+    ``BOOTSTRAP["level"]`` of the resamples' medians."""
+    r = np.asarray(ratios, dtype=np.float64)
+    draws = np.random.default_rng(BOOTSTRAP["seed"]).integers(0, len(r), (BOOTSTRAP["resamples"], len(r)))
+    tail = 50 * (1 - BOOTSTRAP["level"])
+    return np.percentile(np.median(r[draws], axis=1), [tail, 100 - tail]).tolist()
+
+
+def verdict(interval: list[float], better: str, bound: float) -> str:
+    """``better`` when the whole interval is on the better side of 1,
+    ``beyond bound`` when it is all worse than the bound allows, ``within
+    bound`` when its worse end stays inside the bound, else ``unresolved``
+    (the interval straddles the bound)."""
+    lo, hi = interval
+    if better == "higher":
+        good, beyond, inside = lo > 1, hi < 1 - bound, lo >= 1 - bound
+    else:
+        good, beyond, inside = hi < 1, lo > 1 + bound, hi <= 1 + bound
+    return "better" if good else "beyond bound" if beyond else "within bound" if inside else "unresolved"
+
+
+def paired(base: list[float], head: list[float], better: str, bound: float) -> dict:
+    """One metric's paired reading: the per-pair head/base ratios, their
+    median, its bootstrap interval and the verdict against ``bound``."""
+    ratios = [h / b for b, h in zip(base, head)]
+    interval = ratio_interval(ratios)
+    return {
+        "ratios": ratios,
+        "ratio_median": statistics.median(ratios),
+        "ratio_interval": interval,
+        "verdict": verdict(interval, better, bound),
+    }
+
+
 def compare(results: dict[str, list[dict]], declared: dict) -> dict:
     """The end-to-end block of a BENCH file from each side's untraced
     results, in seed order (pair i is the i-th result of each side)."""
@@ -155,6 +196,7 @@ def compare(results: dict[str, list[dict]], declared: dict) -> dict:
             **{side: summary(values[side]) for side in SIDES},
             "pairs": len(values["head"]),
             "head_wins": head_wins(values["base"], values["head"], spec["better"]),
+            **paired(values["base"], values["head"], spec["better"], spec["bound"]),
         }
     return out
 
@@ -182,16 +224,21 @@ def check_bench(doc: dict) -> None:
         need(run.get("correct") is True, f"run {run}: not correct")
     pairs = doc.get("protocol", {}).get("pairs")
     need(isinstance(pairs, int) and pairs > 0, "protocol: no pairs")
+    need(doc["protocol"].get("bootstrap") == BOOTSTRAP, f"protocol: bootstrap is not {BOOTSTRAP}")
     e2e = doc.get("end_to_end")
     need(isinstance(e2e, dict) and e2e, "no end_to_end metrics")
     for name, m in e2e.items():
         need(m.get("better") in ("higher", "lower"), f"{name}: better")
+        need(isinstance(m.get("bound"), (int, float)), f"{name}: no bound")
         need(m.get("pairs") == pairs, f"{name}: {m.get('pairs')} pairs, protocol has {pairs}")
         need(isinstance(m.get("head_wins"), int) and 0 <= m["head_wins"] <= pairs, f"{name}: head_wins")
         for side in SIDES:
             s = m.get(side, {})
             need(len(s.get("runs", ())) == pairs, f"{name}: {side} runs")
             need(s.get("q1") <= s.get("median") <= s.get("q3"), f"{name}: {side} quartiles out of order")
+        derived = paired(m["base"]["runs"], m["head"]["runs"], m["better"], m.get("bound"))
+        for key, value in derived.items():
+            need(m.get(key) == value, f"{name}: {key} does not follow from the runs")
     for side in SIDES:
         traced = doc.get("traced", {}).get(side, {})
         need(isinstance(traced.get("metrics"), dict) and traced["metrics"], f"traced: no {side} metrics")
@@ -219,7 +266,7 @@ def record(workload: str, roots: dict[str, Path], revs: dict, pairs: int, second
         **revs,
         "machine": machine_facts(),
         "protocol": {"pairs": pairs, "seconds": seconds, "seeds": list(range(1, pairs + 1)),
-                     "first": "base on odd seeds, head on even seeds"},
+                     "first": "base on odd seeds, head on even seeds", "bootstrap": BOOTSTRAP},
         "end_to_end": compare(results, declared),
         "traced": traced,
         "runs": runs,
