@@ -590,7 +590,7 @@ class ColumnData:
                 else:
                     raise ValueError(f"unknown binning rule {rule!r} for attribute {a!r}")
                 if k is None:
-                    present = self.uniques[a][np.unique(self.codes[a][train_idx])]
+                    present = self.uniques[a][np.flatnonzero(np.bincount(self.codes[a][train_idx]))]
                     yield a, None, [s for s in present.tolist() if s]
                     continue
                 if rule is not None and k < 1:
@@ -806,13 +806,12 @@ def atomic_open(path: str | Path) -> Iterator:
         raise
 
 
-def read_json(path: str | Path, what: str, build: Callable[[object], T]) -> T:
-    """``build`` of the JSON document in ``path``; an unreadable file, one that
-    is not JSON, or a document ``build`` rejects is one DataError that starts
-    with ``what`` and ``path``."""
+def read_file(path: str | Path, what: str, build: Callable[[bytes], T]) -> T:
+    """``build`` of the bytes of ``path``, read once; an unreadable file, or
+    bytes that ``build`` rejects (not UTF-8 or not JSON among them), is one
+    DataError that starts with ``what`` and ``path``."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            return build(json.load(fh))
+        return build(Path(path).read_bytes())
     except (OSError, UnicodeDecodeError, json.JSONDecodeError, DataError) as exc:
         reason = str(exc)
     except KeyError as exc:
@@ -821,3 +820,8 @@ def read_json(path: str | Path, what: str, build: Callable[[object], T]) -> T:
         reason = f"malformed: {exc}"
     raise DataError(f"{what} {path}: {reason}") from None
 
+
+def read_json(path: str | Path, what: str, build: Callable[[object], T]) -> T:
+    """``build`` of the JSON document in the UTF-8 file ``path``, with the
+    errors of :func:`read_file`."""
+    return read_file(path, what, lambda data: build(json.loads(data.decode("utf-8"))))

@@ -34,6 +34,7 @@ from .catalog import (
     atomic_open,
     build_catalog,  # not called here; perfbench/instrument.py traces cli.build_catalog
     read_columns,
+    read_file,
     read_json,
     read_rows,
 )
@@ -194,11 +195,6 @@ def _cmd_mine(args) -> int:
     return 0
 
 
-def _sha256(path) -> str:
-    """The hex SHA-256 of the file's bytes: a catalog artifact's fingerprint."""
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
 def _read_table(path, categorical: frozenset) -> tuple[dict[str, Column], ColumnData]:
     """The columns of the data file ``path`` and their table, which may not be empty."""
     columns = read_columns(path)
@@ -208,16 +204,21 @@ def _read_table(path, categorical: frozenset) -> tuple[dict[str, Column], Column
     return columns, table
 
 
-def _load_artifact(path: str) -> tuple[ItemCatalog, SubgroupCatalog]:
-    def build(d):
+def _load_artifact(path: str) -> tuple[ItemCatalog, SubgroupCatalog, str]:
+    """The artifact's item and subgroup catalogs, and the hex SHA-256 of the
+    very bytes they were parsed from: the artifact's fingerprint."""
+
+    def build(data: bytes):
+        d = json.loads(data.decode("utf-8"))
         if not isinstance(d, dict):
             raise DataError("not a JSON object")
         for name in ("item_catalog", "subgroup_catalog"):
             if not isinstance(d[name], dict):
                 raise DataError(f"{name} is not a JSON object")
-        return ItemCatalog.from_dict(d["item_catalog"]), SubgroupCatalog.from_dict(d["subgroup_catalog"])
+        items, subgroups = ItemCatalog.from_dict(d["item_catalog"]), SubgroupCatalog.from_dict(d["subgroup_catalog"])
+        return items, subgroups, hashlib.sha256(data).hexdigest()
 
-    return read_json(path, "catalog artifact", build)
+    return read_file(path, "catalog artifact", build)
 
 
 # ---------------------------------------------------------------------------
@@ -267,14 +268,14 @@ def _batched_records(path, catalog, spec, batch_size):
 
 def _cmd_monitor(args) -> int:
     config = WindowConfig(args.window, args.tau_t, args.min_count)
-    catalog, sgcat = _load_artifact(args.catalog)
+    catalog, sgcat, catalog_sha256 = _load_artifact(args.catalog)
     spec = MetricSpec(kind=args.metric)
     batches, n_rows, skipped_values = _batched_records(args.input, catalog, spec, args.batch_size)
     log.info("ingested %d rows in %d batches (%d skipped values)", n_rows, len(batches), skipped_values)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    monitor = MonitorState(n_subgroups=len(sgcat), config=config, catalog_sha256=_sha256(args.catalog))
+    monitor = MonitorState(n_subgroups=len(sgcat), config=config, catalog_sha256=catalog_sha256)
     writer = ReportWriter(sgcat, args.top_k)
     lines = []
     csv_columns = ["subgroup_id", "items", "support", "h_ref", "h_cur", "delta_h", "t", "drifted"]
@@ -381,7 +382,7 @@ def _cmd_inject(args) -> int:
         print("driftscope inject: error: --normal, --transition and --drift total 0 batches", file=sys.stderr)
         return 1
     _csv_outputs(args, "out", "mask")
-    catalog, _ = _load_artifact(args.catalog)
+    catalog, _, _ = _load_artifact(args.catalog)
     item_ids = []
     for part in _parse_subgroup(args.subgroup, catalog.attributes):
         attr, _, value = part.partition("=")
@@ -512,7 +513,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    catalog, sgcat = _load_artifact(args.catalog)
+    catalog, sgcat, catalog_sha256 = _load_artifact(args.catalog)
     reports_path = Path(args.reports)
     state_path = (
         reports_path / "monitor_state.json"
@@ -527,7 +528,7 @@ def _cmd_report(args) -> int:
     state = MonitorState.load(state_path)
     if state.n_subgroups != len(sgcat):
         raise DataError(f"monitor state has {state.n_subgroups} subgroups, catalog has {len(sgcat)}")
-    if state.catalog_sha256 != _sha256(args.catalog):
+    if state.catalog_sha256 != catalog_sha256:
         raise DataError(f"{state_path} was written by a monitor run on another catalog than {args.catalog}")
     if not state.reference_frozen or not state.current_ring:
         raise DataError("monitoring never left the warming-up phase")

@@ -213,7 +213,10 @@ class MonitorState:
     ``current_ring`` holds the most recent W batch stats, and :meth:`push`
     keeps their sum. Until the reference is frozen those are the warm-up
     batches; at the W-th their sum becomes ``reference_stats`` and the ring
-    empties. ``catalog_sha256`` fingerprints the stream's catalog artifact.
+    empties. The reference's scoring terms (:func:`_reference_terms`) are
+    computed at the first score and kept, read-only and not written, with
+    the reference and rule they came from; replacing either rebuilds them.
+    ``catalog_sha256`` fingerprints the stream's catalog artifact.
     """
 
     n_subgroups: int
@@ -223,6 +226,7 @@ class MonitorState:
     batches_seen: int = 0
     catalog_sha256: str | None = None
     _window: SubgroupStats = field(default=_NO_COUNTS, init=False, repr=False, compare=False)
+    _reference: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.current_ring = deque(maxlen=self.config.window_batches)
@@ -255,8 +259,11 @@ class MonitorState:
 
     def score(self) -> DriftReport:
         """The frozen reference against the current window, under the run's rule."""
-        c = self.config
-        return score_windows(self.reference_stats, self.current_stats(), c.tau_t, c.min_count, self.batches_seen)
+        ref, c = self.reference_stats, self.config
+        kept = self._reference
+        if kept is None or kept[0] is not ref or kept[1] is not c:
+            kept = self._reference = (ref, c, _reference_terms(ref, c.min_count))
+        return _scored(kept[2], self.current_stats(), c.tau_t, self.batches_seen)
 
     def to_dict(self) -> dict:
         return {
@@ -334,15 +341,28 @@ def score_windows(
     batch_id: int = 0,
 ) -> DriftReport:
     """Score a (reference, current) window pair over every subgroup."""
-    mu_r, nu_r = beta_posterior(ref.alpha_counts, ref.beta_counts)
+    return _scored(_reference_terms(ref, min_count), cur, tau_t, batch_id)
+
+
+def _reference_terms(ref: SubgroupStats, min_count: int) -> tuple[np.ndarray, ...]:
+    """The reference's posterior mean and variance, h, and the subgroups with
+    at least ``min_count`` reference outcomes (the ones that may be flagged),
+    each read-only."""
+    mu, nu = beta_posterior(ref.alpha_counts, ref.beta_counts)
+    terms = mu, nu, performance_vector(ref), (ref.alpha_counts + ref.beta_counts) >= min_count
+    for a in terms:
+        a.flags.writeable = False
+    return terms
+
+
+def _scored(ref_terms: tuple[np.ndarray, ...], cur: SubgroupStats, tau_t: float, batch_id: int) -> DriftReport:
+    """The one scoring rule: the reference's terms against the current window."""
+    mu_r, nu_r, h_r, eligible = ref_terms
     mu_c, nu_c = beta_posterior(cur.alpha_counts, cur.beta_counts)
     t = welch_t((mu_r, nu_r), (mu_c, nu_c))
 
-    h_r = performance_vector(ref)
     h_c = performance_vector(cur)
     delta = h_r - h_c  # NaN propagates where either side is undefined
-
-    eligible = (ref.alpha_counts + ref.beta_counts) >= min_count
     drifted = eligible & (t > tau_t)
 
     return DriftReport(

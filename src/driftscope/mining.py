@@ -151,7 +151,7 @@ class SubgroupCatalog:
         indices = np.asarray(indices, dtype=np.intp)
         out: list[list[int]] = [[]] * len(indices)
         lengths = self._length[indices]
-        for k in np.unique(lengths[lengths > 0]).tolist():
+        for k in np.flatnonzero(np.bincount(lengths[lengths > 0])).tolist():
             pos = np.flatnonzero(lengths == k)
             rows = self._tables[k][1][self._row[indices[pos]]]
             for p, items in zip(pos.tolist(), rows.tolist()):
@@ -275,7 +275,7 @@ def _length_tables(itemsets: Sequence[Sequence[int]]) -> list[tuple[np.ndarray, 
     if len(empty) > 1:
         raise ValueError(f"subgroup {empty[1]} repeats the global (empty) itemset")
     tables = []
-    for k in np.unique(lengths[1:]).tolist():
+    for k in np.flatnonzero(np.bincount(lengths[1:])).tolist():
         idx = np.flatnonzero(lengths == k)
         flat = chain.from_iterable(map(itemsets.__getitem__, idx.tolist()))
         items = np.fromiter(flat, dtype=np.intp, count=k * len(idx)).reshape(-1, k)
@@ -304,6 +304,14 @@ def _packed_rows(mask: np.ndarray) -> np.ndarray:
     out = np.zeros((mask.shape[0], -(-n // 64) * 8), dtype=np.uint8)
     out[:, : -(-n // 8)] = np.packbits(mask, axis=1)
     return out
+
+
+def _popcounts(words: np.ndarray) -> np.ndarray:
+    """The set bits of each row of a 2-D ``uint64`` array, as exact int64
+    counts (a row of no words counts 0). ``einsum`` accumulates the per-word
+    counts straight into int64, which at batch widths is faster than
+    ``sum(axis=1)``."""
+    return np.einsum("ij->i", np.bitwise_count(words), dtype=np.int64)
 
 
 # Candidates counted per step: bounds the gathered bitmaps to CHUNK rows
@@ -369,7 +377,7 @@ def mine_frequent(
         attr_ids = np.array([codes.setdefault(a, len(codes)) for a in item_attrs], dtype=np.intp)
 
     item_bits = points.bits.view(np.uint64)
-    counts = np.bitwise_count(item_bits).sum(axis=1, dtype=np.int64)
+    counts = _popcounts(item_bits)
     keep = counts / n_rows >= config.min_support
     sets = np.flatnonzero(keep)[:, None]
     bits = item_bits[sets[:, 0]]
@@ -394,7 +402,7 @@ def mine_frequent(
             a, cand = a[ok], cand[ok]
         counts = np.empty(len(cand), dtype=np.int64)
         for lo, joined in _joined(bits, a, item_bits, cand[:, -1:]):
-            counts[lo : lo + len(joined)] = np.bitwise_count(joined).sum(axis=1, dtype=np.int64)
+            counts[lo : lo + len(joined)] = _popcounts(joined)
         keep = counts / n_rows >= config.min_support
         sets, a = cand[keep], a[keep]
         levels.append((sets, counts[keep]))

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .mining import SubgroupCatalog, _joined, _packed_rows
+from .mining import SubgroupCatalog, _joined, _packed_rows, _popcounts
 
 __all__ = [
     "EncodedBatch",
@@ -168,7 +168,7 @@ class Membership:
             raise ValueError("count vector length must equal the batch size")
         words = self.bits.view(np.uint64)
         packed = _packed_rows(np.asarray(vec)[None, :]).view(np.uint64)
-        return np.bitwise_count(words & packed).sum(axis=1, dtype=np.int64)
+        return _popcounts(words & packed)
 
 
 def membership(batch: EncodedBatch, catalog: SubgroupCatalog) -> Membership:

@@ -267,7 +267,7 @@ def _draw(generator: str, concepts: np.ndarray, rng: np.random.Generator) -> tup
         irr = rng.integers(0, 2, (n, 17))
         X = np.column_stack([segs, irr]).astype(np.float64)
         # concept k swaps segment i with irrelevant attribute i for i < k
-        for k in np.unique(concepts):
+        for k in np.flatnonzero(np.bincount(concepts)):
             m = concepts == k
             for i in range(int(k)):
                 X[np.ix_(m, [i, 7 + i])] = X[np.ix_(m, [7 + i, i])]
@@ -281,7 +281,7 @@ def _draw(generator: str, concepts: np.ndarray, rng: np.random.Generator) -> tup
     else:
         raise ValueError(f"unknown generator {generator!r}")
     y = np.empty(n, dtype=np.int64)
-    for c in np.unique(concepts):
+    for c in np.flatnonzero(np.bincount(concepts)):
         m = concepts == c
         y[m] = concept_labels(generator, X[m], int(c))
     return X, y

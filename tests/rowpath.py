@@ -424,7 +424,7 @@ def inject_texts(input_path, catalog_path, subgroup, p_max, normal=10, transitio
                  ramp="linear", seed=0):
     """The record-path ``driftscope inject``: the texts it wrote to ``--out``
     and ``--mask``."""
-    catalog, _ = _load_artifact(catalog_path)
+    catalog, _, _ = _load_artifact(catalog_path)
     rows = list(read_rows(input_path))
     if not rows:
         raise DataError(f"{input_path}: no rows")

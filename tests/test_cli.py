@@ -1069,6 +1069,27 @@ print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
     assert "scipy" not in json.loads((tmp_path / "sea.csv.manifest.json").read_text())
 
 
+def test_no_command_loads_numpy_ma(tmp_path):
+    # numpy.ma costs every process its import; plain np.unique would load it
+    src, _, _ = _mined_and_monitored(tmp_path)
+    script = f"""
+import sys
+from driftscope.cli import main
+src = {str(src)!r}
+args = [
+    ["mine", "--input", src, "--min-support", "0.05", "--out", "c.json"],
+    ["monitor", "--catalog", "c.json", "--input", src, "--window", "2", "--batch-size", "100", "--out", "mon"],
+    ["report", "--reports", "mon", "--catalog", "c.json", "--prune-t", "1", "--shapley", "--out", "r.md"],
+    ["gen", "--dataset", "led", "--n-batches", "4", "--batch-size", "100", "--train-size", "200",
+     "--drift-center", "200", "--drift-width", "50", "--concepts", "0,2", "--out", "g.csv"],
+    ["eval", "--suite", "inject", "--data", "surrogate", "--rows", "2000", "--supports", "0.1",
+     "--n-exp", "1", "--out", "inject.csv"],
+]
+print([main(a) for a in args], "numpy.ma" in sys.modules)
+"""
+    assert _run_python(script, tmp_path) == "[0, 0, 0, 0, 0] False"
+
+
 @pytest.mark.parametrize(
     "command,flag,value,message",
     [
@@ -1502,6 +1523,39 @@ def test_report_has_no_tau_t_flag(tmp_path, capsys):
     _, catalog_path, reports_dir = _mined_and_monitored(tmp_path)
     assert run_cli("report", "--reports", reports_dir, "--catalog", catalog_path, "--tau-t", "5") == 1
     assert "--tau-t" in capsys.readouterr().err
+
+
+def test_the_fingerprint_is_of_the_catalog_bytes_that_were_parsed(tmp_path, monkeypatch):
+    # an atomic `mine --out` may replace the catalog while a run reads it: the
+    # reader is patched to swap the file after the load, so no timing is involved
+    import hashlib
+
+    src, catalog_path, _ = _mined_and_monitored(tmp_path)
+    parsed = catalog_path.read_bytes()
+    other = json.loads(parsed)
+    subgroups = other["subgroup_catalog"]["subgroups"]
+    subgroups[1], subgroups[2] = subgroups[2], subgroups[1]
+
+    def swapping(read):
+        def swapped_after_the_load(*args, **kwargs):
+            catalog_path.write_text(json.dumps(other))
+            return read(*args, **kwargs)
+
+        return swapped_after_the_load
+
+    monkeypatch.setattr(cli, "read_rows", swapping(cli.read_rows))
+    out = tmp_path / "swapped_run"
+    assert run_cli("monitor", "--catalog", catalog_path, "--input", src, "--window", "2",
+                   "--batch-size", "100", "--out", out) == 0
+    state = json.loads((out / "monitor_state.json").read_text())
+    assert state["catalog_sha256"] == hashlib.sha256(parsed).hexdigest() != hashlib.sha256(catalog_path.read_bytes()).hexdigest()
+    monkeypatch.undo()
+
+    # report checks the state against the bytes it parsed, not a second read
+    catalog_path.write_bytes(parsed)
+    monkeypatch.setattr(cli.MonitorState, "load", swapping(cli.MonitorState.load))
+    assert run_cli("report", "--reports", out, "--catalog", catalog_path, "--out", tmp_path / "r.md") == 0
+    assert catalog_path.read_bytes() != parsed
 
 
 @pytest.mark.parametrize(

@@ -132,6 +132,16 @@ def assert_same_stats(got, expect):
     assert got.n_instances == expect.n_instances
 
 
+def assert_same_report(got, expect):
+    """The two reports hold the same header and, bit for bit, the same vectors."""
+    assert (got.batch_id, got.warming_up, got.global_drift, got.tau_t) == (
+        expect.batch_id, expect.warming_up, expect.global_drift, expect.tau_t,
+    )
+    for name in ("h_ref", "h_cur", "delta_h", "mu_ref", "mu_cur", "t_values", "drifted"):
+        a, b = getattr(got, name), getattr(expect, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+
+
 def stats_of(pairs):
     a = np.array([p[0] for p in pairs], dtype=np.int64)
     b = np.array([p[1] for p in pairs], dtype=np.int64)
@@ -249,6 +259,57 @@ class TestStep:
             got = [step(resumed, b).to_dict(catalog) for b in batches[cut:]]
             assert got == expected[cut:], cut
             assert_same_stats(resumed.current_stats(), whole.current_stats())
+
+    @pytest.mark.parametrize("W", [1, 2, 5])
+    @pytest.mark.parametrize("min_count", [0, 3])
+    def test_every_report_is_score_windows_on_the_window_bit_for_bit(self, W, min_count, tmp_path):
+        rng = np.random.default_rng(10 * W + min_count)
+        batches = []
+        for i in range(4 * W + 3):
+            # few outcomes, some subgroups empty (NaN h); subgroup 7 has no
+            # reference outcomes, so it is under min_count 3, then all positive
+            a, b = rng.integers(0, 4, 8) * (rng.random(8) < 0.7), rng.integers(0, 4, 8)
+            a[7], b[7] = (0, 0) if i < W else (3, 0)
+            a[0], b[0] = a.sum(), b.sum()
+            batches.append(SubgroupStats(a.astype(np.int64), b.astype(np.int64), int(a[0] + b[0])))
+        rule = WindowConfig(W, tau_t=0.5, min_count=min_count)
+        mon = MonitorState(n_subgroups=8, config=rule)
+        reloaded, scored = {}, []
+        for i, batch in enumerate(batches, start=1):
+            report = step(mon, batch)
+            for cut, clone in reloaded.items():
+                assert_same_report(step(clone, batch), report), (cut, i)
+            assert report.warming_up == (i <= W)
+            if not report.warming_up:
+                expect = score_windows(mon.reference_stats, mon.current_stats(), 0.5, min_count, i)
+                assert_same_report(report, expect)
+                scored.append(report)
+            if i in (W - 1, W, W + 1):  # saved before the freeze, at it and after it
+                mon.save(tmp_path / f"state_{i}.json")
+                reloaded[i] = MonitorState.load(tmp_path / f"state_{i}.json")
+        # the reference terms are computed once per reference and not written
+        assert all(r.h_ref is scored[0].h_ref and r.mu_ref is scored[0].mu_ref for r in scored)
+        for kept in (*mon._reference[2], *reloaded[W + 1]._reference[2]):
+            with pytest.raises(ValueError, match="read-only"):
+                kept[0] = kept[1]
+        assert any(r.global_drift for r in scored)
+        assert all(r.drifted[7] == (min_count == 0) and r.t_values[7] > 0.5 for r in scored)
+
+    def test_scoring_follows_a_replaced_reference_or_rule(self):
+        first, second = stats_of([(9, 1), (5, 0), (0, 3)]), stats_of([(2, 8), (0, 4), (3, 0)])
+        cur = stats_of([(4, 4), (1, 1), (2, 2)])
+        mon = MonitorState(n_subgroups=3, config=WindowConfig(1, tau_t=0.5))
+        mon.reference_stats = first  # never frozen by push: a reference given by hand
+        mon.push(cur)
+        assert_same_report(mon.score(), score_windows(first, cur, 0.5, 0, 0))
+        mon.reference_stats = second
+        report = mon.score()
+        assert_same_report(report, score_windows(second, cur, 0.5, 0, 0))
+        assert report.drifted.tolist() == [True, True, True]
+        mon.config = WindowConfig(1, tau_t=0.5, min_count=5)
+        report = mon.score()
+        assert_same_report(report, score_windows(second, cur, 0.5, 5, 0))
+        assert report.drifted.tolist() == [True, False, False]
 
     def test_current_stats_on_an_empty_ring_raises(self):
         mon = MonitorState(n_subgroups=2, config=WindowConfig(1))
@@ -542,3 +603,16 @@ class TestReportWriter:
             stats = stats_of(list(zip(a.tolist(), (rng.integers(0, 30, size=n) * (a > 0)).tolist())))
             report = step(mon, stats)
             assert writer.line(report) == _reference_line(report, catalog, 4), b
+
+    def test_one_writer_across_monitor_resets_writes_the_reference_line(self):
+        catalog = _writer_catalog()
+        n = len(catalog)
+        rng = np.random.default_rng(5)
+        writer = ReportWriter(catalog, n)  # every subgroup is retained in every line
+        for _ in range(3):  # a new run over the same catalog freezes another reference
+            mon = MonitorState(n_subgroups=n, config=WindowConfig(1, tau_t=1.0))
+            for _ in range(3):
+                a = rng.integers(0, 30, size=n) * (rng.random(n) < 0.8)
+                stats = stats_of(list(zip(a.tolist(), (rng.integers(0, 30, size=n) * (a > 0)).tolist())))
+                report = step(mon, stats)
+                assert writer.line(report) == _reference_line(report, catalog, n)

@@ -283,3 +283,30 @@ def test_catalog_round_trip_keeps_tables_supports_and_counts():
     # one subgroup read from the tables equals the one of the full list
     fresh = SubgroupCatalog.from_dict(cat.to_dict())
     assert [fresh.subgroup(j) for j in range(len(fresh))] == list(cat.subgroups)
+
+
+@pytest.mark.parametrize("width", [0, 1, 16, 382])
+def test_popcounts_and_the_counts_built_on_them_are_exact_row_sums(width):
+    from driftscope.mining import _packed_rows, _popcounts
+    from driftscope.sgmetrics import Membership
+
+    rng = np.random.default_rng(width)
+    words = rng.integers(0, 2**64, (40, width), dtype=np.uint64)
+    words[:3] = np.uint64(2**64 - 1)  # full rows: 24,448 bits at width 382
+    expected = [sum(bin(w).count("1") for w in row) for row in words.tolist()]
+    got = _popcounts(words)
+    assert got.dtype == np.int64 and got.tolist() == expected
+
+    n = 64 * width
+    M = Membership(bits=words.view(np.uint8), n_instances=n)
+    vec = (rng.random(n) < 0.5).astype(np.int64)
+    counts = M.count(vec)
+    assert counts.dtype == np.int64 and counts.tolist() == (M.toarray() * vec[:, None]).sum(axis=0).tolist()
+
+    if n:  # the miner counts every itemset of a random point matrix with the same reduction
+        mask = rng.random((5, n)) < 0.6
+        mask[0] = True
+        cat = mine_frequent(Membership(bits=_packed_rows(mask), n_instances=n), MiningConfig(1e-9, max_len=3))
+        assert len(cat) == 1 + 5 + 10 + 10
+        for sg in cat.subgroups[1:]:
+            assert sg.count == int(mask[list(sg.item_ids)].all(axis=0).sum()), sg.item_ids
