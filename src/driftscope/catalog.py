@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
-from .mining import _packed_rows
+from .mining import _json_count, _packed_rows
 from .sgmetrics import Membership
 
 __all__ = [
@@ -125,7 +125,7 @@ class _Discretizer:
             return cls(kind="categorical")
         disc = cls(
             kind="quantile",
-            bins=int(d["bins"]),
+            bins=_json_count(d["bins"], "bins"),
             edges=tuple(float(e) for e in d["edges"]),
             lo=float(d["lo"]),
             hi=float(d["hi"]),
@@ -304,7 +304,10 @@ class ItemCatalog:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "ItemCatalog":
-        items = [Item(e["attribute"], e["value"], int(e["id"])) for e in d["items"]]
+        items = [
+            Item(e["attribute"], e["value"], _json_count(e["id"], f"items[{i}].id"))
+            for i, e in enumerate(d["items"])
+        ]
         discs = {a: _Discretizer.from_dict(dd) for a, dd in d["discretizers"].items()}
         return cls(items, discs)
 
@@ -816,7 +819,7 @@ def read_file(path: str | Path, what: str, build: Callable[[bytes], T]) -> T:
         reason = str(exc)
     except KeyError as exc:
         reason = f"no field {exc}"
-    except (TypeError, AttributeError, ValueError) as exc:  # a field of the wrong type or value
+    except (TypeError, AttributeError, ValueError, OverflowError) as exc:  # a field of the wrong type or value
         reason = f"malformed: {exc}"
     raise DataError(f"{what} {path}: {reason}") from None
 

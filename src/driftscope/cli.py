@@ -746,7 +746,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError) as exc:  # a DataError is a ValueError
+    except (ValueError, OSError) as exc:  # a DataError is a ValueError; an unwritable --out is an OSError
         log.error("%s", exc)
         return 2
 

@@ -233,28 +233,12 @@ def census_sample(n: int = 48842, seed: int = 0) -> list[dict]:
     )
     y = (rng.random(n) < 1.0 / (1.0 + np.exp(-z))).astype(np.int64)
 
-    rows = []
-    for i in range(n):
-        rows.append(
-            {
-                "age": int(age[i]),
-                "workclass": str(workclass[i]),
-                "fnlwgt": int(fnlwgt[i]),
-                "education": str(education[i]),
-                "education_num": int(edu_num[i]),
-                "marital_status": str(marital[i]),
-                "occupation": str(occupation[i]),
-                "relationship": str(relationship[i]),
-                "race": str(race[i]),
-                "sex": str(sex[i]),
-                "capital_gain": int(capital_gain[i]),
-                "capital_loss": int(capital_loss[i]),
-                "hours_per_week": int(hours[i]),
-                "native_country": str(country[i]),
-                "y": int(y[i]),
-            }
-        )
-    return rows
+    columns = (
+        age, workclass, fnlwgt, education, edu_num, marital, occupation, relationship,
+        race, sex, capital_gain, capital_loss, hours, country, y,
+    )
+    keys = (*ADULT_COLUMNS, "y")
+    return [dict(zip(keys, values)) for values in zip(*(c.tolist() for c in columns))]
 
 
 def resolve_tabular(source: str = "surrogate", n: int = 48842, seed: int = 0) -> tuple[ColumnData, str]:

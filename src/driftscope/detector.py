@@ -26,8 +26,8 @@ from typing import Mapping
 import numpy as np
 
 from .catalog import DataError, atomic_open, read_json
-from .mining import SubgroupCatalog
-from .sgmetrics import SubgroupStats, _json_count, performance_vector
+from .mining import SubgroupCatalog, _json_count
+from .sgmetrics import SubgroupStats, performance_vector
 
 __all__ = [
     "WindowConfig",

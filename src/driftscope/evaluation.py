@@ -10,9 +10,10 @@ Two experiment families mirror the monitoring protocol end to end:
     default) where positives mix two concepts through a sigmoid and negatives
     stay on one concept.
 
-The injection experiments and the timing benchmark are the census suites:
-they run on a tabular (census) dataset through one set-up,
-:func:`_census_setup`, and one DDM setting, ``_CENSUS_BASELINES``.
+Every experiment and the timing benchmark run through one set-up,
+:func:`_setup`, on one table. The injection experiments and the timing
+benchmark are the census suites: they share one DDM setting,
+``_CENSUS_BASELINES``.
 
 An experiment counts as detected when the monitor reports drift in at least
 one batch; suites always pair equal numbers of positive and negative runs so
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -228,14 +229,15 @@ def _run_jobs(jobs: Sequence[Callable], threads: int) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _census_setup(
-    cols: ColumnData, perm: np.ndarray, mining: MiningConfig, tree_depth: int, n_batches: int, X: np.ndarray
+def _setup(
+    cols: ColumnData, X: np.ndarray, perm: np.ndarray, n_train: int,
+    mining: MiningConfig, tree_depth: int, n_batches: int,
 ) -> tuple[ItemCatalog, SubgroupCatalog, np.ndarray, np.ndarray, Membership, list[tuple[int, int]]]:
-    """The census protocol's set-up on the split ``perm``: the catalog, the
-    subgroups ``mining`` finds and a depth-``tree_depth`` tree on ``X``, all
-    from the first half; for the second half, its rows, the tree's
-    predictions, its point matrix and ``n_batches`` even batches."""
-    train_idx, test_idx = perm[: cols.n // 2], perm[cols.n // 2 :]
+    """The experiments' set-up on the rows ``perm`` of ``cols``: the catalog,
+    the subgroups ``mining`` finds and a depth-``tree_depth`` tree on ``X``,
+    all from the first ``n_train`` rows; for the rest, their indices, the
+    tree's predictions, their point matrix and ``n_batches`` even batches."""
+    train_idx, test_idx = perm[:n_train], perm[n_train:]
     catalog = cols.build_catalog(train_idx)
     sgcat = mine_frequent(cols.point_matrix(train_idx, catalog), mining, item_attrs=catalog.item_attributes())
     model = fit_tree(X[train_idx], cols.y[train_idx], max_depth=tree_depth)
@@ -276,8 +278,8 @@ def run_injection_experiment(
         raise ValueError("kind must be 'positive' or 'negative'")
     rng = np.random.default_rng(np.random.SeedSequence([_INJECT_SALT, seed]))
     X = cols.feature_matrix() if feature_matrix is None else feature_matrix
-    catalog, sgcat, test_idx, y_hat, P_test, bounds = _census_setup(
-        cols, rng.permutation(cols.n), mining, tree_depth, n_batches, X
+    catalog, sgcat, test_idx, y_hat, P_test, bounds = _setup(
+        cols, X, rng.permutation(cols.n), cols.n // 2, mining, tree_depth, n_batches
     )
     y_test = cols.y[test_idx].copy()
 
@@ -434,22 +436,13 @@ def run_concept_experiment(
         seed=seed,
     )
     train, stream = gen_concept_stream(config)
-
-    cat_attrs = frozenset(
-        name for name, kind_ in zip(train.feature_names, train.feature_kinds) if kind_ == "categorical"
-    )
-    train_cols = ColumnData.from_columns(train.columns(), categorical=cat_attrs)
-    stream_cols = ColumnData.from_columns(stream.columns(), categorical=cat_attrs)
-    train_idx = np.arange(train_cols.n)
-    catalog = train_cols.build_catalog(train_idx)
-    P_train = train_cols.point_matrix(train_idx, catalog)
-    sgcat = mine_frequent(P_train, mining, item_attrs=catalog.item_attributes())
-
-    model = fit_tree(train.X, train.y, max_depth=5)
-    alpha = (stream.y == model.predict(stream.X)).astype(np.int64)
+    both = replace(train, X=np.vstack([train.X, stream.X]), y=np.concatenate([train.y, stream.y]))
+    cat_attrs = frozenset(a for a, k in zip(both.feature_names, both.feature_kinds) if k == "categorical")
+    cols = ColumnData.from_columns(both.columns(), categorical=cat_attrs, y=both.y)
+    # the tree grows on the generator's raw X: feature_matrix() codes categorical values in text order
+    _, sgcat, stream_idx, y_hat, P, bounds = _setup(cols, both.X, np.arange(cols.n), len(train.y), mining, 5, n_batches)
+    alpha = (cols.y[stream_idx] == y_hat).astype(np.int64)
     beta = 1 - alpha
-    P = stream_cols.point_matrix(np.arange(stream_cols.n), catalog)
-    bounds = [(b * batch_size, (b + 1) * batch_size) for b in range(n_batches)]
 
     monitor = MonitorState(n_subgroups=len(sgcat), config=WindowConfig(window))
     batch_max_t: list[float] = []
@@ -501,7 +494,7 @@ def timing_bench(
 ) -> dict[str, dict[str, float]]:
     """Median wall time per batch and per sample of the bitmap pipeline and
     of one detector per subgroup, and the subgroup count, after an untimed
-    set-up: :func:`_census_setup` on a seeded permutation of ``cols``, with
+    set-up: :func:`_setup` on a seeded permutation of ``cols``, with
     the subgroups mined at ``min_support`` (up to length 3), a depth-8 tree
     and 30 batches, the tree's correct/incorrect outcomes as alpha/beta.
     The pipeline is timed over the experiments' batch loop
@@ -511,8 +504,8 @@ def timing_bench(
     its detector per member error.
     """
     perm = np.random.default_rng(seed).permutation(cols.n)
-    _, sgcat, test_idx, y_hat, P, bounds = _census_setup(
-        cols, perm, MiningConfig(min_support, max_len=3), 8, 30, cols.feature_matrix()
+    _, sgcat, test_idx, y_hat, P, bounds = _setup(
+        cols, cols.feature_matrix(), perm, cols.n // 2, MiningConfig(min_support, max_len=3), 8, 30
     )
     alpha = (cols.y[test_idx] == y_hat).astype(np.int64)
     beta = 1 - alpha

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, NoReturn, Sequence
 
 import numpy as np
 
@@ -252,22 +252,42 @@ class SubgroupCatalog:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "SubgroupCatalog":
-        config = MiningConfig(min_support=float(d["min_support"]), max_len=int(d["max_len"]))
+        """The catalog ``to_dict`` wrote, its numbers checked as exact:
+        ``n_items``, ``max_len``, each count and item id an integer >= 0 (not
+        a boolean), each support a finite number in [0, 1]."""
+        config = MiningConfig(min_support=float(d["min_support"]), max_len=_json_count(d["max_len"], "max_len"))
         entries = d["subgroups"]
-        n = len(entries)
-        return cls(
-            _length_tables([e["items"] for e in entries]),
-            np.fromiter((e["support"] for e in entries), dtype=np.float64, count=n),
-            np.fromiter((e["count"] for e in entries), dtype=np.int64, count=n),
-            int(d["n_items"]),
-            config,
-        )
+        tables = _length_tables([e["items"] for e in entries])
+        support, count = [e["support"] for e in entries], [e["count"] for e in entries]
+        s = np.array(support, dtype=np.float64) if set(map(type, support)) <= {int, float} else None
+        if s is None or not ((0 <= s) & (s <= 1)).all():  # NaN fails both
+            _reject(support, "support", "a finite number in [0, 1]", lambda v: type(v) in (int, float) and 0 <= v <= 1)
+        c = np.array(count, dtype=np.int64) if set(map(type, count)) <= {int} else None
+        if c is None or (c < 0).any():
+            _reject(count, "count", "an integer >= 0", lambda v: type(v) is int and v >= 0)
+        return cls(tables, s, c, _json_count(d["n_items"], "n_items"), config)
+
+
+def _json_count(value, name: str) -> int:
+    """``value`` if it is a JSON integer >= 0 (not a boolean), else a
+    ValueError naming ``name``."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
+    return value
+
+
+def _reject(values: Sequence, field: str, rule: str, ok) -> NoReturn:
+    """The ValueError for the first subgroup whose ``field`` fails ``ok``."""
+    j = next(j for j, v in enumerate(values) if not ok(v))
+    raise ValueError(f"subgroups[{j}].{field} must be {rule}, got {values[j]!r}")
 
 
 def _length_tables(itemsets: Sequence[Sequence[int]]) -> list[tuple[np.ndarray, np.ndarray]]:
     """Itemsets in dense order as per-length ``(indices, items)`` tables, one
-    ``np.fromiter`` per length. Itemset 0 must be the global (empty) one, and
-    it alone."""
+    pass per length. Each itemset must be a list of integers (not booleans);
+    itemset 0 must be the global (empty) one, and it alone."""
+    if not set(map(type, itemsets)) <= {list}:
+        _reject(itemsets, "items", "a list", lambda v: type(v) is list)
     lengths = np.fromiter(map(len, itemsets), dtype=np.intp, count=len(itemsets))
     if not len(lengths) or lengths[0]:
         raise ValueError("subgroups[0] must be the global (empty) subgroup")
@@ -277,9 +297,10 @@ def _length_tables(itemsets: Sequence[Sequence[int]]) -> list[tuple[np.ndarray, 
     tables = []
     for k in np.flatnonzero(np.bincount(lengths[1:])).tolist():
         idx = np.flatnonzero(lengths == k)
-        flat = chain.from_iterable(map(itemsets.__getitem__, idx.tolist()))
-        items = np.fromiter(flat, dtype=np.intp, count=k * len(idx)).reshape(-1, k)
-        tables.append((idx, items))
+        flat = list(chain.from_iterable(map(itemsets.__getitem__, idx.tolist())))
+        if set(map(type, flat)) != {int}:
+            _reject(itemsets, "items", "a list of integers", lambda v: set(map(type, v)) <= {int})
+        tables.append((idx, np.fromiter(flat, dtype=np.intp, count=len(flat)).reshape(-1, k)))
     return tables
 
 

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .mining import SubgroupCatalog, _joined, _packed_rows, _popcounts
+from .mining import SubgroupCatalog, _joined, _json_count, _packed_rows, _popcounts
 
 __all__ = [
     "EncodedBatch",
@@ -95,14 +95,6 @@ class SubgroupStats:
         if over.any():
             raise ValueError(f"{name}: alpha + beta exceeds n {n} at subgroup {int(np.argmax(over))}")
         return cls(alpha.astype(np.int64), beta.astype(np.int64), n)
-
-
-def _json_count(value, name: str) -> int:
-    """``value`` if it is a JSON integer >= 0 (not a boolean), else a
-    ValueError naming ``name``."""
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
-    return value
 
 
 def build_point_matrix(item_id_sets: Sequence[Sequence[int]], n_items: int) -> Membership:

@@ -797,6 +797,61 @@ def test_an_artifact_listing_items_out_of_id_order_exits_two_naming_the_file(tmp
     assert not out.exists() and not mask.exists()
 
 
+def _first_singleton(doc):
+    return next(j for j, e in enumerate(doc["subgroup_catalog"]["subgroups"]) if len(e["items"]) == 1)
+
+
+def _set_subgroup(field, value):
+    return lambda doc: doc["subgroup_catalog"]["subgroups"][_first_singleton(doc)].update({field: value})
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_set_subgroup("items", [0.9]), "subgroups[{j}].items must be a list of integers, got [0.9]"),
+        (_set_subgroup("items", [True]), "subgroups[{j}].items must be a list of integers, got [True]"),
+        (_set_subgroup("items", "02"), "subgroups[{j}].items must be a list, got '02'"),
+        (_set_subgroup("count", 2.5), "subgroups[{j}].count must be an integer >= 0, got 2.5"),
+        (_set_subgroup("count", -4), "subgroups[{j}].count must be an integer >= 0, got -4"),
+        (_set_subgroup("count", 2**64), "Python int too large to convert"),
+        (_set_subgroup("support", float("nan")), "subgroups[{j}].support must be a finite number in [0, 1], got nan"),
+        (_set_subgroup("support", 7.5), "subgroups[{j}].support must be a finite number in [0, 1], got 7.5"),
+        (lambda doc: doc["subgroup_catalog"].update(n_items=3.0), "n_items must be an integer >= 0, got 3.0"),
+        (lambda doc: doc["subgroup_catalog"].update(max_len=True), "max_len must be an integer >= 0, got True"),
+        (lambda doc: doc["item_catalog"]["items"][0].update(id="0"), "items[0].id must be an integer >= 0, got '0'"),
+        (lambda doc: doc["item_catalog"]["items"][1].update(id=1.7), "items[1].id must be an integer >= 0, got 1.7"),
+        (lambda doc: doc["item_catalog"]["discretizers"]["size"].update(bins=2.5), "bins must be an integer >= 0, got 2.5"),
+    ],
+)
+def test_monitor_reads_the_catalog_numbers_exactly(tmp_path, caplog, capsys, edit, message):
+    src, catalog_path, _ = _mined_and_monitored(tmp_path)
+    doc = json.loads(catalog_path.read_text())
+    j = _first_singleton(doc)
+    edit(doc)
+    catalog_path.write_text(json.dumps(doc))
+    out = tmp_path / "again"
+    assert run_cli("monitor", "--catalog", catalog_path, "--input", src, "--batch-size", "100", "--out", out) == 2
+    assert f"catalog artifact {catalog_path}: malformed: {message.format(j=j)}" in caplog.text
+    assert "Traceback" not in caplog.text + capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["mine", "monitor", "report"])
+def test_an_output_that_cannot_be_written_exits_two(tmp_path, caplog, capsys, command):
+    src, catalog_path, reports_dir = _mined_and_monitored(tmp_path)
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+    args = {
+        "mine": ["--input", src, "--min-support", "0.1", "--out", blocker / "x.json"],
+        "monitor": ["--catalog", catalog_path, "--input", src, "--batch-size", "100", "--out", blocker],
+        "report": ["--reports", reports_dir, "--catalog", catalog_path, "--out", blocker / "r.md"],
+    }[command]
+    assert run_cli(command, *args) == 2
+    assert str(blocker) in caplog.text
+    assert "Traceback" not in caplog.text + capsys.readouterr().err
+    assert blocker.read_text() == ""
+
+
 @pytest.mark.parametrize("prune_t", ["0", "2.5"])
 def test_report_prune_t_takes_a_finite_value_from_zero(tmp_path, prune_t):
     _, catalog_path, reports_dir = _mined_and_monitored(tmp_path)

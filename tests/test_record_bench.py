@@ -196,3 +196,37 @@ def test_the_interval_is_reproducible_from_the_runs():
     lo, hi = record_bench.ratio_interval(ratios)
     assert record_bench.ratio_interval(ratios) == [lo, hi]  # a fixed seed and resample count
     assert min(ratios) <= lo <= sorted(ratios)[4] and sorted(ratios)[5] <= hi <= max(ratios)
+
+
+_BENCHMARK = json.loads((_PATH.parents[1] / "BENCHMARK.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("workload", [w["name"] for w in _BENCHMARK["workloads"]])
+def test_each_checked_in_bench_file_is_complete_and_reads_the_declared_metrics(workload):
+    doc = json.loads((_PATH.parents[1] / f"BENCH_{workload}.json").read_text(encoding="utf-8"))
+    record_bench.check_bench(doc)
+    assert doc["workload"] == workload
+    fields = ("unit", "better", "bound")
+    declared = {m["name"]: {k: m[k] for k in fields} for m in _BENCHMARK["end_to_end"]}
+    assert {name: {k: m[k] for k in fields} for name, m in doc["end_to_end"].items()} == declared
+    per_layer = {m["name"]: m["unit"] for m in _BENCHMARK["per_layer"]}
+    for side in record_bench.SIDES:
+        assert {name: m["unit"] for name, m in doc["traced"][side]["metrics"].items()} == per_layer
+
+
+def test_a_compiled_cache_under_src_stops_the_recording_before_any_export(tmp_path, monkeypatch, capsys):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(_BENCHMARK), encoding="utf-8")
+    caches = [tmp_path / "src" / "driftscope" / "__pycache__", tmp_path / "src" / "__pycache__"]
+    for cache in caches:
+        cache.mkdir(parents=True)
+    monkeypatch.setattr(record_bench, "ROOT", tmp_path)
+
+    def no_export(*args):
+        raise AssertionError("exported a revision")
+
+    monkeypatch.setattr(record_bench, "export", no_export)
+    with pytest.raises(SystemExit) as exc:
+        record_bench.main(["--base", "HEAD"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert all(str(cache) in err for cache in caches)

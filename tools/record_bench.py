@@ -14,7 +14,10 @@ metric's bound (``verdict``). Run from anywhere inside the checkout:
     python tools/record_bench.py --base HEAD            # the working tree against the last commit
     python tools/record_bench.py --base HEAD~1
 
-A run whose result line is not ``"correct": true`` fails the recording, and
+It refuses to start while a ``__pycache__`` directory lies under the
+working tree's ``src/``: the base export has none, so with
+``PYTHONDONTWRITEBYTECODE=1`` only the head would skip compiling. A run
+whose result line is not ``"correct": true`` fails the recording, and
 no file is written for its workload. A traced time, size or detection delay
 that reads 0 is recorded as ``null`` with what it is read from
 (``METRIC_SOURCES``): a timed span, a written file and a delay (at least one
@@ -280,6 +283,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", default="HEAD", help="the revision to compare the working tree with")
     args = parser.parse_args(argv)
+    caches = sorted(str(p) for p in (ROOT / "src").rglob("__pycache__") if p.is_dir())
+    if caches:
+        parser.error(f"remove the compiled module caches under src/ first: {', '.join(caches)}")
     declared = {m["name"]: m for m in bench["end_to_end"]}
     with tempfile.TemporaryDirectory(prefix="driftscope-base-") as tmp:
         roots = {"base": Path(tmp), "head": ROOT}
