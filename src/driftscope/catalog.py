@@ -20,10 +20,10 @@ import math
 import os
 import tempfile
 from bisect import bisect_left
-from collections import Counter
+from collections import Counter, defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain, count, islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
@@ -331,8 +331,7 @@ def build_catalog(
         raise ValueError("cannot build a catalog from zero records")
     binning = dict(binning_config or {})
     categorical = frozenset(a for a, rule in binning.items() if rule == "categorical")
-    columns = {k: [r.get(k) for r in records] for k in dict.fromkeys(chain.from_iterable(records))}
-    table = ColumnData.from_columns(columns, categorical=categorical)
+    table = ColumnData.from_columns(_columns_of_records(records), categorical=categorical)
     return table.build_catalog(np.arange(table.n), default_bins, binning)
 
 
@@ -400,32 +399,31 @@ class Column:
 
 
 class _Factorizer:
-    """A :class:`Column` built one block of raw values at a time, keyed by
-    :func:`_key` per value, so a later block may bring a value of a new type.
-    ``missing`` rows read before the column's first block lack it: None."""
+    """A :class:`Column` built one block of raw values at a time: a value's
+    :func:`_key` takes the next code when first seen, whatever block brings
+    it. ``missing`` rows read before the column's first block lack it: None."""
 
     def __init__(self, missing: int = 0):
-        self.index: dict = {}
-        self.values: list = []
+        self.codes: defaultdict = defaultdict(count().__next__)
+        self.raw: dict = {}  # the first raw value of each (type, repr) key
         self.blocks: list[np.ndarray] = []
         if missing:
-            self.index[None] = 0
-            self.values.append(None)
-            self.blocks.append(np.zeros(missing, dtype=np.intp))
+            self.blocks.append(np.full(missing, self.codes[None], dtype=np.intp))
 
     def add(self, block: Sequence) -> None:
-        keys = block if _TEXT_EXACT.issuperset(map(type, block)) else list(map(_key, block))
-        index, values = self.index, self.values
-        for key, value in dict(zip(keys, block)).items():
-            if key not in index:
-                index[key] = len(values)
-                values.append(value)
-        self.blocks.append(np.fromiter(map(index.__getitem__, keys), dtype=np.intp, count=len(keys)))
+        keys = block
+        if not _TEXT_EXACT.issuperset(map(type, block)):
+            keys = list(map(_key, block))
+            for key, value in zip(keys, block):
+                if key is not value:  # a (type, repr) key
+                    self.raw.setdefault(key, value)
+        self.blocks.append(np.fromiter(map(self.codes.__getitem__, keys), dtype=np.intp, count=len(keys)))
 
     def column(self) -> Column:
         """The column read so far; the factorizer is spent."""
-        blocks, self.blocks, self.index = self.blocks, [], {}
-        return Column(self.values, np.concatenate(blocks) if blocks else np.zeros(0, dtype=np.intp))
+        blocks, self.blocks = self.blocks, []
+        values = [self.raw.get(key, key) for key in self.codes]
+        return Column(values, np.concatenate(blocks) if blocks else np.zeros(0, dtype=np.intp))
 
 
 def _factorize(values: Sequence) -> Column:
@@ -433,6 +431,22 @@ def _factorize(values: Sequence) -> Column:
     factorizer = _Factorizer()
     factorizer.add(values)
     return factorizer.column()
+
+
+def _columns_of_records(records: Iterable[Mapping[str, object]]) -> dict[str, Column]:
+    """The columns of ``records``, factorized BLOCK records at a time: the
+    union of their keys in first-seen order, None where a record lacks one."""
+    records = iter(records)
+    columns: dict[str, _Factorizer] = {}
+    n = 0
+    while block := list(islice(records, BLOCK)):
+        for name in dict.fromkeys(chain.from_iterable(block)):
+            if name not in columns:
+                columns[name] = _Factorizer(missing=n)
+        for name, factorizer in columns.items():
+            factorizer.add([r.get(name) for r in block])
+        n += len(block)
+    return {name: factorizer.column() for name, factorizer in columns.items()}
 
 
 def _columns_of_rows(rows: Iterable[Sequence], width: int) -> list[Column]:
@@ -482,14 +496,11 @@ class ColumnData:
     def __init__(self, rows: Sequence[Mapping[str, object]], categorical: frozenset[str] = frozenset()):
         if not rows:
             raise ValueError("no rows")
-
-        def column(name: str) -> list:
-            return [r.get(name) for r in rows]
-
-        names = dict.fromkeys(chain.from_iterable(rows))
+        columns = _columns_of_records(rows)
+        y = columns.pop("y", None)
         self.n = len(rows)
-        self.y = np.fromiter(map(int, column("y")), dtype=np.int64, count=self.n) if "y" in names else None
-        self._fill(names, column, categorical)
+        self.y = None if y is None else np.array([int(v) for v in y.values], dtype=np.int64)[y.codes]
+        self._fill(columns, categorical)
 
     @classmethod
     def from_columns(
@@ -503,20 +514,17 @@ class ColumnData:
         of one length."""
         table = cls.__new__(cls)
         table.n, table.y = len(next(iter(columns.values()), ())), y
-        table._fill(columns, columns.__getitem__, categorical)
+        table._fill(columns, categorical)
         return table
 
-    def _fill(
-        self, names: Iterable[str], column: Callable[[str], Column | Sequence], categorical: frozenset[str]
-    ) -> None:
-        """Type the columns ``names``, fetching one raw ``column(name)`` at a
-        time so that only one untyped in-memory column is held at once."""
-        self.attrs = [a for a in names if a not in RESERVED_COLUMNS]
+    def _fill(self, columns: Mapping[str, Column | Sequence], categorical: frozenset[str]) -> None:
+        """Type the raw ``columns`` that are attributes."""
+        self.attrs = [a for a in columns if a not in RESERVED_COLUMNS]
         self.numeric: dict[str, np.ndarray] = {}
         self.codes: dict[str, np.ndarray] = {}
         self.uniques: dict[str, np.ndarray] = {}
         for a in self.attrs:
-            col = column(a)
+            col = columns[a]
             if not isinstance(col, Column):
                 if a not in categorical and _FLOAT_OR_NONE.issuperset(map(type, col)):
                     # a float's text parses back to that float, so take it as is
@@ -709,24 +717,23 @@ def _is_jsonl(path: str | Path) -> bool:
 
 
 def _open_data(path: Path, **kwargs):
-    """``path`` opened to read UTF-8 text; a path that cannot be opened (one
-    that is absent, a directory or unreadable) is a :class:`DataError` that
-    names it."""
+    """``path`` opened to read UTF-8 text, a leading byte order mark dropped;
+    a path that cannot be opened (one that is absent, a directory or
+    unreadable) is a :class:`DataError` that names it."""
     try:
-        return open(path, encoding="utf-8", **kwargs)
+        return open(path, encoding="utf-8-sig", **kwargs)
     except OSError as exc:
         raise DataError(f"{path}: {exc.strerror or exc}") from None
 
 
 def read_rows(path: str | Path) -> Iterator[dict[str, object]]:
-    """Stream rows from a CSV (RFC 4180, header row, :func:`_csv_records`) or JSONL file."""
+    """Stream rows from a CSV (RFC 4180, header row, :func:`_csv_records`) or
+    JSONL file. In both, blank lines are skipped and an error names its row
+    counted from 1 among the non-blank ones."""
     path = Path(path)
     if _is_jsonl(path):
         with _open_data(path) as fh:
-            for i, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
+            for i, line in enumerate(filter(None, map(str.strip, fh)), start=1):
                 try:
                     row = json.loads(line)
                 except json.JSONDecodeError as exc:
@@ -752,16 +759,7 @@ def read_columns(path: str | Path) -> dict[str, Column]:
     """
     path = Path(path)
     if _is_jsonl(path):
-        columns: dict[str, _Factorizer] = {}
-        rows, n = read_rows(path), 0
-        while block := list(islice(rows, BLOCK)):
-            for name in dict.fromkeys(chain.from_iterable(block)):
-                if name not in columns:
-                    columns[name] = _Factorizer(missing=n)
-            for name, factorizer in columns.items():
-                factorizer.add([r.get(name) for r in block])
-            n += len(block)
-        return {name: factorizer.column() for name, factorizer in columns.items()}
+        return _columns_of_records(read_rows(path))
     with _csv_records(path) as (header, rows):
         return dict(zip(header, _columns_of_rows(rows, len(header))))
 
@@ -825,6 +823,6 @@ def read_file(path: str | Path, what: str, build: Callable[[bytes], T]) -> T:
 
 
 def read_json(path: str | Path, what: str, build: Callable[[object], T]) -> T:
-    """``build`` of the JSON document in the UTF-8 file ``path``, with the
-    errors of :func:`read_file`."""
-    return read_file(path, what, lambda data: build(json.loads(data.decode("utf-8"))))
+    """``build`` of the JSON document in the UTF-8 file ``path`` (a leading
+    byte order mark dropped), with the errors of :func:`read_file`."""
+    return read_file(path, what, lambda data: build(json.loads(data.decode("utf-8-sig"))))

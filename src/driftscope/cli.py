@@ -268,12 +268,16 @@ def _batched_records(path, catalog, spec, batch_size):
 
 def _cmd_monitor(args) -> int:
     config = WindowConfig(args.window, args.tau_t, args.min_count)
+    out_dir = Path(args.out)
+    # refused before the stream is read, but made only once it has been read
+    existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not existing.is_dir():
+        raise DataError(f"--out {out_dir}: {existing} is not a directory")
     catalog, sgcat, catalog_sha256 = _load_artifact(args.catalog)
     spec = MetricSpec(kind=args.metric)
     batches, n_rows, skipped_values = _batched_records(args.input, catalog, spec, args.batch_size)
     log.info("ingested %d rows in %d batches (%d skipped values)", n_rows, len(batches), skipped_values)
 
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     monitor = MonitorState(n_subgroups=len(sgcat), config=config, catalog_sha256=catalog_sha256)
     writer = ReportWriter(sgcat, args.top_k)

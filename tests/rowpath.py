@@ -1,5 +1,6 @@
 """Row-at-a-time reference implementations of the ingest that the columnar
-path (``read_columns`` -> ``ColumnData``) replaced, of the concept
+path (``read_columns`` -> ``ColumnData``) replaced, of the factorizer
+that mapped records to columns with two dict probes per new value, of the concept
 experiment that encoded each batch through dict rows, of the tree fit
 that re-sorted every feature at every node, of the label-flip injection
 that encoded every record on its own, of the report serializer that
@@ -19,7 +20,7 @@ one stream table that the generator now returns).
 import json
 import warnings
 from collections import deque
-from itertools import combinations
+from itertools import chain, combinations, islice
 from types import SimpleNamespace
 from typing import Callable, Mapping, Sequence
 
@@ -35,12 +36,15 @@ from driftscope.baselines import (
     make_detector,
 )
 from driftscope.catalog import (
+    _TEXT_EXACT,
     MISSING_VALUES,
     RESERVED_COLUMNS,
+    Column,
     ColumnData,
     DataError,
     ItemCatalog,
     _catalog_of_columns,
+    _key,
     read_rows,
 )
 from driftscope.cli import _csv_text, _load_artifact, _parse_subgroup
@@ -58,6 +62,51 @@ from driftscope.streams import (
     fit_tree,
     gen_concept_stream,
 )
+
+
+class Factorizer:
+    """A :class:`Column` built one block of raw values at a time, keyed by
+    :func:`_key` per value, so a later block may bring a value of a new type.
+    ``missing`` rows read before the column's first block lack it: None."""
+
+    def __init__(self, missing: int = 0):
+        self.index: dict = {}
+        self.values: list = []
+        self.blocks: list[np.ndarray] = []
+        if missing:
+            self.index[None] = 0
+            self.values.append(None)
+            self.blocks.append(np.zeros(missing, dtype=np.intp))
+
+    def add(self, block: Sequence) -> None:
+        keys = block if _TEXT_EXACT.issuperset(map(type, block)) else list(map(_key, block))
+        index, values = self.index, self.values
+        for key, value in dict(zip(keys, block)).items():
+            if key not in index:
+                index[key] = len(values)
+                values.append(value)
+        self.blocks.append(np.fromiter(map(index.__getitem__, keys), dtype=np.intp, count=len(keys)))
+
+    def column(self) -> Column:
+        """The column read so far; the factorizer is spent."""
+        blocks, self.blocks, self.index = self.blocks, [], {}
+        return Column(self.values, np.concatenate(blocks) if blocks else np.zeros(0, dtype=np.intp))
+
+
+def columns_of_records(records, block_size):
+    """The columns of ``records`` through :class:`Factorizer`, ``block_size``
+    records at a time: keys in first-seen order, None where a record lacks one."""
+    records = iter(records)
+    columns: dict[str, Factorizer] = {}
+    n = 0
+    while block := list(islice(records, block_size)):
+        for name in dict.fromkeys(chain.from_iterable(block)):
+            if name not in columns:
+                columns[name] = Factorizer(missing=n)
+        for name, factorizer in columns.items():
+            factorizer.add([r.get(name) for r in block])
+        n += len(block)
+    return {name: factorizer.column() for name, factorizer in columns.items()}
 
 
 def column_data(rows, categorical=frozenset()):

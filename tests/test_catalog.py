@@ -584,13 +584,49 @@ _INGEST_INPUTS = [
 ]
 
 
-@pytest.mark.parametrize("name, text", _INGEST_INPUTS)
-def test_read_columns_matches_read_rows(tmp_path, name, text):
+# JSON values that are one dict key or one text, each repeated in a later
+# block, and a key that first appears in a later block
+_MIXED = ["1", "1.0", "true", '"1"', "null", "[1]", '{"k": 1}', "-0.0", "0.0"]
+_MIXED_INPUT = (
+    "mixed.jsonl",
+    "".join(f'{{"v": {v}, "w": {w}}}\n' for v, w in zip(_MIXED * 2, _MIXED[::-1] * 2))
+    + "".join(f'{{"late": {v}}}\n' for v in _MIXED),
+)
+
+
+def _first_seen(values):
+    """The distinct values in first-seen order, 1, 1.0 and True (or 0.0 and -0.0) apart."""
+    seen: dict = {}
+    for v in values:
+        seen.setdefault((type(v), repr(v)), v)
+    return list(seen.values())
+
+
+@pytest.mark.parametrize("block", [2, catalog.BLOCK])
+@pytest.mark.parametrize("name, text", _INGEST_INPUTS + [_MIXED_INPUT])
+def test_read_columns_matches_read_rows(tmp_path, monkeypatch, block, name, text):
+    """Each column holds its distinct raw values in first-seen order, its
+    codes index them, and the columns, ``ColumnData(rows)`` and
+    ``build_catalog(rows)`` are those of the factorizer with two dict probes
+    per new value (``rowpath.Factorizer``)."""
+    monkeypatch.setattr(catalog, "BLOCK", block)
     path = tmp_path / name
     path.write_text(text)
-    got = {k: list(v) for k, v in read_columns(path).items()}
-    assert got == _columns_of_rows(path)
+    columns, expected = read_columns(path), _columns_of_rows(path)
+    got = {k: list(v) for k, v in columns.items()}
+    assert got == expected
     assert all(len(v) == len(next(iter(got.values()))) for v in got.values())
+    rows = list(read_rows(path))
+    oracle = rowpath.columns_of_records(rows, block)
+    assert list(columns) == list(oracle)
+    for attr, column in columns.items():
+        assert _typed(column.values) == _typed(_first_seen(expected[attr])), attr
+        assert _typed(column.values[c] for c in column.codes.tolist()) == _typed(expected[attr]), attr
+        assert _typed(column.values) == _typed(oracle[attr].values), attr
+        assert column.codes.tolist() == oracle[attr].codes.tolist(), attr
+    table = ColumnData.from_columns(oracle)
+    rowpath.assert_same_table(ColumnData(rows), table)
+    assert build_catalog(rows).to_dict() == table.build_catalog(np.arange(len(rows))).to_dict()
 
 
 @pytest.mark.parametrize(
@@ -728,7 +764,7 @@ def test_read_columns_and_typing_hold_few_bytes_per_cell(tmp_path):
         ("empty.csv", "", "empty file, expected a header row"),
         ("long.csv", "a,b\n1,2\n\n3,4,5\n", "row 2: more fields than header columns"),
         ("bad.jsonl", '{"a": 1}\n{"a": \n', r"row 2: invalid JSON"),
-        ("list.jsonl", '{"a": 1}\n\n[1, 2]\n', "row 3: expected a JSON object"),
+        ("list.jsonl", '{"a": 1}\n\n[1, 2]\n', "row 2: expected a JSON object"),
         ("repeated.csv", "a,b,a,y\n1,2,3,0\n", "column name\\(s\\) repeated in the header: 'a'"),
     ],
 )

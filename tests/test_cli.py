@@ -293,6 +293,27 @@ def test_monitor_refuses_a_later_row_without_the_batch_value_row_1_has(tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "name, line, message",
+    [
+        ("s.jsonl", '{"color": "red", "size": 1, "y": 1, "y_hat": 2}', "row 2: column 'y_hat' must be 0 or 1, got 2"),
+        ("s.jsonl", '{"color": "red", "size": 1, "y": 1, "y_hat": ', "row 2: invalid JSON"),
+        ("s.jsonl", "[1]", "row 2: expected a JSON object"),
+        ("s.csv", "red,1,1,2", "row 2: column 'y_hat' must be 0 or 1, got '2'"),
+    ],
+)
+def test_monitor_numbers_rows_among_the_non_blank_lines_in_both_formats(tmp_path, caplog, name, line, message):
+    """Line 3 after a blank line 2 is row 2, whatever is wrong with it."""
+    catalog_path, _ = _mined_rows(tmp_path)
+    stream = tmp_path / name
+    first = '{"color": "red", "size": 1, "y": 1, "y_hat": 1}' if name.endswith(".jsonl") else "color,size,y,y_hat\nred,1,1,1"
+    stream.write_text(f"{first}\n\n{line}\n")
+    out = tmp_path / "out"
+    assert run_cli("monitor", "--catalog", catalog_path, "--input", stream, "--out", out) == 2
+    assert message in caplog.text
+    assert not out.exists()
+
+
 def test_monitor_cuts_by_batch_size_when_row_1_has_no_batch_value(tmp_path):
     catalog_path, rows = _mined_rows(tmp_path)
     # later rows carry batch keys that would order the rows otherwise
@@ -850,6 +871,61 @@ def test_an_output_that_cannot_be_written_exits_two(tmp_path, caplog, capsys, co
     assert str(blocker) in caplog.text
     assert "Traceback" not in caplog.text + capsys.readouterr().err
     assert blocker.read_text() == ""
+
+
+@pytest.mark.parametrize("nested", [False, True], ids=["file", "under a file"])
+def test_monitor_refuses_an_out_that_is_no_directory_before_reading_the_stream(tmp_path, caplog, monkeypatch, nested):
+    catalog_path, _ = _mined_rows(tmp_path)
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+    out = blocker / "x" if nested else blocker
+    before = sorted(tmp_path.rglob("*"))
+
+    def unread(path):
+        raise AssertionError(f"{path} was read")
+
+    monkeypatch.setattr(cli, "read_rows", unread)
+    assert run_cli("monitor", "--catalog", catalog_path, "--input", tmp_path / "data.csv", "--out", out) == 2
+    assert f"--out {out}: {blocker} is not a directory" in caplog.text
+    assert sorted(tmp_path.rglob("*")) == before
+    assert blocker.read_text() == ""
+
+
+_BOM = b"\xef\xbb\xbf"
+
+
+@pytest.mark.parametrize("case", ["mine csv", "mine jsonl", "monitor", "config"])
+def test_a_byte_order_mark_is_not_data(tmp_path, case):
+    """A file that starts with a UTF-8 BOM reads as the same file without it."""
+    src = tmp_path / "d.csv"
+    write_sample_csv(src, n=300)
+    if case == "mine jsonl":
+        plain = tmp_path / "d.jsonl"
+        _write_jsonl(plain, list(csv.DictReader(open(src))))
+    else:
+        plain = src
+    marked = tmp_path / f"marked{plain.suffix}"
+    marked.write_bytes(_BOM + plain.read_bytes())
+    mine = ["mine", "--min-support", "0.1", "--max-len", "2"]
+    outputs = []
+    for i, path in enumerate((plain, marked)):
+        artifact = tmp_path / f"c{i}.json"
+        if case == "config":
+            config = tmp_path / f"run{i}.json"
+            config.write_bytes(_BOM * i + b'{"min-support": 0.1, "max-len": 2}')
+            assert run_cli("--config", config, "mine", "--input", src, "--out", artifact) == 0
+        else:
+            assert run_cli(*mine, "--input", path if case.startswith("mine") else src, "--out", artifact) == 0
+        if case == "monitor":
+            out = tmp_path / f"m{i}"
+            assert run_cli("monitor", "--catalog", tmp_path / "c0.json", "--input", path, "--batch-size", "100",
+                           "--out", out) == 0
+            outputs.append([(out / name).read_bytes() for name in ("reports.jsonl", "monitor_state.json")])
+        else:
+            outputs.append(artifact.read_bytes())
+    assert outputs[0] == outputs[1]
+    attributes = {e["attribute"] for e in json.loads((tmp_path / "c1.json").read_text())["item_catalog"]["items"]}
+    assert attributes == {"color", "size"}
 
 
 @pytest.mark.parametrize("prune_t", ["0", "2.5"])

@@ -184,3 +184,14 @@ def test_load_adult_errors(tmp_path):
     p.write_text("| only a comment\n")
     with pytest.raises(ValueError, match="no data rows parsed"):
         load_adult(p)
+
+
+@pytest.mark.parametrize("layout", _ADULT_LAYOUTS)
+def test_load_adult_reads_past_a_byte_order_mark(tmp_path, layout):
+    """A UTF-8 BOM is not data: a headerless file stays headerless, and a
+    header's first name is the column's."""
+    plain, marked = tmp_path / f"plain.{layout}", tmp_path / f"marked.{layout}"
+    plain.write_text(_adult_text(layout), encoding="utf-8")
+    marked.write_text(_adult_text(layout), encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    rowpath.assert_same_table(load_adult(marked), load_adult(plain))

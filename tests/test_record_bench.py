@@ -3,6 +3,7 @@ no benchmark runs here."""
 
 import ast
 import copy
+import importlib.metadata
 import importlib.util
 import json
 from pathlib import Path
@@ -33,7 +34,10 @@ BENCH = {
     "workload": "monitor-shallow",
     "base": {"commit": "a" * 40, "src_sha256": "b" * 64},
     "head": {"commit": "a" * 40, "uncommitted_changes": True, "src_sha256": "c" * 64},
-    "machine": {"cpu_count": 2, "numba": False, "python": "3.11.7", "numpy": "2.4.6", "pythondontwritebytecode": False},
+    "machine": {
+        "nproc": 2, "numba": False, "python": "3.11.7", "numpy": "2.4.6", "scipy": "1.17.1",
+        "pythondontwritebytecode": False,
+    },
     "protocol": {
         "pairs": 3, "seconds": 6, "seeds": [1, 2, 3], "first": "base on odd seeds, head on even seeds",
         "bootstrap": {"resamples": 5000, "seed": 0, "level": 0.9},
@@ -64,6 +68,21 @@ BENCH = {
 }
 
 
+@pytest.mark.parametrize("scipy", ["1.17.1", None])
+def test_the_machine_facts_are_the_usable_cores_and_the_scipy_version(monkeypatch, scipy):
+    def version(name):
+        if scipy is None:
+            raise importlib.metadata.PackageNotFoundError(name)
+        return {"scipy": scipy}[name]
+
+    monkeypatch.setattr(record_bench.os, "sched_getaffinity", lambda pid: {0, 3, 5})
+    monkeypatch.setattr(record_bench.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(record_bench.importlib.metadata, "version", version)
+    facts = record_bench.machine_facts()
+    assert (facts["nproc"], facts["scipy"]) == (3, scipy)
+    assert "cpu_count" not in facts
+
+
 def test_a_hand_written_bench_file_passes_the_schema(tmp_path):
     path = tmp_path / "BENCH_monitor-shallow.json"
     path.write_text(json.dumps(BENCH, indent=1))
@@ -75,6 +94,8 @@ def test_a_hand_written_bench_file_passes_the_schema(tmp_path):
     [
         (lambda d: d["runs"][3].update(correct=False), "not correct"),
         (lambda d: d["machine"].pop("numba"), "machine: no numba"),
+        (lambda d: d["machine"].pop("nproc"), "machine: no nproc"),
+        (lambda d: d["machine"].pop("scipy"), "machine: no scipy"),
         (lambda d: d["head"].pop("commit"), "head: no commit"),
         (lambda d: d["end_to_end"]["monitor_rows_per_s"].update(head_wins=4), "monitor_rows_per_s: head_wins"),
         (lambda d: d["end_to_end"]["monitor_rows_per_s"]["base"]["runs"].pop(), "monitor_rows_per_s: base runs"),

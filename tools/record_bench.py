@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib.metadata
 import importlib.util
 import io
 import json
@@ -102,11 +103,18 @@ def src_sha256(root: Path) -> str:
 
 
 def machine_facts() -> dict:
+    """The facts that change the numbers; ``nproc`` is the cores the runs may
+    use, as perfbench counts them."""
+    try:
+        scipy = importlib.metadata.version("scipy")
+    except importlib.metadata.PackageNotFoundError:
+        scipy = None
     return {
-        "cpu_count": os.cpu_count(),
+        "nproc": len(os.sched_getaffinity(0)),
         "numba": importlib.util.find_spec("numba") is not None,
         "python": platform.python_version(),
         "numpy": np.__version__,
+        "scipy": scipy,
         "pythondontwritebytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
     }
 
@@ -218,7 +226,7 @@ def check_bench(doc: dict) -> None:
         need(isinstance(rev, dict) and isinstance(rev.get("commit"), str), f"{side}: no commit")
         need(isinstance(rev.get("src_sha256"), str), f"{side}: no src_sha256")
     machine = doc.get("machine", {})
-    for fact in ("cpu_count", "numba", "python", "numpy", "pythondontwritebytecode"):
+    for fact in ("nproc", "numba", "python", "numpy", "scipy", "pythondontwritebytecode"):
         need(fact in machine, f"machine: no {fact}")
     runs = doc.get("runs")
     need(isinstance(runs, list) and runs, "no runs")
