@@ -275,7 +275,8 @@ class ItemCatalog:
             elif encoder is not None:
                 lo, hi, edges, bin_ids = encoder
                 try:
-                    x = float(raw)  # type: ignore[arg-type]  # float() strips a text as _text does
+                    # float() strips a text as _text does; a bool is its text, "True" or "False"
+                    x = math.nan if type(raw) is bool else float(raw)  # type: ignore[arg-type]
                 except (TypeError, ValueError):
                     if _text(raw) is None:
                         continue
@@ -511,20 +512,22 @@ class ColumnData:
     ) -> "ColumnData":
         """The table of raw ``columns`` (attribute -> a :class:`Column`, as
         :func:`read_columns` returns them, or the values in row order), all
-        of one length."""
+        of one length; the mapping itself is left as it is."""
         table = cls.__new__(cls)
         table.n, table.y = len(next(iter(columns.values()), ())), y
-        table._fill(columns, categorical)
+        table._fill(dict(columns), categorical)
         return table
 
-    def _fill(self, columns: Mapping[str, Column | Sequence], categorical: frozenset[str]) -> None:
-        """Type the raw ``columns`` that are attributes."""
+    def _fill(self, columns: dict[str, Column | Sequence], categorical: frozenset[str]) -> None:
+        """Type the raw ``columns`` that are attributes. Each is popped from
+        ``columns``, which the caller hands over, so that it is freed once
+        typed."""
         self.attrs = [a for a in columns if a not in RESERVED_COLUMNS]
         self.numeric: dict[str, np.ndarray] = {}
         self.codes: dict[str, np.ndarray] = {}
         self.uniques: dict[str, np.ndarray] = {}
         for a in self.attrs:
-            col = columns[a]
+            col = columns.pop(a)
             if not isinstance(col, Column):
                 if a not in categorical and _FLOAT_OR_NONE.issuperset(map(type, col)):
                     # a float's text parses back to that float, so take it as is

@@ -29,6 +29,7 @@ from .catalog import (
     DataError,
     ItemCatalog,
     MetricSpec,
+    RESERVED_COLUMNS,
     _bit,
     _is_jsonl,
     atomic_open,
@@ -196,9 +197,12 @@ def _cmd_mine(args) -> int:
 
 
 def _read_table(path, categorical: frozenset) -> tuple[dict[str, Column], ColumnData]:
-    """The columns of the data file ``path`` and their table, which may not be empty."""
+    """The columns of the data file ``path`` and their table, which must have
+    an attribute column and a row."""
     columns = read_columns(path)
     table = ColumnData.from_columns(columns, categorical=categorical)
+    if not table.attrs:
+        raise DataError(f"{path}: no attribute column ({', '.join(sorted(RESERVED_COLUMNS))} are never attributes)")
     if not table.n:
         raise DataError(f"{path}: no rows")
     return columns, table

@@ -39,11 +39,6 @@ ADULT_COLUMNS = (
     "native_country",
 )
 
-NUMERIC_COLUMNS = frozenset(
-    {"age", "fnlwgt", "education_num", "capital_gain", "capital_loss", "hours_per_week"}
-)
-
-
 _LABEL_COLUMNS = frozenset({"income", "class", "label", "y", "target", "salary"})
 
 
@@ -124,7 +119,6 @@ _EDUCATION = (
     ("Doctorate", 0.012), ("5th-6th", 0.010), ("1st-4th", 0.005),
     ("Preschool", 0.002),
 )
-_EDU_RANK = {name: i + 1 for i, (name, _) in enumerate(sorted(_EDUCATION))}
 _EDU_NUM = {
     "Preschool": 1, "1st-4th": 2, "5th-6th": 3, "7th-8th": 4, "9th": 5,
     "10th": 6, "11th": 7, "12th": 8, "HS-grad": 9, "Some-college": 10,

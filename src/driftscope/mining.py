@@ -376,11 +376,12 @@ def mine_frequent(
 
     Level-wise Apriori over arrays: the frequent (k-1)-itemsets are a
     lexicographically sorted ``(n, k-1)`` array with their packed member
-    bitmaps; candidates of length k join two of them that share a prefix,
-    are pruned by the anti-monotonicity of support (one sorted search per
-    dropped position), and are counted by ANDing a parent bitmap with the
-    packed bitmap of the new item from the point matrix ``points`` (one row
-    per item, as ``build_point_matrix``) and popcounting. When
+    bitmaps; candidates of length k join two of them that share a prefix
+    and are counted by ANDing a parent bitmap with the packed bitmap of the
+    new item from the point matrix ``points`` (one row per item, as
+    ``build_point_matrix``) and popcounting. The exact count alone keeps a
+    candidate: support is anti-monotone, so one with an infrequent subset
+    is dropped by its own count, and no subset search is made. When
     ``item_attrs`` gives the attribute of each item, candidates combining two
     values of one attribute are excluded structurally (their support is zero
     by construction). Output ordering is lexicographic by item ids, with the
@@ -411,16 +412,6 @@ def mine_frequent(
         differ = attr_ids[sets[a, -1]] != attr_ids[sets[b, -1]]
         a, b = a[differ], b[differ]
         cand = np.concatenate([sets[a], sets[b, -1:]], axis=1)
-        # dropping either of the last two items leaves a joined parent; every
-        # other (k-1)-subset must be frequent too
-        if k > 2 and len(cand):
-            keys = _row_keys(sets)
-            ok = np.ones(len(cand), dtype=bool)
-            for m in range(k - 2):
-                wanted = _row_keys(np.delete(cand, m, axis=1))
-                pos = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
-                ok &= keys[pos] == wanted
-            a, cand = a[ok], cand[ok]
         counts = np.empty(len(cand), dtype=np.int64)
         for lo, joined in _joined(bits, a, item_bits, cand[:, -1:]):
             counts[lo : lo + len(joined)] = _popcounts(joined)

@@ -1531,6 +1531,29 @@ def test_mine_header_only_file_exits_two(tmp_path, caplog):
     assert f"{src}: no rows" in caplog.text
 
 
+@pytest.mark.parametrize("name,text", [("labels.csv", "y\n0\n1\n"), ("blank.jsonl", "{}\n{}\n")])
+def test_mine_on_a_file_with_no_attribute_column_exits_two(tmp_path, caplog, name, text):
+    src = tmp_path / name
+    src.write_text(text)
+    assert run_cli("mine", "--input", src, "--min-support", "0.1", "--out", tmp_path / "c.json") == 2
+    assert f"{src}: no attribute column (alpha, batch, beta, y, y_hat are never attributes)" in caplog.text
+    assert not (tmp_path / "c.json").exists()
+
+
+def test_inject_on_a_file_with_no_attribute_column_exits_two(tmp_path, caplog):
+    _, catalog_path, _ = _mined_and_monitored(tmp_path)
+    src = tmp_path / "labels.csv"
+    src.write_text("y,y_hat\n0,1\n1,1\n")
+    out, mask = tmp_path / "out.csv", tmp_path / "mask.csv"
+    code = run_cli(
+        "inject", "--input", src, "--catalog", catalog_path, "--subgroup", "color=red", "--p-max", "0.5",
+        "--out", out, "--mask", mask,
+    )
+    assert code == 2
+    assert f"{src}: no attribute column" in caplog.text
+    assert not out.exists() and not mask.exists()
+
+
 def test_inject_header_only_file_exits_two_as_mine_does(tmp_path, caplog):
     _, catalog_path, _ = _mined_and_monitored(tmp_path)
     src = tmp_path / "empty.csv"
@@ -1648,6 +1671,41 @@ def test_report_refuses_a_state_built_on_another_catalog_of_the_same_size(tmp_pa
     )
     assert sorted(tmp_path.rglob("*")) == before
     assert run_cli("report", "--reports", reports_dir, "--catalog", catalog_path, "--out", out) == 0
+
+
+def test_report_without_a_monitor_state_beside_the_reports_exits_two(tmp_path, caplog):
+    _, catalog_path, reports_dir = _mined_and_monitored(tmp_path)
+    state_path = reports_dir / "monitor_state.json"
+    state_path.unlink()
+    assert run_cli("report", "--reports", reports_dir / "reports.jsonl", "--catalog", catalog_path) == 2
+    assert f"{state_path}: monitor state snapshot not found" in caplog.text
+
+
+def test_report_on_a_run_that_never_left_warm_up_exits_two(tmp_path, caplog, capsys):
+    src, catalog_path, _ = _mined_and_monitored(tmp_path)
+    reports_dir = tmp_path / "one_batch"
+    assert run_cli(
+        "monitor", "--catalog", catalog_path, "--input", src, "--window", "2", "--batch-size", "400",
+        "--out", reports_dir,
+    ) == 0
+    capsys.readouterr()
+    assert run_cli("report", "--reports", reports_dir, "--catalog", catalog_path) == 2
+    assert "monitoring never left the warming-up phase" in caplog.text
+    assert capsys.readouterr().out == ""
+
+
+def test_report_shapley_without_out_prints_the_table_then_the_attribution(tmp_path, capsys):
+    _, catalog_path, reports_dir = _mined_and_monitored(tmp_path)
+    out = tmp_path / "r.csv"
+    assert run_cli(
+        "report", "--reports", reports_dir, "--catalog", catalog_path, "--format", "csv", "--shapley", "--out", out
+    ) == 0
+    capsys.readouterr()
+    assert run_cli("report", "--reports", reports_dir, "--catalog", catalog_path, "--format", "csv", "--shapley") == 0
+    printed = capsys.readouterr().out
+    assert printed == out.read_text() + out.with_suffix(".attribution.csv").read_text()
+    assert printed.startswith("subgroup_id,items,support,delta_h,t,drifted\n")
+    assert "\nitem_id,item,contribution\n" in printed
 
 
 def test_report_has_no_tau_t_flag(tmp_path, capsys):

@@ -201,19 +201,28 @@ class TestColumnFastPath:
                 row[list(ids)] = 1
                 assert np.array_equal(P[r], row), f"drop {drop}: row {i}"
 
-    @pytest.mark.parametrize("case", ["absent attribute", "text in a quantile column"])
+    @pytest.mark.parametrize(
+        "case", ["absent attribute", "text in a quantile column", "JSON boolean in a quantile column"]
+    )
     def test_point_matrix_matches_encode_on_stream_tables(self, rows, case):
         catalog = ColumnData(rows).build_catalog(np.arange(200), bins=4)
         categorical = frozenset(a for a, d in catalog.discretizers.items() if d.kind == "categorical")
         rng = np.random.default_rng(len(case))
         nums = ["9.5", " 11 ", "-40", "1e9", "nan", "inf", "", "?", "7"]
-        texts = ["forty", "1.2.3", "ten"] if case == "text in a quantile column" else []
+        texts = {
+            "text in a quantile column": ["forty", "1.2.3", "ten"],
+            "JSON boolean in a quantile column": [True, False],  # text, so in no bin
+        }.get(case, [])
+
+        def pick(values):
+            return values[rng.integers(len(values))]
+
         stream = []
         for _ in range(300):
             rec = {
-                "num": str(rng.choice(nums + texts)),
-                "cat": str(rng.choice(["x", " y ", "z", "v", "NA"])),
-                "low": str(rng.choice(["0", "1", " 1 "] + texts)),
+                "num": pick(nums + texts),
+                "cat": pick(["x", " y ", "z", "v", "NA"]),
+                "low": pick(["0", "1", " 1 "] + texts),
                 "y": "1",
             }
             if case == "absent attribute":
